@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from rmtlab.covariance import mp_self_consistency_residual, singular_vec_inf_norms
+from rmtlab.covariance import mp_self_consistency_residual, singular_triplets, singular_vec_inf_norms
 from rmtlab.ensembles import DistSpec, form_gram, sample_rect
 from rmtlab.spectral import ks_distance, mp_edges, mp_interval_mass, rho_mp
 
@@ -52,7 +52,7 @@ res = max(
 )
 print(f"max MP self-consistency residual at eta = 10 log n/n: {res:.4f}")
 
-recs = singular_vec_inf_norms(m, eps=0.1, seed=0)
+recs = singular_vec_inf_norms(singular_triplets(m), eps=0.1, seed=0)
 for side in ("left", "right"):
     bulk = [r.scaled_bulk for r in recs if r.side == side and r.region == "bulk"]
     print(f"max bulk scaled inf-norm, {side:>5} singular vectors: {max(bulk):.3f}")

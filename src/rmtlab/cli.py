@@ -1,7 +1,8 @@
 """Command line front end: ``rmtlab <experiment> --config PATH [overrides]``.
 
-Exit codes: 0 success, 2 configuration/validation error, 3 when --assert is
-passed and the experiment's summary check fails.
+Exit codes: 0 success, 2 configuration/validation error or a parameter the
+experiment rejects while running, 3 when --assert is passed and the
+experiment's summary check fails.
 """
 
 from __future__ import annotations
@@ -10,7 +11,9 @@ import argparse
 import json
 import sys
 
+from .ensembles import ParameterError
 from .harness import EXPERIMENTS, ConfigError, config_from_dict, load_config, run_experiment
+from .spectral import ContractError, DomainError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,11 +61,11 @@ def main(argv=None) -> int:
         raw = cfg.to_dict()
         raw.update({k: v for k, v in overrides.items() if v is not None})
         cfg = config_from_dict(raw)
-    except ConfigError as exc:
+        report = run_experiment(cfg)
+    except (ConfigError, ParameterError, ContractError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_experiment(cfg)
     print(json.dumps(report.summary, indent=2, sort_keys=True))
     if report.out_path is not None:
         print(f"outputs: {report.out_path}")

@@ -5,6 +5,9 @@ Marchenko-Pastur spectrum on its top p eigenvalues, the compact Gram matrix
 MM*/n carries the same nonzero spectrum, and sigma_i(M) = sqrt(n *
 lambda_i(W)).  Singular values are kept ascending throughout, matching the
 eigenvalue ordering used elsewhere.
+
+The singular identities return arrays over every index i from one SVD of M
+and one of its minor.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .delocalization import DelocRecord, NearCollisionError
+from .delocalization import DelocRecord
 from .ensembles import ParameterError
-from .locallaw import _check_z
+from .locallaw import _check_z, _resolvent_form
 from .spectral import ContractError, mp_edges, rho_mp
 
 
@@ -38,9 +41,14 @@ def singular_triplets(m: np.ndarray) -> SingularTriplets:
     p, n = m.shape
     if p > n:
         raise ContractError("factor must have p <= n")
+    return _thin_svd(m)
+
+
+def _thin_svd(m: np.ndarray) -> SingularTriplets:
+    """Triplets of a matrix of any shape; min(p, n) of them, ascending."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # numpy returns descending; flip to ascending
-    return SingularTriplets(sigma=s[::-1].copy(), left=u[:, ::-1].copy(), right=vh[::-1].T.conj().copy())
+    return SingularTriplets(sigma=s[::-1], left=u[:, ::-1], right=vh[::-1].T.conj())
 
 
 @dataclass(frozen=True)
@@ -59,21 +67,24 @@ class CovSchurTerms:
     expected_yk: complex  # ((p-1)/n) * (1 + z * s_minor)
 
 
+def _cov_minor_parts(m: np.ndarray, k: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """(xi_kk, W_minor, a_k) for row k of the p x n factor M (empty minor when p = 1)."""
+    p, n = m.shape
+    x_k = np.conj(m[k, :])  # X_k with X_k* the k-th row of M
+    xi_kk = float(np.real(x_k @ np.conj(x_k))) / n
+    m_minor = m[np.arange(p) != k, :]
+    return xi_kk, m_minor @ np.conj(m_minor).T / n, m_minor @ x_k / n
+
+
 def covariance_schur_terms(m: np.ndarray, z: complex, k: int) -> CovSchurTerms:
     z = _check_z(z)
     p, n = m.shape
     if not 0 <= k < p:
         raise ContractError("index k out of range")
-    x_k = np.conj(m[k, :])  # X_k with X_k* the k-th row of M
-    xi_kk = float(np.real(x_k @ np.conj(x_k))) / n
+    xi_kk, w_minor, a_k = _cov_minor_parts(m, k)
     if p == 1:
         return CovSchurTerms(k=0, xi_kk=xi_kk, yk=0.0j, s_minor=0.0j, expected_yk=0.0j)
-    keep = np.arange(p) != k
-    m_minor = m[keep, :]
-    w_minor = m_minor @ np.conj(m_minor).T / n
-    a_k = m_minor @ x_k / n
-    solve = np.linalg.solve(w_minor - z * np.eye(p - 1), a_k)
-    yk = complex(np.conj(a_k) @ solve)
+    yk = _resolvent_form(w_minor, a_k, z)
     minor_eigs = np.linalg.eigvalsh(w_minor)
     s_minor = complex(np.mean(1.0 / (minor_eigs - z)))
     expected = ((p - 1) / n) * (1.0 + z * s_minor)
@@ -86,8 +97,8 @@ def covariance_schur_residual(m: np.ndarray, z: complex) -> float:
     p, n = m.shape
     total = 0.0j
     for k in range(p):
-        terms = covariance_schur_terms(m, z, k)
-        total += 1.0 / (terms.xi_kk - z - terms.yk)
+        xi_kk, w_minor, a_k = _cov_minor_parts(m, k)
+        total += 1.0 / (xi_kk - z - _resolvent_form(w_minor, a_k, z))
     gram_eigs = np.linalg.eigvalsh(m @ np.conj(m).T / n)
     return abs(total / p - complex(np.mean(1.0 / (gram_eigs - z))))
 
@@ -99,76 +110,56 @@ def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) ->
     return abs(s + 1.0 / (y + z - 1.0 + y * z * s))
 
 
-def _deleted_svd(m: np.ndarray):
-    """Nontrivial singular triplets (sigma, left cols, right cols), ascending."""
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return s[::-1], u[:, ::-1], vh[::-1].T.conj()
-
-
-def singular_entry_identity(m: np.ndarray, i: int, side: str = "right", gap_tol: float = 1e-8):
-    """Deleted-coordinate identity for the i-th unit singular vector.
-
-    side='right': split M = [M' X] by removing the last column; lhs is the
-    squared modulus of the last coordinate of the i-th right singular vector,
-    and rhs sums sigma_j(M')^2 |v_j(M')* X|^2 / (sigma_j(M')^2 - sigma_i^2)^2
-    over the left singular vectors v_j of M'.  side='left' is the row-deleted
-    mirror using right singular vectors of the row minor.
-    Returns (lhs, rhs, collision_gap).
-    """
-    p, n = m.shape
+def _deleted_coordinate_terms(m: np.ndarray, side: str):
+    """(triplets of M, X, sigma_j(M')^2 |v_j(M')* X|^2, sigma_j(M')^2, collision gaps)."""
     trip = singular_triplets(m)
-    if not 0 <= i < trip.sigma.size:
-        raise ContractError("index out of range")
-    sig_i = trip.sigma[i]
     if side == "right":
-        minor = m[:, :-1]
         x = m[:, -1]
-        msig, mleft, _ = _deleted_svd(minor)
-        overlaps = np.abs(np.conj(mleft).T @ x) ** 2
-        vec_entry = trip.right[-1, i]
+        minor = _thin_svd(m[:, :-1])
+        basis = minor.left
     elif side == "left":
-        minor = m[:-1, :]
         x = np.conj(m[-1, :])  # Y with Y* the last row
-        msig, _, mright = _deleted_svd(minor)
-        overlaps = np.abs(np.conj(mright).T @ x) ** 2
-        vec_entry = trip.left[-1, i]
+        minor = _thin_svd(m[:-1, :])
+        basis = minor.right
     else:
         raise ParameterError("side must be 'left' or 'right'")
-    gap = float(np.min(np.abs(msig**2 - sig_i**2)))
-    if gap <= gap_tol * max(1.0, sig_i**2):
-        raise NearCollisionError("minor singular value collides with sigma_i")
-    denom = 1.0 + float(np.sum(msig**2 * overlaps / (msig**2 - sig_i**2) ** 2))
-    return float(np.abs(vec_entry) ** 2), 1.0 / denom, gap
+    msig2 = minor.sigma**2
+    weighted = msig2 * np.abs(np.conj(basis).T @ x) ** 2
+    gap = np.array([np.min(np.abs(msig2 - s**2), initial=np.inf) / max(1.0, s**2) for s in trip.sigma])
+    return trip, x, weighted, msig2, gap
 
 
-def singular_interlacing_identity(m: np.ndarray, i: int, side: str = "right", gap_tol: float = 1e-8):
-    """Both sides of the singular-value interlacing identity.
+def singular_entry_identity(m: np.ndarray, side: str = "right"):
+    """Deleted-coordinate identity for every unit singular vector at once.
+
+    side='right': split M = [M' X] by removing the last column; lhs_i is
+    the squared modulus of the last coordinate of the i-th right singular
+    vector, and rhs_i = 1 / (1 + sum_j sigma_j(M')^2 |v_j(M')* X|^2 /
+    (sigma_j(M')^2 - sigma_i^2)^2) over the left singular vectors v_j of M'.
+    side='left' is the row-deleted mirror using right singular vectors of
+    the row minor.  Returns arrays (lhs, rhs, collision_gap) indexed by i,
+    the gap being min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
+    """
+    trip, _, weighted, msig2, gap = _deleted_coordinate_terms(m, side)
+    vecs = trip.right if side == "right" else trip.left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = np.array([1.0 / (1.0 + np.sum(weighted / (msig2 - s**2) ** 2)) for s in trip.sigma])
+    return np.abs(vecs[-1]) ** 2, rhs, gap
+
+
+def singular_interlacing_identity(m: np.ndarray, side: str = "right"):
+    """Both sides of the singular-value interlacing identity, every i at once.
 
     side='right' (column deleted):
         sum_j sigma_j(M')^2 |v_j(M')* X|^2 / (sigma_j(M')^2 - sigma_i^2)
             = ||X||^2 - sigma_i^2,
-    side='left' mirrors it for the row-deleted minor.
+    side='left' mirrors it for the row-deleted minor.  Returns arrays
+    (lhs, rhs, collision_gap) as ``singular_entry_identity`` does.
     """
-    trip = singular_triplets(m)
-    if not 0 <= i < trip.sigma.size:
-        raise ContractError("index out of range")
-    sig_i = trip.sigma[i]
-    if side == "right":
-        minor, x = m[:, :-1], m[:, -1]
-        msig, mleft, _ = _deleted_svd(minor)
-        overlaps = np.abs(np.conj(mleft).T @ x) ** 2
-    elif side == "left":
-        minor, x = m[:-1, :], np.conj(m[-1, :])
-        msig, _, mright = _deleted_svd(minor)
-        overlaps = np.abs(np.conj(mright).T @ x) ** 2
-    else:
-        raise ParameterError("side must be 'left' or 'right'")
-    gap = float(np.min(np.abs(msig**2 - sig_i**2)))
-    if gap <= gap_tol * max(1.0, sig_i**2):
-        raise NearCollisionError("minor singular value collides with sigma_i")
-    lhs = float(np.sum(msig**2 * overlaps / (msig**2 - sig_i**2)))
-    rhs = float(np.real(np.vdot(x, x)) - sig_i**2)
-    return lhs, rhs
+    trip, x, weighted, msig2, gap = _deleted_coordinate_terms(m, side)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = np.array([np.sum(weighted / (msig2 - s**2)) for s in trip.sigma])
+    return lhs, np.array([np.real(np.vdot(x, x)) - s**2 for s in trip.sigma]), gap
 
 
 def pv_mp(lam: float, y: float, excision: float = 1e-5) -> float:
@@ -218,17 +209,17 @@ def classify_mp_region(lam_w: float, y: float, eps: float) -> str:
     return "outside"
 
 
-def singular_vec_inf_norms(m: np.ndarray, eps: float = 0.1, seed: int = 0) -> list[DelocRecord]:
+def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1, seed: int = 0) -> list[DelocRecord]:
     """Delocalization records for the left and right singular vectors of M.
 
-    The region is classified on sigma_i^2/n against the MP edges at aspect
-    ratio y = p/n.  Right vectors live in C^n and are scaled with sqrt(n);
-    left vectors live in C^p and are scaled with sqrt(p) (the paper-normalized
+    ``trip`` holds the singular triplets of the p x n factor M.  The region
+    is classified on sigma_i^2/n against the MP edges at aspect ratio
+    y = p/n.  Right vectors live in C^n and are scaled with sqrt(n); left
+    vectors live in C^p and are scaled with sqrt(p) (the paper-normalized
     sqrt(n) value is recoverable as scaled * sqrt(n/p)).
     """
-    p, n = m.shape
+    p, n = trip.left.shape[0], trip.right.shape[0]
     y = p / n
-    trip = singular_triplets(m)
     logn = math.log(n)
     logp = math.log(p) if p > 1 else 1.0
     records = []

@@ -4,6 +4,9 @@ Bulk eigenvectors of a normalized Wigner matrix should have infinity norm
 of order sqrt(log n / n); edge eigenvectors of order log n / sqrt(n).  The
 records produced here carry both scalings so an n-grid scan can check the
 growth rate directly.
+
+The minor identities return arrays over every index i from one
+eigendecomposition of W and one of its minor.
 """
 
 from __future__ import annotations
@@ -13,13 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ContractError, SpectralDecomposition
+from .spectral import ContractError, SpectralDecomposition, check_hermitian
 
 DEGENERACY_GAP = 1e-10
-
-
-class NearCollisionError(ValueError):
-    """Minor eigenvalue too close to the target one; identity untrustworthy."""
 
 
 def classify_region(lam: float, eps: float) -> str:
@@ -85,69 +84,53 @@ def eigvec_inf_norms(
     return records
 
 
-def _first_coordinate_split(w: np.ndarray):
-    """Block form (a, Y, W_minor) with the first row/column peeled off."""
-    return w[0, 0], w[1:, 0], w[1:, 1:]
+def _minor_terms(vals: np.ndarray, w_minor: np.ndarray, y: np.ndarray):
+    """(|u_j(minor)* Y|^2, minor eigenvalues, distance from each vals[i] to the nearest)."""
+    mvals, mvecs = np.linalg.eigh(w_minor)
+    overlaps = np.abs(np.conj(mvecs).T @ y) ** 2
+    gap = np.min(np.abs(mvals[None, :] - vals[:, None]), axis=1, initial=np.inf)
+    return overlaps, mvals, gap
 
 
-def entry_identity(w: np.ndarray, i: int, gap_tol: float = 1e-8):
-    """First-coordinate identity for the i-th unit eigenvector of W.
+def entry_identity(w: np.ndarray):
+    """First-coordinate identity for every unit eigenvector of W at once.
 
-    Returns (lhs, rhs, collision_gap) where lhs = |u_i(W)[0]|^2 and
+    Returns arrays (lhs, rhs, collision_gap) indexed by i, where
+    lhs_i = |u_i(W)[0]|^2 and
 
-        rhs = 1 / (1 + sum_j |u_j(minor)* Y|^2 / (lambda_j(minor) - lambda_i)^2)
+        rhs_i = 1 / (1 + sum_j |u_j(minor)* Y|^2 / (lambda_j(minor) - lambda_i)^2)
 
     with the minor W with its first row and column removed and Y the first
-    column of W below the diagonal.
+    column of W below the diagonal.  collision_gap_i is the distance from
+    lambda_i to the nearest minor eigenvalue (inf for n = 1); the identity
+    is ill-conditioned where it is tiny and not finite where it is 0.
     """
-    from .spectral import check_hermitian
-
     check_hermitian(w)
-    n = w.shape[0]
-    if not 0 <= i < n:
-        raise ContractError("index out of range")
     vals, vecs = np.linalg.eigh(w)
-    lam = vals[i]
-    _, y, w_minor = _first_coordinate_split(w)
-    mvals, mvecs = np.linalg.eigh(w_minor)
-    gap = float(np.min(np.abs(mvals - lam)))
-    if gap <= gap_tol:
-        raise NearCollisionError(f"minor eigenvalue within {gap:.3g} of lambda_i")
-    overlaps = np.abs(np.conj(mvecs).T @ y) ** 2
-    rhs = 1.0 / (1.0 + float(np.sum(overlaps / (mvals - lam) ** 2)))
-    lhs = float(np.abs(vecs[0, i]) ** 2)
-    return lhs, rhs, gap
+    overlaps, mvals, gap = _minor_terms(vals, w[1:, 1:], w[1:, 0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rhs = np.array([1.0 / (1.0 + np.sum(overlaps / (mvals - lam) ** 2)) for lam in vals])
+    return np.abs(vecs[0]) ** 2, rhs, gap
 
 
-def interlacing_identity(w: np.ndarray, i: int, gap_tol: float = 1e-8):
-    """Last-coordinate interlacing identity for W = M/sqrt(n).
+def interlacing_identity(w: np.ndarray):
+    """Last-coordinate interlacing identity for W = M/sqrt(n), every i at once.
 
-    Returns (lhs, rhs) of
+    Returns arrays (lhs, rhs, collision_gap) indexed by i, the two sides of
 
         sum_j |u_j(minor)* Y|^2 / (lambda_j(minor) - lambda_i) = W[n-1,n-1] - lambda_i
 
     where the minor removes the last row/column and Y is the last column of
     W with its last entry dropped.  The right side is zeta_nn/sqrt(n) written
-    directly through the normalized matrix.
+    directly through the normalized matrix.  collision_gap is as in
+    ``entry_identity``.
     """
-    from .spectral import check_hermitian
-
     check_hermitian(w)
-    n = w.shape[0]
-    if not 0 <= i < n:
-        raise ContractError("index out of range")
     vals = np.linalg.eigvalsh(w)
-    lam = vals[i]
-    w_minor = w[:-1, :-1]
-    y = w[:-1, -1]
-    mvals, mvecs = np.linalg.eigh(w_minor)
-    gap = float(np.min(np.abs(mvals - lam)))
-    if gap <= gap_tol:
-        raise NearCollisionError(f"minor eigenvalue within {gap:.3g} of lambda_i")
-    overlaps = np.abs(np.conj(mvecs).T @ y) ** 2
-    lhs = float(np.sum(overlaps / (mvals - lam)))
-    rhs = float(np.real(w[-1, -1]) - lam)
-    return lhs, rhs
+    overlaps, mvals, gap = _minor_terms(vals, w[:-1, :-1], w[:-1, -1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lhs = np.array([np.sum(overlaps / (mvals - lam)) for lam in vals])
+    return lhs, np.real(w[-1, -1]) - vals, gap
 
 
 @dataclass(frozen=True)
@@ -207,7 +190,6 @@ def synthetic_records(n_values, inf_norm_fn) -> list[DelocRecord]:
 __all__ = [
     "DEGENERACY_GAP",
     "DelocRecord",
-    "NearCollisionError",
     "ScalingFit",
     "classify_region",
     "deloc_scaling_fit",

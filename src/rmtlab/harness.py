@@ -28,20 +28,17 @@ from .covariance import (
     pv_mp,
     singular_entry_identity,
     singular_interlacing_identity,
+    singular_triplets,
     singular_vec_inf_norms,
 )
-from .delocalization import (
-    NearCollisionError,
-    eigvec_inf_norms,
-    entry_identity,
-    interlacing_identity,
-)
+from .delocalization import eigvec_inf_norms, entry_identity, interlacing_identity
 from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
-from .locallaw import law_deviation, schur_identity_residual
+from .locallaw import _scan_trial, law_deviation, schur_identity_residual
 from .seeds import derive_seed
 from .spectral import eig_decompose, mp_edges, pv_semicircle, pv_semicircle_numeric
 
 EXPERIMENTS = ("tail", "localscan", "deloc", "identities", "covariance", "pv")
+COLLISION_GAP = 1e-8  # identity checks with a collision gap at most this are skipped
 
 
 class ConfigError(ValueError):
@@ -91,6 +88,8 @@ class ExperimentConfig:
         for name in ("n", "trials", "workers", "d"):
             if int(getattr(self, name)) < 1:
                 raise ConfigError(f"field {name!r} must be a positive integer")
+        if self.experiment in ("localscan", "deloc", "covariance") and min([self.n, *(self.n_grid or [])]) < 2:
+            raise ConfigError("n and every n_grid entry must be at least 2: scales use log n")
         if self.p is not None and not 1 <= self.p <= self.n:
             raise ConfigError("field 'p' must satisfy 1 <= p <= n")
         if self.delta <= 0 or self.eps <= 0 or self.eta_multiple <= 0:
@@ -149,8 +148,8 @@ class ExperimentReport:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     return str(value)
 
 
@@ -230,35 +229,26 @@ def _run_tail(cfg: ExperimentConfig):
 # --- localscan experiment ---------------------------------------------------
 
 
-def _localscan_trial(args):
-    dist, n, scales_abs, bulk, trial, seed = args
-    w = sample_wigner(dist, n, seed, normalize=True)
-    eigs = np.linalg.eigvalsh(w)
-    rows = []
-    worst = []
-    for scale in scales_abs:
-        dev = law_deviation(eigs, "semicircle", scale, bulk)
-        worst.append(dev.max_rel_dev)
-        for w_lo, w_hi, count, mass, rel in dev.windows:
-            rows.append((scale, trial, w_lo, w_hi, count, mass, rel))
-    return rows, worst
-
-
 def _run_localscan(cfg: ExperimentConfig):
     unit = math.log(cfg.n) / cfg.n
     scales_abs = [s * unit for s in cfg.scales]
     bulk = (-1.8, 1.8)
     jobs = [
-        (cfg.dist, cfg.n, scales_abs, bulk, t, derive_seed(cfg.base_seed, t))
+        (cfg.dist, cfg.n, scales_abs, bulk, 0.25, derive_seed(cfg.base_seed, t))
         for t in range(cfg.trials)
     ]
     if cfg.workers <= 1:
-        results = [_localscan_trial(j) for j in jobs]
+        results = [_scan_trial(j) for j in jobs]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_localscan_trial, jobs))
-    records = [row for rows, _ in results for row in rows]
-    worst = np.max(np.array([w for _, w in results]), axis=0)
+            results = list(pool.map(_scan_trial, jobs))
+    records = [
+        (scale, trial, *window)
+        for trial, devs in enumerate(results)
+        for scale, dev in zip(scales_abs, devs)
+        for window in dev.windows
+    ]
+    worst = np.max([[dev.max_rel_dev for dev in devs] for devs in results], axis=0)
     threshold = None
     for mult, dev in zip(cfg.scales, worst):
         if dev <= cfg.delta:
@@ -311,29 +301,39 @@ def _run_deloc(cfg: ExperimentConfig):
 # --- identities experiment --------------------------------------------------
 
 
-def _identity_instance(dist: DistSpec, instance: int, seed: int):
-    """One batch of exact-identity checks on a small random instance."""
+def _rel_err(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
+    return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), floor)
+
+
+def _add_guarded(rows: list, instance: int, dim: int, p: int, checks: list) -> int:
+    """Append rows for (name, rel_err, collision_gap) families, interleaved per index.
+
+    Returns how many checks the COLLISION_GAP mask left out.
+    """
+    skipped = 0
+    for i in range(len(checks[0][1])):
+        for name, err, gap in checks:
+            if gap[i] > COLLISION_GAP:
+                rows.append((instance, name, dim, p, float(err[i])))
+            else:
+                skipped += 1
+    return skipped
+
+
+def _identity_instance(dist: DistSpec, instance: int, seed: int) -> tuple[list, int]:
+    """One batch of exact-identity checks on a small random instance: (rows, skipped)."""
     rng_sizes_n = list(range(3, 17))
     n = rng_sizes_n[instance % len(rng_sizes_n)]
     p = 2 + instance % 9
     pn = max(p, 3 + instance % 14)
+    z = 0.3 + 0.7j
     rows = []
 
     w = sample_wigner(dist, n, seed, normalize=True)
-    for i in range(n):
-        try:
-            lhs, rhs, _ = entry_identity(w, i)
-            rows.append((instance, "entry", n, 0, abs(lhs - rhs) / max(abs(rhs), 1e-30)))
-        except NearCollisionError:
-            continue
-    for i in range(n):
-        try:
-            lhs, rhs = interlacing_identity(w, i)
-            rows.append((instance, "interlacing", n, 0, abs(lhs - rhs) / max(abs(rhs), 1.0)))
-        except NearCollisionError:
-            continue
-
-    z = 0.3 + 0.7j
+    lhs, rhs, gap = entry_identity(w)
+    skipped = _add_guarded(rows, instance, n, 0, [("entry", _rel_err(lhs, rhs, 1e-30), gap)])
+    lhs, rhs, gap = interlacing_identity(w)
+    skipped += _add_guarded(rows, instance, n, 0, [("interlacing", _rel_err(lhs, rhs, 1.0), gap)])
     rows.append((instance, "schur_sum", n, 0, schur_identity_residual(math.sqrt(n) * w, z)))
 
     # spectral identity of the quadratic form against the eigenbasis frame
@@ -345,35 +345,33 @@ def _identity_instance(dist: DistSpec, instance: int, seed: int):
     rows.append((instance, "spectral_form", n, 0, abs(lhs_q - rhs_q) / max(abs(lhs_q), 1.0)))
 
     m = sample_rect(dist, p, pn, derive_seed(seed, 3))
-    for i in range(p):
-        for side in ("right", "left"):
-            try:
-                lhs, rhs, _ = singular_entry_identity(m, i, side)
-                rows.append((instance, f"singular_entry_{side}", pn, p, abs(lhs - rhs) / max(abs(rhs), 1e-30)))
-            except NearCollisionError:
-                continue
-    for i in range(p):
-        for side in ("right", "left"):
-            try:
-                lhs, rhs = singular_interlacing_identity(m, i, side)
-                scale = max(float(np.linalg.norm(m, 2) ** 2), 1.0)
-                rows.append((instance, f"singular_interlacing_{side}", pn, p, abs(lhs - rhs) / scale))
-            except NearCollisionError:
-                continue
+    scale = max(float(np.linalg.norm(m, 2) ** 2), 1.0)
+    entries, interlacings = [], []
+    for side in ("right", "left"):
+        lhs, rhs, gap = singular_entry_identity(m, side)
+        entries.append((f"singular_entry_{side}", _rel_err(lhs, rhs, 1e-30), gap))
+        lhs, rhs, gap = singular_interlacing_identity(m, side)
+        interlacings.append((f"singular_interlacing_{side}", np.abs(lhs - rhs) / scale, gap))
+    skipped += _add_guarded(rows, instance, pn, p, entries)
+    skipped += _add_guarded(rows, instance, pn, p, interlacings)
     rows.append((instance, "cov_schur_sum", pn, p, covariance_schur_residual(m, z)))
-    return rows
+    return rows, skipped
 
 
 def _run_identities(cfg: ExperimentConfig):
     records = []
+    skipped = 0
     for instance in range(cfg.trials):
-        records.extend(_identity_instance(cfg.dist, instance, derive_seed(cfg.base_seed, instance)))
+        rows, skips = _identity_instance(cfg.dist, instance, derive_seed(cfg.base_seed, instance))
+        records.extend(rows)
+        skipped += skips
     columns = ["instance", "check", "n", "p", "rel_err"]
     failures = [r for r in records if r[4] > 1e-8]
     summary = {
         "ok": not failures,
         "checks": len(records),
         "failures": len(failures),
+        "skipped": skipped,
         "max_rel_err": max((r[4] for r in records), default=0.0),
     }
     return columns, records, summary
@@ -384,9 +382,9 @@ def _run_identities(cfg: ExperimentConfig):
 
 def _covariance_trial(args):
     dist, p, n, eps, scale_mult, eta_multiple, trial, seed = args
-    m = sample_rect(dist, p, n, seed)
     y = p / n
-    gram_eigs = np.linalg.eigvalsh(m @ m.T.conj() / n)
+    trip = singular_triplets(sample_rect(dist, p, n, seed))
+    gram_eigs = trip.sigma**2 / n  # the eigenvalues of MM*/n, ascending
     a, b = mp_edges(y)
     unit = math.log(n) / n
     dev = law_deviation(gram_eigs, ("mp", y), scale_mult * unit, (a + 2 * eps, b - 2 * eps))
@@ -395,7 +393,7 @@ def _covariance_trial(args):
         mp_self_consistency_residual(gram_eigs, x + 1j * eta, y)
         for x in np.linspace(a + 2 * eps, b - 2 * eps, 25)
     )
-    recs = singular_vec_inf_norms(m, eps, seed)
+    recs = singular_vec_inf_norms(trip, eps, seed)
     rows = [
         (trial, r.side, r.n, r.index, r.lam, r.region, r.inf_norm, r.scaled_bulk, r.scaled_edge)
         for r in recs

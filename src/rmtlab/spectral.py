@@ -69,19 +69,23 @@ def rho_sc(x):
     return float(out[0]) if scalar else out
 
 
-def _sc_antiderivative(x: float) -> float:
-    return x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) + math.asin(x / 2.0) / math.pi
+def _sc_antiderivative(x):
+    return x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) + np.arcsin(x / 2.0) / math.pi
 
 
-def sc_interval_mass(lo: float, hi: float) -> float:
-    """Exact semicircle mass of [lo, hi] via the closed-form antiderivative."""
-    if not lo < hi:
+def _scalar_or_array(value):
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def sc_interval_mass(lo, hi):
+    """Exact semicircle mass of [lo, hi] from the antiderivative, elementwise on arrays."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if not np.all(lo < hi):
         raise ContractError("interval needs lo < hi")
-    a = min(max(lo, -2.0), 2.0)
-    b = min(max(hi, -2.0), 2.0)
-    if a >= b:
-        return 0.0
-    return _sc_antiderivative(b) - _sc_antiderivative(a)
+    a = np.clip(lo, -2.0, 2.0)
+    b = np.clip(hi, -2.0, 2.0)
+    return _scalar_or_array(_sc_antiderivative(b) - _sc_antiderivative(a))
 
 
 def stieltjes_empirical(eigs: np.ndarray, z: complex) -> complex:
@@ -124,15 +128,29 @@ def rho_mp(x, y: float):
     return float(out[0]) if scalar else out
 
 
-def mp_interval_mass(lo: float, hi: float, y: float, tol: float = 1e-10) -> float:
-    """MP mass of [lo, hi] by adaptive quadrature (tolerance ``tol``)."""
+def _mp_antiderivative(x, y: float):
+    """2 pi y times the MP CDF plus a constant, for x in [a, b].
+
+    Arcsines written as atan2: near +-1 an arcsine turns rounding of its
+    argument into errors near 1e-8.  The sqrt(ab) term is 0 when a = 0.
+    """
     a, b = mp_edges(y)
-    lo = min(max(lo, a), b)
-    hi = min(max(hi, a), b)
-    if lo >= hi:
-        return 0.0
-    val, _ = integrate.quad(lambda x: rho_mp(x, y), lo, hi, epsabs=tol, epsrel=tol, limit=200)
-    return val
+    c = (a + b) / 2.0
+    r = math.sqrt(a * b)
+    root = np.sqrt((b - x) * (x - a))
+    return root + c * np.arctan2(x - c, root) - r * np.arctan2((a + b) * x - 2.0 * a * b, 2.0 * r * root)
+
+
+def mp_interval_mass(lo, hi, y: float):
+    """MP mass of [lo, hi] from the closed-form antiderivative, elementwise on arrays.
+
+    Bounds are clipped to the support [a, b]; an interval empty after clipping has mass 0.
+    """
+    a, b = mp_edges(y)
+    lo = np.clip(np.asarray(lo, dtype=np.float64), a, b)
+    hi = np.clip(np.asarray(hi, dtype=np.float64), a, b)
+    mass = (_mp_antiderivative(hi, y) - _mp_antiderivative(lo, y)) / (2.0 * math.pi * y)
+    return _scalar_or_array(np.where(lo < hi, mass, 0.0))
 
 
 def stieltjes_mp(z: complex, y: float) -> complex:
@@ -201,7 +219,7 @@ def semicircle_quantiles(n: int, grid: int = 200_001) -> np.ndarray:
     good to ~1e-9 at the default resolution.
     """
     xs = np.linspace(-2.0, 2.0, grid)
-    cdf = np.array([_sc_antiderivative(x) for x in xs]) + 0.5
+    cdf = _sc_antiderivative(xs) + 0.5
     qs = (np.arange(n) + 0.5) / n
     return np.interp(qs, cdf, xs)
 

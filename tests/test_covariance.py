@@ -14,7 +14,6 @@ from rmtlab.covariance import (
     singular_triplets,
     singular_vec_inf_norms,
 )
-from rmtlab.delocalization import NearCollisionError
 from rmtlab.ensembles import DistSpec, ParameterError, form_gram, sample_rect
 from rmtlab.spectral import ContractError, DomainError, mp_edges
 
@@ -93,46 +92,40 @@ def test_singular_entry_identity_1x2_hand_case():
     # M = [[a, b]]: sigma = sqrt(a^2+b^2), right vector (a, b)/sigma
     a, b = 3.0, 4.0
     m = np.array([[a, b]])
-    lhs, rhs, _ = singular_entry_identity(m, 0, side="right")
-    assert lhs == pytest.approx(b * b / (a * a + b * b), abs=1e-12)
+    lhs, rhs, _ = singular_entry_identity(m, side="right")
+    assert lhs[0] == pytest.approx(b * b / (a * a + b * b), abs=1e-12)
     # minor [[a]]: overlap |u* X|^2 = b^2; rhs = 1/(1 + a^2 b^2/(a^2-s^2)^2)
     s2 = a * a + b * b
-    assert rhs == pytest.approx(1.0 / (1.0 + a * a * b * b / (a * a - s2) ** 2), abs=1e-12)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
+    assert rhs[0] == pytest.approx(1.0 / (1.0 + a * a * b * b / (a * a - s2) ** 2), abs=1e-12)
+    assert lhs[0] == pytest.approx(rhs[0], abs=1e-12)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_singular_entry_identity_random(side):
     for p, n, seed in [(3, 5, 8), (6, 8, 9), (7, 7, 10)]:
         m = _factor(p, n, seed)
-        for i in range(p):
-            try:
-                lhs, rhs, _ = singular_entry_identity(m, i, side)
-            except NearCollisionError:
-                continue
-            assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
+        lhs, rhs, gap = singular_entry_identity(m, side)
+        for i in np.flatnonzero(gap > 1e-8):
+            assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-12)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_singular_interlacing_identity_random(side):
     for p, n, seed in [(4, 6, 11), (8, 12, 12)]:
         m = _factor(p, n, seed, DistSpec("rademacher"))
-        for i in range(p):
-            try:
-                lhs, rhs = singular_interlacing_identity(m, i, side)
-            except NearCollisionError:
-                continue
-            assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-8)
+        lhs, rhs, gap = singular_interlacing_identity(m, side)
+        for i in np.flatnonzero(gap > 1e-8):
+            assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-8)
 
 
 def test_singular_identity_validation():
     m = _factor(3, 5, 13)
     with pytest.raises(ParameterError):
-        singular_entry_identity(m, 0, side="middle")
+        singular_entry_identity(m, side="middle")
     with pytest.raises(ContractError):
-        singular_entry_identity(m, 5)
+        singular_entry_identity(m.T)
     with pytest.raises(ParameterError):
-        singular_interlacing_identity(m, 0, side="up")
+        singular_interlacing_identity(m, side="up")
 
 
 def test_pv_mp_matches_semicircle_map():
@@ -171,7 +164,7 @@ def test_classify_mp_region_soft_and_hard():
 def test_singular_vec_inf_norms_records():
     p, n = 40, 80
     m = _factor(p, n, 14)
-    recs = singular_vec_inf_norms(m, eps=0.1, seed=14)
+    recs = singular_vec_inf_norms(singular_triplets(m), eps=0.1, seed=14)
     assert len(recs) == 2 * p
     sides = {r.side for r in recs}
     assert sides == {"left", "right"}

@@ -5,7 +5,6 @@ import pytest
 
 from rmtlab.delocalization import (
     DelocRecord,
-    NearCollisionError,
     classify_region,
     deloc_scaling_fit,
     eigvec_inf_norms,
@@ -50,46 +49,44 @@ def test_entry_identity_2x2_hand_case():
     # W = [[0, b], [b, 0]]: eigenvector (1, ±1)/sqrt 2, minor eig 0, overlap b^2
     b = 0.7
     w = np.array([[0.0, b], [b, 0.0]])
-    lhs, rhs, gap = entry_identity(w, 0)
-    assert lhs == pytest.approx(0.5, abs=1e-12)
-    assert rhs == pytest.approx(1.0 / (1.0 + b * b / b**2), abs=1e-12)  # = 1/2
-    assert gap == pytest.approx(b)
+    lhs, rhs, gap = entry_identity(w)
+    assert lhs[0] == pytest.approx(0.5, abs=1e-12)
+    assert rhs[0] == pytest.approx(1.0 / (1.0 + b * b / b**2), abs=1e-12)  # = 1/2
+    assert gap[0] == pytest.approx(b)
 
 
 def test_entry_identity_random_matrices():
     for n, seed in [(6, 1), (15, 2), (30, 3)]:
         w = sample_wigner(DistSpec("gaussian"), n, seed)
+        lhs, rhs, _ = entry_identity(w)
         for i in (0, n // 2, n - 1):
-            lhs, rhs, _ = entry_identity(w, i)
-            assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-12)
+            assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-12)
 
 
-def test_entry_identity_collision_raises():
-    w = np.diag([1.0, 1.0])
-    with pytest.raises(NearCollisionError):
-        entry_identity(w, 0)
+def test_entry_identity_collision_gap():
+    # a minor eigenvalue equal to lambda_i: gap 0, and the check is to be skipped
+    lhs, rhs, gap = entry_identity(np.diag([1.0, 1.0]))
+    np.testing.assert_array_equal(gap, [0.0, 0.0])
+    assert lhs.shape == rhs.shape == (2,)
     with pytest.raises(ContractError):
-        entry_identity(np.eye(3), 5)
+        entry_identity(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_interlacing_identity_random_matrices():
     for n, seed in [(8, 4), (20, 5)]:
         w = sample_wigner(DistSpec("rademacher"), n, seed)
-        for i in range(n):
-            try:
-                lhs, rhs = interlacing_identity(w, i)
-            except NearCollisionError:
-                continue
-            assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
+        lhs, rhs, gap = interlacing_identity(w)
+        for i in np.flatnonzero(gap > 1e-8):
+            assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-10)
 
 
 def test_interlacing_identity_2x2_hand_case():
     b = 0.5
     w = np.array([[0.0, b], [b, 0.0]])
     # minor eig 0, overlap b^2; for lambda_0 = -b: b^2/(0-(-b)) = b; rhs = 0-(-b) = b
-    lhs, rhs = interlacing_identity(w, 0)
-    assert lhs == pytest.approx(b, abs=1e-12)
-    assert rhs == pytest.approx(b, abs=1e-12)
+    lhs, rhs, _ = interlacing_identity(w)
+    assert lhs[0] == pytest.approx(b, abs=1e-12)
+    assert rhs[0] == pytest.approx(b, abs=1e-12)
 
 
 def test_minor_eigenvalues_interlace():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -57,6 +58,9 @@ def test_config_validation_errors():
         {"experiment": "tail", "matrix": "hilbert"},
         {"experiment": "tail", "base_seed": -1},
         {"experiment": "covariance", "p": 0},
+        {"experiment": "covariance", "n": 1},
+        {"experiment": "localscan", "n": 1},
+        {"experiment": "deloc", "n_grid": [64, 1]},
         {"experiment": "tail", "dist": {"kind": "zeta"}},
         {"experiment": "tail", "bogus_key": 1},
         {"n": 100},  # missing experiment
@@ -93,6 +97,10 @@ def test_run_identities_experiment_small():
     assert report.summary["ok"]
     assert report.summary["max_rel_err"] < 1e-8
     assert report.summary["checks"] > 100
+    # per instance: 2 checks per eigenvalue, 4 per singular value, 3 unguarded sums
+    sizes = [(3 + k % 14, 2 + k % 9) for k in range(12)]
+    total = sum(2 * n + 4 * p + 3 for n, p in sizes)
+    assert report.summary["checks"] + report.summary["skipped"] == total
 
 
 def test_run_tail_experiment_outputs(tmp_path):
@@ -179,6 +187,18 @@ def test_float_formatting_round_trips(tmp_path):
     assert float(first[2]) == report.records[0][2]
 
 
+def test_covariance_csv_cells_are_plain_numbers(tmp_path):
+    cfg = _cfg(experiment="covariance", n=60, p=30, trials=1, scales=[10.0, 20.0], out_dir=str(tmp_path))
+    report = run_experiment(cfg)
+    with open(report.out_path / "records.csv") as fh:
+        rows = list(csv.reader(fh))
+    text_columns = {rows[0].index("side"), rows[0].index("region")}
+    for row in rows[1:]:
+        for j, cell in enumerate(row):
+            if j not in text_columns:
+                float(cell)
+
+
 def test_cli_pv_exit_zero(tmp_path, capsys):
     rc = cli_main(["pv", "--out", str(tmp_path), "--label", "x", "--assert"])
     assert rc == 0
@@ -196,6 +216,20 @@ def test_cli_config_error_exit_two(tmp_path):
     assert cli_main(["pv", "--config", str(good)]) == 2
     # invalid override
     assert cli_main(["pv", "--n", "0", "--out", str(tmp_path)]) == 2
+
+
+def test_cli_deloc_n_one_exit_two(tmp_path, capsys):
+    assert cli_main(["deloc", "--n", "1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_cli_default_tail_exit_two(tmp_path, capsys):
+    # the default 5 trials are fewer than the tail estimate needs
+    assert cli_main(["tail", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "tail").exists()
 
 
 def test_cli_assert_failure_exit_three(tmp_path, capsys):

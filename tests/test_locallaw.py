@@ -93,6 +93,22 @@ def test_law_deviation_on_perfect_atoms():
         assert rel == pytest.approx(abs(count - mass) / mass)
 
 
+@pytest.mark.parametrize("scale", [0.0137, 0.05, 1.0, 5.0])
+def test_law_deviation_grid_is_repeated_addition(scale):
+    # the reference builds the window starts one float addition at a time
+    eigs = semicircle_quantiles(2000)
+    lo, hi = -1.8, 1.8
+    starts = [lo]
+    while starts[-1] + scale < hi - 1e-12:
+        starts.append(starts[-1] + 0.25 * scale)
+    dev = law_deviation(eigs, "semicircle", scale, (lo, hi))
+    assert [w[0] for w in dev.windows] == starts
+    assert [w[1] for w in dev.windows] == [min(s + scale, hi) for s in starts]
+    for w_lo, w_hi, count, mass, rel in dev.windows:
+        assert type(count) is int and all(type(v) is float for v in (w_lo, w_hi, mass, rel))
+        assert count == int(np.sum((eigs >= w_lo) & (eigs < w_hi)))
+
+
 def test_law_deviation_detects_a_hole():
     eigs = semicircle_quantiles(20000)
     holed = eigs[(eigs < 0.0) | (eigs > 0.2)]

@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rmtlab.concentration import TailEnvelope, dyadic_weight_partition
-from rmtlab.covariance import covariance_schur_residual, singular_triplets
-from rmtlab.delocalization import classify_region
+from rmtlab.covariance import (
+    covariance_schur_residual,
+    singular_entry_identity,
+    singular_interlacing_identity,
+    singular_triplets,
+)
+from rmtlab.delocalization import classify_region, entry_identity, interlacing_identity
 from rmtlab.ensembles import DistSpec, sample_rect, sample_wigner, truncation_stats
 from rmtlab.locallaw import schur_identity_residual
 from rmtlab.seeds import MASK64, derive_seed
@@ -153,3 +158,22 @@ def test_singular_triplets_orthonormal(p, extra, seed):
     np.testing.assert_allclose(np.conj(trip.left).T @ trip.left, np.eye(p), atol=1e-10)
     np.testing.assert_allclose(np.conj(trip.right).T @ trip.right, np.eye(p), atol=1e-10)
     assert np.all(trip.sigma >= -1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_all_index_identities_at_edge_sizes(n):
+    # p = n puts the covariance factor at the hard edge; n = 1 has empty minors
+    w = sample_wigner(DistSpec("gaussian"), n, 40 + n)
+    m = sample_rect(DistSpec("gaussian"), n, n, 50 + n)
+    results = [entry_identity(w), interlacing_identity(w)]
+    for side in ("right", "left"):
+        results += [singular_entry_identity(m, side), singular_interlacing_identity(m, side)]
+    for lhs, rhs, gap in results:
+        assert lhs.shape == rhs.shape == gap.shape == (n,)
+        keep = gap > 1e-8
+        np.testing.assert_allclose(lhs[keep], rhs[keep], rtol=1e-8, atol=1e-10)
+    if n == 1:
+        for lhs, rhs, gap in results:
+            assert gap[0] == math.inf
+        for lhs, rhs, _ in results[::2]:  # the entry identities: 1 = 1
+            assert lhs[0] == pytest.approx(1.0) and rhs[0] == 1.0

@@ -73,6 +73,32 @@ def test_sc_mass_matches_quadrature():
         assert sc_interval_mass(lo, hi) == pytest.approx(ref, abs=1e-10)
 
 
+def test_sc_mass_elementwise_on_arrays():
+    lo = np.array([-3.0, -1.3, 1.5, 2.5])
+    hi = np.array([-1.0, 0.4, 2.0, 3.0])
+    masses = sc_interval_mass(lo, hi)
+    np.testing.assert_array_equal(masses, [sc_interval_mass(a, b) for a, b in zip(lo, hi)])
+    assert masses[-1] == 0.0
+    with pytest.raises(ContractError):
+        sc_interval_mass(lo, lo)
+
+
+@pytest.mark.parametrize("y", [0.1, 0.5, 1.0])
+def test_mp_mass_matches_quadrature(y):
+    # quadrature of the density is the oracle for the closed-form antiderivative
+    a, b = mp_edges(y)
+    edges = np.concatenate([[a - 0.5, a, a + 1e-6, a + 0.01], np.linspace(a + 0.05, b, 9), [b + 0.5]])
+    lo, hi = edges[:-1], edges[1:]
+    masses = mp_interval_mass(lo, hi, y)
+    assert np.all(np.isfinite(masses))
+    for m, l, h in zip(masses, lo, hi):
+        ref, _ = integrate.quad(lambda x: rho_mp(x, y), max(l, a), min(h, b), epsabs=1e-14, epsrel=1e-13, limit=400)
+        assert m == pytest.approx(ref, rel=1e-10, abs=1e-15)
+        assert mp_interval_mass(l, h, y) == m
+    assert mp_interval_mass(b, b + 1.0, y) == 0.0
+    assert mp_interval_mass(a, b, y) == pytest.approx(1.0, abs=1e-14)
+
+
 def test_stieltjes_sc_golden_point():
     # s(i) = i*(sqrt(5)-1)/2
     val = stieltjes_sc(1j)
