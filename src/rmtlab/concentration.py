@@ -13,13 +13,12 @@ function used to check those bounds numerically.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ensembles import DistSpec, ParameterError, sample_vector
-from .seeds import derive_seed
+from .seeds import derive_seed, map_trials
 from .spectral import ContractError
 
 ENVELOPE_KINDS = ("projection", "vw1", "vw2", "subexp", "hw", "hkz", "esy1", "esy2")
@@ -225,16 +224,9 @@ class EmpiricalTail:
     trials: int
 
 
-def _statistic_values(
-    statistic: str,
-    dist: DistSpec,
-    n: int,
-    base_seed: int,
-    start: int,
-    stop: int,
-    frame: WeightedFrame | None,
-    matrix: np.ndarray | None,
-) -> np.ndarray:
+def _statistic_values(job) -> np.ndarray:
+    """|statistic| for trials start..stop-1 of one contiguous range job."""
+    statistic, dist, n, base_seed, start, stop, frame, matrix = job
     out = np.empty(stop - start)
     for i in range(start, stop):
         x = sample_vector(dist, n, derive_seed(base_seed, i))
@@ -243,10 +235,6 @@ def _statistic_values(
         else:
             out[i - start] = abs(quadratic_deviation(x, matrix))
     return out
-
-
-def _tail_chunk(args) -> np.ndarray:
-    return _statistic_values(*args)
 
 
 def empirical_tail(
@@ -285,18 +273,13 @@ def empirical_tail(
     else:
         raise ParameterError(f"unknown statistic {statistic!r}")
 
-    if workers <= 1:
-        values = _statistic_values(statistic, dist, n, base_seed, 0, trials, frame, matrix)
-    else:
-        bounds = np.linspace(0, trials, workers + 1, dtype=int)
-        jobs = [
-            (statistic, dist, n, base_seed, int(lo), int(hi), frame, matrix)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_tail_chunk, jobs))
-        values = np.concatenate(chunks)
+    bounds = np.linspace(0, trials, max(workers, 1) + 1, dtype=int)  # one range per worker
+    jobs = [
+        (statistic, dist, n, base_seed, int(lo), int(hi), frame, matrix)
+        for lo, hi in zip(bounds[:-1], bounds[1:])
+        if hi > lo
+    ]
+    values = np.concatenate(map_trials(_statistic_values, jobs, workers))
 
     survival = np.array([np.count_nonzero(values >= t) / trials for t in t_grid])
     stderr = np.sqrt(survival * (1.0 - survival) / trials)

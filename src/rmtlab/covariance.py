@@ -222,12 +222,16 @@ def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1, seed: int =
     y = p / n
     logn = math.log(n)
     logp = math.log(p) if p > 1 else 1.0
+    sides = [
+        ("left", np.abs(trip.left).max(axis=0).tolist(), p, logp),
+        ("right", np.abs(trip.right).max(axis=0).tolist(), n, logn),
+    ]
     records = []
     for i, sig in enumerate(trip.sigma):
         lam_w = sig**2 / n
         region = classify_mp_region(lam_w, y, eps)
-        for side, vecs, dim, logd in (("left", trip.left, p, logp), ("right", trip.right, n, logn)):
-            inf_norm = float(np.max(np.abs(vecs[:, i])))
+        for side, inf_norms, dim, logd in sides:
+            inf_norm = inf_norms[i]
             records.append(
                 DelocRecord(
                     n=dim,

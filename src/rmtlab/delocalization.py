@@ -61,27 +61,23 @@ def eigvec_inf_norms(
     """One record per eigenvalue of an n x n normalized Wigner matrix."""
     vals = np.asarray(decomp.eigenvalues)
     logn = math.log(n)
-    gaps = np.diff(vals)
-    records = []
-    for i, lam in enumerate(vals):
-        inf_norm = float(np.max(np.abs(decomp.eigenvectors[:, i])))
-        degenerate = (i > 0 and gaps[i - 1] < DEGENERACY_GAP) or (
-            i < vals.size - 1 and gaps[i] < DEGENERACY_GAP
+    close = np.diff(vals) < DEGENERACY_GAP
+    degenerate = np.r_[False, close] | np.r_[close, False]
+    inf_norms = np.abs(decomp.eigenvectors).max(axis=0)
+    return [
+        DelocRecord(
+            n=n,
+            seed=seed,
+            index=i,
+            lam=lam,
+            region=classify_region(lam, eps),
+            inf_norm=inf_norm,
+            scaled_bulk=math.sqrt(n) * inf_norm / math.sqrt(logn),
+            scaled_edge=math.sqrt(n) * inf_norm / logn,
+            degenerate=flag,
         )
-        records.append(
-            DelocRecord(
-                n=n,
-                seed=seed,
-                index=i,
-                lam=float(lam),
-                region=classify_region(float(lam), eps),
-                inf_norm=inf_norm,
-                scaled_bulk=math.sqrt(n) * inf_norm / math.sqrt(logn),
-                scaled_edge=math.sqrt(n) * inf_norm / logn,
-                degenerate=degenerate,
-            )
-        )
-    return records
+        for i, (lam, inf_norm, flag) in enumerate(zip(vals.tolist(), inf_norms.tolist(), degenerate.tolist()))
+    ]
 
 
 def _minor_terms(vals: np.ndarray, w_minor: np.ndarray, y: np.ndarray):
@@ -167,26 +163,6 @@ def deloc_scaling_fit(records: list[DelocRecord]) -> ScalingFit:
     return ScalingFit(bulk_table=bulk_table, edge_table=edge_table, slope=slope)
 
 
-def synthetic_records(n_values, inf_norm_fn) -> list[DelocRecord]:
-    """Constructed records with a prescribed inf_norm profile (test helper)."""
-    out = []
-    for n in n_values:
-        v = float(inf_norm_fn(n))
-        out.append(
-            DelocRecord(
-                n=n,
-                seed=0,
-                index=0,
-                lam=0.0,
-                region="bulk",
-                inf_norm=v,
-                scaled_bulk=math.sqrt(n) * v / math.sqrt(math.log(n)),
-                scaled_edge=math.sqrt(n) * v / math.log(n),
-            )
-        )
-    return out
-
-
 __all__ = [
     "DEGENERACY_GAP",
     "DelocRecord",
@@ -196,5 +172,4 @@ __all__ = [
     "eigvec_inf_norms",
     "entry_identity",
     "interlacing_identity",
-    "synthetic_records",
 ]

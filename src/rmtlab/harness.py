@@ -1,10 +1,12 @@
 """Experiment orchestration: config, seed fan-out, parallel trials, CSV/JSON.
 
 Every experiment is a pure function of (config, base_seed): trial i always
-runs with seed derive_seed(base_seed, i) and results are merged in trial
-order, so the written CSV is byte-identical for any worker count.  Output
-goes to out_dir/<experiment>/<label>/ as records.csv + summary.json +
-config.json, where the label defaults to a hash of the config.
+runs with seed derive_seed(base_seed, i), and ``seeds.map_trials`` spreads
+the trials of ``localscan``, ``deloc``, ``identities``, ``covariance`` and
+``tail`` over ``workers`` processes and returns them in trial order, so the
+written CSV is byte-identical for any worker count.  Output goes to
+out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
+where the label defaults to a hash of the config.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -33,8 +34,8 @@ from .covariance import (
 )
 from .delocalization import eigvec_inf_norms, entry_identity, interlacing_identity
 from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
-from .locallaw import _scan_trial, law_deviation, schur_identity_residual
-from .seeds import derive_seed
+from .locallaw import law_deviation, schur_identity_residual, threshold_scan
+from .seeds import derive_seed, map_trials
 from .spectral import eig_decompose, mp_edges, pv_semicircle, pv_semicircle_numeric
 
 EXPERIMENTS = ("tail", "localscan", "deloc", "identities", "covariance", "pv")
@@ -94,8 +95,8 @@ class ExperimentConfig:
             raise ConfigError("field 'p' must satisfy 1 <= p <= n")
         if self.delta <= 0 or self.eps <= 0 or self.eta_multiple <= 0:
             raise ConfigError("delta, eps and eta_multiple must be positive")
-        if any(s <= 0 for s in self.scales) or list(self.scales) != sorted(self.scales):
-            raise ConfigError("scales must be positive and ascending")
+        if any(s <= 0 for s in self.scales) or any(b <= a for a, b in zip(self.scales, self.scales[1:])):
+            raise ConfigError("scales must be positive and strictly ascending")
         if self.statistic not in ("quadratic", "projection"):
             raise ConfigError("statistic must be 'quadratic' or 'projection'")
         if self.matrix not in ("identity", "gaussian_symmetric"):
@@ -188,12 +189,11 @@ def _run_tail(cfg: ExperimentConfig):
         basis = np.eye(cfg.n)[:, : cfg.d]
         frame = WeightedFrame(basis=basis, weights=np.ones(cfg.d))
         matrix = None
-        frob = spec = math.sqrt(cfg.d)  # unused by the projection envelope
+        frob = math.sqrt(cfg.d)  # unused by the projection envelope
     else:
         frame = None
         matrix = _tail_matrix(cfg)
         frob = float(np.linalg.norm(matrix))
-        spec = float(np.linalg.norm(matrix, 2))
     t_grid = cfg.t_grid or list(np.linspace(0.0, 8.0 * max(1.0, frob), 33))
     k = cfg.dist.bound if math.isfinite(cfg.dist.bound) else 1.0
     tail = empirical_tail(
@@ -206,11 +206,16 @@ def _run_tail(cfg: ExperimentConfig):
         matrix=matrix,
         workers=cfg.workers,
     )
+    # spectral norms cost an SVD each: taken only for an envelope that reads them
+    spec = babs = frob
+    if matrix is not None:
+        reads_spec = bool({"vw1", "vw2", "subexp", "hkz"} & set(cfg.envelopes))
+        spec = float(np.linalg.norm(matrix, 2)) if reads_spec else None
+        babs = float(np.linalg.norm(np.abs(matrix), 2)) if "hw" in cfg.envelopes else None
     envs = {}
     for kind in cfg.envelopes:
         kwargs = dict(kind=kind, K=k, n=cfg.n, frobenius=frob, spectral=spec)
         if kind == "hw":
-            babs = float(np.linalg.norm(np.abs(matrix), 2)) if matrix is not None else spec
             kwargs["spectral_abs"] = babs
         if kind in ("subexp", "esy2"):
             kwargs["alpha"] = cfg.dist.alpha
@@ -231,36 +236,22 @@ def _run_tail(cfg: ExperimentConfig):
 
 def _run_localscan(cfg: ExperimentConfig):
     unit = math.log(cfg.n) / cfg.n
-    scales_abs = [s * unit for s in cfg.scales]
+    scales = [s * unit for s in cfg.scales]
     bulk = (-1.8, 1.8)
-    jobs = [
-        (cfg.dist, cfg.n, scales_abs, bulk, 0.25, derive_seed(cfg.base_seed, t))
-        for t in range(cfg.trials)
-    ]
-    if cfg.workers <= 1:
-        results = [_scan_trial(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_scan_trial, jobs))
+    est = threshold_scan(cfg.dist, cfg.n, scales, cfg.delta, cfg.trials, bulk, cfg.base_seed, workers=cfg.workers)
     records = [
         (scale, trial, *window)
-        for trial, devs in enumerate(results)
-        for scale, dev in zip(scales_abs, devs)
+        for trial, devs in enumerate(est.per_trial)
+        for scale, dev in zip(est.scales.tolist(), devs)
         for window in dev.windows
     ]
-    worst = np.max([[dev.max_rel_dev for dev in devs] for devs in results], axis=0)
-    threshold = None
-    for mult, dev in zip(cfg.scales, worst):
-        if dev <= cfg.delta:
-            threshold = mult * unit
-            break
     columns = ["scale", "trial", "window_lo", "window_hi", "N_I", "expected_mass", "rel_dev"]
     summary = {
-        "ok": threshold is not None,
+        "ok": est.threshold_scale is not None,
         "delta": cfg.delta,
         "scale_multiples": list(cfg.scales),
-        "max_rel_dev": [float(v) for v in worst],
-        "threshold_scale": threshold,
+        "max_rel_dev": [float(v) for v in est.max_rel_dev],
+        "threshold_scale": est.threshold_scale,
     }
     return columns, records, summary
 
@@ -286,12 +277,7 @@ def _run_deloc(cfg: ExperimentConfig):
         for t in range(cfg.trials):
             jobs.append((cfg.dist, n, cfg.eps, t, derive_seed(cfg.base_seed, idx)))
             idx += 1
-    if cfg.workers <= 1:
-        results = [_deloc_trial(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_deloc_trial, jobs))
-    records = [row for rows in results for row in rows]
+    records = [row for rows in map_trials(_deloc_trial, jobs, cfg.workers) for row in rows]
     columns = ["n", "seed", "index", "lambda", "region", "inf_norm", "scaled_bulk", "scaled_edge"]
     bulk_max = max((r[6] for r in records if r[4] == "bulk"), default=float("nan"))
     summary = {"ok": bool(bulk_max <= 4.0), "max_scaled_bulk": float(bulk_max)}
@@ -320,8 +306,9 @@ def _add_guarded(rows: list, instance: int, dim: int, p: int, checks: list) -> i
     return skipped
 
 
-def _identity_instance(dist: DistSpec, instance: int, seed: int) -> tuple[list, int]:
-    """One batch of exact-identity checks on a small random instance: (rows, skipped)."""
+def _identity_instance(job) -> tuple[list, int]:
+    """Exact-identity checks on one small random instance (dist, instance, seed): (rows, skipped)."""
+    dist, instance, seed = job
     rng_sizes_n = list(range(3, 17))
     n = rng_sizes_n[instance % len(rng_sizes_n)]
     p = 2 + instance % 9
@@ -359,12 +346,10 @@ def _identity_instance(dist: DistSpec, instance: int, seed: int) -> tuple[list, 
 
 
 def _run_identities(cfg: ExperimentConfig):
-    records = []
-    skipped = 0
-    for instance in range(cfg.trials):
-        rows, skips = _identity_instance(cfg.dist, instance, derive_seed(cfg.base_seed, instance))
-        records.extend(rows)
-        skipped += skips
+    jobs = [(cfg.dist, i, derive_seed(cfg.base_seed, i)) for i in range(cfg.trials)]
+    results = map_trials(_identity_instance, jobs, cfg.workers)
+    records = [row for rows, _ in results for row in rows]
+    skipped = sum(skips for _, skips in results)
     columns = ["instance", "check", "n", "p", "rel_err"]
     failures = [r for r in records if r[4] > 1e-8]
     summary = {
@@ -408,11 +393,7 @@ def _run_covariance(cfg: ExperimentConfig):
         (cfg.dist, p, cfg.n, cfg.eps, scale_mult, cfg.eta_multiple, t, derive_seed(cfg.base_seed, t))
         for t in range(cfg.trials)
     ]
-    if cfg.workers <= 1:
-        results = [_covariance_trial(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_covariance_trial, jobs))
+    results = map_trials(_covariance_trial, jobs, cfg.workers)
     records = [row for rows, _, _ in results for row in rows]
     max_dev = max(d for _, d, _ in results)
     max_res = max(r for _, _, r in results)

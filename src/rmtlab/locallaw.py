@@ -16,13 +16,12 @@ given interval scale, and the empirical threshold-scale scan.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ensembles import DistSpec, ParameterError, sample_wigner
-from .seeds import derive_seed
+from .seeds import derive_seed, map_trials
 from .spectral import (
     ContractError,
     DomainError,
@@ -214,6 +213,7 @@ class ThresholdEstimate:
     max_rel_dev: np.ndarray
     delta: float
     threshold_scale: float | None
+    per_trial: list  # per trial, one LawDeviation per scale
 
 
 def _scan_trial(args) -> list[LawDeviation]:
@@ -239,7 +239,8 @@ def threshold_scan(
     For each scale, the deviation is maximized over windows and over
     ``trials`` independent seeded matrices; the threshold is the smallest
     scanned scale whose worst deviation is at most ``delta`` (None if no
-    scanned scale qualifies).
+    scanned scale qualifies).  Trial t uses seed derive_seed(base_seed, t);
+    its per-scale deviations, windows included, are kept in ``per_trial``.
     """
     scales = np.asarray(scales, dtype=np.float64)
     if np.any(np.diff(scales) <= 0):
@@ -247,18 +248,16 @@ def threshold_scan(
     if trials < 1:
         raise ParameterError("need at least one trial")
     jobs = [(dist, n, scales, bulk, stride_frac, derive_seed(base_seed, t)) for t in range(trials)]
-    if workers <= 1:
-        per_trial = [_scan_trial(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_trial = list(pool.map(_scan_trial, jobs))
+    per_trial = map_trials(_scan_trial, jobs, workers)
     worst = np.max([[dev.max_rel_dev for dev in devs] for devs in per_trial], axis=0)
     threshold = None
     for s, dev in zip(scales, worst):
         if dev <= delta:
             threshold = float(s)
             break
-    return ThresholdEstimate(scales=scales, max_rel_dev=worst, delta=delta, threshold_scale=threshold)
+    return ThresholdEstimate(
+        scales=scales, max_rel_dev=worst, delta=delta, threshold_scale=threshold, per_trial=per_trial
+    )
 
 
 __all__ = [

@@ -3,7 +3,12 @@
 Every Monte Carlo trial gets its own seed via ``derive_seed(base, index)``.
 The mixing function is a splitmix64-style avalanche, so trial seeds are
 reproducible across platforms and independent of thread scheduling.
+``map_trials`` is the one place trials fan out to worker processes; it
+returns results in job order, so a reduction over them is the same for any
+worker count.
 """
+
+from concurrent import futures
 
 MASK64 = (1 << 64) - 1
 
@@ -30,3 +35,19 @@ def derive_seed(base: int, index: int) -> int:
     """
     state = (base & MASK64) ^ splitmix64(index & MASK64)
     return splitmix64(state)
+
+
+def map_trials(fn, jobs, workers: int = 1) -> list:
+    """``[fn(job) for job in jobs]``, on up to ``workers`` processes.
+
+    Runs in-process when ``workers <= 1`` or there is at most one job;
+    otherwise ``fn`` and every job must be picklable.  Results come back in
+    job order whatever the worker count.  Worker processes get no BLAS
+    thread setting: pinning them would change ``eigh`` and ``svd`` results
+    in the last bits and break equality with the in-process run.
+    """
+    jobs = list(jobs)
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        return list(pool.map(fn, jobs))

@@ -10,10 +10,29 @@ from rmtlab.delocalization import (
     eigvec_inf_norms,
     entry_identity,
     interlacing_identity,
-    synthetic_records,
 )
 from rmtlab.ensembles import DistSpec, sample_wigner
 from rmtlab.spectral import ContractError, eig_decompose
+
+
+def synthetic_records(n_values, inf_norm_fn) -> list[DelocRecord]:
+    """One bulk record per n with the prescribed inf_norm profile."""
+    out = []
+    for n in n_values:
+        v = float(inf_norm_fn(n))
+        out.append(
+            DelocRecord(
+                n=n,
+                seed=0,
+                index=0,
+                lam=0.0,
+                region="bulk",
+                inf_norm=v,
+                scaled_bulk=math.sqrt(n) * v / math.sqrt(math.log(n)),
+                scaled_edge=math.sqrt(n) * v / math.log(n),
+            )
+        )
+    return out
 
 
 def test_classify_region():

@@ -54,6 +54,7 @@ def test_config_validation_errors():
         {"experiment": "tail", "trials": -1},
         {"experiment": "tail", "delta": 0.0},
         {"experiment": "tail", "scales": [2.0, 1.0]},
+        {"experiment": "localscan", "scales": [1.0, 1.0]},
         {"experiment": "tail", "statistic": "cubic"},
         {"experiment": "tail", "matrix": "hilbert"},
         {"experiment": "tail", "base_seed": -1},
@@ -176,6 +177,38 @@ def test_deloc_worker_invariance():
         _cfg(experiment="deloc", n_grid=[48, 64], trials=2, workers=2), write=False
     )
     assert a.records == b.records
+
+
+# Sizes at which OPENBLAS_NUM_THREADS=1 changes the serial deloc and
+# covariance rows (bundled scipy-openblas 0.3.31, 2 cores), so workers whose
+# BLAS threads differ from the parent's fail here.  The identity instances
+# are too small for BLAS threads to change them.
+@pytest.mark.parametrize(
+    "raw",
+    [
+        dict(experiment="deloc", n=500, trials=2),
+        dict(experiment="covariance", n=600, p=300, trials=2),
+        dict(experiment="identities", trials=30),
+    ],
+    ids=["deloc", "covariance", "identities"],
+)
+def test_records_match_across_worker_counts(raw):
+    serial = run_experiment(_cfg(**raw, workers=1), write=False)
+    pooled = run_experiment(_cfg(**raw, workers=2), write=False)
+    assert pooled.records == serial.records
+    assert pooled.summary == serial.summary
+
+
+def test_tail_without_envelopes_takes_no_svd(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    inner = getattr(np.linalg, "_linalg", None)  # norm(a, 2) calls the module-level svd here
+    if inner is not None:
+        monkeypatch.setattr(inner, "svd", no_svd)
+    report = run_experiment(_cfg(experiment="tail", n=20, trials=100, statistic="quadratic"), write=False)
+    assert len(report.records) == 33
 
 
 def test_float_formatting_round_trips(tmp_path):

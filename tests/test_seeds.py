@@ -1,6 +1,7 @@
+import os
 import statistics
 
-from rmtlab.seeds import MASK64, derive_seed, splitmix64
+from rmtlab.seeds import MASK64, derive_seed, map_trials, splitmix64
 
 
 def test_splitmix64_reference_stream():
@@ -40,3 +41,24 @@ def test_derive_seed_avalanche():
         flips.append(bin(a ^ c).count("1"))
     assert min(flips) >= 20
     assert 24 <= statistics.mean(flips) <= 40
+
+
+def test_map_trials_keeps_job_order_with_more_workers_than_jobs():
+    jobs = [5, 0, 3]
+    assert map_trials(splitmix64, jobs, workers=8) == [splitmix64(j) for j in jobs]
+
+
+def test_map_trials_empty_jobs():
+    assert map_trials(splitmix64, [], workers=1) == []
+    assert map_trials(splitmix64, [], workers=4) == []
+
+
+def test_map_trials_single_worker_runs_in_process():
+    seen = []
+
+    def record(job):  # a closure cannot be pickled, so this only works in-process
+        seen.append(job)
+        return os.getpid(), job * job
+
+    assert map_trials(record, range(4), workers=1) == [(os.getpid(), j * j) for j in range(4)]
+    assert seen == [0, 1, 2, 3]
