@@ -13,8 +13,8 @@ import sys
 
 import numpy as np
 
-from rmtlab.covariance import mp_self_consistency_residual, singular_triplets, singular_vec_inf_norms
-from rmtlab.ensembles import DistSpec, form_gram, sample_rect
+from rmtlab.covariance import gram_triplets, mp_self_consistency_residual, singular_vec_inf_norms
+from rmtlab.ensembles import DistSpec, sample_rect
 from rmtlab.spectral import ks_distance, mp_edges, mp_interval_mass, rho_mp
 
 p = int(sys.argv[1]) if len(sys.argv) > 1 else 300
@@ -23,7 +23,8 @@ n = int(sys.argv[2]) if len(sys.argv) > 2 else 600
 y = p / n
 a, b = mp_edges(y)
 m = sample_rect(DistSpec("rademacher"), p, n, 0)
-eigs = np.linalg.eigvalsh(form_gram(m))
+trip = gram_triplets(m)  # one eigh of MM*: sigma^2/n are the eigenvalues of MM*/n
+eigs = trip.sigma**2 / n
 
 print(f"factor {p} x {n}, aspect ratio y = {y:.2f}, MP support [{a:.3f}, {b:.3f}]")
 print(f"empirical spectrum range [{eigs[0]:.3f}, {eigs[-1]:.3f}]\n")
@@ -52,7 +53,7 @@ res = max(
 )
 print(f"max MP self-consistency residual at eta = 10 log n/n: {res:.4f}")
 
-recs = singular_vec_inf_norms(singular_triplets(m), eps=0.1, seed=0)
+recs = singular_vec_inf_norms(trip, eps=0.1, seed=0)
 for side in ("left", "right"):
     bulk = [r.scaled_bulk for r in recs if r.side == side and r.region == "bulk"]
     print(f"max bulk scaled inf-norm, {side:>5} singular vectors: {max(bulk):.3f}")

@@ -6,7 +6,8 @@ the trials of ``localscan``, ``deloc``, ``identities``, ``covariance`` and
 ``tail`` over ``workers`` processes and returns them in trial order, so the
 written CSV is byte-identical for any worker count.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
-where the label defaults to a hash of the config.
+renamed into place as one directory; the label defaults to a hash of the
+config fields other than out_dir and label.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import shutil
 import time
+import uuid
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -25,11 +29,11 @@ from . import __version__
 from .concentration import TailEnvelope, WeightedFrame, empirical_tail, quadratic_deviation
 from .covariance import (
     covariance_schur_residual,
+    gram_triplets,
     mp_self_consistency_residual,
     pv_mp,
     singular_entry_identity,
     singular_interlacing_identity,
-    singular_triplets,
     singular_vec_inf_norms,
 )
 from .delocalization import eigvec_inf_norms, entry_identity, interlacing_identity
@@ -110,7 +114,10 @@ class ExperimentConfig:
         return d
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
+        """Hash of the fields that fix the numbers; out_dir and label only say where they go."""
+        fields = self.to_dict()
+        del fields["out_dir"], fields["label"]
+        blob = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -154,12 +161,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_outputs(report: ExperimentReport, out_root: Path) -> Path:
-    label = report.config.label or report.config.config_hash()
-    out = out_root / report.config.experiment / label
-    out.mkdir(parents=True, exist_ok=True)
-    marker = out / "INCOMPLETE"
-    marker.write_text("run in progress\n")
+def _write_files(report: ExperimentReport, out: Path) -> None:
     with open(out / "records.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(report.columns)
@@ -170,7 +172,30 @@ def _write_outputs(report: ExperimentReport, out_root: Path) -> Path:
     summary["version"] = f"{__version__}+{report.config.config_hash()}"
     summary["wall_time_s"] = report.wall_time
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    marker.unlink()
+
+
+def _write_outputs(report: ExperimentReport, out_root: Path) -> Path:
+    """Put the run's files in place as one directory, so it holds a whole run or none.
+
+    The files are built in a sibling temp directory that is renamed into
+    place; a previous run's directory is moved aside first and deleted after.
+    """
+    label = report.config.label or report.config.config_hash()
+    out = out_root / report.config.experiment / label
+    out.parent.mkdir(parents=True, exist_ok=True)
+    tmp = out.parent / f".{out.name}.{uuid.uuid4().hex}.tmp"
+    tmp.mkdir()
+    try:
+        _write_files(report, tmp)
+    except BaseException:
+        shutil.rmtree(tmp)
+        raise
+    aside = tmp.with_suffix(".old")
+    if out.exists():
+        os.replace(out, aside)
+    os.replace(tmp, out)
+    if aside.exists():
+        shutil.rmtree(aside)
     return out
 
 
@@ -368,7 +393,7 @@ def _run_identities(cfg: ExperimentConfig):
 def _covariance_trial(args):
     dist, p, n, eps, scale_mult, eta_multiple, trial, seed = args
     y = p / n
-    trip = singular_triplets(sample_rect(dist, p, n, seed))
+    trip = gram_triplets(sample_rect(dist, p, n, seed))
     gram_eigs = trip.sigma**2 / n  # the eigenvalues of MM*/n, ascending
     a, b = mp_edges(y)
     unit = math.log(n) / n

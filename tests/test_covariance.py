@@ -7,6 +7,7 @@ from rmtlab.covariance import (
     classify_mp_region,
     covariance_schur_residual,
     covariance_schur_terms,
+    gram_triplets,
     mp_self_consistency_residual,
     pv_mp,
     singular_entry_identity,
@@ -22,9 +23,10 @@ def _factor(p, n, seed, dist=DistSpec("gaussian")):
     return sample_rect(dist, p, n, seed)
 
 
-def test_singular_triplets_reconstruct():
+@pytest.mark.parametrize("triplets", [singular_triplets, gram_triplets], ids=["svd", "gram"])
+def test_singular_triplets_reconstruct(triplets):
     m = _factor(4, 7, 0)
-    trip = singular_triplets(m)
+    trip = triplets(m)
     assert np.all(np.diff(trip.sigma) >= 0)
     recon = trip.left @ np.diag(trip.sigma) @ np.conj(trip.right).T
     np.testing.assert_allclose(recon, m, atol=1e-12)
@@ -35,7 +37,16 @@ def test_singular_triplets_reconstruct():
             np.conj(m).T @ trip.left[:, i], trip.sigma[i] * trip.right[:, i], atol=1e-12
         )
     with pytest.raises(ContractError):
-        singular_triplets(np.ones((5, 3)))
+        triplets(np.ones((5, 3)))
+
+
+def test_gram_triplets_rank_deficient_falls_back_to_svd():
+    # sigma_min = 0: M* u_min is rounding noise, so the Gram route has no right vector
+    m = np.array([[1.0, 1.0], [1.0, 1.0]])
+    trip = gram_triplets(m)
+    assert np.all(np.isfinite(trip.right))
+    np.testing.assert_allclose(np.linalg.norm(trip.right, axis=0), 1.0, atol=1e-15)
+    np.testing.assert_allclose(trip.sigma, singular_triplets(m).sigma, atol=1e-15)
 
 
 def test_sigma_lambda_bridge():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rmtlab.concentration import TailEnvelope, dyadic_weight_partition
 from rmtlab.covariance import (
     covariance_schur_residual,
+    gram_triplets,
     singular_entry_identity,
     singular_interlacing_identity,
     singular_triplets,
@@ -150,11 +151,12 @@ def test_covariance_schur_exact_random_sizes(p, extra, seed):
     assert covariance_schur_residual(m, 0.5 + 0.5j) < 1e-10
 
 
+@pytest.mark.parametrize("triplets", [singular_triplets, gram_triplets], ids=["svd", "gram"])
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 6), st.integers(0, 5), st.integers(0, 2**32))
-def test_singular_triplets_orthonormal(p, extra, seed):
+def test_singular_triplets_orthonormal(triplets, p, extra, seed):
     m = sample_rect(DistSpec("gaussian"), p, p + extra, seed)
-    trip = singular_triplets(m)
+    trip = triplets(m)
     np.testing.assert_allclose(np.conj(trip.left).T @ trip.left, np.eye(p), atol=1e-10)
     np.testing.assert_allclose(np.conj(trip.right).T @ trip.right, np.eye(p), atol=1e-10)
     assert np.all(trip.sigma >= -1e-12)
