@@ -3,7 +3,8 @@
 All of these are algebraic identities in finite dimensions -- the residuals
 should sit at floating-point roundoff, not at any statistical scale.  Each
 identity function checks every index i at once from one decomposition of the
-matrix and one of its minor; the worst residual over i is printed, leaving
+matrix and one of its minor (the singular identities share one SVD of the
+factor); the worst residual over i is printed, leaving
 out indices whose collision gap is at most 1e-8.
 
 Usage: python3 demos/exact_identities.py [n] [seed]
@@ -14,11 +15,7 @@ import sys
 
 import numpy as np
 
-from rmtlab.covariance import (
-    covariance_schur_residual,
-    singular_entry_identity,
-    singular_interlacing_identity,
-)
+from rmtlab.covariance import covariance_schur_residual, singular_identities, singular_triplets
 from rmtlab.delocalization import entry_identity, interlacing_identity
 from rmtlab.ensembles import DistSpec, sample_rect, sample_wigner
 from rmtlab.locallaw import schur_identity_residual
@@ -46,9 +43,11 @@ p, q = 6, 11
 m = sample_rect(DistSpec("gaussian"), p, q, seed)
 print(f"\ncovariance instance p x n = {p} x {q}\n")
 
+trip = singular_triplets(m)
 for side in ("right", "left"):
-    err = worst(*singular_entry_identity(m, side))
+    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)
+    err = worst(entry_lhs, entry_rhs, gap)
     print(f"singular entry identity ({side:>5}, all i): max |lhs - rhs| = {err:.2e}")
-    err = worst(*singular_interlacing_identity(m, side))
+    err = worst(inter_lhs, inter_rhs, gap)
     print(f"singular interlacing ({side:>5}, all i):    max |lhs - rhs| = {err:.2e}")
 print(f"covariance Schur expansion at z = {z}: residual = {covariance_schur_residual(m, z):.2e}")

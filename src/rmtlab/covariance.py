@@ -10,8 +10,10 @@ Two routes give the triplets.  ``gram_triplets`` takes one eigh of the
 p x p Gram matrix MM* and one product M* U; the covariance trial uses it,
 being several times cheaper than the SVD of M for p well below n.
 ``singular_triplets`` is the SVD: the accuracy reference in the tests, and
-the route of the singular identities, which return arrays over every index i
-from one SVD of M and one of its minor.
+the route of ``singular_identities``, which takes the triplets of M and
+returns the entry and interlacing identities over every index i from one SVD
+of the minor.  The covariance Schur expansion is the Schur kernel of
+``rmtlab.locallaw`` applied to the Gram matrix MM*/n.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .delocalization import DelocRecord
-from .ensembles import ParameterError
-from .locallaw import _check_z, _resolvent_form
+from .delocalization import DelocRecord, _pole_sums
+from .ensembles import ParameterError, form_gram
+from .locallaw import _check_z, _schur_parts, _schur_residual
 from .spectral import ContractError, mp_edges, rho_mp
 
 
@@ -90,40 +92,17 @@ class CovSchurTerms:
     expected_yk: complex  # ((p-1)/n) * (1 + z * s_minor)
 
 
-def _cov_minor_parts(m: np.ndarray, k: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """(xi_kk, W_minor, a_k) for row k of the p x n factor M (empty minor when p = 1)."""
-    p, n = m.shape
-    x_k = np.conj(m[k, :])  # X_k with X_k* the k-th row of M
-    xi_kk = float(np.real(x_k @ np.conj(x_k))) / n
-    m_minor = m[np.arange(p) != k, :]
-    return xi_kk, m_minor @ np.conj(m_minor).T / n, m_minor @ x_k / n
-
-
 def covariance_schur_terms(m: np.ndarray, z: complex, k: int) -> CovSchurTerms:
     z = _check_z(z)
     p, n = m.shape
-    if not 0 <= k < p:
-        raise ContractError("index k out of range")
-    xi_kk, w_minor, a_k = _cov_minor_parts(m, k)
-    if p == 1:
-        return CovSchurTerms(k=0, xi_kk=xi_kk, yk=0.0j, s_minor=0.0j, expected_yk=0.0j)
-    yk = _resolvent_form(w_minor, a_k, z)
-    minor_eigs = np.linalg.eigvalsh(w_minor)
-    s_minor = complex(np.mean(1.0 / (minor_eigs - z)))
+    xi_kk, yk, s_minor = _schur_parts(form_gram(m), z, k)
     expected = ((p - 1) / n) * (1.0 + z * s_minor)
     return CovSchurTerms(k=k, xi_kk=xi_kk, yk=yk, s_minor=s_minor, expected_yk=expected)
 
 
 def covariance_schur_residual(m: np.ndarray, z: complex) -> float:
     """Two-route gap: the k-sum versus the Gram matrix's Stieltjes transform."""
-    z = _check_z(z)
-    p, n = m.shape
-    total = 0.0j
-    for k in range(p):
-        xi_kk, w_minor, a_k = _cov_minor_parts(m, k)
-        total += 1.0 / (xi_kk - z - _resolvent_form(w_minor, a_k, z))
-    gram_eigs = np.linalg.eigvalsh(m @ np.conj(m).T / n)
-    return abs(total / p - complex(np.mean(1.0 / (gram_eigs - z))))
+    return _schur_residual(form_gram(m), z)
 
 
 def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) -> float:
@@ -133,56 +112,41 @@ def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) ->
     return abs(s + 1.0 / (y + z - 1.0 + y * z * s))
 
 
-def _deleted_coordinate_terms(m: np.ndarray, side: str):
-    """(triplets of M, X, sigma_j(M')^2 |v_j(M')* X|^2, sigma_j(M')^2, collision gaps)."""
-    trip = singular_triplets(m)
+def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
+    """Deleted-coordinate and interlacing identities for every singular triplet at once.
+
+    ``trip`` holds the singular triplets of the p x n factor M (p <= n).
+    side='right': split M = [M' X] by removing the last column; with the
+    left singular vectors v_j of M' and the weights
+    w_j = sigma_j(M')^2 |v_j(M')* X|^2, the two identities read
+
+        |last coordinate of the i-th right singular vector|^2
+            = 1 / (1 + sum_j w_j / (sigma_j(M')^2 - sigma_i^2)^2),
+        sum_j w_j / (sigma_j(M')^2 - sigma_i^2) = ||X||^2 - sigma_i^2.
+
+    side='left' is the row-deleted mirror, using right singular vectors of
+    the row minor.  Returns arrays (entry_lhs, entry_rhs, interlacing_lhs,
+    interlacing_rhs, collision_gap) indexed by i, from one SVD of the minor;
+    the gap is min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
+    """
+    p, n = m.shape
+    if p > n:
+        raise ContractError("factor must have p <= n")
     if side == "right":
-        x = m[:, -1]
-        minor = _thin_svd(m[:, :-1])
-        basis = minor.left
+        x, minor = m[:, -1], _thin_svd(m[:, :-1])
+        vecs, basis = trip.right, minor.left
     elif side == "left":
-        x = np.conj(m[-1, :])  # Y with Y* the last row
-        minor = _thin_svd(m[:-1, :])
-        basis = minor.right
+        x, minor = np.conj(m[-1, :]), _thin_svd(m[:-1, :])  # Y with Y* the last row
+        vecs, basis = trip.left, minor.right
     else:
         raise ParameterError("side must be 'left' or 'right'")
     msig2 = minor.sigma**2
     weighted = msig2 * np.abs(np.conj(basis).T @ x) ** 2
-    gap = np.array([np.min(np.abs(msig2 - s**2), initial=np.inf) / max(1.0, s**2) for s in trip.sigma])
-    return trip, x, weighted, msig2, gap
-
-
-def singular_entry_identity(m: np.ndarray, side: str = "right"):
-    """Deleted-coordinate identity for every unit singular vector at once.
-
-    side='right': split M = [M' X] by removing the last column; lhs_i is
-    the squared modulus of the last coordinate of the i-th right singular
-    vector, and rhs_i = 1 / (1 + sum_j sigma_j(M')^2 |v_j(M')* X|^2 /
-    (sigma_j(M')^2 - sigma_i^2)^2) over the left singular vectors v_j of M'.
-    side='left' is the row-deleted mirror using right singular vectors of
-    the row minor.  Returns arrays (lhs, rhs, collision_gap) indexed by i,
-    the gap being min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
-    """
-    trip, _, weighted, msig2, gap = _deleted_coordinate_terms(m, side)
-    vecs = trip.right if side == "right" else trip.left
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = np.array([1.0 / (1.0 + np.sum(weighted / (msig2 - s**2) ** 2)) for s in trip.sigma])
-    return np.abs(vecs[-1]) ** 2, rhs, gap
-
-
-def singular_interlacing_identity(m: np.ndarray, side: str = "right"):
-    """Both sides of the singular-value interlacing identity, every i at once.
-
-    side='right' (column deleted):
-        sum_j sigma_j(M')^2 |v_j(M')* X|^2 / (sigma_j(M')^2 - sigma_i^2)
-            = ||X||^2 - sigma_i^2,
-    side='left' mirrors it for the row-deleted minor.  Returns arrays
-    (lhs, rhs, collision_gap) as ``singular_entry_identity`` does.
-    """
-    trip, x, weighted, msig2, gap = _deleted_coordinate_terms(m, side)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = np.array([np.sum(weighted / (msig2 - s**2)) for s in trip.sigma])
-    return lhs, np.array([np.real(np.vdot(x, x)) - s**2 for s in trip.sigma]), gap
+    sig2 = np.array([s**2 for s in trip.sigma])  # scalar squares: the array square rounds a few differently
+    gap = np.min(np.abs(msig2[None, :] - sig2[:, None]), axis=1, initial=np.inf) / np.maximum(1.0, sig2)
+    entry_rhs = 1.0 / (1.0 + _pole_sums(weighted, msig2, sig2, 2))
+    interlacing_lhs = _pole_sums(weighted, msig2, sig2, 1)
+    return np.abs(vecs[-1]) ** 2, entry_rhs, interlacing_lhs, np.real(np.vdot(x, x)) - sig2, gap
 
 
 def pv_mp(lam: float, y: float, excision: float = 1e-5) -> float:
@@ -280,8 +244,7 @@ __all__ = [
     "gram_triplets",
     "mp_self_consistency_residual",
     "pv_mp",
-    "singular_entry_identity",
-    "singular_interlacing_identity",
+    "singular_identities",
     "singular_triplets",
     "singular_vec_inf_norms",
 ]

@@ -80,6 +80,12 @@ def eigvec_inf_norms(
     ]
 
 
+def _pole_sums(weights: np.ndarray, poles: np.ndarray, points, power: int) -> np.ndarray:
+    """sum_j weights_j / (poles_j - x)^power for each x in points; inf or nan at a pole."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.array([np.sum(weights / (poles - x) ** power) for x in points])
+
+
 def _minor_terms(vals: np.ndarray, w_minor: np.ndarray, y: np.ndarray):
     """(|u_j(minor)* Y|^2, minor eigenvalues, distance from each vals[i] to the nearest)."""
     mvals, mvecs = np.linalg.eigh(w_minor)
@@ -104,9 +110,7 @@ def entry_identity(w: np.ndarray):
     check_hermitian(w)
     vals, vecs = np.linalg.eigh(w)
     overlaps, mvals, gap = _minor_terms(vals, w[1:, 1:], w[1:, 0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = np.array([1.0 / (1.0 + np.sum(overlaps / (mvals - lam) ** 2)) for lam in vals])
-    return np.abs(vecs[0]) ** 2, rhs, gap
+    return np.abs(vecs[0]) ** 2, 1.0 / (1.0 + _pole_sums(overlaps, mvals, vals, 2)), gap
 
 
 def interlacing_identity(w: np.ndarray):
@@ -124,9 +128,7 @@ def interlacing_identity(w: np.ndarray):
     check_hermitian(w)
     vals = np.linalg.eigvalsh(w)
     overlaps, mvals, gap = _minor_terms(vals, w[:-1, :-1], w[:-1, -1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lhs = np.array([np.sum(overlaps / (mvals - lam)) for lam in vals])
-    return lhs, np.real(w[-1, -1]) - vals, gap
+    return _pole_sums(overlaps, mvals, vals, 1), np.real(w[-1, -1]) - vals, gap
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from .covariance import (
     gram_triplets,
     mp_self_consistency_residual,
     pv_mp,
-    singular_entry_identity,
-    singular_interlacing_identity,
+    singular_identities,
+    singular_triplets,
     singular_vec_inf_norms,
 )
 from .delocalization import eigvec_inf_norms, entry_identity, interlacing_identity
@@ -357,13 +357,13 @@ def _identity_instance(job) -> tuple[list, int]:
     rows.append((instance, "spectral_form", n, 0, abs(lhs_q - rhs_q) / max(abs(lhs_q), 1.0)))
 
     m = sample_rect(dist, p, pn, derive_seed(seed, 3))
-    scale = max(float(np.linalg.norm(m, 2) ** 2), 1.0)
+    trip = singular_triplets(m)
+    scale = max(float(trip.sigma[-1] ** 2), 1.0)
     entries, interlacings = [], []
     for side in ("right", "left"):
-        lhs, rhs, gap = singular_entry_identity(m, side)
-        entries.append((f"singular_entry_{side}", _rel_err(lhs, rhs, 1e-30), gap))
-        lhs, rhs, gap = singular_interlacing_identity(m, side)
-        interlacings.append((f"singular_interlacing_{side}", np.abs(lhs - rhs) / scale, gap))
+        entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)
+        entries.append((f"singular_entry_{side}", _rel_err(entry_lhs, entry_rhs, 1e-30), gap))
+        interlacings.append((f"singular_interlacing_{side}", np.abs(inter_lhs - inter_rhs) / scale, gap))
     skipped += _add_guarded(rows, instance, pn, p, entries)
     skipped += _add_guarded(rows, instance, pn, p, interlacings)
     rows.append((instance, "cov_schur_sum", pn, p, covariance_schur_residual(m, z)))

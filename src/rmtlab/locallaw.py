@@ -1,16 +1,18 @@
 """Local semicircle law machinery.
 
-Schur-complement resolvent terms of the diagonal expansion
+Schur-complement resolvent terms of the diagonal expansion of a Hermitian h,
 
-    s_n(z) = (1/n) sum_k 1/(W_kk - z - Y_k),
-    Y_k    = a_k* (W_minor - z)^-1 a_k,
+    s_h(z) = (1/n) sum_k 1/(h_kk - z - Y_k),
+    Y_k    = a_k* (h_minor - z)^-1 a_k,
 
-with W_kk = zeta_kk/sqrt(n) the k-th diagonal entry of the normalized
-matrix (the sign of the diagonal term is fixed by requiring the expansion
-to be an exact identity),
+with a_k the k-th column of h without h_kk (the sign of the diagonal term
+is fixed by requiring the expansion to be an exact identity).  One private
+kernel serves both ensembles: the Wigner functions here pass h = M/sqrt(n),
+so h_kk = zeta_kk/sqrt(n), and ``rmtlab.covariance`` passes the Gram matrix
+h = MM*/n.
 
-self-consistent-equation residuals, sliding-window count deviation at a
-given interval scale, and the empirical threshold-scale scan.
+Also: self-consistent-equation residuals, sliding-window count deviation at
+a given interval scale, and the empirical threshold-scale scan.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .spectral import (
     sc_interval_mass,
     stieltjes_empirical,
 )
+
+STRIDE_FRAC = 0.25  # window stride of the count scans, as a fraction of the window length
 
 
 @dataclass(frozen=True)
@@ -49,59 +53,52 @@ def _check_z(z: complex) -> complex:
     return z
 
 
-def _minor_parts(m: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float, int]:
-    """(W_minor, a_k, diag, n) for the unnormalized matrix M; W = M/sqrt(n)."""
-    n = m.shape[0]
+def _minor_parts(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(minor, a_k, h_kk) of a Hermitian h: a_k is column k of h without h_kk."""
+    n = h.shape[0]
     if not 0 <= k < n:
         raise ContractError("index k out of range")
-    w = m / math.sqrt(n)
     keep = np.arange(n) != k
-    w_minor = w[np.ix_(keep, keep)]
-    a_k = w[k, keep]
-    return w_minor, a_k, float(np.real(w[k, k])), n
+    return h[np.ix_(keep, keep)], h[keep, k], float(np.real(h[k, k]))
 
 
-def _resolvent_form(w_minor: np.ndarray, a_k: np.ndarray, z: complex) -> complex:
-    """a_k* (W_minor - z)^-1 a_k by one linear solve."""
-    solve = np.linalg.solve(w_minor - z * np.eye(a_k.size), a_k)
-    return complex(np.conj(a_k) @ solve)
+def _schur_parts(h: np.ndarray, z: complex, k: int) -> tuple[float, complex, complex]:
+    """(h_kk, Y_k, s_minor) of a Hermitian h: Y_k = a_k* (minor - z)^-1 a_k by one solve.
 
-
-def schur_terms(m: np.ndarray, z: complex, k: int, cross_check: bool = False) -> SchurTerms:
-    """Y_k and companions for row/column k of the unnormalized matrix M.
-
-    Y_k comes from a linear solve against the minor's resolvent; the minor's
-    Stieltjes transform comes from its eigenvalues.  With ``cross_check`` the
-    eigendecomposition route for Y_k is run as well and the two must agree
-    to 1e-8.
+    s_minor is the minor's Stieltjes transform from its eigenvalues, 0 for an
+    empty minor.
     """
     z = _check_z(z)
-    w_minor, a_k, diag, n = _minor_parts(m, k)
-    yk = _resolvent_form(w_minor, a_k, z)
-    minor_eigs = np.linalg.eigvalsh(w_minor)
-    s_minor = complex(np.mean(1.0 / (minor_eigs - z)))
-    if cross_check:
-        vals, vecs = np.linalg.eigh(w_minor)
-        overlaps = np.abs(np.conj(vecs).T @ a_k) ** 2
-        yk_eig = complex(np.sum(overlaps / (vals - z)))
-        if abs(yk - yk_eig) > 1e-8 * max(1.0, abs(yk)):
-            raise ContractError("resolvent and eigendecomposition routes disagree")
+    minor, a_k, h_kk = _minor_parts(h, k)
+    yk = complex(np.conj(a_k) @ np.linalg.solve(minor - z * np.eye(a_k.size), a_k))
+    s_minor = complex(np.mean(1.0 / (np.linalg.eigvalsh(minor) - z))) if a_k.size else 0.0j
+    return h_kk, yk, s_minor
+
+
+def _schur_residual(h: np.ndarray, z: complex) -> float:
+    """|(1/n) sum_k 1/(h_kk - z - Y_k) - s_h(z)| with all n minors solved in one stacked solve."""
+    z = _check_z(z)
+    n = h.shape[0]
+    rest = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)  # row k: every index but k
+    cols = np.take_along_axis(h.T, rest, axis=1)  # row k: column k of h without h_kk
+    minors = h[rest[:, :, None], rest[:, None, :]] - z * np.eye(n - 1)
+    solves = np.linalg.solve(minors, cols[..., None])[..., 0]
+    total = 0.0j
+    for h_kk, a_k, solve in zip(np.real(np.diag(h)).tolist(), cols, solves):
+        total += 1.0 / (h_kk - z - complex(np.conj(a_k) @ solve))
+    return abs(total / n - stieltjes_empirical(np.linalg.eigvalsh(h), z))
+
+
+def schur_terms(m: np.ndarray, z: complex, k: int) -> SchurTerms:
+    """Y_k and companions for row/column k of the unnormalized matrix M (W = M/sqrt(n))."""
+    n = m.shape[0]
+    diag, yk, s_minor = _schur_parts(m / math.sqrt(n), z, k)
     return SchurTerms(k=k, diag=diag, yk=yk, s_minor=s_minor, expected_yk=(1.0 - 1.0 / n) * s_minor)
 
 
 def schur_identity_residual(m: np.ndarray, z: complex) -> float:
-    """|two-route gap| of the diagonal expansion: the k-sum (one stacked solve) versus s_n(z)."""
-    z = _check_z(z)
-    n = m.shape[0]
-    w = m / math.sqrt(n)
-    rest = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)  # row k: every index but k
-    rows = np.take_along_axis(w, rest, axis=1)
-    minors = w[rest[:, :, None], rest[:, None, :]] - z * np.eye(n - 1)
-    solves = np.linalg.solve(minors, rows[..., None])[..., 0]
-    total = 0.0j
-    for diag, a_k, solve in zip(np.real(np.diag(w)).tolist(), rows, solves):
-        total += 1.0 / (diag - z - complex(np.conj(a_k) @ solve))
-    return abs(total / n - stieltjes_empirical(np.linalg.eigvalsh(w), z))
+    """|two-route gap| of the diagonal expansion of W = M/sqrt(n): the k-sum versus s_n(z)."""
+    return _schur_residual(m / math.sqrt(m.shape[0]), z)
 
 
 def yk_r_decomposition(m: np.ndarray, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -111,7 +108,8 @@ def yk_r_decomposition(m: np.ndarray, z: complex, k: int) -> tuple[np.ndarray, n
     Y_k - E(Y_k | minor).
     """
     z = _check_z(z)
-    w_minor, a_k, _, n = _minor_parts(m, k)
+    n = m.shape[0]
+    w_minor, a_k, _ = _minor_parts(m / math.sqrt(n), k)
     vals, vecs = np.linalg.eigh(w_minor)
     x_k = math.sqrt(n) * a_k
     r = np.abs(np.conj(vecs).T @ x_k) ** 2 - 1.0
@@ -148,21 +146,19 @@ class LawDeviation:
     """Sliding-window count deviation from a reference density."""
 
     max_rel_dev: float
-    max_abs_dev: float  # |N_I - n * mass| / (n |I|), maximized over windows
     windows: list  # (lo, hi, count, expected_mass, rel_dev) per window
 
 
-def law_deviation(
-    eigs: np.ndarray,
-    density,
-    scale: float,
-    bulk: tuple[float, float],
-    stride_frac: float = 0.25,
-) -> LawDeviation:
+def _window_starts(lo: float, hi: float, stride: float) -> np.ndarray:
+    """lo, lo + stride, ... up to at least hi, each with the bits of repeated float addition."""
+    return np.cumsum(np.r_[lo, np.full(int(math.ceil((hi - lo) / stride)) + 1, stride)])
+
+
+def law_deviation(eigs: np.ndarray, density, scale: float, bulk: tuple[float, float]) -> LawDeviation:
     """Worst window-count deviation at interval length ``scale``.
 
     Windows of length ``scale`` slide across ``bulk`` with stride
-    ``stride_frac * scale``; the last one is clipped at the bulk's upper
+    ``STRIDE_FRAC * scale``; the last one is clipped at the bulk's upper
     end.  The expected count is n * integral of the density over the
     window, n = len(eigs); windows of zero expected count are skipped.
     """
@@ -173,9 +169,7 @@ def law_deviation(
     lo, hi = bulk
     if not lo < hi:
         raise ContractError("bulk interval needs lo < hi")
-    stride = stride_frac * scale
-    # a running sum, so every start has the bits of repeated float addition
-    starts = np.cumsum(np.r_[lo, np.full(int(math.ceil((hi - lo) / stride)) + 1, stride)])
+    starts = _window_starts(lo, hi, STRIDE_FRAC * scale)
     w_lo = starts[: np.argmax(starts + scale >= hi - 1e-12) + 1]  # up to the first reaching hi
     w_hi = np.minimum(w_lo + scale, hi)
     count = np.searchsorted(eigs, w_hi) - np.searchsorted(eigs, w_lo)
@@ -183,9 +177,8 @@ def law_deviation(
     keep = mass > 0
     w_lo, w_hi, count, mass = w_lo[keep], w_hi[keep], count[keep], mass[keep]
     rel = np.abs(count - mass) / mass
-    max_abs = np.max(np.abs(count - mass) / (n * (w_hi - w_lo)), initial=0.0)
     rows = list(zip(w_lo.tolist(), w_hi.tolist(), count.tolist(), mass.tolist(), rel.tolist()))
-    return LawDeviation(max_rel_dev=float(np.max(rel, initial=0.0)), max_abs_dev=float(max_abs), windows=rows)
+    return LawDeviation(max_rel_dev=float(np.max(rel, initial=0.0)), windows=rows)
 
 
 def crude_count_check(eigs: np.ndarray, n: int, scale: float) -> float:
@@ -194,15 +187,10 @@ def crude_count_check(eigs: np.ndarray, n: int, scale: float) -> float:
         raise ParameterError("scale must be positive")
     eigs = np.sort(np.asarray(eigs))
     lo, hi = float(eigs[0]), float(eigs[-1])
-    stride = scale / 4.0
-    best = 0.0
-    w_lo = lo - scale / 2.0
-    while w_lo < hi:
-        w_hi = w_lo + scale
-        count = int(np.searchsorted(eigs, w_hi) - np.searchsorted(eigs, w_lo))
-        best = max(best, count / (n * scale))
-        w_lo += stride
-    return best
+    w_lo = _window_starts(lo - scale / 2.0, hi, scale / 4.0)
+    w_lo = w_lo[w_lo < hi]
+    count = np.searchsorted(eigs, w_lo + scale) - np.searchsorted(eigs, w_lo)
+    return int(count.max()) / (n * scale)
 
 
 @dataclass(frozen=True)
@@ -218,9 +206,9 @@ class ThresholdEstimate:
 
 def _scan_trial(args) -> list[LawDeviation]:
     """Sample one normalized Wigner matrix and scan the semicircle law at each scale."""
-    dist, n, scales, bulk, stride_frac, seed = args
+    dist, n, scales, bulk, seed = args
     eigs = np.linalg.eigvalsh(sample_wigner(dist, n, seed, normalize=True))
-    return [law_deviation(eigs, "semicircle", s, bulk, stride_frac) for s in scales]
+    return [law_deviation(eigs, "semicircle", s, bulk) for s in scales]
 
 
 def threshold_scan(
@@ -231,7 +219,6 @@ def threshold_scan(
     trials: int,
     bulk: tuple[float, float],
     base_seed: int,
-    stride_frac: float = 0.25,
     workers: int = 1,
 ) -> ThresholdEstimate:
     """Scan interval scales for the smallest one where the count law holds.
@@ -247,7 +234,7 @@ def threshold_scan(
         raise ParameterError("scales must be strictly ascending")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    jobs = [(dist, n, scales, bulk, stride_frac, derive_seed(base_seed, t)) for t in range(trials)]
+    jobs = [(dist, n, scales, bulk, derive_seed(base_seed, t)) for t in range(trials)]
     per_trial = map_trials(_scan_trial, jobs, workers)
     worst = np.max([[dev.max_rel_dev for dev in devs] for devs in per_trial], axis=0)
     threshold = None
@@ -261,6 +248,7 @@ def threshold_scan(
 
 
 __all__ = [
+    "STRIDE_FRAC",
     "LawDeviation",
     "SchurTerms",
     "ThresholdEstimate",

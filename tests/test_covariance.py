@@ -10,8 +10,7 @@ from rmtlab.covariance import (
     gram_triplets,
     mp_self_consistency_residual,
     pv_mp,
-    singular_entry_identity,
-    singular_interlacing_identity,
+    singular_identities,
     singular_triplets,
     singular_vec_inf_norms,
 )
@@ -58,6 +57,7 @@ def test_sigma_lambda_bridge():
     np.testing.assert_allclose(trip.sigma, np.sqrt(n * lam), atol=1e-10)
 
 
+@pytest.mark.filterwarnings("error")
 def test_covariance_schur_terms_p1_degenerate():
     m = _factor(1, 6, 2)
     z = 0.5 + 0.5j
@@ -103,7 +103,7 @@ def test_singular_entry_identity_1x2_hand_case():
     # M = [[a, b]]: sigma = sqrt(a^2+b^2), right vector (a, b)/sigma
     a, b = 3.0, 4.0
     m = np.array([[a, b]])
-    lhs, rhs, _ = singular_entry_identity(m, side="right")
+    lhs, rhs, _, _, _ = singular_identities(m, singular_triplets(m), "right")
     assert lhs[0] == pytest.approx(b * b / (a * a + b * b), abs=1e-12)
     # minor [[a]]: overlap |u* X|^2 = b^2; rhs = 1/(1 + a^2 b^2/(a^2-s^2)^2)
     s2 = a * a + b * b
@@ -115,7 +115,7 @@ def test_singular_entry_identity_1x2_hand_case():
 def test_singular_entry_identity_random(side):
     for p, n, seed in [(3, 5, 8), (6, 8, 9), (7, 7, 10)]:
         m = _factor(p, n, seed)
-        lhs, rhs, gap = singular_entry_identity(m, side)
+        lhs, rhs, _, _, gap = singular_identities(m, singular_triplets(m), side)
         for i in np.flatnonzero(gap > 1e-8):
             assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-12)
 
@@ -124,19 +124,20 @@ def test_singular_entry_identity_random(side):
 def test_singular_interlacing_identity_random(side):
     for p, n, seed in [(4, 6, 11), (8, 12, 12)]:
         m = _factor(p, n, seed, DistSpec("rademacher"))
-        lhs, rhs, gap = singular_interlacing_identity(m, side)
+        _, _, lhs, rhs, gap = singular_identities(m, singular_triplets(m), side)
         for i in np.flatnonzero(gap > 1e-8):
             assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-8)
 
 
 def test_singular_identity_validation():
     m = _factor(3, 5, 13)
+    trip = singular_triplets(m)
     with pytest.raises(ParameterError):
-        singular_entry_identity(m, side="middle")
+        singular_identities(m, trip, "middle")
     with pytest.raises(ContractError):
-        singular_entry_identity(m.T)
+        singular_identities(m.T, trip, "right")
     with pytest.raises(ParameterError):
-        singular_interlacing_identity(m, side="up")
+        singular_identities(m, trip, "up")
 
 
 def test_pv_mp_matches_semicircle_map():

@@ -242,6 +242,27 @@ def test_tail_without_envelopes_takes_no_svd(monkeypatch):
     assert len(report.records) == 33
 
 
+def test_identity_instance_decomposes_each_factor_once(monkeypatch):
+    # one SVD of the factor and one of each of its two minors; one stacked solve per Schur expansion
+    from rmtlab.harness import _identity_instance
+
+    calls = {"svd": 0, "solve": 0}
+    inner = getattr(np.linalg, "_linalg", None)
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+        if inner is not None:
+            monkeypatch.setattr(inner, name, counted)
+    rows, _ = _identity_instance((DistSpec("rademacher"), 5, 17))  # n = 8, p = 7
+    assert calls == {"svd": 3, "solve": 2}
+    assert {row[1] for row in rows} >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
+
+
 def test_float_formatting_round_trips(tmp_path):
     cfg = _cfg(experiment="pv", out_dir=str(tmp_path), label="fmt")
     report = run_experiment(cfg)

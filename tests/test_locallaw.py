@@ -21,14 +21,25 @@ def _wigner_unnorm(n, seed, dist=DistSpec("gaussian")):
     return sample_wigner(dist, n, seed, normalize=False)
 
 
+@pytest.mark.filterwarnings("error")
 def test_schur_terms_shapes_and_minor_transform():
     m = _wigner_unnorm(12, 0)
     z = 0.4 + 0.6j
-    t = schur_terms(m, z, 3, cross_check=True)
+    t = schur_terms(m, z, 3)
     assert t.k == 3
     assert t.diag == pytest.approx(m[3, 3] / math.sqrt(12))
     assert t.expected_yk == pytest.approx((1 - 1 / 12) * t.s_minor)
     assert t.s_minor.imag > 0
+    # Y_k through the minor's eigendecomposition agrees with the linear solve
+    w = m / math.sqrt(12)
+    vals, vecs = np.linalg.eigh(np.delete(np.delete(w, 3, axis=0), 3, axis=1))
+    overlaps = np.abs(np.conj(vecs).T @ np.delete(w[:, 3], 3)) ** 2
+    yk_eig = complex(np.sum(overlaps / (vals - z)))
+    assert abs(t.yk - yk_eig) <= 1e-8 * max(1.0, abs(t.yk))
+    # n = 1: the minor is empty, so Y_k and its Stieltjes transform are 0
+    one = schur_terms(np.array([[0.7]]), z, 0)
+    assert one.yk == 0.0j and one.s_minor == 0.0j and one.expected_yk == 0.0j
+    assert one.diag == 0.7
 
 
 def test_schur_identity_is_exact():
@@ -133,6 +144,18 @@ def test_law_deviation_mp_density():
     eigs = np.linalg.eigvalsh(form_gram(m))
     dev = law_deviation(eigs, ("mp", 0.5), 0.2, (0.3, 2.7))
     assert dev.max_rel_dev < 0.2
+
+
+@pytest.mark.parametrize("scale", [0.2, 0.05, 0.013])
+def test_crude_count_check_matches_window_loop(scale):
+    # reference: windows from min eig - scale/2 in steps of scale/4 by repeated addition
+    eigs = np.sort(np.linalg.eigvalsh(sample_wigner(DistSpec("rademacher"), 300, 3, normalize=True)))
+    best, w_lo = 0.0, float(eigs[0]) - scale / 2.0
+    while w_lo < eigs[-1]:
+        count = int(np.searchsorted(eigs, w_lo + scale) - np.searchsorted(eigs, w_lo))
+        best = max(best, count / (300 * scale))
+        w_lo += scale / 4.0
+    assert crude_count_check(eigs, 300, scale) == best
 
 
 def test_crude_count_check_bounded_by_density_peak():

@@ -11,8 +11,7 @@ from rmtlab.concentration import TailEnvelope, dyadic_weight_partition
 from rmtlab.covariance import (
     covariance_schur_residual,
     gram_triplets,
-    singular_entry_identity,
-    singular_interlacing_identity,
+    singular_identities,
     singular_triplets,
 )
 from rmtlab.delocalization import classify_region, entry_identity, interlacing_identity
@@ -162,6 +161,7 @@ def test_singular_triplets_orthonormal(triplets, p, extra, seed):
     assert np.all(trip.sigma >= -1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_all_index_identities_at_edge_sizes(n):
     # p = n puts the covariance factor at the hard edge; n = 1 has empty minors
@@ -169,7 +169,8 @@ def test_all_index_identities_at_edge_sizes(n):
     m = sample_rect(DistSpec("gaussian"), n, n, 50 + n)
     results = [entry_identity(w), interlacing_identity(w)]
     for side in ("right", "left"):
-        results += [singular_entry_identity(m, side), singular_interlacing_identity(m, side)]
+        entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, singular_triplets(m), side)
+        results += [(entry_lhs, entry_rhs, gap), (inter_lhs, inter_rhs, gap)]
     for lhs, rhs, gap in results:
         assert lhs.shape == rhs.shape == gap.shape == (n,)
         keep = gap > 1e-8
@@ -179,3 +180,6 @@ def test_all_index_identities_at_edge_sizes(n):
             assert gap[0] == math.inf
         for lhs, rhs, _ in results[::2]:  # the entry identities: 1 = 1
             assert lhs[0] == pytest.approx(1.0) and rhs[0] == 1.0
+    # the diagonal expansions hold with empty minors (n = 1) and at the hard edge
+    assert schur_identity_residual(math.sqrt(n) * w, 0.5 + 0.5j) < 1e-10
+    assert covariance_schur_residual(m, 0.5 + 0.5j) < 1e-10
