@@ -12,22 +12,22 @@ import sys
 
 from rmtlab.delocalization import deloc_scaling_fit, eigvec_inf_norms
 from rmtlab.ensembles import DistSpec, sample_wigner
-from rmtlab.seeds import derive_seed
+from rmtlab.seeds import concat_columns, derive_seed
 from rmtlab.spectral import eig_decompose
 
 seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 n_grid = (256, 512, 1024)
 
-records = []
+parts = []
 idx = 0
 for n in n_grid:
     for s in range(seeds):
         w = sample_wigner(DistSpec("rademacher"), n, derive_seed(0, idx))
-        records.extend(eigvec_inf_norms(eig_decompose(w), n, s))
+        parts.append(eigvec_inf_norms(eig_decompose(w), n, s))
         idx += 1
     print(f"n = {n:5d}: {seeds} seeds decomposed")
 
-fit = deloc_scaling_fit(records)
+fit = deloc_scaling_fit(concat_columns(parts))
 
 print(f"\n{'n':>6}  {'max bulk sqrt(n)|u|/sqrt(log n)':>32}  {'max edge sqrt(n)|u|/log n':>26}")
 for n in n_grid:

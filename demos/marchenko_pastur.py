@@ -53,7 +53,7 @@ res = max(
 )
 print(f"max MP self-consistency residual at eta = 10 log n/n: {res:.4f}")
 
-recs = singular_vec_inf_norms(trip, eps=0.1, seed=0)
+recs = singular_vec_inf_norms(trip, eps=0.1)
 for side in ("left", "right"):
-    bulk = [r.scaled_bulk for r in recs if r.side == side and r.region == "bulk"]
+    bulk = recs["scaled_bulk"][(recs["side"] == side) & (recs["region"] == "bulk")]
     print(f"max bulk scaled inf-norm, {side:>5} singular vectors: {max(bulk):.3f}")

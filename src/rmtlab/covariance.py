@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .delocalization import DelocRecord, _pole_sums
+from .delocalization import _pole_sums
 from .ensembles import ParameterError, form_gram
 from .locallaw import _check_z, _schur_parts, _schur_residual
 from .spectral import ContractError, mp_edges, rho_mp
@@ -142,11 +142,16 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
         raise ParameterError("side must be 'left' or 'right'")
     msig2 = minor.sigma**2
     weighted = msig2 * np.abs(np.conj(basis).T @ x) ** 2
-    sig2 = np.array([s**2 for s in trip.sigma])  # scalar squares: the array square rounds a few differently
+    sig2 = _squares(trip.sigma)
     gap = np.min(np.abs(msig2[None, :] - sig2[:, None]), axis=1, initial=np.inf) / np.maximum(1.0, sig2)
     entry_rhs = 1.0 / (1.0 + _pole_sums(weighted, msig2, sig2, 2))
     interlacing_lhs = _pole_sums(weighted, msig2, sig2, 1)
     return np.abs(vecs[-1]) ** 2, entry_rhs, interlacing_lhs, np.real(np.vdot(x, x)) - sig2, gap
+
+
+def _squares(sigma: np.ndarray) -> np.ndarray:
+    """sigma_i^2 squared one scalar at a time: the array square rounds a few values differently."""
+    return np.array([s**2 for s in sigma])
 
 
 def pv_mp(lam: float, y: float, excision: float = 1e-5) -> float:
@@ -177,62 +182,48 @@ def pv_mp(lam: float, y: float, excision: float = 1e-5) -> float:
     return 2.0 * integral(excision / 2.0) - integral(excision)
 
 
-def classify_mp_region(lam_w: float, y: float, eps: float) -> str:
-    """Region of a covariance eigenvalue sigma^2/n relative to the MP edges.
+def classify_mp_region(lam_w, y: float, eps: float):
+    """Region of a covariance eigenvalue sigma^2/n relative to the MP edges; elementwise on arrays.
 
     Soft edges get the usual eps-windows.  At the hard edge (a = 0 when
     y = 1) only [4 - eps, 4] counts as edge; everything near 0 is 'outside'.
     """
     a, b = mp_edges(y)
-    hard_edge = a == 0.0  # exact when y == 1
-    if a + eps <= lam_w <= b - eps:
-        return "bulk"
-    if hard_edge:
-        if b - eps <= lam_w <= b:
-            return "edge"
-        return "outside"
-    if a - eps <= lam_w <= a + eps or b - eps <= lam_w <= b + eps:
-        return "edge"
-    return "outside"
+    lam_w = np.asarray(lam_w)
+    bulk = (a + eps <= lam_w) & (lam_w <= b - eps)
+    if a == 0.0:  # the hard edge; exact when y == 1
+        edge = (b - eps <= lam_w) & (lam_w <= b)
+    else:
+        edge = ((a - eps <= lam_w) & (lam_w <= a + eps)) | ((b - eps <= lam_w) & (lam_w <= b + eps))
+    return np.select([bulk, edge], ["bulk", "edge"], "outside")[()]
 
 
-def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1, seed: int = 0) -> list[DelocRecord]:
-    """Delocalization records for the left and right singular vectors of M.
+def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1) -> dict:
+    """Delocalization columns for the left and right singular vectors of M.
 
-    ``trip`` holds the singular triplets of the p x n factor M.  The region
-    is classified on sigma_i^2/n against the MP edges at aspect ratio
-    y = p/n.  Right vectors live in C^n and are scaled with sqrt(n); left
-    vectors live in C^p and are scaled with sqrt(p) (the paper-normalized
-    sqrt(n) value is recoverable as scaled * sqrt(n/p)).
+    ``trip`` holds the singular triplets of the p x n factor M.  Two rows
+    per index i, left then right, with the columns side, dim, index, lambda
+    (sigma_i^2/n), region, inf_norm, scaled_bulk and scaled_edge.  The
+    region is classified on sigma_i^2/n against the MP edges at aspect
+    ratio y = p/n.  Right vectors live in C^n and are scaled with sqrt(n);
+    left vectors live in C^p and are scaled with sqrt(p) (the
+    paper-normalized sqrt(n) value is recoverable as scaled * sqrt(n/p)).
     """
     p, n = trip.left.shape[0], trip.right.shape[0]
-    y = p / n
-    logn = math.log(n)
-    logp = math.log(p) if p > 1 else 1.0
-    sides = [
-        ("left", np.abs(trip.left).max(axis=0).tolist(), p, logp),
-        ("right", np.abs(trip.right).max(axis=0).tolist(), n, logn),
-    ]
-    records = []
-    for i, sig in enumerate(trip.sigma):
-        lam_w = sig**2 / n
-        region = classify_mp_region(lam_w, y, eps)
-        for side, inf_norms, dim, logd in sides:
-            inf_norm = inf_norms[i]
-            records.append(
-                DelocRecord(
-                    n=dim,
-                    seed=seed,
-                    index=i,
-                    lam=lam_w,
-                    region=region,
-                    inf_norm=inf_norm,
-                    scaled_bulk=math.sqrt(dim) * inf_norm / math.sqrt(logd),
-                    scaled_edge=math.sqrt(dim) * inf_norm / logd,
-                    side=side,
-                )
-            )
-    return records
+    dim = np.array([p, n])
+    logd = np.array([math.log(p) if p > 1 else 1.0, math.log(n)])
+    inf_norms = np.column_stack([np.abs(trip.left).max(axis=0), np.abs(trip.right).max(axis=0)])
+    lam_w = _squares(trip.sigma) / n
+    return {
+        "side": np.tile(["left", "right"], p),
+        "dim": np.tile(dim, p),
+        "index": np.repeat(np.arange(p), 2),
+        "lambda": np.repeat(lam_w, 2),
+        "region": np.repeat(classify_mp_region(lam_w, p / n, eps), 2),
+        "inf_norm": inf_norms.ravel(),
+        "scaled_bulk": (np.sqrt(dim) * inf_norms / np.sqrt(logd)).ravel(),
+        "scaled_edge": (np.sqrt(dim) * inf_norms / logd).ravel(),
+    }
 
 
 __all__ = [

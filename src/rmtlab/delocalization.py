@@ -2,8 +2,9 @@
 
 Bulk eigenvectors of a normalized Wigner matrix should have infinity norm
 of order sqrt(log n / n); edge eigenvectors of order log n / sqrt(n).  The
-records produced here carry both scalings so an n-grid scan can check the
-growth rate directly.
+records produced here are columns (a dict of 1-D arrays, one row per
+eigenvalue) carrying both scalings, so an n-grid scan can check the growth
+rate directly.
 
 The minor identities return arrays over every index i from one
 eigendecomposition of W and one of its minor.
@@ -21,63 +22,38 @@ from .spectral import ContractError, SpectralDecomposition, check_hermitian
 DEGENERACY_GAP = 1e-10
 
 
-def classify_region(lam: float, eps: float) -> str:
-    """'bulk' for |lam| <= 2 - eps, 'edge' up to 2 + eps, 'outside' beyond."""
+def classify_region(lam, eps: float):
+    """'bulk' for |lam| <= 2 - eps, 'edge' up to 2 + eps, 'outside' beyond; elementwise on arrays."""
     if not 0 < eps < 2:
         raise ContractError("eps must lie in (0, 2)")
-    if abs(lam) <= 2.0 - eps:
-        return "bulk"
-    if abs(lam) <= 2.0 + eps:
-        return "edge"
-    return "outside"
+    size = np.abs(lam)
+    return np.select([size <= 2.0 - eps, size <= 2.0 + eps], ["bulk", "edge"], "outside")[()]
 
 
-@dataclass(frozen=True)
-class DelocRecord:
-    """Per-eigenvalue delocalization record.
+def eigvec_inf_norms(decomp: SpectralDecomposition, n: int, seed: int, eps: float = 0.1) -> dict:
+    """Delocalization columns, one row per eigenvalue of an n x n normalized Wigner matrix.
 
-    scaled_bulk = sqrt(n) * inf_norm / sqrt(log n) and
-    scaled_edge = sqrt(n) * inf_norm / log n are O(1) under the bulk and
-    edge bounds respectively.  ``degenerate`` flags eigenvalues whose gap
-    to a neighbor is below 1e-10 (any orthonormal eigenbasis is accepted
-    there).  ``side`` is used by the singular-vector analog ('' here).
+    Columns n, seed (uint64), index, lambda, region, inf_norm, scaled_bulk,
+    scaled_edge and degenerate.  scaled_bulk = sqrt(n) * inf_norm / sqrt(log n)
+    and scaled_edge = sqrt(n) * inf_norm / log n are O(1) under the bulk and
+    edge bounds respectively.  ``degenerate`` flags eigenvalues whose gap to
+    a neighbor is below 1e-10 (any orthonormal eigenbasis is accepted there).
     """
-
-    n: int
-    seed: int
-    index: int
-    lam: float
-    region: str
-    inf_norm: float
-    scaled_bulk: float
-    scaled_edge: float
-    degenerate: bool = False
-    side: str = ""
-
-
-def eigvec_inf_norms(
-    decomp: SpectralDecomposition, n: int, seed: int, eps: float = 0.1
-) -> list[DelocRecord]:
-    """One record per eigenvalue of an n x n normalized Wigner matrix."""
     vals = np.asarray(decomp.eigenvalues)
     logn = math.log(n)
     close = np.diff(vals) < DEGENERACY_GAP
-    degenerate = np.r_[False, close] | np.r_[close, False]
     inf_norms = np.abs(decomp.eigenvectors).max(axis=0)
-    return [
-        DelocRecord(
-            n=n,
-            seed=seed,
-            index=i,
-            lam=lam,
-            region=classify_region(lam, eps),
-            inf_norm=inf_norm,
-            scaled_bulk=math.sqrt(n) * inf_norm / math.sqrt(logn),
-            scaled_edge=math.sqrt(n) * inf_norm / logn,
-            degenerate=flag,
-        )
-        for i, (lam, inf_norm, flag) in enumerate(zip(vals.tolist(), inf_norms.tolist(), degenerate.tolist()))
-    ]
+    return {
+        "n": np.full(vals.size, n),
+        "seed": np.full(vals.size, seed, dtype=np.uint64),
+        "index": np.arange(vals.size),
+        "lambda": vals,
+        "region": classify_region(vals, eps),
+        "inf_norm": inf_norms,
+        "scaled_bulk": math.sqrt(n) * inf_norms / math.sqrt(logn),
+        "scaled_edge": math.sqrt(n) * inf_norms / logn,
+        "degenerate": np.r_[False, close] | np.r_[close, False],
+    }
 
 
 def _pole_sums(weights: np.ndarray, poles: np.ndarray, points, power: int) -> np.ndarray:
@@ -140,25 +116,28 @@ class ScalingFit:
     slope: float  # slope of log(max sqrt(n)*inf_norm) vs log log n; 0.5 if ~ sqrt(log n)
 
 
-def deloc_scaling_fit(records: list[DelocRecord]) -> ScalingFit:
-    """Least-squares growth fit of bulk infinity norms across an n-grid."""
-    by_n: dict[int, list[DelocRecord]] = {}
-    for rec in records:
-        by_n.setdefault(rec.n, []).append(rec)
-    if len(by_n) < 3:
+def deloc_scaling_fit(records: dict) -> ScalingFit:
+    """Least-squares growth fit of bulk infinity norms across an n-grid.
+
+    ``records`` holds the columns n, region, inf_norm, scaled_bulk and
+    scaled_edge, as ``eigvec_inf_norms`` returns them.
+    """
+    sizes = np.unique(records["n"]).tolist()
+    if len(sizes) < 3:
         raise ContractError("need at least 3 distinct n values")
     bulk_table = {}
     edge_table = {}
     xs, ys = [], []
-    for n in sorted(by_n):
-        bulk = [r for r in by_n[n] if r.region == "bulk"]
-        edge = [r for r in by_n[n] if r.region == "edge"]
-        if not bulk:
+    for n in sizes:
+        at_n = records["n"] == n
+        bulk = at_n & (records["region"] == "bulk")
+        edge = at_n & (records["region"] == "edge")
+        if not bulk.any():
             raise ContractError(f"no bulk records at n={n}")
-        bulk_table[n] = max(r.scaled_bulk for r in bulk)
-        if edge:
-            edge_table[n] = max(r.scaled_edge for r in edge)
-        peak = max(math.sqrt(n) * r.inf_norm for r in bulk)
+        bulk_table[n] = float(records["scaled_bulk"][bulk].max())
+        if edge.any():
+            edge_table[n] = float(records["scaled_edge"][edge].max())
+        peak = float((math.sqrt(n) * records["inf_norm"][bulk]).max())
         xs.append(math.log(math.log(n)))
         ys.append(math.log(peak))
     slope = float(np.polyfit(xs, ys, 1)[0])
@@ -167,7 +146,6 @@ def deloc_scaling_fit(records: list[DelocRecord]) -> ScalingFit:
 
 __all__ = [
     "DEGENERACY_GAP",
-    "DelocRecord",
     "ScalingFit",
     "classify_region",
     "deloc_scaling_fit",

@@ -132,9 +132,9 @@ def sample_wigner(dist: DistSpec, n: int, seed: int, normalize: bool = True) -> 
     rng = _rng(seed)
     upper = _draw(dist, n * (n + 1) // 2, rng)
     m = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    m[iu] = upper
-    m = m + np.triu(m, 1).T
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    m[mask] = upper  # fills the (i, j), i <= j, pairs row by row
+    m.T[mask] = upper
     if normalize:
         m /= math.sqrt(n)
     return m

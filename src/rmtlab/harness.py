@@ -4,7 +4,9 @@ Every experiment is a pure function of (config, base_seed): trial i always
 runs with seed derive_seed(base_seed, i), and ``seeds.map_trials`` spreads
 the trials of ``localscan``, ``deloc``, ``identities``, ``covariance`` and
 ``tail`` over ``workers`` processes and returns them in trial order, so the
-written CSV is byte-identical for any worker count.  Output goes to
+written CSV is byte-identical for any worker count.  Each runner returns its
+records as columns, a dict of CSV column name -> 1-D array, and the writer
+turns each column into text in one pass.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
 renamed into place as one directory; the label defaults to a hash of the
 config fields other than out_dir and label.
@@ -39,7 +41,7 @@ from .covariance import (
 from .delocalization import eigvec_inf_norms, entry_identity, interlacing_identity
 from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
 from .locallaw import law_deviation, schur_identity_residual, threshold_scan
-from .seeds import derive_seed, map_trials
+from .seeds import concat_columns, derive_seed, map_trials
 from .spectral import eig_decompose, mp_edges, pv_semicircle, pv_semicircle_numeric
 
 EXPERIMENTS = ("tail", "localscan", "deloc", "identities", "covariance", "pv")
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("delta, eps and eta_multiple must be positive")
         if any(s <= 0 for s in self.scales) or any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ConfigError("scales must be positive and strictly ascending")
+        if len(set(self.envelopes)) < len(self.envelopes):
+            raise ConfigError("envelopes must not repeat: each names one records.csv column")
         if self.statistic not in ("quadratic", "projection"):
             raise ConfigError("statistic must be 'quadratic' or 'projection'")
         if self.matrix not in ("identity", "gaussian_symmetric"):
@@ -148,25 +152,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 @dataclass
 class ExperimentReport:
     config: ExperimentConfig
-    columns: list[str]
-    records: list[tuple]
+    records: dict  # CSV column name -> 1-D array, in column order; all of one length
     summary: dict
     wall_time: float
     out_path: Path | None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def _write_files(report: ExperimentReport, out: Path) -> None:
+    cells = []
+    for column in report.records.values():
+        values = column.tolist()
+        cells.append(map(repr, values) if column.dtype.kind == "f" else map(str, values))
     with open(out / "records.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(report.columns)
-        for row in report.records:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerow(report.records)
+        writer.writerows(zip(*cells))
     (out / "config.json").write_text(json.dumps(report.config.to_dict(), indent=2, sort_keys=True) + "\n")
     summary = dict(report.summary)
     summary["version"] = f"{__version__}+{report.config.config_hash()}"
@@ -245,15 +245,17 @@ def _run_tail(cfg: ExperimentConfig):
         if kind in ("subexp", "esy2"):
             kwargs["alpha"] = cfg.dist.alpha
         envs[kind] = TailEnvelope(**kwargs)
-    columns = ["t", "survival", "stderr", "trials"] + [f"envelope_{k}" for k in cfg.envelopes]
-    records = []
-    for i, t in enumerate(tail.t_grid):
-        row = [float(t), float(tail.survival[i]), float(tail.stderr[i]), tail.trials]
-        row += [envs[k](float(t)) for k in cfg.envelopes]
-        records.append(tuple(row))
+    records = {
+        "t": tail.t_grid,
+        "survival": tail.survival,
+        "stderr": tail.stderr,
+        "trials": np.full(tail.t_grid.size, tail.trials),
+    }
+    for kind, env in envs.items():
+        records[f"envelope_{kind}"] = np.array([env(t) for t in tail.t_grid.tolist()])
     ok = bool(tail.survival[-1] <= min((e(float(tail.t_grid[-1])) for e in envs.values()), default=1.0))
     summary = {"ok": ok, "statistic": cfg.statistic, "max_t_survival": float(tail.survival[-1])}
-    return columns, records, summary
+    return records, summary
 
 
 # --- localscan experiment ---------------------------------------------------
@@ -264,13 +266,13 @@ def _run_localscan(cfg: ExperimentConfig):
     scales = [s * unit for s in cfg.scales]
     bulk = (-1.8, 1.8)
     est = threshold_scan(cfg.dist, cfg.n, scales, cfg.delta, cfg.trials, bulk, cfg.base_seed, workers=cfg.workers)
-    records = [
-        (scale, trial, *window)
-        for trial, devs in enumerate(est.per_trial)
-        for scale, dev in zip(est.scales.tolist(), devs)
-        for window in dev.windows
-    ]
-    columns = ["scale", "trial", "window_lo", "window_hi", "N_I", "expected_mass", "rel_dev"]
+    windows = np.concatenate([dev.windows for devs in est.per_trial for dev in devs])
+    runs = [dev.windows.size for devs in est.per_trial for dev in devs]  # windows per (trial, scale)
+    records = {
+        "scale": np.repeat(np.tile(est.scales, cfg.trials), runs),
+        "trial": np.repeat(np.repeat(np.arange(cfg.trials), est.scales.size), runs),
+        **{name: windows[name] for name in windows.dtype.names},
+    }
     summary = {
         "ok": est.threshold_scale is not None,
         "delta": cfg.delta,
@@ -278,7 +280,7 @@ def _run_localscan(cfg: ExperimentConfig):
         "max_rel_dev": [float(v) for v in est.max_rel_dev],
         "threshold_scale": est.threshold_scale,
     }
-    return columns, records, summary
+    return records, summary
 
 
 # --- deloc experiment -------------------------------------------------------
@@ -287,11 +289,9 @@ def _run_localscan(cfg: ExperimentConfig):
 def _deloc_trial(args):
     dist, n, eps, trial, seed = args
     w = sample_wigner(dist, n, seed, normalize=True)
-    recs = eigvec_inf_norms(eig_decompose(w), n, seed, eps)
-    return [
-        (r.n, r.seed, r.index, r.lam, r.region, r.inf_norm, r.scaled_bulk, r.scaled_edge)
-        for r in recs
-    ]
+    records = eigvec_inf_norms(eig_decompose(w), n, seed, eps)
+    del records["degenerate"]
+    return records
 
 
 def _run_deloc(cfg: ExperimentConfig):
@@ -302,11 +302,11 @@ def _run_deloc(cfg: ExperimentConfig):
         for t in range(cfg.trials):
             jobs.append((cfg.dist, n, cfg.eps, t, derive_seed(cfg.base_seed, idx)))
             idx += 1
-    records = [row for rows in map_trials(_deloc_trial, jobs, cfg.workers) for row in rows]
-    columns = ["n", "seed", "index", "lambda", "region", "inf_norm", "scaled_bulk", "scaled_edge"]
-    bulk_max = max((r[6] for r in records if r[4] == "bulk"), default=float("nan"))
+    records = concat_columns(map_trials(_deloc_trial, jobs, cfg.workers))
+    bulk = records["scaled_bulk"][records["region"] == "bulk"]
+    bulk_max = bulk.max() if bulk.size else float("nan")
     summary = {"ok": bool(bulk_max <= 4.0), "max_scaled_bulk": float(bulk_max)}
-    return columns, records, summary
+    return records, summary
 
 
 # --- identities experiment --------------------------------------------------
@@ -316,37 +316,41 @@ def _rel_err(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
     return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), floor)
 
 
-def _add_guarded(rows: list, instance: int, dim: int, p: int, checks: list) -> int:
-    """Append rows for (name, rel_err, collision_gap) families, interleaved per index.
+def _check_columns(instance: int, dim: int, p: int, checks: list) -> dict:
+    """Columns for (name, rel_err, collision_gap) families of checks, interleaved per index.
 
-    Returns how many checks the COLLISION_GAP mask left out.
+    Checks whose collision gap is at most COLLISION_GAP are left out.
     """
-    skipped = 0
-    for i in range(len(checks[0][1])):
-        for name, err, gap in checks:
-            if gap[i] > COLLISION_GAP:
-                rows.append((instance, name, dim, p, float(err[i])))
-            else:
-                skipped += 1
-    return skipped
+    rel_err = np.column_stack([err for _, err, _ in checks]).ravel()
+    keep = np.column_stack([gap for _, _, gap in checks]).ravel() > COLLISION_GAP
+    # object cells share the few name strings; a fixed-width unicode column would take 100 bytes a row
+    names = np.tile(np.array([name for name, _, _ in checks], dtype=object), rel_err.size // len(checks))
+    count = np.count_nonzero(keep)
+    return {
+        "instance": np.full(count, instance),
+        "check": names[keep],
+        "n": np.full(count, dim),
+        "p": np.full(count, p),
+        "rel_err": rel_err[keep],
+    }
 
 
-def _identity_instance(job) -> tuple[list, int]:
-    """Exact-identity checks on one small random instance (dist, instance, seed): (rows, skipped)."""
+def _identity_instance(job) -> tuple[dict, int]:
+    """Exact-identity checks on one small random instance (dist, instance, seed): (columns, skipped)."""
     dist, instance, seed = job
     rng_sizes_n = list(range(3, 17))
     n = rng_sizes_n[instance % len(rng_sizes_n)]
     p = 2 + instance % 9
     pn = max(p, 3 + instance % 14)
     z = 0.3 + 0.7j
-    rows = []
+    unguarded = np.array([np.inf])  # the collision gap of a check that needs no guard
 
     w = sample_wigner(dist, n, seed, normalize=True)
     lhs, rhs, gap = entry_identity(w)
-    skipped = _add_guarded(rows, instance, n, 0, [("entry", _rel_err(lhs, rhs, 1e-30), gap)])
+    blocks = [(n, 0, [("entry", _rel_err(lhs, rhs, 1e-30), gap)])]
     lhs, rhs, gap = interlacing_identity(w)
-    skipped += _add_guarded(rows, instance, n, 0, [("interlacing", _rel_err(lhs, rhs, 1.0), gap)])
-    rows.append((instance, "schur_sum", n, 0, schur_identity_residual(math.sqrt(n) * w, z)))
+    blocks.append((n, 0, [("interlacing", _rel_err(lhs, rhs, 1.0), gap)]))
+    blocks.append((n, 0, [("schur_sum", np.array([schur_identity_residual(math.sqrt(n) * w, z)]), unguarded)]))
 
     # spectral identity of the quadratic form against the eigenbasis frame
     x = sample_vector(dist, n, derive_seed(seed, 1))
@@ -354,7 +358,8 @@ def _identity_instance(job) -> tuple[list, int]:
     vals, vecs = np.linalg.eigh(a)
     lhs_q = quadratic_deviation(x, a)
     rhs_q = complex(np.sum(vals * (np.abs(np.conj(vecs).T @ x) ** 2 - 1.0)))
-    rows.append((instance, "spectral_form", n, 0, abs(lhs_q - rhs_q) / max(abs(lhs_q), 1.0)))
+    spectral = abs(lhs_q - rhs_q) / max(abs(lhs_q), 1.0)
+    blocks.append((n, 0, [("spectral_form", np.array([spectral]), unguarded)]))
 
     m = sample_rect(dist, p, pn, derive_seed(seed, 3))
     trip = singular_triplets(m)
@@ -364,27 +369,27 @@ def _identity_instance(job) -> tuple[list, int]:
         entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)
         entries.append((f"singular_entry_{side}", _rel_err(entry_lhs, entry_rhs, 1e-30), gap))
         interlacings.append((f"singular_interlacing_{side}", np.abs(inter_lhs - inter_rhs) / scale, gap))
-    skipped += _add_guarded(rows, instance, pn, p, entries)
-    skipped += _add_guarded(rows, instance, pn, p, interlacings)
-    rows.append((instance, "cov_schur_sum", pn, p, covariance_schur_residual(m, z)))
-    return rows, skipped
+    blocks += [(pn, p, entries), (pn, p, interlacings)]
+    blocks.append((pn, p, [("cov_schur_sum", np.array([covariance_schur_residual(m, z)]), unguarded)]))
+    columns = concat_columns([_check_columns(instance, dim, dim_p, checks) for dim, dim_p, checks in blocks])
+    attempted = sum(err.size for _, _, checks in blocks for _, err, _ in checks)
+    return columns, attempted - columns["rel_err"].size
 
 
 def _run_identities(cfg: ExperimentConfig):
     jobs = [(cfg.dist, i, derive_seed(cfg.base_seed, i)) for i in range(cfg.trials)]
     results = map_trials(_identity_instance, jobs, cfg.workers)
-    records = [row for rows, _ in results for row in rows]
-    skipped = sum(skips for _, skips in results)
-    columns = ["instance", "check", "n", "p", "rel_err"]
-    failures = [r for r in records if r[4] > 1e-8]
+    records = concat_columns([columns for columns, _ in results])
+    rel_err = records["rel_err"]
+    failures = int(np.count_nonzero(rel_err > 1e-8))
     summary = {
         "ok": not failures,
-        "checks": len(records),
-        "failures": len(failures),
-        "skipped": skipped,
-        "max_rel_err": max((r[4] for r in records), default=0.0),
+        "checks": rel_err.size,
+        "failures": failures,
+        "skipped": sum(skips for _, skips in results),
+        "max_rel_err": float(np.max(rel_err, initial=0.0)),
     }
-    return columns, records, summary
+    return records, summary
 
 
 # --- covariance experiment --------------------------------------------------
@@ -403,12 +408,8 @@ def _covariance_trial(args):
         mp_self_consistency_residual(gram_eigs, x + 1j * eta, y)
         for x in np.linspace(a + 2 * eps, b - 2 * eps, 25)
     )
-    recs = singular_vec_inf_norms(trip, eps, seed)
-    rows = [
-        (trial, r.side, r.n, r.index, r.lam, r.region, r.inf_norm, r.scaled_bulk, r.scaled_edge)
-        for r in recs
-    ]
-    return rows, dev.max_rel_dev, sc_res
+    columns = singular_vec_inf_norms(trip, eps)
+    return {"trial": np.full(2 * p, trial), **columns}, dev.max_rel_dev, sc_res
 
 
 def _run_covariance(cfg: ExperimentConfig):
@@ -419,41 +420,40 @@ def _run_covariance(cfg: ExperimentConfig):
         for t in range(cfg.trials)
     ]
     results = map_trials(_covariance_trial, jobs, cfg.workers)
-    records = [row for rows, _, _ in results for row in rows]
+    records = concat_columns([columns for columns, _, _ in results])
     max_dev = max(d for _, d, _ in results)
     max_res = max(r for _, _, r in results)
-    columns = ["trial", "side", "dim", "index", "lambda", "region", "inf_norm", "scaled_bulk", "scaled_edge"]
     summary = {
         "ok": bool(max_dev <= 0.25),
         "y": p / cfg.n,
         "max_mp_rel_dev": float(max_dev),
         "max_self_consistency_residual": float(max_res),
     }
-    return columns, records, summary
+    return records, summary
 
 
 # --- pv experiment ----------------------------------------------------------
 
 
 def _run_pv(cfg: ExperimentConfig):
-    records = []
-    worst = 0.0
-    for lam in (0.0, 1.0, -1.0, 1.9, -1.9, 3.0, -3.0):
-        closed = pv_semicircle(lam)
-        numeric = pv_semicircle_numeric(lam)
-        err = abs(closed - numeric)
-        worst = max(worst, err)
-        records.append(("semicircle", lam, closed, numeric, err))
+    lams = [0.0, 1.0, -1.0, 1.9, -1.9, 3.0, -3.0]
+    reference = [pv_semicircle(lam) for lam in lams]
+    numeric = [pv_semicircle_numeric(lam) for lam in lams]
     y = 0.5
     a, b = mp_edges(y)
-    for lam, limit in ((a, math.sqrt(y)), (b, -math.sqrt(y))):
-        numeric = pv_mp(lam, y)
-        err = abs(numeric - limit)
-        records.append((f"mp_y={y}", lam, limit, numeric, err))
-        worst = max(worst, err)
-    columns = ["family", "lambda", "reference", "numeric", "abs_err"]
-    summary = {"ok": bool(worst <= 0.05), "max_abs_err": float(worst)}
-    return columns, records, summary
+    # the MP principal value tends to +sqrt(y) at the lower edge and -sqrt(y) at the upper
+    reference += [math.sqrt(y), -math.sqrt(y)]
+    numeric += [pv_mp(a, y), pv_mp(b, y)]
+    records = {
+        "family": np.array(["semicircle"] * len(lams) + [f"mp_y={y}"] * 2),
+        "lambda": np.array(lams + [a, b]),
+        "reference": np.array(reference),
+        "numeric": np.array(numeric),
+    }
+    records["abs_err"] = np.abs(records["reference"] - records["numeric"])
+    worst = float(records["abs_err"].max())
+    summary = {"ok": bool(worst <= 0.05), "max_abs_err": worst}
+    return records, summary
 
 
 _RUNNERS = {
@@ -469,10 +469,9 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute the configured experiment and (optionally) persist its outputs."""
     start = time.perf_counter()
-    columns, records, summary = _RUNNERS[cfg.experiment](cfg)
+    records, summary = _RUNNERS[cfg.experiment](cfg)
     report = ExperimentReport(
         config=cfg,
-        columns=columns,
         records=records,
         summary=summary,
         wall_time=time.perf_counter() - start,

@@ -143,10 +143,14 @@ def _interval_mass(density, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LawDeviation:
-    """Sliding-window count deviation from a reference density."""
+    """Sliding-window count deviation from a reference density.
+
+    ``windows`` is a structured array with one element per window and the
+    fields window_lo, window_hi, N_I (the count), expected_mass and rel_dev.
+    """
 
     max_rel_dev: float
-    windows: list  # (lo, hi, count, expected_mass, rel_dev) per window
+    windows: np.ndarray
 
 
 def _window_starts(lo: float, hi: float, stride: float) -> np.ndarray:
@@ -177,8 +181,9 @@ def law_deviation(eigs: np.ndarray, density, scale: float, bulk: tuple[float, fl
     keep = mass > 0
     w_lo, w_hi, count, mass = w_lo[keep], w_hi[keep], count[keep], mass[keep]
     rel = np.abs(count - mass) / mass
-    rows = list(zip(w_lo.tolist(), w_hi.tolist(), count.tolist(), mass.tolist(), rel.tolist()))
-    return LawDeviation(max_rel_dev=float(np.max(rel, initial=0.0)), windows=rows)
+    names = "window_lo,window_hi,N_I,expected_mass,rel_dev"
+    windows = np.rec.fromarrays([w_lo, w_hi, count, mass, rel], names=names)
+    return LawDeviation(max_rel_dev=float(np.max(rel, initial=0.0)), windows=windows)
 
 
 def crude_count_check(eigs: np.ndarray, n: int, scale: float) -> float:

@@ -5,10 +5,14 @@ The mixing function is a splitmix64-style avalanche, so trial seeds are
 reproducible across platforms and independent of thread scheduling.
 ``map_trials`` is the one place trials fan out to worker processes; it
 returns results in job order, so a reduction over them is the same for any
-worker count.
+worker count.  Trials return their records as columns: a dict of
+equal-length 1-D arrays keyed by column name, which ``concat_columns``
+joins in trial order.
 """
 
 from concurrent import futures
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 
@@ -51,3 +55,8 @@ def map_trials(fn, jobs, workers: int = 1) -> list:
         return [fn(job) for job in jobs]
     with futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs))
+
+
+def concat_columns(parts: list[dict]) -> dict:
+    """Join column records (dicts of equal-length 1-D arrays with the same keys) end to end, in order."""
+    return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}

@@ -27,7 +27,7 @@ from rmtlab.ensembles import (
 )
 from rmtlab.harness import config_from_dict, run_experiment
 from rmtlab.locallaw import law_deviation, threshold_scan
-from rmtlab.seeds import derive_seed
+from rmtlab.seeds import concat_columns, derive_seed
 from rmtlab.spectral import (
     eig_decompose,
     ks_distance,
@@ -215,17 +215,18 @@ def test_criterion_06_threshold_scan(announce):
 
 def test_criterion_07_delocalization_scaling(announce):
     start = time.perf_counter()
-    records = []
+    parts = []
     idx = 0
     for n in (256, 512, 1024, 2048):
         for seed in range(5):
             w = sample_wigner(DistSpec("rademacher"), n, derive_seed(70, idx))
-            records.extend(eigvec_inf_norms(eig_decompose(w), n, seed))
+            parts.append(eigvec_inf_norms(eig_decompose(w), n, seed))
             idx += 1
+    records = concat_columns(parts)
     fit = deloc_scaling_fit(records)
     bulk_ok = all(0.5 <= v <= 4.0 for v in fit.bulk_table.values())
     slope_ok = 0.2 <= fit.slope <= 0.8
-    edge_vals = [r.scaled_edge for r in records if r.region == "edge"]
+    edge_vals = records["scaled_edge"][records["region"] == "edge"].tolist()
     edge_ok = max(edge_vals, default=0.0) <= 4.0
     elapsed = time.perf_counter() - start
     ok = bulk_ok and slope_ok and edge_ok

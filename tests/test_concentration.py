@@ -227,6 +227,18 @@ def test_projection_tail_respects_lemma_envelope():
         assert s <= min(1.0, env(float(t))) + 1e-12
 
 
+@pytest.mark.parametrize(("n", "d"), [(64, 16), (400, 64), (10, 10)])
+def test_rademacher_coordinate_projection_is_degenerate(n, d):
+    # for x in {-1, 1}^n and a coordinate frame, f(X)^2 = sum c_j x_j^2 = sum c_j exactly,
+    # so the projection tail of test_projection_tail_respects_lemma_envelope is trivially met
+    for weights in (np.ones(d), 4.0 ** -np.arange(d)):
+        frame = _coord_frame(n, d, weights)
+        for seed in range(50):
+            assert projection_deviation(sample_vector(DistSpec("rademacher"), n, seed), frame) == 0.0
+        tail = empirical_tail("projection", DistSpec("rademacher"), np.array([0.0, 1e-12, 0.5]), 500, 3, frame=frame)
+        assert tail.survival.tolist() == [1.0, 0.0, 0.0]
+
+
 def test_gaussian_quadratic_variance_oracle():
     # Var(X'AX - trA) = 2||A||_F^2 for gaussian X and symmetric A
     rng = np.random.default_rng(7)

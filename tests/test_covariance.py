@@ -176,17 +176,15 @@ def test_classify_mp_region_soft_and_hard():
 def test_singular_vec_inf_norms_records():
     p, n = 40, 80
     m = _factor(p, n, 14)
-    recs = singular_vec_inf_norms(singular_triplets(m), eps=0.1, seed=14)
-    assert len(recs) == 2 * p
-    sides = {r.side for r in recs}
-    assert sides == {"left", "right"}
-    for r in recs:
-        dim = p if r.side == "left" else n
-        assert r.n == dim
-        assert 1.0 / math.sqrt(dim) - 1e-12 <= r.inf_norm <= 1.0
+    recs = singular_vec_inf_norms(singular_triplets(m), eps=0.1)
+    assert all(column.shape == (2 * p,) for column in recs.values())
+    assert recs["side"].tolist() == ["left", "right"] * p  # interleaved per index
+    dim = np.where(recs["side"] == "left", p, n)
+    np.testing.assert_array_equal(recs["dim"], dim)
+    assert np.all((1.0 / np.sqrt(dim) - 1e-12 <= recs["inf_norm"]) & (recs["inf_norm"] <= 1.0))
     # bulk right singular vectors are delocalized at this size
-    bulk_right = [r.scaled_bulk for r in recs if r.side == "right" and r.region == "bulk"]
-    assert bulk_right and max(bulk_right) < 5.0
+    bulk_right = recs["scaled_bulk"][(recs["side"] == "right") & (recs["region"] == "bulk")]
+    assert bulk_right.size and max(bulk_right) < 5.0
 
 
 def test_wishart_esd_ks_against_mp():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rmtlab.delocalization import (
-    DelocRecord,
     classify_region,
     deloc_scaling_fit,
     eigvec_inf_norms,
@@ -12,27 +11,20 @@ from rmtlab.delocalization import (
     interlacing_identity,
 )
 from rmtlab.ensembles import DistSpec, sample_wigner
+from rmtlab.seeds import concat_columns
 from rmtlab.spectral import ContractError, eig_decompose
 
 
-def synthetic_records(n_values, inf_norm_fn) -> list[DelocRecord]:
-    """One bulk record per n with the prescribed inf_norm profile."""
-    out = []
-    for n in n_values:
-        v = float(inf_norm_fn(n))
-        out.append(
-            DelocRecord(
-                n=n,
-                seed=0,
-                index=0,
-                lam=0.0,
-                region="bulk",
-                inf_norm=v,
-                scaled_bulk=math.sqrt(n) * v / math.sqrt(math.log(n)),
-                scaled_edge=math.sqrt(n) * v / math.log(n),
-            )
-        )
-    return out
+def synthetic_records(n_values, inf_norm_fn) -> dict:
+    """One bulk row per n with the prescribed inf_norm profile."""
+    v = np.array([float(inf_norm_fn(n)) for n in n_values])
+    return {
+        "n": np.array(n_values),
+        "region": np.full(len(n_values), "bulk"),
+        "inf_norm": v,
+        "scaled_bulk": np.array([math.sqrt(n) * x / math.sqrt(math.log(n)) for n, x in zip(n_values, v)]),
+        "scaled_edge": np.array([math.sqrt(n) * x / math.log(n) for n, x in zip(n_values, v)]),
+    }
 
 
 def test_classify_region():
@@ -49,19 +41,19 @@ def test_eigvec_records_basic():
     n = 64
     w = sample_wigner(DistSpec("gaussian"), n, 0)
     recs = eigvec_inf_norms(eig_decompose(w), n, 0)
-    assert len(recs) == n
-    for r in recs:
-        assert 1.0 / math.sqrt(n) - 1e-12 <= r.inf_norm <= 1.0
-        assert r.scaled_bulk == pytest.approx(math.sqrt(n) * r.inf_norm / math.sqrt(math.log(n)))
-        assert r.scaled_edge == pytest.approx(math.sqrt(n) * r.inf_norm / math.log(n))
-    assert any(r.region == "bulk" for r in recs)
-    assert all(not r.degenerate for r in recs)  # gaussian spectrum is simple
+    assert all(column.shape == (n,) for column in recs.values())
+    inf_norm = recs["inf_norm"]
+    assert np.all((1.0 / math.sqrt(n) - 1e-12 <= inf_norm) & (inf_norm <= 1.0))
+    assert recs["scaled_bulk"] == pytest.approx(math.sqrt(n) * inf_norm / math.sqrt(math.log(n)))
+    assert recs["scaled_edge"] == pytest.approx(math.sqrt(n) * inf_norm / math.log(n))
+    assert np.any(recs["region"] == "bulk")
+    assert not recs["degenerate"].any()  # gaussian spectrum is simple
 
 
 def test_degenerate_flagging():
     w = np.diag([0.0, 0.0, 1.0])
     recs = eigvec_inf_norms(eig_decompose(w), 3, 0)
-    assert recs[0].degenerate and recs[1].degenerate and not recs[2].degenerate
+    assert recs["degenerate"].tolist() == [True, True, False]
 
 
 def test_entry_identity_2x2_hand_case():
@@ -120,7 +112,7 @@ def test_bulk_deloc_moderate_n():
     n = 512
     w = sample_wigner(DistSpec("rademacher"), n, 7)
     recs = eigvec_inf_norms(eig_decompose(w), n, 7)
-    bulk = [r.scaled_bulk for r in recs if r.region == "bulk"]
+    bulk = recs["scaled_bulk"][recs["region"] == "bulk"]
     assert 0.5 <= max(bulk) <= 4.0
 
 
@@ -148,10 +140,10 @@ def test_scaling_fit_needs_three_sizes():
 def test_scaling_fit_ignores_edge_only_breaks():
     recs = synthetic_records([128, 256, 512], lambda n: math.sqrt(math.log(n) / n))
     # add an edge record; should populate edge_table without affecting the slope
-    extra = DelocRecord(
-        n=128, seed=0, index=1, lam=2.0, region="edge", inf_norm=0.2,
-        scaled_bulk=1.0, scaled_edge=0.2 * math.sqrt(128) / math.log(128),
-    )
-    fit = deloc_scaling_fit(recs + [extra])
+    extra = {
+        "n": np.array([128]), "region": np.array(["edge"]), "inf_norm": np.array([0.2]),
+        "scaled_bulk": np.array([1.0]), "scaled_edge": np.array([0.2 * math.sqrt(128) / math.log(128)]),
+    }
+    fit = deloc_scaling_fit(concat_columns([recs, extra]))
     assert fit.slope == pytest.approx(0.5, abs=1e-10)
     assert 128 in fit.edge_table and 256 not in fit.edge_table

@@ -1,6 +1,5 @@
 import csv
 import json
-import math
 
 import numpy as np
 import pytest
@@ -14,10 +13,20 @@ from rmtlab.harness import (
     load_config,
     run_experiment,
 )
+from rmtlab.seeds import derive_seed
 
 
 def _cfg(**kw):
     return config_from_dict(kw)
+
+
+def _rows(records: dict) -> int:
+    (length,) = {column.shape for column in records.values()}
+    return length[0]
+
+
+def _same_records(a: dict, b: dict) -> bool:
+    return list(a) == list(b) and all(np.array_equal(a[name], b[name]) for name in a)
 
 
 def test_config_defaults():
@@ -59,6 +68,7 @@ def test_config_validation_errors():
         {"experiment": "tail", "scales": [2.0, 1.0]},
         {"experiment": "localscan", "scales": [1.0, 1.0]},
         {"experiment": "tail", "statistic": "cubic"},
+        {"experiment": "tail", "envelopes": ["hw", "esy1", "hw"]},
         {"experiment": "tail", "matrix": "hilbert"},
         {"experiment": "tail", "base_seed": -1},
         {"experiment": "covariance", "p": 0},
@@ -93,7 +103,7 @@ def test_run_pv_experiment():
     report = run_experiment(_cfg(experiment="pv"), write=False)
     assert report.summary["ok"]
     assert report.summary["max_abs_err"] <= 0.05
-    assert len(report.records) == 9
+    assert _rows(report.records) == 9
 
 
 def test_run_identities_experiment_small():
@@ -158,7 +168,7 @@ def test_run_deloc_experiment():
         _cfg(experiment="deloc", n_grid=[64, 96], trials=2), write=False
     )
     assert report.summary["ok"]
-    assert len(report.records) == 2 * (64 + 96)
+    assert _rows(report.records) == 2 * (64 + 96)
 
 
 def test_run_localscan_experiment():
@@ -175,14 +185,14 @@ def test_run_covariance_experiment():
         write=False,
     )
     assert "max_mp_rel_dev" in report.summary
-    assert report.records and report.records[0][1] in ("left", "right")
+    assert _rows(report.records) and report.records["side"][0] in ("left", "right")
     # p = n in {2, 3} with Rademacher entries is often rank-deficient
     for n in (2, 3):
         for seed in range(6):
             report = run_experiment(_cfg(experiment="covariance", n=n, p=n, trials=4, base_seed=seed), write=False)
-            for row in report.records:
-                assert all(math.isfinite(v) for v in (row[4], *row[6:]))
-                assert row[6] <= 1.0
+            for name in ("lambda", "inf_norm", "scaled_bulk", "scaled_edge"):
+                assert np.all(np.isfinite(report.records[name]))
+            assert np.all(report.records["inf_norm"] <= 1.0)
 
 
 def test_worker_invariance_byte_identical_csv(tmp_path):
@@ -207,7 +217,7 @@ def test_deloc_worker_invariance():
     b = run_experiment(
         _cfg(experiment="deloc", n_grid=[48, 64], trials=2, workers=2), write=False
     )
-    assert a.records == b.records
+    assert _same_records(a.records, b.records)
 
 
 # Sizes at which OPENBLAS_NUM_THREADS=1 changes the serial deloc and
@@ -226,7 +236,7 @@ def test_deloc_worker_invariance():
 def test_records_match_across_worker_counts(raw):
     serial = run_experiment(_cfg(**raw, workers=1), write=False)
     pooled = run_experiment(_cfg(**raw, workers=2), write=False)
-    assert pooled.records == serial.records
+    assert _same_records(pooled.records, serial.records)
     assert pooled.summary == serial.summary
 
 
@@ -239,7 +249,7 @@ def test_tail_without_envelopes_takes_no_svd(monkeypatch):
     if inner is not None:
         monkeypatch.setattr(inner, "svd", no_svd)
     report = run_experiment(_cfg(experiment="tail", n=20, trials=100, statistic="quadratic"), write=False)
-    assert len(report.records) == 33
+    assert _rows(report.records) == 33
 
 
 def test_identity_instance_decomposes_each_factor_once(monkeypatch):
@@ -258,18 +268,43 @@ def test_identity_instance_decomposes_each_factor_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
         if inner is not None:
             monkeypatch.setattr(inner, name, counted)
-    rows, _ = _identity_instance((DistSpec("rademacher"), 5, 17))  # n = 8, p = 7
+    columns, _ = _identity_instance((DistSpec("rademacher"), 5, 17))  # n = 8, p = 7
     assert calls == {"svd": 3, "solve": 2}
-    assert {row[1] for row in rows} >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
+    assert set(columns["check"].tolist()) >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
 
 
 def test_float_formatting_round_trips(tmp_path):
-    cfg = _cfg(experiment="pv", out_dir=str(tmp_path), label="fmt")
+    inputs = [
+        dict(experiment="pv"),
+        dict(experiment="tail", n=20, trials=200, envelopes=["hw", "esy1"]),
+        dict(experiment="localscan", n=200, trials=2, scales=[10.0, 50.0]),
+        dict(experiment="deloc", n_grid=[24, 32], trials=2),
+        dict(experiment="identities", trials=8),
+        dict(experiment="covariance", n=60, p=30, trials=2, scales=[10.0, 20.0]),
+    ]
+    for raw in inputs:
+        report = run_experiment(_cfg(**raw, out_dir=str(tmp_path), label="fmt"))
+        with open(report.out_path / "records.csv") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == list(report.records)
+        for j, column in enumerate(report.records.values()):
+            cells = [row[j] for row in rows]
+            if column.dtype.kind == "f":
+                # repr-formatted floats parse back exactly
+                np.testing.assert_array_equal(np.array([float(c) for c in cells]), column)
+            else:
+                assert cells == [str(v) for v in column.tolist()]
+
+
+def test_deloc_seed_cells_are_exact(tmp_path):
+    # derived seeds are 64-bit; most are >= 2**63, which a float64 column would round
+    cfg = _cfg(experiment="deloc", n_grid=[8, 12], trials=3, base_seed=5, out_dir=str(tmp_path))
     report = run_experiment(cfg)
-    lines = (report.out_path / "records.csv").read_text().splitlines()
-    # repr-formatted floats parse back exactly
-    first = lines[1].split(",")
-    assert float(first[2]) == report.records[0][2]
+    with open(report.out_path / "records.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    expected = [derive_seed(5, job) for job, n in enumerate([8] * 3 + [12] * 3) for _ in range(n)]
+    assert [int(row["seed"]) for row in rows] == expected
+    assert max(expected) >= 2**63
 
 
 def test_covariance_csv_cells_are_plain_numbers(tmp_path):

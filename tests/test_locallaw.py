@@ -98,8 +98,8 @@ def test_law_deviation_on_perfect_atoms():
     eigs = semicircle_quantiles(20000)
     dev = law_deviation(eigs, "semicircle", 0.05, (-1.8, 1.8))
     assert dev.max_rel_dev < 0.01
-    assert dev.windows
-    for lo, hi, count, mass, rel in dev.windows:
+    assert dev.windows.size
+    for lo, hi, count, mass, rel in dev.windows.tolist():
         assert hi <= 1.8 + 1e-12
         assert rel == pytest.approx(abs(count - mass) / mass)
 
@@ -113,9 +113,9 @@ def test_law_deviation_grid_is_repeated_addition(scale):
     while starts[-1] + scale < hi - 1e-12:
         starts.append(starts[-1] + 0.25 * scale)
     dev = law_deviation(eigs, "semicircle", scale, (lo, hi))
-    assert [w[0] for w in dev.windows] == starts
-    assert [w[1] for w in dev.windows] == [min(s + scale, hi) for s in starts]
-    for w_lo, w_hi, count, mass, rel in dev.windows:
+    assert dev.windows["window_lo"].tolist() == starts
+    assert dev.windows["window_hi"].tolist() == [min(s + scale, hi) for s in starts]
+    for w_lo, w_hi, count, mass, rel in dev.windows.tolist():
         assert type(count) is int and all(type(v) is float for v in (w_lo, w_hi, mass, rel))
         assert count == int(np.sum((eigs >= w_lo) & (eigs < w_hi)))
 
