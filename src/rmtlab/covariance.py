@@ -12,8 +12,9 @@ being several times cheaper than the SVD of M for p well below n.
 ``singular_triplets`` is the SVD: the accuracy reference in the tests, and
 the route of ``singular_identities``, which takes the triplets of M and
 returns the entry and interlacing identities over every index i from one SVD
-of the minor.  The covariance Schur expansion is the Schur kernel of
-``rmtlab.locallaw`` applied to the Gram matrix MM*/n.
+of the minor, through the minor-identity kernel of ``rmtlab.delocalization``.
+The covariance Schur expansion is the Schur kernel of ``rmtlab.locallaw``
+applied to the Gram matrix MM*/n.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .delocalization import _pole_sums
+from .delocalization import _minor_identity
 from .ensembles import ParameterError, form_gram
 from .locallaw import _check_z, _schur_parts, _schur_residual
-from .spectral import ContractError, mp_edges, rho_mp
+from .spectral import ContractError, _pv_quad, mp_edges, rho_mp
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,9 @@ def covariance_schur_terms(m: np.ndarray, z: complex, k: int) -> CovSchurTerms:
     return CovSchurTerms(k=k, xi_kk=xi_kk, yk=yk, s_minor=s_minor, expected_yk=expected)
 
 
-def covariance_schur_residual(m: np.ndarray, z: complex) -> float:
-    """Two-route gap: the k-sum versus the Gram matrix's Stieltjes transform."""
-    return _schur_residual(form_gram(m), z)
+def covariance_schur_residual(m: np.ndarray, z: complex, gram_eigs: np.ndarray) -> float:
+    """Two-route gap: the k-sum versus the Stieltjes transform of gram_eigs, the sigma_i^2/n."""
+    return _schur_residual(form_gram(m), z, gram_eigs)
 
 
 def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) -> float:
@@ -125,9 +125,11 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
         sum_j w_j / (sigma_j(M')^2 - sigma_i^2) = ||X||^2 - sigma_i^2.
 
     side='left' is the row-deleted mirror, using right singular vectors of
-    the row minor.  Returns arrays (entry_lhs, entry_rhs, interlacing_lhs,
-    interlacing_rhs, collision_gap) indexed by i, from one SVD of the minor;
-    the gap is min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
+    the row minor.  Both are the minor identities of ``rmtlab.delocalization``
+    for H = M*M (right) or MM* (left) and use its kernel.  Returns arrays
+    (entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap)
+    indexed by i, from one SVD of the minor; the gap is
+    min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
     """
     p, n = m.shape
     if p > n:
@@ -143,10 +145,10 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
     msig2 = minor.sigma**2
     weighted = msig2 * np.abs(np.conj(basis).T @ x) ** 2
     sig2 = _squares(trip.sigma)
-    gap = np.min(np.abs(msig2[None, :] - sig2[:, None]), axis=1, initial=np.inf) / np.maximum(1.0, sig2)
-    entry_rhs = 1.0 / (1.0 + _pole_sums(weighted, msig2, sig2, 2))
-    interlacing_lhs = _pole_sums(weighted, msig2, sig2, 1)
-    return np.abs(vecs[-1]) ** 2, entry_rhs, interlacing_lhs, np.real(np.vdot(x, x)) - sig2, gap
+    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = _minor_identity(
+        sig2, vecs[-1], msig2, weighted, np.real(np.vdot(x, x))
+    )
+    return entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap / np.maximum(1.0, sig2)
 
 
 def _squares(sigma: np.ndarray) -> np.ndarray:
@@ -161,25 +163,8 @@ def pv_mp(lam: float, y: float, excision: float = 1e-5) -> float:
     excision width.  Near the support edges the integrand is integrable
     and the value approaches +sqrt(y) at a and -sqrt(y) at b.
     """
-    if excision <= 0:
-        raise ParameterError("excision must be positive")
     a, b = mp_edges(y)
-
-    def f(x):
-        return y * x * rho_mp(x, y) / (x - lam)
-
-    def integral(eps: float) -> float:
-        total = 0.0
-        for lo, hi in ((a, lam - eps), (lam + eps, b)):
-            lo, hi = max(lo, a), min(hi, b)
-            if lo < hi:
-                val, _ = integrate.quad(f, lo, hi, limit=400, epsabs=1e-11, epsrel=1e-11)
-                total += val
-        return total
-
-    if lam < a - excision or lam > b + excision:
-        return integral(0.0)
-    return 2.0 * integral(excision / 2.0) - integral(excision)
+    return _pv_quad(lambda x: y * x * rho_mp(x, y) / (x - lam), lam, (a, b), excision, 1e-11)
 
 
 def classify_mp_region(lam_w, y: float, eps: float):

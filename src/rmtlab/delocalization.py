@@ -6,8 +6,14 @@ records produced here are columns (a dict of 1-D arrays, one row per
 eigenvalue) carrying both scalings, so an n-grid scan can check the growth
 rate directly.
 
-The minor identities return arrays over every index i from one
-eigendecomposition of W and one of its minor.
+The minor identities of a Hermitian H with coordinate k deleted,
+
+    |u_i(H)_k|^2 = 1 / (1 + sum_j w_j / (mu_j - lambda_i)^2),
+    sum_j w_j / (mu_j - lambda_i) = H_kk - lambda_i,
+
+with mu_j the minor's eigenvalues and w_j = |u_j(minor)* y|^2 for y column k
+of H without H_kk, go through one kernel for every index i at once: the
+Wigner identities here, and those of ``rmtlab.covariance`` for H = MM* or M*M.
 """
 
 from __future__ import annotations
@@ -62,49 +68,33 @@ def _pole_sums(weights: np.ndarray, poles: np.ndarray, points, power: int) -> np
         return np.array([np.sum(weights / (poles - x) ** power) for x in points])
 
 
-def _minor_terms(vals: np.ndarray, w_minor: np.ndarray, y: np.ndarray):
-    """(|u_j(minor)* Y|^2, minor eigenvalues, distance from each vals[i] to the nearest)."""
-    mvals, mvecs = np.linalg.eigh(w_minor)
-    overlaps = np.abs(np.conj(mvecs).T @ y) ** 2
+def _minor_identity(vals, coord, mvals, overlaps, diag: float):
+    """(entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap) for every i.
+
+    ``vals`` and ``coord`` are H's eigenvalues and coordinate k of its
+    eigenvectors, ``mvals`` and ``overlaps`` the mu_j and w_j above, ``diag``
+    is H_kk.  The gap is the distance from vals_i to the nearest mu_j (inf for
+    an empty minor); the identities are ill-conditioned where it is tiny.
+    """
     gap = np.min(np.abs(mvals[None, :] - vals[:, None]), axis=1, initial=np.inf)
-    return overlaps, mvals, gap
+    entry_rhs = 1.0 / (1.0 + _pole_sums(overlaps, mvals, vals, 2))
+    return np.abs(coord) ** 2, entry_rhs, _pole_sums(overlaps, mvals, vals, 1), diag - vals, gap
 
 
-def entry_identity(w: np.ndarray):
-    """First-coordinate identity for every unit eigenvector of W at once.
+def wigner_identities(w: np.ndarray, decomp: SpectralDecomposition):
+    """The minor identities of a Hermitian W with its last coordinate deleted, every i at once.
 
-    Returns arrays (lhs, rhs, collision_gap) indexed by i, where
-    lhs_i = |u_i(W)[0]|^2 and
-
-        rhs_i = 1 / (1 + sum_j |u_j(minor)* Y|^2 / (lambda_j(minor) - lambda_i)^2)
-
-    with the minor W with its first row and column removed and Y the first
-    column of W below the diagonal.  collision_gap_i is the distance from
-    lambda_i to the nearest minor eigenvalue (inf for n = 1); the identity
-    is ill-conditioned where it is tiny and not finite where it is 0.
+    ``decomp`` is ``eig_decompose(w)``; the minor takes one more eigh.  Returns
+    arrays (entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap)
+    indexed by i, the identities above with H = W and k = n - 1.
     """
     check_hermitian(w)
-    vals, vecs = np.linalg.eigh(w)
-    overlaps, mvals, gap = _minor_terms(vals, w[1:, 1:], w[1:, 0])
-    return np.abs(vecs[0]) ** 2, 1.0 / (1.0 + _pole_sums(overlaps, mvals, vals, 2)), gap
-
-
-def interlacing_identity(w: np.ndarray):
-    """Last-coordinate interlacing identity for W = M/sqrt(n), every i at once.
-
-    Returns arrays (lhs, rhs, collision_gap) indexed by i, the two sides of
-
-        sum_j |u_j(minor)* Y|^2 / (lambda_j(minor) - lambda_i) = W[n-1,n-1] - lambda_i
-
-    where the minor removes the last row/column and Y is the last column of
-    W with its last entry dropped.  The right side is zeta_nn/sqrt(n) written
-    directly through the normalized matrix.  collision_gap is as in
-    ``entry_identity``.
-    """
-    check_hermitian(w)
-    vals = np.linalg.eigvalsh(w)
-    overlaps, mvals, gap = _minor_terms(vals, w[:-1, :-1], w[:-1, -1])
-    return _pole_sums(overlaps, mvals, vals, 1), np.real(w[-1, -1]) - vals, gap
+    vals, vecs = decomp.eigenvalues, decomp.eigenvectors
+    if vals.shape != (w.shape[0],):
+        raise ContractError("decomposition does not match the matrix size")
+    mvals, mvecs = np.linalg.eigh(w[:-1, :-1])
+    overlaps = np.abs(np.conj(mvecs).T @ w[:-1, -1]) ** 2
+    return _minor_identity(vals, vecs[-1], mvals, overlaps, float(np.real(w[-1, -1])))
 
 
 @dataclass(frozen=True)
@@ -150,6 +140,5 @@ __all__ = [
     "classify_region",
     "deloc_scaling_fit",
     "eigvec_inf_norms",
-    "entry_identity",
-    "interlacing_identity",
+    "wigner_identities",
 ]

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concentration import TailEnvelope, WeightedFrame, empirical_tail, quadratic_deviation
+from .concentration import ENVELOPE_KINDS, TailEnvelope, WeightedFrame, empirical_tail, quadratic_deviation
 from .covariance import (
     covariance_schur_residual,
     gram_triplets,
@@ -38,10 +38,10 @@ from .covariance import (
     singular_triplets,
     singular_vec_inf_norms,
 )
-from .delocalization import eigvec_inf_norms, entry_identity, interlacing_identity
+from .delocalization import eigvec_inf_norms, wigner_identities
 from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
 from .locallaw import law_deviation, schur_identity_residual, threshold_scan
-from .seeds import concat_columns, derive_seed, map_trials
+from .seeds import MASK64, concat_columns, derive_seed, map_trials
 from .spectral import eig_decompose, mp_edges, pv_semicircle, pv_semicircle_numeric
 
 EXPERIMENTS = ("tail", "localscan", "deloc", "identities", "covariance", "pv")
@@ -59,7 +59,8 @@ class ExperimentConfig:
     Defaults: rademacher entries, n = 1000 (identities ignore n and run
     ``trials`` instances with sizes cycling over [3, 16]), 5 trials,
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
-    log n / n, single worker.
+    log n / n, single worker.  Counts, n_grid entries and base_seed must be
+    ints (not bools), base_seed below 2^64, and envelopes known kinds.
     """
 
     experiment: str
@@ -92,8 +93,12 @@ class ExperimentConfig:
                 raise ConfigError(f"field 'dist': {exc}") from exc
         if self.trials is None:
             self.trials = 200 if self.experiment == "identities" else 5
+        counts = [(name, getattr(self, name)) for name in ("n", "p", "trials", "workers", "d", "base_seed")]
+        for name, value in counts + [("n_grid", v) for v in self.n_grid or []]:
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"field {name!r} must be an integer, not {value!r}")
         for name in ("n", "trials", "workers", "d"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"field {name!r} must be a positive integer")
         if self.experiment in ("localscan", "deloc", "covariance") and min([self.n, *(self.n_grid or [])]) < 2:
             raise ConfigError("n and every n_grid entry must be at least 2: scales use log n")
@@ -103,13 +108,16 @@ class ExperimentConfig:
             raise ConfigError("delta, eps and eta_multiple must be positive")
         if any(s <= 0 for s in self.scales) or any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ConfigError("scales must be positive and strictly ascending")
+        unknown = [kind for kind in self.envelopes if kind not in ENVELOPE_KINDS]
+        if unknown:
+            raise ConfigError(f"unknown envelope kinds {unknown}; known: {', '.join(ENVELOPE_KINDS)}")
         if len(set(self.envelopes)) < len(self.envelopes):
             raise ConfigError("envelopes must not repeat: each names one records.csv column")
         if self.statistic not in ("quadratic", "projection"):
             raise ConfigError("statistic must be 'quadratic' or 'projection'")
         if self.matrix not in ("identity", "gaussian_symmetric"):
             raise ConfigError("matrix must be 'identity' or 'gaussian_symmetric'")
-        if self.base_seed < 0:
+        if not 0 <= self.base_seed <= MASK64:
             raise ConfigError("base_seed must be a nonnegative 64-bit integer")
 
     def to_dict(self) -> dict:
@@ -346,11 +354,14 @@ def _identity_instance(job) -> tuple[dict, int]:
     unguarded = np.array([np.inf])  # the collision gap of a check that needs no guard
 
     w = sample_wigner(dist, n, seed, normalize=True)
-    lhs, rhs, gap = entry_identity(w)
-    blocks = [(n, 0, [("entry", _rel_err(lhs, rhs, 1e-30), gap)])]
-    lhs, rhs, gap = interlacing_identity(w)
-    blocks.append((n, 0, [("interlacing", _rel_err(lhs, rhs, 1.0), gap)]))
-    blocks.append((n, 0, [("schur_sum", np.array([schur_identity_residual(math.sqrt(n) * w, z)]), unguarded)]))
+    decomp = eig_decompose(w)
+    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp)
+    schur = schur_identity_residual(math.sqrt(n) * w, z, decomp.eigenvalues)
+    blocks = [
+        (n, 0, [("entry", _rel_err(entry_lhs, entry_rhs, 1e-30), gap)]),
+        (n, 0, [("interlacing", _rel_err(inter_lhs, inter_rhs, 1.0), gap)]),
+        (n, 0, [("schur_sum", np.array([schur]), unguarded)]),
+    ]
 
     # spectral identity of the quadratic form against the eigenbasis frame
     x = sample_vector(dist, n, derive_seed(seed, 1))
@@ -370,7 +381,8 @@ def _identity_instance(job) -> tuple[dict, int]:
         entries.append((f"singular_entry_{side}", _rel_err(entry_lhs, entry_rhs, 1e-30), gap))
         interlacings.append((f"singular_interlacing_{side}", np.abs(inter_lhs - inter_rhs) / scale, gap))
     blocks += [(pn, p, entries), (pn, p, interlacings)]
-    blocks.append((pn, p, [("cov_schur_sum", np.array([covariance_schur_residual(m, z)]), unguarded)]))
+    cov_schur = covariance_schur_residual(m, z, trip.sigma**2 / pn)
+    blocks.append((pn, p, [("cov_schur_sum", np.array([cov_schur]), unguarded)]))
     columns = concat_columns([_check_columns(instance, dim, dim_p, checks) for dim, dim_p, checks in blocks])
     attempted = sum(err.size for _, _, checks in blocks for _, err, _ in checks)
     return columns, attempted - columns["rel_err"].size

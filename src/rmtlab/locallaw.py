@@ -9,7 +9,7 @@ with a_k the k-th column of h without h_kk (the sign of the diagonal term
 is fixed by requiring the expansion to be an exact identity).  One private
 kernel serves both ensembles: the Wigner functions here pass h = M/sqrt(n),
 so h_kk = zeta_kk/sqrt(n), and ``rmtlab.covariance`` passes the Gram matrix
-h = MM*/n.
+h = MM*/n.  The two-route residuals take h's eigenvalues from the caller.
 
 Also: self-consistent-equation residuals, sliding-window count deviation at
 a given interval scale, and the empirical threshold-scale scan.
@@ -75,10 +75,12 @@ def _schur_parts(h: np.ndarray, z: complex, k: int) -> tuple[float, complex, com
     return h_kk, yk, s_minor
 
 
-def _schur_residual(h: np.ndarray, z: complex) -> float:
-    """|(1/n) sum_k 1/(h_kk - z - Y_k) - s_h(z)| with all n minors solved in one stacked solve."""
+def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray) -> float:
+    """|(1/n) sum_k 1/(h_kk - z - Y_k) - s_h(z)|, all n minors in one stacked solve; eigs are h's."""
     z = _check_z(z)
     n = h.shape[0]
+    if np.shape(eigs) != (n,):
+        raise ContractError("need one eigenvalue per row of the matrix")
     rest = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)  # row k: every index but k
     cols = np.take_along_axis(h.T, rest, axis=1)  # row k: column k of h without h_kk
     minors = h[rest[:, :, None], rest[:, None, :]] - z * np.eye(n - 1)
@@ -86,7 +88,7 @@ def _schur_residual(h: np.ndarray, z: complex) -> float:
     total = 0.0j
     for h_kk, a_k, solve in zip(np.real(np.diag(h)).tolist(), cols, solves):
         total += 1.0 / (h_kk - z - complex(np.conj(a_k) @ solve))
-    return abs(total / n - stieltjes_empirical(np.linalg.eigvalsh(h), z))
+    return abs(total / n - stieltjes_empirical(eigs, z))
 
 
 def schur_terms(m: np.ndarray, z: complex, k: int) -> SchurTerms:
@@ -96,9 +98,9 @@ def schur_terms(m: np.ndarray, z: complex, k: int) -> SchurTerms:
     return SchurTerms(k=k, diag=diag, yk=yk, s_minor=s_minor, expected_yk=(1.0 - 1.0 / n) * s_minor)
 
 
-def schur_identity_residual(m: np.ndarray, z: complex) -> float:
-    """|two-route gap| of the diagonal expansion of W = M/sqrt(n): the k-sum versus s_n(z)."""
-    return _schur_residual(m / math.sqrt(m.shape[0]), z)
+def schur_identity_residual(m: np.ndarray, z: complex, eigs: np.ndarray) -> float:
+    """|two-route gap| of the diagonal expansion of W = M/sqrt(n): the k-sum versus s_n(z) of eigs(W)."""
+    return _schur_residual(m / math.sqrt(m.shape[0]), z, eigs)
 
 
 def yk_r_decomposition(m: np.ndarray, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -178,27 +178,34 @@ def pv_semicircle(lam: float) -> float:
     return -lam / 2.0 + math.copysign(math.sqrt(lam * lam - 4.0), lam) / 2.0
 
 
-def pv_semicircle_numeric(lam: float, excision: float = 1e-6) -> float:
-    """Symmetric-excision quadrature oracle for ``pv_semicircle``."""
+def _pv_quad(f, lam: float, support: tuple[float, float], excision: float, tol: float) -> float:
+    """Principal value of int f over ``support``, pole at lam: quad at tolerance ``tol``.
+
+    A pole inside the support is cut out symmetrically; the cut's error is
+    linear in its half-width, so one Richardson step combines excision/2 and
+    excision.  A pole outside the support needs no cut.
+    """
     if excision <= 0:
         raise ParameterError("excision must be positive")
-
-    def f(x):
-        return rho_sc(x) / (x - lam)
+    lo, hi = support
 
     def integral(eps: float) -> float:
         total = 0.0
-        for lo, hi in ((-2.0, lam - eps), (lam + eps, 2.0)):
-            lo, hi = max(lo, -2.0), min(hi, 2.0)
-            if lo < hi:
-                val, _ = integrate.quad(f, lo, hi, limit=400, epsabs=1e-12, epsrel=1e-12)
+        for a, b in ((lo, lam - eps), (lam + eps, hi)):
+            a, b = max(a, lo), min(b, hi)
+            if a < b:
+                val, _ = integrate.quad(f, a, b, limit=400, epsabs=tol, epsrel=tol)
                 total += val
         return total
 
-    if abs(lam) > 2.0:
+    if not lo <= lam <= hi:
         return integral(0.0)
-    # excluded-band error is linear in the excision width: Richardson once
     return 2.0 * integral(excision / 2.0) - integral(excision)
+
+
+def pv_semicircle_numeric(lam: float, excision: float = 1e-6) -> float:
+    """Symmetric-excision quadrature oracle for ``pv_semicircle``."""
+    return _pv_quad(lambda x: rho_sc(x) / (x - lam), lam, (-2.0, 2.0), excision, 1e-12)
 
 
 def max_gap(eigs: np.ndarray, lo: float, hi: float) -> float:

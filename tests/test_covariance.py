@@ -14,8 +14,9 @@ from rmtlab.covariance import (
     singular_triplets,
     singular_vec_inf_norms,
 )
+from rmtlab.delocalization import wigner_identities
 from rmtlab.ensembles import DistSpec, ParameterError, form_gram, sample_rect
-from rmtlab.spectral import ContractError, DomainError, mp_edges
+from rmtlab.spectral import ContractError, DomainError, eig_decompose, mp_edges
 
 
 def _factor(p, n, seed, dist=DistSpec("gaussian")):
@@ -83,7 +84,7 @@ def test_covariance_schur_terms_fields():
 def test_covariance_schur_identity_exact():
     for p, n, seed in [(2, 3, 4), (6, 10, 5), (9, 9, 6)]:
         m = _factor(p, n, seed)
-        assert covariance_schur_residual(m, 0.8 + 0.6j) < 1e-11
+        assert covariance_schur_residual(m, 0.8 + 0.6j, np.linalg.eigvalsh(form_gram(m))) < 1e-11
 
 
 def test_mp_self_consistency_on_wishart():
@@ -127,6 +128,24 @@ def test_singular_interlacing_identity_random(side):
         _, _, lhs, rhs, gap = singular_identities(m, singular_triplets(m), side)
         for i in np.flatnonzero(gap > 1e-8):
             assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-8)
+
+
+def test_singular_identities_are_the_wigner_identities_of_the_gram_matrix():
+    # one kernel: the left singular identities of M are the minor identities of H = MM*
+    for seed in range(200):
+        p = 1 + seed % 6
+        m = _factor(p, p + (seed // 6) % 6, seed)
+        h = m @ m.T
+        trip = singular_triplets(m)
+        wig = wigner_identities(h, eig_decompose(h))
+        sing = singular_identities(m, trip, "left")
+        keep = sing[4] > 1e-8
+        scale = max(1.0, float(trip.sigma[-1] ** 2))  # the identities experiment's interlacing scale
+        for k in (0, 1):
+            np.testing.assert_allclose(wig[k][keep], sing[k][keep], rtol=1e-8, atol=1e-12)
+        for k in (2, 3):
+            np.testing.assert_allclose(wig[k][keep], sing[k][keep], rtol=0.0, atol=1e-8 * scale)
+        np.testing.assert_allclose(wig[4] / np.maximum(1.0, trip.sigma**2), sing[4], rtol=1e-8, atol=1e-12)
 
 
 def test_singular_identity_validation():

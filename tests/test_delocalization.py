@@ -7,8 +7,7 @@ from rmtlab.delocalization import (
     classify_region,
     deloc_scaling_fit,
     eigvec_inf_norms,
-    entry_identity,
-    interlacing_identity,
+    wigner_identities,
 )
 from rmtlab.ensembles import DistSpec, sample_wigner
 from rmtlab.seeds import concat_columns
@@ -56,11 +55,15 @@ def test_degenerate_flagging():
     assert recs["degenerate"].tolist() == [True, True, False]
 
 
+def _identities(w):
+    return wigner_identities(w, eig_decompose(w))
+
+
 def test_entry_identity_2x2_hand_case():
-    # W = [[0, b], [b, 0]]: eigenvector (1, ±1)/sqrt 2, minor eig 0, overlap b^2
+    # W = [[0, b], [b, 0]]: eigenvector (±1, 1)/sqrt 2, minor eig 0, overlap b^2
     b = 0.7
     w = np.array([[0.0, b], [b, 0.0]])
-    lhs, rhs, gap = entry_identity(w)
+    lhs, rhs, _, _, gap = _identities(w)
     assert lhs[0] == pytest.approx(0.5, abs=1e-12)
     assert rhs[0] == pytest.approx(1.0 / (1.0 + b * b / b**2), abs=1e-12)  # = 1/2
     assert gap[0] == pytest.approx(b)
@@ -69,24 +72,26 @@ def test_entry_identity_2x2_hand_case():
 def test_entry_identity_random_matrices():
     for n, seed in [(6, 1), (15, 2), (30, 3)]:
         w = sample_wigner(DistSpec("gaussian"), n, seed)
-        lhs, rhs, _ = entry_identity(w)
+        lhs, rhs, _, _, _ = _identities(w)
         for i in (0, n // 2, n - 1):
             assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-12)
 
 
 def test_entry_identity_collision_gap():
     # a minor eigenvalue equal to lambda_i: gap 0, and the check is to be skipped
-    lhs, rhs, gap = entry_identity(np.diag([1.0, 1.0]))
+    lhs, rhs, _, _, gap = _identities(np.diag([1.0, 1.0]))
     np.testing.assert_array_equal(gap, [0.0, 0.0])
     assert lhs.shape == rhs.shape == (2,)
     with pytest.raises(ContractError):
-        entry_identity(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        wigner_identities(np.array([[0.0, 1.0], [0.0, 0.0]]), eig_decompose(np.eye(2)))
+    with pytest.raises(ContractError):
+        wigner_identities(np.eye(3), eig_decompose(np.eye(2)))
 
 
 def test_interlacing_identity_random_matrices():
     for n, seed in [(8, 4), (20, 5)]:
         w = sample_wigner(DistSpec("rademacher"), n, seed)
-        lhs, rhs, gap = interlacing_identity(w)
+        _, _, lhs, rhs, gap = _identities(w)
         for i in np.flatnonzero(gap > 1e-8):
             assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-10)
 
@@ -95,7 +100,7 @@ def test_interlacing_identity_2x2_hand_case():
     b = 0.5
     w = np.array([[0.0, b], [b, 0.0]])
     # minor eig 0, overlap b^2; for lambda_0 = -b: b^2/(0-(-b)) = b; rhs = 0-(-b) = b
-    lhs, rhs, _ = interlacing_identity(w)
+    _, _, lhs, rhs, _ = _identities(w)
     assert lhs[0] == pytest.approx(b, abs=1e-12)
     assert rhs[0] == pytest.approx(b, abs=1e-12)
 

@@ -78,12 +78,26 @@ def test_config_validation_errors():
         {"experiment": "tail", "dist": {"kind": "zeta"}},
         {"experiment": "tail", "bogus_key": 1},
         {"n": 100},  # missing experiment
+        {"experiment": "tail", "n": "abc"},
+        {"experiment": "tail", "n": 2.5},
+        {"experiment": "tail", "n": True},
+        {"experiment": "covariance", "p": 2.0},
+        {"experiment": "tail", "trials": 10.0},
+        {"experiment": "tail", "workers": "2"},
+        {"experiment": "tail", "d": 3.5},
+        {"experiment": "tail", "base_seed": 1.5},
+        {"experiment": "tail", "base_seed": 2**64},  # derive_seed would reuse base seed 0's streams
+        {"experiment": "deloc", "n_grid": [64, 96.0]},
+        {"experiment": "deloc", "n_grid": 64},
+        {"experiment": "tail", "envelopes": ["bogus"]},
+        {"experiment": "tail", "envelopes": ["hw", "Hw"]},
     ]
     for raw in cases:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
     with pytest.raises(ConfigError):
         config_from_dict([1, 2, 3])
+    assert config_from_dict({"experiment": "tail", "base_seed": 2**64 - 1}).base_seed == 2**64 - 1
 
 
 def test_load_config_parse_error(tmp_path):
@@ -253,10 +267,11 @@ def test_tail_without_envelopes_takes_no_svd(monkeypatch):
 
 
 def test_identity_instance_decomposes_each_factor_once(monkeypatch):
-    # one SVD of the factor and one of each of its two minors; one stacked solve per Schur expansion
+    # one SVD of the factor and one of each of its two minors; one stacked solve per Schur expansion;
+    # one eigh of the Wigner matrix, one of its minor and one of the quadratic form's matrix
     from rmtlab.harness import _identity_instance
 
-    calls = {"svd": 0, "solve": 0}
+    calls = {"svd": 0, "solve": 0, "eigh": 0, "eigvalsh": 0}
     inner = getattr(np.linalg, "_linalg", None)
     for name in calls:
         original = getattr(np.linalg, name)
@@ -269,7 +284,7 @@ def test_identity_instance_decomposes_each_factor_once(monkeypatch):
         if inner is not None:
             monkeypatch.setattr(inner, name, counted)
     columns, _ = _identity_instance((DistSpec("rademacher"), 5, 17))  # n = 8, p = 7
-    assert calls == {"svd": 3, "solve": 2}
+    assert calls == {"svd": 3, "solve": 2, "eigh": 3, "eigvalsh": 0}
     assert set(columns["check"].tolist()) >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
 
 
@@ -336,6 +351,10 @@ def test_cli_config_error_exit_two(tmp_path):
     assert cli_main(["pv", "--config", str(good)]) == 2
     # invalid override
     assert cli_main(["pv", "--n", "0", "--out", str(tmp_path)]) == 2
+    # a count that is not an integer is rejected at load, before any run
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text(json.dumps({"experiment": "pv", "n": 2.5}))
+    assert cli_main(["pv", "--config", str(fractional)]) == 2
 
 
 def test_cli_deloc_n_one_exit_two(tmp_path, capsys):

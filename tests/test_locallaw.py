@@ -46,12 +46,15 @@ def test_schur_identity_is_exact():
     # the diagonal expansion is an algebraic identity, not an approximation
     for n, seed in [(5, 1), (20, 2), (40, 3)]:
         m = _wigner_unnorm(n, seed)
-        assert schur_identity_residual(m, 0.3 + 0.7j) < 1e-11
+        assert schur_identity_residual(m, 0.3 + 0.7j, np.linalg.eigvalsh(m / math.sqrt(n))) < 1e-11
 
 
 def test_schur_identity_exact_rademacher():
     m = _wigner_unnorm(15, 4, DistSpec("rademacher"))
-    assert schur_identity_residual(m, -1.0 + 0.2j) < 1e-11
+    eigs = np.linalg.eigvalsh(m / math.sqrt(15))
+    assert schur_identity_residual(m, -1.0 + 0.2j, eigs) < 1e-11
+    with pytest.raises(ContractError):
+        schur_identity_residual(m, -1.0 + 0.2j, eigs[1:])
 
 
 def test_schur_requires_upper_half_plane():

@@ -14,12 +14,13 @@ from rmtlab.covariance import (
     singular_identities,
     singular_triplets,
 )
-from rmtlab.delocalization import classify_region, entry_identity, interlacing_identity
-from rmtlab.ensembles import DistSpec, sample_rect, sample_wigner, truncation_stats
+from rmtlab.delocalization import classify_region, wigner_identities
+from rmtlab.ensembles import DistSpec, form_gram, sample_rect, sample_wigner, truncation_stats
 from rmtlab.locallaw import schur_identity_residual
 from rmtlab.seeds import MASK64, derive_seed
 from rmtlab.spectral import (
     count_interval,
+    eig_decompose,
     pv_semicircle,
     sc_interval_mass,
     stieltjes_mp,
@@ -140,14 +141,14 @@ def test_truncation_stats_ranges(K, kind):
 @given(st.integers(3, 12), st.integers(0, 2**32))
 def test_schur_identity_exact_random_sizes(n, seed):
     m = sample_wigner(DistSpec("gaussian"), n, seed, normalize=False)
-    assert schur_identity_residual(m, 0.5 + 0.5j) < 1e-10
+    assert schur_identity_residual(m, 0.5 + 0.5j, np.linalg.eigvalsh(m / math.sqrt(n))) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 6), st.integers(0, 2**32))
 def test_covariance_schur_exact_random_sizes(p, extra, seed):
     m = sample_rect(DistSpec("gaussian"), p, p + extra, seed)
-    assert covariance_schur_residual(m, 0.5 + 0.5j) < 1e-10
+    assert covariance_schur_residual(m, 0.5 + 0.5j, np.linalg.eigvalsh(form_gram(m))) < 1e-10
 
 
 @pytest.mark.parametrize("triplets", [singular_triplets, gram_triplets], ids=["svd", "gram"])
@@ -167,7 +168,9 @@ def test_all_index_identities_at_edge_sizes(n):
     # p = n puts the covariance factor at the hard edge; n = 1 has empty minors
     w = sample_wigner(DistSpec("gaussian"), n, 40 + n)
     m = sample_rect(DistSpec("gaussian"), n, n, 50 + n)
-    results = [entry_identity(w), interlacing_identity(w)]
+    decomp = eig_decompose(w)
+    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp)
+    results = [(entry_lhs, entry_rhs, gap), (inter_lhs, inter_rhs, gap)]
     for side in ("right", "left"):
         entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, singular_triplets(m), side)
         results += [(entry_lhs, entry_rhs, gap), (inter_lhs, inter_rhs, gap)]
@@ -181,5 +184,5 @@ def test_all_index_identities_at_edge_sizes(n):
         for lhs, rhs, _ in results[::2]:  # the entry identities: 1 = 1
             assert lhs[0] == pytest.approx(1.0) and rhs[0] == 1.0
     # the diagonal expansions hold with empty minors (n = 1) and at the hard edge
-    assert schur_identity_residual(math.sqrt(n) * w, 0.5 + 0.5j) < 1e-10
-    assert covariance_schur_residual(m, 0.5 + 0.5j) < 1e-10
+    assert schur_identity_residual(math.sqrt(n) * w, 0.5 + 0.5j, decomp.eigenvalues) < 1e-10
+    assert covariance_schur_residual(m, 0.5 + 0.5j, np.linalg.eigvalsh(form_gram(m))) < 1e-10
