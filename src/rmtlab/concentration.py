@@ -13,7 +13,7 @@ function used to check those bounds numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -11,6 +11,11 @@ All entry distributions have mean 0 and variance 1:
 
 Sampling is a pure function of (spec, size, seed): identical arguments give
 bit-identical output on every platform and under any parallel schedule.
+
+``scipy.special`` is imported only inside the functions that use it: the
+subexp scale and fourth moment (``gamma``) and the Gaussian truncation
+moments (``erf``/``erfc``).  ``math.gamma`` and ``math.erf`` are not used in
+their place: they differ from scipy in the last bit for most arguments.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
+import numpy.random  # numpy loads it lazily; every run samples, so load it with the package
 
 from .seeds import derive_seed
 
@@ -66,6 +71,8 @@ class DistSpec:
     @property
     def subexp_scale(self) -> float:
         """Standardization constant sqrt(Gamma(1 + 2*alpha)) for subexp."""
+        from scipy import special
+
         return math.sqrt(special.gamma(1.0 + 2.0 * self.alpha))
 
     def fourth_moment(self) -> float:
@@ -76,6 +83,8 @@ class DistSpec:
             return 3.0
         if self.kind == "bounded_uniform":
             return 9.0 / 5.0
+        from scipy import special
+
         c2 = special.gamma(1.0 + 2.0 * self.alpha)
         return special.gamma(1.0 + 4.0 * self.alpha) / c2**2
 
@@ -211,6 +220,8 @@ def truncation_stats(dist: DistSpec, K: float, quad_points: int = 2001) -> Trunc
     if dist.kind == "rademacher":
         return TruncationReport(K=K, eps1=0.0, mu=0.0, sigma2=1.0)
     if dist.kind == "gaussian":
+        from scipy import special
+
         eps1 = special.erfc(K / math.sqrt(2.0))
         # int_{-K}^{K} x^2 phi(x) dx = erf(K/sqrt 2) - 2 K phi(K)
         phi_k = math.exp(-0.5 * K * K) / math.sqrt(2.0 * math.pi)

@@ -61,6 +61,7 @@ class ExperimentConfig:
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
     log n / n, single worker.  Counts, n_grid entries and base_seed must be
     ints (not bools), base_seed below 2^64, and envelopes known kinds.
+    A given t_grid is a nonempty ascending list of finite nonnegative numbers.
     """
 
     experiment: str
@@ -108,6 +109,13 @@ class ExperimentConfig:
             raise ConfigError("delta, eps and eta_multiple must be positive")
         if any(s <= 0 for s in self.scales) or any(b <= a for a, b in zip(self.scales, self.scales[1:])):
             raise ConfigError("scales must be positive and strictly ascending")
+        if self.t_grid is not None:
+            t = self.t_grid
+            numbers = isinstance(t, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in t)
+            if not numbers or not t:
+                raise ConfigError(f"field 't_grid' must be a nonempty list of numbers, not {t!r}")
+            if not all(math.isfinite(v) and v >= 0 for v in t) or any(b < a for a, b in zip(t, t[1:])):
+                raise ConfigError("t_grid entries must be finite, nonnegative and ascending")
         unknown = [kind for kind in self.envelopes if kind not in ENVELOPE_KINDS]
         if unknown:
             raise ConfigError(f"unknown envelope kinds {unknown}; known: {', '.join(ENVELOPE_KINDS)}")

@@ -4,6 +4,10 @@ Branch handling: both closed-form Stieltjes transforms are evaluated as
 products of principal square roots of the linear factors at the support
 edges.  That realizes the branch cut exactly on the support and gives the
 correct asymptotics at infinity, which pins down the Herglotz branch.
+
+Only the principal-value quadrature uses scipy; it imports
+``scipy.integrate`` when called and calls ``integrate.quad`` through the
+module, so a wrapper patched onto ``scipy.integrate.quad`` sees every call.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .ensembles import ParameterError
 
@@ -185,6 +188,8 @@ def _pv_quad(f, lam: float, support: tuple[float, float], excision: float, tol: 
     linear in its half-width, so one Richardson step combines excision/2 and
     excision.  A pole outside the support needs no cut.
     """
+    from scipy import integrate
+
     if excision <= 0:
         raise ParameterError("excision must be positive")
     lo, hi = support

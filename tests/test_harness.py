@@ -91,6 +91,14 @@ def test_config_validation_errors():
         {"experiment": "deloc", "n_grid": 64},
         {"experiment": "tail", "envelopes": ["bogus"]},
         {"experiment": "tail", "envelopes": ["hw", "Hw"]},
+        {"experiment": "tail", "t_grid": ["x"]},
+        {"experiment": "tail", "t_grid": [float("nan"), 1.0]},
+        {"experiment": "tail", "t_grid": [0.0, float("inf")]},
+        {"experiment": "tail", "t_grid": [-1.0, 1.0], "envelopes": ["hkz"]},
+        {"experiment": "tail", "t_grid": [2.0, 1.0]},
+        {"experiment": "tail", "t_grid": []},
+        {"experiment": "tail", "t_grid": 1.0},
+        {"experiment": "tail", "t_grid": [True, 2.0]},
     ]
     for raw in cases:
         with pytest.raises(ConfigError):
@@ -355,6 +363,13 @@ def test_cli_config_error_exit_two(tmp_path):
     fractional = tmp_path / "fractional.json"
     fractional.write_text(json.dumps({"experiment": "pv", "n": 2.5}))
     assert cli_main(["pv", "--config", str(fractional)]) == 2
+    # a t_grid that is not an ascending list of finite nonnegative numbers fails at load, before any draw
+    for t_grid in (["x"], [float("nan"), 1.0], [-1.0, 1.0]):
+        bad_grid = tmp_path / "bad_grid.json"
+        raw = {"experiment": "tail", "n": 20, "trials": 100, "t_grid": t_grid, "envelopes": ["hkz"]}
+        bad_grid.write_text(json.dumps(raw))
+        assert cli_main(["tail", "--config", str(bad_grid), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "tail").exists()
 
 
 def test_cli_deloc_n_one_exit_two(tmp_path, capsys):
