@@ -12,7 +12,7 @@ import json
 import sys
 
 from .ensembles import ParameterError
-from .harness import EXPERIMENTS, ConfigError, config_from_dict, load_config, run_experiment
+from .harness import EXPERIMENTS, ConfigError, config_from_dict, read_config, run_experiment
 from .spectral import ContractError, DomainError
 
 
@@ -40,26 +40,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    flags = {
+        "base_seed": args.seed,
+        "trials": args.trials,
+        "n": args.n,
+        "p": args.p,
+        "workers": args.workers,
+        "out_dir": args.out,
+        "label": args.label,
+    }
     try:
-        if args.config:
-            cfg = load_config(args.config)
-            if cfg.experiment != args.experiment:
-                raise ConfigError(
-                    f"config is for {cfg.experiment!r}, requested {args.experiment!r}"
-                )
-        else:
-            cfg = config_from_dict({"experiment": args.experiment})
-        overrides = {
-            "base_seed": args.seed,
-            "trials": args.trials,
-            "n": args.n,
-            "p": args.p,
-            "workers": args.workers,
-            "out_dir": args.out,
-            "label": args.label,
-        }
-        raw = cfg.to_dict()
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+        raw = read_config(args.config) if args.config else {"experiment": args.experiment}
+        if isinstance(raw, dict):
+            if raw.get("experiment", args.experiment) != args.experiment:
+                raise ConfigError(f"config is for {raw['experiment']!r}, requested {args.experiment!r}")
+            # validated once, after the flags: a field that a flag replaces need not be valid alone
+            raw.update({k: v for k, v in flags.items() if v is not None})
         cfg = config_from_dict(raw)
         report = run_experiment(cfg)
     except (ConfigError, ParameterError, ContractError, DomainError) as exc:

@@ -7,7 +7,11 @@ The central statistics are
 
 together with the closed-form tail bounds they satisfy for K-concentrated
 input vectors, and a seeded Monte Carlo estimator of the empirical survival
-function used to check those bounds numerically.
+function used to check those bounds numerically.  The estimator draws each
+vector from its own seeded stream and computes the statistic for blocks of
+``TAIL_BLOCK`` draws with one matrix product on one BLAS thread.  Blocks
+start at multiples of ``TAIL_BLOCK`` counted from draw 0, so every value is
+the same for any worker count and any number of cores.
 """
 
 from __future__ import annotations
@@ -18,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import DistSpec, ParameterError, sample_vector
-from .seeds import derive_seed, map_trials
+from .seeds import derive_seed, map_trials, one_blas_thread
 from .spectral import ContractError
 
 ENVELOPE_KINDS = ("projection", "vw1", "vw2", "subexp", "hw", "hkz", "esy1", "esy2")
+TAIL_BLOCK = 256  # draws per matrix product in empirical_tail
+TAIL_MIN_TRIALS = 100  # fewest draws empirical_tail accepts
 
 
 @dataclass(frozen=True)
@@ -225,15 +231,27 @@ class EmpiricalTail:
 
 
 def _statistic_values(job) -> np.ndarray:
-    """|statistic| for trials start..stop-1 of one contiguous range job."""
+    """|statistic| for trials start..stop-1 of one contiguous range job.
+
+    ``start`` is a multiple of TAIL_BLOCK.  Each block of TAIL_BLOCK draws
+    is stacked as rows, so that one product gives the block: X A^T for the
+    quadratic form, X conj(U) for the projection.  A row's result depends on
+    its place in the block, the block's height and the BLAS thread count;
+    blocks start at multiples of TAIL_BLOCK and the products run on one
+    thread, so all three are fixed by the draw's index.
+    """
     statistic, dist, n, base_seed, start, stop, frame, matrix = job
     out = np.empty(stop - start)
-    for i in range(start, stop):
-        x = sample_vector(dist, n, derive_seed(base_seed, i))
-        if statistic == "projection":
-            out[i - start] = abs(projection_deviation(x, frame))
-        else:
-            out[i - start] = abs(quadratic_deviation(x, matrix))
+    with one_blas_thread():
+        for lo in range(start, stop, TAIL_BLOCK):
+            hi = min(lo + TAIL_BLOCK, stop)
+            x = np.stack([sample_vector(dist, n, derive_seed(base_seed, i)) for i in range(lo, hi)])
+            if statistic == "projection":
+                coeffs = np.abs(x @ np.conj(frame.basis)) ** 2
+                dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
+            else:
+                dev = np.sum(np.conj(x) * (x @ matrix.T), axis=1) - np.trace(matrix)
+            out[lo - start : hi - start] = np.abs(dev)
     return out
 
 
@@ -251,17 +269,17 @@ def empirical_tail(
     """Survival function of |statistic| over ``trials`` seeded draws.
 
     ``statistic`` is "projection" (needs ``frame``) or "quadratic" (needs
-    ``matrix``).  Trial i uses seed derive_seed(base_seed, i), and results
-    are reduced in trial order, so the output is byte-identical for any
-    worker count.
+    ``matrix``).  Trial i uses seed derive_seed(base_seed, i).  Each worker
+    gets a run of whole TAIL_BLOCK blocks and results are reduced in trial
+    order, so the output is byte-identical for any worker count.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
         raise ParameterError("t_grid must be nonempty")
     if np.any(np.diff(t_grid) < 0):
         raise ParameterError("t_grid must be ascending")
-    if trials < 100:
-        raise ParameterError("need at least 100 trials")
+    if trials < TAIL_MIN_TRIALS:
+        raise ParameterError(f"need at least {TAIL_MIN_TRIALS} trials")
     if statistic == "projection":
         if frame is None:
             raise ParameterError("projection statistic requires a frame")
@@ -273,7 +291,8 @@ def empirical_tail(
     else:
         raise ParameterError(f"unknown statistic {statistic!r}")
 
-    bounds = np.linspace(0, trials, max(workers, 1) + 1, dtype=int)  # one range per worker
+    blocks = -(-trials // TAIL_BLOCK)
+    bounds = np.minimum(np.linspace(0, blocks, max(workers, 1) + 1, dtype=int) * TAIL_BLOCK, trials)
     jobs = [
         (statistic, dist, n, base_seed, int(lo), int(hi), frame, matrix)
         for lo, hi in zip(bounds[:-1], bounds[1:])

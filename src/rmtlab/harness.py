@@ -28,7 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .concentration import ENVELOPE_KINDS, TailEnvelope, WeightedFrame, empirical_tail, quadratic_deviation
+from .concentration import (
+    ENVELOPE_KINDS,
+    TAIL_MIN_TRIALS,
+    TailEnvelope,
+    WeightedFrame,
+    empirical_tail,
+    quadratic_deviation,
+)
 from .covariance import (
     covariance_schur_residual,
     gram_triplets,
@@ -52,6 +59,11 @@ class ConfigError(ValueError):
     """Invalid or unparseable experiment configuration."""
 
 
+def _finite(value) -> bool:
+    """True for a finite int or float; bools are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 @dataclass
 class ExperimentConfig:
     """Validated experiment description; unknown keys are rejected at load.
@@ -61,7 +73,10 @@ class ExperimentConfig:
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
     log n / n, single worker.  Counts, n_grid entries and base_seed must be
     ints (not bools), base_seed below 2^64, and envelopes known kinds.
-    A given t_grid is a nonempty ascending list of finite nonnegative numbers.
+    delta, eps, eta_multiple and the scales are finite positive numbers (not
+    bools), and a given t_grid is a nonempty ascending list of finite
+    nonnegative numbers.  A tail run needs at least TAIL_MIN_TRIALS trials,
+    so the default 5 fails here, before the tail matrix is drawn.
     """
 
     experiment: str
@@ -105,17 +120,23 @@ class ExperimentConfig:
             raise ConfigError("n and every n_grid entry must be at least 2: scales use log n")
         if self.p is not None and not 1 <= self.p <= self.n:
             raise ConfigError("field 'p' must satisfy 1 <= p <= n")
-        if self.delta <= 0 or self.eps <= 0 or self.eta_multiple <= 0:
-            raise ConfigError("delta, eps and eta_multiple must be positive")
-        if any(s <= 0 for s in self.scales) or any(b <= a for a, b in zip(self.scales, self.scales[1:])):
+        if self.experiment == "tail" and self.trials < TAIL_MIN_TRIALS:
+            raise ConfigError(f"the tail estimate needs at least {TAIL_MIN_TRIALS} trials, not {self.trials}")
+        for name in ("delta", "eps", "eta_multiple"):
+            value = getattr(self, name)
+            if not _finite(value) or value <= 0:
+                raise ConfigError(f"field {name!r} must be a finite positive number, not {value!r}")
+        s = self.scales
+        if not isinstance(s, list) or not s or not all(_finite(v) for v in s):
+            raise ConfigError(f"field 'scales' must be a nonempty list of finite numbers, not {s!r}")
+        if any(v <= 0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
             raise ConfigError("scales must be positive and strictly ascending")
         if self.t_grid is not None:
             t = self.t_grid
-            numbers = isinstance(t, list) and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in t)
-            if not numbers or not t:
-                raise ConfigError(f"field 't_grid' must be a nonempty list of numbers, not {t!r}")
-            if not all(math.isfinite(v) and v >= 0 for v in t) or any(b < a for a, b in zip(t, t[1:])):
-                raise ConfigError("t_grid entries must be finite, nonnegative and ascending")
+            if not isinstance(t, list) or not t or not all(_finite(v) for v in t):
+                raise ConfigError(f"field 't_grid' must be a nonempty list of finite numbers, not {t!r}")
+            if any(v < 0 for v in t) or any(b < a for a, b in zip(t, t[1:])):
+                raise ConfigError("t_grid entries must be nonnegative and ascending")
         unknown = [kind for kind in self.envelopes if kind not in ENVELOPE_KINDS]
         if unknown:
             raise ConfigError(f"unknown envelope kinds {unknown}; known: {', '.join(ENVELOPE_KINDS)}")
@@ -141,13 +162,17 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load a JSON config file, validating fields and rejecting unknown keys."""
+def read_config(path):
+    """Parse a JSON config file without validating it (``config_from_dict`` does that)."""
     try:
-        raw = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load a JSON config file, validating fields and rejecting unknown keys."""
+    return config_from_dict(read_config(path))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -510,5 +535,6 @@ __all__ = [
     "config_from_dict",
     "derive_seed",
     "load_config",
+    "read_config",
     "run_experiment",
 ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rmtlab import concentration
 from rmtlab.concentration import (
     EmpiricalTail,
     TailEnvelope,
@@ -18,6 +19,7 @@ from rmtlab.concentration import (
     weighted_projection,
 )
 from rmtlab.ensembles import DistSpec, ParameterError, sample_vector
+from rmtlab.seeds import derive_seed, map_trials
 from rmtlab.spectral import ContractError
 
 
@@ -202,6 +204,71 @@ def test_empirical_tail_worker_invariance():
         "quadratic", DistSpec("rademacher"), t_grid, 120, 5, matrix=a, workers=3
     )
     np.testing.assert_array_equal(serial.survival, parallel.survival)
+
+
+def _complex_frame(n, d, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    return WeightedFrame(basis=q, weights=rng.uniform(0.0, 1.0, d))
+
+
+def _symmetric_matrix(n, seed):
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return (g + g.T) / 2
+
+
+_BLOCK_CASES = [
+    ("quadratic", "rademacher"),
+    ("quadratic", "gaussian"),
+    ("projection", "rademacher"),
+    ("projection", "gaussian"),
+]
+
+
+def _tail_inputs(statistic):
+    # at n = 199 a row of X A^T moved in the last bits with the height of its block
+    # (Haswell OpenBLAS kernel), so blocks that followed the worker ranges would show
+    n = 199
+    if statistic == "quadratic":
+        return n, dict(matrix=_symmetric_matrix(n, 4))
+    return n, dict(frame=_complex_frame(n, 24, 4))
+
+
+@pytest.mark.parametrize(("statistic", "kind"), _BLOCK_CASES)
+def test_tail_values_do_not_depend_on_worker_count(monkeypatch, statistic, kind):
+    # 1,000 draws: three full blocks and a short one; 2 and 3 workers split them differently
+    _, inputs = _tail_inputs(statistic)
+    runs = []
+    for workers in (1, 2, 3):
+        parts = []
+
+        def spy(fn, jobs, w):
+            parts.extend(map_trials(fn, jobs, w))
+            return parts
+
+        monkeypatch.setattr(concentration, "map_trials", spy)
+        empirical_tail(statistic, DistSpec(kind), np.array([0.0]), 1000, 17, workers=workers, **inputs)
+        runs.append(np.concatenate(parts))
+    assert runs[0].shape == (1000,)
+    for values in runs[1:]:
+        assert values.tobytes() == runs[0].tobytes()
+
+
+@pytest.mark.parametrize(("statistic", "kind"), _BLOCK_CASES)
+def test_block_values_match_per_draw_formulas(statistic, kind):
+    n, inputs = _tail_inputs(statistic)
+    dist = DistSpec(kind)
+    job = (statistic, dist, n, 17, 0, 600, inputs.get("frame"), inputs.get("matrix"))
+    values = concentration._statistic_values(job)
+    xs = [sample_vector(dist, n, derive_seed(17, i)) for i in range(600)]
+    if statistic == "quadratic":
+        reference = [abs(quadratic_deviation(x, inputs["matrix"])) for x in xs]
+        scale = np.linalg.norm(inputs["matrix"])  # the statistic's standard deviation over sqrt(2)
+    else:
+        reference = [abs(projection_deviation(x, inputs["frame"])) for x in xs]
+        scale = 1.0
+    # relative to the value, or to the statistic's scale for the few draws near 0
+    np.testing.assert_allclose(values, reference, rtol=1e-11, atol=1e-11 * scale)
 
 
 def test_empirical_tail_validation():

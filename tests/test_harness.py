@@ -30,11 +30,14 @@ def _same_records(a: dict, b: dict) -> bool:
 
 
 def test_config_defaults():
-    cfg = _cfg(experiment="tail")
+    cfg = _cfg(experiment="localscan")
     assert cfg.trials == 5
     assert cfg.dist == DistSpec("rademacher")
     assert cfg.n == 1000
     assert _cfg(experiment="identities").trials == 200
+    # the tail experiment shares the default of 5 trials, below its minimum, so it fails at load
+    with pytest.raises(ConfigError, match="at least 100 trials, not 5"):
+        _cfg(experiment="tail")
 
 
 def test_config_round_trip():
@@ -52,10 +55,10 @@ def test_config_round_trip():
 
 
 def test_config_hash_sensitivity():
-    a = _cfg(experiment="tail")
-    b = _cfg(experiment="tail", base_seed=1)
+    a = _cfg(experiment="tail", trials=100)
+    b = _cfg(experiment="tail", trials=100, base_seed=1)
     assert a.config_hash() != b.config_hash()
-    moved = _cfg(experiment="tail", out_dir="elsewhere", label="named")
+    moved = _cfg(experiment="tail", trials=100, out_dir="elsewhere", label="named")
     assert moved.config_hash() == a.config_hash()
 
 
@@ -99,13 +102,30 @@ def test_config_validation_errors():
         {"experiment": "tail", "t_grid": []},
         {"experiment": "tail", "t_grid": 1.0},
         {"experiment": "tail", "t_grid": [True, 2.0]},
+        {"experiment": "tail", "trials": 99},
+        {"experiment": "tail"},  # the default 5 trials
+        {"experiment": "localscan", "scales": [1.0, float("nan")]},
+        {"experiment": "localscan", "scales": [1.0, float("inf")]},
+        {"experiment": "localscan", "scales": [float("-inf"), 1.0]},
+        {"experiment": "localscan", "scales": [True, 2.0]},
+        {"experiment": "localscan", "scales": []},
+        {"experiment": "localscan", "scales": 1.0},
+        {"experiment": "localscan", "delta": float("nan")},
+        {"experiment": "localscan", "delta": float("inf")},
+        {"experiment": "localscan", "delta": True},
+        {"experiment": "deloc", "eps": float("nan")},
+        {"experiment": "deloc", "eps": float("-inf")},
+        {"experiment": "covariance", "eps": float("inf")},
+        {"experiment": "covariance", "eta_multiple": float("nan")},
+        {"experiment": "covariance", "eta_multiple": float("inf")},
+        {"experiment": "covariance", "eta_multiple": "10"},
     ]
     for raw in cases:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
     with pytest.raises(ConfigError):
         config_from_dict([1, 2, 3])
-    assert config_from_dict({"experiment": "tail", "base_seed": 2**64 - 1}).base_seed == 2**64 - 1
+    assert config_from_dict({"experiment": "tail", "trials": 100, "base_seed": 2**64 - 1}).base_seed == 2**64 - 1
 
 
 def test_load_config_parse_error(tmp_path):
@@ -355,7 +375,7 @@ def test_cli_config_error_exit_two(tmp_path):
     assert cli_main(["pv", "--config", str(bad)]) == 2
     # experiment mismatch between config and subcommand
     good = tmp_path / "good.json"
-    good.write_text(json.dumps({"experiment": "tail"}))
+    good.write_text(json.dumps({"experiment": "tail", "trials": 100}))
     assert cli_main(["pv", "--config", str(good)]) == 2
     # invalid override
     assert cli_main(["pv", "--n", "0", "--out", str(tmp_path)]) == 2
@@ -370,6 +390,25 @@ def test_cli_config_error_exit_two(tmp_path):
         bad_grid.write_text(json.dumps(raw))
         assert cli_main(["tail", "--config", str(bad_grid), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "tail").exists()
+    # scales, delta, eps and eta_multiple must be finite numbers, checked at load before any run
+    nonfinite = [
+        {"experiment": "localscan", "n": 100, "trials": 1, "scales": [1.0, float("nan")]},
+        {"experiment": "localscan", "n": 100, "trials": 1, "scales": [1.0, float("inf")]},
+        {"experiment": "localscan", "n": 100, "trials": 1, "delta": float("nan")},
+        {"experiment": "localscan", "n": 100, "trials": 1, "delta": float("inf")},
+        {"experiment": "deloc", "n": 16, "trials": 1, "eps": float("nan")},
+        {"experiment": "deloc", "n": 16, "trials": 1, "eps": float("-inf")},
+        {"experiment": "covariance", "n": 20, "p": 10, "trials": 1, "eta_multiple": float("nan")},
+        {"experiment": "covariance", "n": 20, "p": 10, "trials": 1, "eta_multiple": float("inf")},
+    ]
+    for raw in nonfinite:
+        bad_number = tmp_path / "bad_number.json"
+        bad_number.write_text(json.dumps(raw))
+        assert cli_main([raw["experiment"], "--config", str(bad_number), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / raw["experiment"]).exists()
+    # the tail's trial minimum applies with and without a config file
+    assert cli_main(["tail", "--trials", "99", "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "tail").exists()
 
 
 def test_cli_deloc_n_one_exit_two(tmp_path, capsys):
@@ -384,6 +423,19 @@ def test_cli_default_tail_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "tail").exists()
+
+
+def test_cli_tail_trials_flag_meets_minimum(tmp_path, capsys):
+    # flags are applied before the one validation, so --trials replaces a count below the minimum
+    assert cli_main(["tail", "--trials", "100", "--n", "20", "--out", str(tmp_path), "--label", "flags"]) == 0
+    cfg = tmp_path / "tail.json"
+    cfg.write_text(json.dumps({"experiment": "tail", "n": 20, "trials": 5}))
+    assert cli_main(["tail", "--config", str(cfg), "--trials", "100", "--out", str(tmp_path), "--label", "file"]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "tail" / "flags" / "records.csv").exists()
+    assert (tmp_path / "tail" / "file" / "records.csv").read_bytes() == (
+        tmp_path / "tail" / "flags" / "records.csv"
+    ).read_bytes()
 
 
 def test_cli_assert_failure_exit_three(tmp_path, capsys):

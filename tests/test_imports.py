@@ -51,6 +51,9 @@ def test_rademacher_runs_leave_scipy_unloaded(tmp_path):
         dict(experiment="identities", trials=8),
         dict(experiment="covariance", n=60, p=30, trials=2, scales=[10.0, 20.0]),
         dict(experiment="tail", n=20, trials=200, statistic="quadratic", envelopes=["hw", "esy1"]),
+        # three blocks of draws, so both pool workers compute blocks under the BLAS pin
+        dict(experiment="tail", n=20, trials=600, statistic="quadratic"),
+        dict(experiment="tail", n=20, d=8, trials=600, statistic="projection"),
     ]
     code = (
         _BLOCK_SCIPY

@@ -1,7 +1,14 @@
 import os
 import statistics
+import warnings
 
-from rmtlab.seeds import MASK64, derive_seed, map_trials, splitmix64
+import numpy as np
+import pytest
+
+from rmtlab import seeds
+from rmtlab.concentration import empirical_tail
+from rmtlab.ensembles import DistSpec
+from rmtlab.seeds import MASK64, derive_seed, map_trials, one_blas_thread, splitmix64
 
 
 def test_splitmix64_reference_stream():
@@ -62,3 +69,37 @@ def test_map_trials_single_worker_runs_in_process():
 
     assert map_trials(record, range(4), workers=1) == [(os.getpid(), j * j) for j in range(4)]
     assert seen == [0, 1, 2, 3]
+
+
+def test_one_blas_thread_sets_and_restores():
+    calls = seeds._find_openblas()
+    if calls is None:
+        pytest.skip("numpy is not built on its bundled OpenBLAS")
+    get, set_threads = calls
+    original = get()
+    set_threads(3)  # a count other than 1 even on a one-core machine
+    try:
+        with one_blas_thread():
+            assert get() == 1
+        assert get() == 3
+        a = np.diag(np.linspace(-1.0, 1.0, 8))
+        empirical_tail("quadratic", DistSpec("rademacher"), np.array([0.0, 1.0]), 300, 0, matrix=a)
+        assert get() == 3
+    finally:
+        set_threads(original)
+
+
+def test_one_blas_thread_without_openblas_warns_once_and_runs(monkeypatch):
+    monkeypatch.setattr(seeds, "_find_openblas", lambda: None)
+    seeds._openblas_threads.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with one_blas_thread():
+                pass
+            a = np.diag(np.linspace(-1.0, 1.0, 8))
+            tail = empirical_tail("quadratic", DistSpec("rademacher"), np.array([0.0, 1.0]), 600, 0, matrix=a)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert tail.survival[0] == 1.0
+    finally:
+        seeds._openblas_threads.cache_clear()
