@@ -25,7 +25,19 @@ from .ensembles import DistSpec, ParameterError, sample_vector
 from .seeds import derive_seed, map_trials, one_blas_thread
 from .spectral import ContractError
 
-ENVELOPE_KINDS = ("projection", "vw1", "vw2", "subexp", "hw", "hkz", "esy1", "esy2")
+#: the TailEnvelope fields each kind reads besides C, Cprime and K.  The
+#: quadratic-form kinds all read ||A||_F; the projection kind reads no matrix.
+ENVELOPE_INPUTS = {
+    "projection": (),
+    "vw1": ("frobenius", "spectral", "n"),
+    "vw2": ("frobenius", "spectral", "n", "n_eps1"),
+    "subexp": ("frobenius", "spectral", "n", "alpha"),
+    "hw": ("frobenius", "spectral_abs"),
+    "hkz": ("frobenius", "spectral"),
+    "esy1": ("frobenius",),
+    "esy2": ("frobenius", "alpha"),
+}
+ENVELOPE_KINDS = tuple(ENVELOPE_INPUTS)
 TAIL_BLOCK = 256  # draws per matrix product in empirical_tail
 TAIL_MIN_TRIALS = 100  # fewest draws empirical_tail accepts
 
@@ -132,7 +144,9 @@ class TailEnvelope:
     The unspecified absolute constants default to C = Cprime = 1.  ``K`` is
     the boundedness/concentration parameter; ``frobenius``, ``spectral`` and
     ``spectral_abs`` are ||A||_F, ||A||_2 and ||B||_2 with B = (|a_ij|);
-    ``n_eps1`` is the additive n*eps1 term of the truncated-variable bound.
+    ``n_eps1`` is eps1 = P(|xi| > K) of the truncated-variable bound, which
+    ``vw2`` adds as n * eps1.  ``ENVELOPE_INPUTS`` names the fields each kind
+    reads; a call raises ParameterError when one of them is None.
     """
 
     kind: str
@@ -152,54 +166,42 @@ class TailEnvelope:
         if self.C <= 0 or self.Cprime <= 0 or self.K <= 0:
             raise ParameterError("envelope constants must be positive")
 
-    def _need(self, **fields) -> None:
-        for name, value in fields.items():
-            if value is None:
-                raise ParameterError(f"envelope kind {self.kind!r} requires {name}")
-
     def __call__(self, t: float) -> float:
-        return tail_envelope_eval(self, t)
-
-
-def tail_envelope_eval(env: TailEnvelope, t: float) -> float:
-    """Value of the closed-form bound at t >= 0 (not clipped at 1)."""
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    C, Cp, K = env.C, env.Cprime, env.K
-    F, S = env.frobenius, env.spectral
-    if env.kind == "projection":
-        return C * math.exp(-Cp * t * t / (K * K))
-    if env.kind in ("vw1", "vw2"):
-        env._need(frobenius=F, spectral=S, n=env.n)
-        logn = math.log(env.n)
-        expo = min(t * t / (F * F * logn), t / S) if t > 0 else 0.0
-        base = C * logn * math.exp(-Cp * expo / (K * K))
-        return base + (env.n * env.n_eps1 if env.kind == "vw2" else 0.0)
-    if env.kind == "subexp":
-        env._need(frobenius=F, spectral=S, n=env.n, alpha=env.alpha)
-        if t == 0:
-            return C
-        logn = math.log(env.n)
-        al = env.alpha
-        expo = min(
-            (t / (F * math.sqrt(logn))) ** (1.0 / (al + 0.5)),
-            (t / S) ** (1.0 / (2.0 * al + 1.0)),
-        )
-        return C * math.exp(-Cp * expo)
-    if env.kind == "hw":
-        env._need(frobenius=F, spectral_abs=env.spectral_abs)
-        expo = min(t * t / (F * F), t / env.spectral_abs)
-        return C * math.exp(-Cp * expo)
-    if env.kind == "hkz":
-        env._need(frobenius=F, spectral=S)
-        expo = min(t * t / (F * F), t / S)
-        return C * math.exp(-Cp * expo)
-    if env.kind == "esy1":
-        env._need(frobenius=F)
-        return C * math.exp(-Cp * t / F)
-    # esy2
-    env._need(frobenius=F, alpha=env.alpha)
-    return C * math.exp(-Cp * (t / F) ** (1.0 / (2.0 + 2.0 * env.alpha)))
+        """Value of the closed-form bound at t >= 0 (not clipped at 1)."""
+        if t < 0:
+            raise ParameterError("t must be nonnegative")
+        for name in ENVELOPE_INPUTS[self.kind]:
+            if getattr(self, name) is None:
+                raise ParameterError(f"envelope kind {self.kind!r} requires {name}")
+        C, Cp, K = self.C, self.Cprime, self.K
+        F, S = self.frobenius, self.spectral
+        if self.kind == "projection":
+            return C * math.exp(-Cp * t * t / (K * K))
+        if self.kind in ("vw1", "vw2"):
+            logn = math.log(self.n)
+            expo = min(t * t / (F * F * logn), t / S) if t > 0 else 0.0
+            base = C * logn * math.exp(-Cp * expo / (K * K))
+            return base + (self.n * self.n_eps1 if self.kind == "vw2" else 0.0)
+        if self.kind == "subexp":
+            if t == 0:
+                return C
+            logn = math.log(self.n)
+            al = self.alpha
+            expo = min(
+                (t / (F * math.sqrt(logn))) ** (1.0 / (al + 0.5)),
+                (t / S) ** (1.0 / (2.0 * al + 1.0)),
+            )
+            return C * math.exp(-Cp * expo)
+        if self.kind == "hw":
+            expo = min(t * t / (F * F), t / self.spectral_abs)
+            return C * math.exp(-Cp * expo)
+        if self.kind == "hkz":
+            expo = min(t * t / (F * F), t / S)
+            return C * math.exp(-Cp * expo)
+        if self.kind == "esy1":
+            return C * math.exp(-Cp * t / F)
+        # esy2
+        return C * math.exp(-Cp * (t / F) ** (1.0 / (2.0 + 2.0 * self.alpha)))
 
 
 def lemma_projection_envelope(K: float) -> TailEnvelope:
@@ -306,6 +308,7 @@ def empirical_tail(
 
 
 __all__ = [
+    "ENVELOPE_INPUTS",
     "ENVELOPE_KINDS",
     "EmpiricalTail",
     "TailEnvelope",
@@ -318,6 +321,5 @@ __all__ = [
     "projection_deviation",
     "psd_split",
     "quadratic_deviation",
-    "tail_envelope_eval",
     "weighted_projection",
 ]

@@ -13,9 +13,10 @@ Sampling is a pure function of (spec, size, seed): identical arguments give
 bit-identical output on every platform and under any parallel schedule.
 
 ``scipy.special`` is imported only inside the functions that use it: the
-subexp scale and fourth moment (``gamma``) and the Gaussian truncation
-moments (``erf``/``erfc``).  ``math.gamma`` and ``math.erf`` are not used in
-their place: they differ from scipy in the last bit for most arguments.
+subexp scale and fourth moment (``gamma``), the Gaussian truncation moments
+(``erf``/``erfc``) and the subexp truncation moments (``gammainc``).
+``math.gamma`` and ``math.erf`` are not used in their place: they differ from
+scipy in the last bit for most arguments.
 """
 
 from __future__ import annotations
@@ -42,22 +43,18 @@ class ParameterError(ValueError):
 class DistSpec:
     """Declarative description of a mean-0 variance-1 entry distribution.
 
-    ``alpha`` is the sub-exponential exponent; ``a`` and ``b`` are the tail
-    constants in P(|xi| >= t**alpha) <= a*exp(-b*t).  They parametrize tail
-    envelopes only, not the sampler.
+    ``alpha`` is the sub-exponential exponent.  It fixes the tail exactly:
+    P(|xi| >= t**alpha) = exp(-c**(1/alpha) t) with c = ``subexp_scale``.
     """
 
     kind: str
     alpha: float = 1.0
-    a: float = 1.0
-    b: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "subexp":
-            if self.alpha <= 0 or self.a <= 0 or self.b <= 0:
-                raise ParameterError("subexp requires alpha, a, b > 0")
+        if self.kind == "subexp" and self.alpha <= 0:
+            raise ParameterError("subexp requires alpha > 0")
 
     @property
     def bound(self) -> float:
@@ -91,14 +88,14 @@ class DistSpec:
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
         if self.kind == "subexp":
-            d.update(alpha=self.alpha, a=self.a, b=self.b)
+            d["alpha"] = self.alpha
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "DistSpec":
         if not isinstance(d, dict) or "kind" not in d:
             raise ParameterError("distribution spec must be a dict with a 'kind'")
-        allowed = {"kind", "alpha", "a", "b"}
+        allowed = {"kind", "alpha"}
         extra = set(d) - allowed
         if extra:
             raise ParameterError(f"unknown distribution fields {sorted(extra)}")
@@ -190,65 +187,31 @@ class TruncationReport:
         object.__setattr__(self, "eps3", abs(self.sigma2 - 1.0))
 
 
-def _density(dist: DistSpec, x: np.ndarray) -> np.ndarray:
-    """Density of the continuous kinds (undefined for rademacher)."""
-    if dist.kind == "gaussian":
-        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    if dist.kind == "bounded_uniform":
-        return np.where(np.abs(x) <= UNIFORM_BOUND, 1.0 / (2.0 * UNIFORM_BOUND), 0.0)
-    if dist.kind == "subexp":
-        c = dist.subexp_scale
-        a = dist.alpha
-        ax = np.abs(x)
-        out = np.zeros_like(ax)
-        pos = ax > 0
-        t = (c * ax[pos]) ** (1.0 / a)
-        # half of the |.| density on each side
-        out[pos] = 0.5 * np.exp(-t) * t / (a * ax[pos])
-        return out
-    raise ParameterError(f"no density for kind {dist.kind!r}")
+def truncation_stats(dist: DistSpec, K: float) -> TruncationReport:
+    """Moments of the truncated variable xi * 1_{|xi| <= K}, in closed form.
 
-
-def truncation_stats(dist: DistSpec, K: float, quad_points: int = 2001) -> TruncationReport:
-    """Moments of the truncated variable xi * 1_{|xi| <= K}.
-
-    Closed forms for rademacher and gaussian; Gauss-Legendre quadrature on
-    [-K, K] with ``quad_points`` nodes otherwise.
+    Every kind is symmetric, so the truncated mean vanishes.
     """
     if K <= 1:
         raise ParameterError("truncation level K must exceed 1")
     if dist.kind == "rademacher":
         return TruncationReport(K=K, eps1=0.0, mu=0.0, sigma2=1.0)
-    if dist.kind == "gaussian":
-        from scipy import special
+    if dist.kind == "bounded_uniform":
+        # kept = P(|xi| <= K); E[xi^2; |xi| <= K] = min(K, sqrt 3)^3 / (3 sqrt 3) = kept^3
+        kept = min(K / UNIFORM_BOUND, 1.0)
+        return TruncationReport(K=K, eps1=1.0 - kept, mu=0.0, sigma2=kept**3)
+    from scipy import special
 
+    if dist.kind == "gaussian":
         eps1 = special.erfc(K / math.sqrt(2.0))
         # int_{-K}^{K} x^2 phi(x) dx = erf(K/sqrt 2) - 2 K phi(K)
         phi_k = math.exp(-0.5 * K * K) / math.sqrt(2.0 * math.pi)
         sigma2 = special.erf(K / math.sqrt(2.0)) - 2.0 * K * phi_k
         return TruncationReport(K=K, eps1=eps1, mu=0.0, sigma2=sigma2)
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    if dist.kind == "bounded_uniform":
-        # restrict to the support so the density is smooth on the nodes
-        half = min(K, UNIFORM_BOUND)
-        x = nodes * half
-        w = weights * half
-        f = _density(dist, x)
-        mass = float(np.sum(w * f))
-        mu = float(np.sum(w * x * f))
-        m2 = float(np.sum(w * x * x * f))
-        eps1 = max(0.0, 1.0 - mass)
-        return TruncationReport(K=K, eps1=eps1, mu=mu, sigma2=m2 - mu * mu)
-    # subexp: substitute u = (c|x|)^(1/alpha); |x| <= K becomes u <= T and the
-    # integrand u^(2 alpha) e^-u is smooth, so the nodes are spent well
-    c = dist.subexp_scale
-    T = (c * K) ** (1.0 / dist.alpha)
-    u = (nodes + 1.0) * (T / 2.0)
-    w = weights * (T / 2.0)
-    eps1 = math.exp(-T)
-    m2 = float(np.sum(w * u ** (2.0 * dist.alpha) * np.exp(-u))) / c**2
-    # symmetric law: the truncated mean vanishes identically
-    return TruncationReport(K=K, eps1=eps1, mu=0.0, sigma2=m2)
+    # subexp: |xi| <= K is E <= T with E ~ Exp(1), and E[E^(2 alpha); E <= T] / c^2 = P(1 + 2 alpha, T)
+    T = (dist.subexp_scale * K) ** (1.0 / dist.alpha)
+    sigma2 = float(special.gammainc(1.0 + 2.0 * dist.alpha, T))
+    return TruncationReport(K=K, eps1=math.exp(-T), mu=0.0, sigma2=sigma2)
 
 
 def standardize_truncated(x: np.ndarray, report: TruncationReport) -> np.ndarray:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .concentration import (
+    ENVELOPE_INPUTS,
     ENVELOPE_KINDS,
     TAIL_MIN_TRIALS,
     TailEnvelope,
@@ -72,7 +73,9 @@ class ExperimentConfig:
     ``trials`` instances with sizes cycling over [3, 16]), 5 trials,
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
     log n / n, single worker.  Counts, n_grid entries and base_seed must be
-    ints (not bools), base_seed below 2^64, and envelopes known kinds.
+    ints (not bools), base_seed below 2^64, and envelopes known kinds that
+    fit the statistic: ``projection`` for the projection statistic, the
+    quadratic-form kinds (those that read ||A||_F) for the quadratic one.
     delta, eps, eta_multiple and the scales are finite positive numbers (not
     bools), and a given t_grid is a nonempty ascending list of finite
     nonnegative numbers.  A tail run needs at least TAIL_MIN_TRIALS trials,
@@ -93,7 +96,6 @@ class ExperimentConfig:
     t_grid: list[float] | None = None
     envelopes: list[str] = field(default_factory=list)
     statistic: str = "quadratic"
-    matrix: str = "gaussian_symmetric"
     d: int = 64
     workers: int = 1
     out_dir: str = "out"
@@ -144,8 +146,10 @@ class ExperimentConfig:
             raise ConfigError("envelopes must not repeat: each names one records.csv column")
         if self.statistic not in ("quadratic", "projection"):
             raise ConfigError("statistic must be 'quadratic' or 'projection'")
-        if self.matrix not in ("identity", "gaussian_symmetric"):
-            raise ConfigError("matrix must be 'identity' or 'gaussian_symmetric'")
+        quadratic = self.statistic == "quadratic"
+        unfit = [kind for kind in self.envelopes if ("frobenius" in ENVELOPE_INPUTS[kind]) != quadratic]
+        if unfit:
+            raise ConfigError(f"envelope kinds {unfit} do not bound the {self.statistic} statistic")
         if not 0 <= self.base_seed <= MASK64:
             raise ConfigError("base_seed must be a nonnegative 64-bit integer")
 
@@ -243,22 +247,15 @@ def _write_outputs(report: ExperimentReport, out_root: Path) -> Path:
 # --- tail experiment --------------------------------------------------------
 
 
-def _tail_matrix(cfg: ExperimentConfig) -> np.ndarray:
-    if cfg.matrix == "identity":
-        return np.eye(cfg.n)
-    rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.base_seed, 1 << 48)))
-    g = rng.standard_normal((cfg.n, cfg.n))
-    return (g + g.T) / math.sqrt(2.0)
-
 def _run_tail(cfg: ExperimentConfig):
+    frame = matrix = None
     if cfg.statistic == "projection":
-        basis = np.eye(cfg.n)[:, : cfg.d]
-        frame = WeightedFrame(basis=basis, weights=np.ones(cfg.d))
-        matrix = None
-        frob = math.sqrt(cfg.d)  # unused by the projection envelope
+        frame = WeightedFrame(basis=np.eye(cfg.n)[:, : cfg.d], weights=np.ones(cfg.d))
+        frob = math.sqrt(cfg.d)  # scales the default t-grid; the projection envelope reads no norm
     else:
-        frame = None
-        matrix = _tail_matrix(cfg)
+        rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.base_seed, 1 << 48)))
+        g = rng.standard_normal((cfg.n, cfg.n))
+        matrix = (g + g.T) / math.sqrt(2.0)
         frob = float(np.linalg.norm(matrix))
     t_grid = cfg.t_grid or list(np.linspace(0.0, 8.0 * max(1.0, frob), 33))
     k = cfg.dist.bound if math.isfinite(cfg.dist.bound) else 1.0
@@ -272,20 +269,14 @@ def _run_tail(cfg: ExperimentConfig):
         matrix=matrix,
         workers=cfg.workers,
     )
+    inputs = dict(K=k, n=cfg.n, frobenius=frob, alpha=cfg.dist.alpha)
     # spectral norms cost an SVD each: taken only for an envelope that reads them
-    spec = babs = frob
-    if matrix is not None:
-        reads_spec = bool({"vw1", "vw2", "subexp", "hkz"} & set(cfg.envelopes))
-        spec = float(np.linalg.norm(matrix, 2)) if reads_spec else None
-        babs = float(np.linalg.norm(np.abs(matrix), 2)) if "hw" in cfg.envelopes else None
-    envs = {}
-    for kind in cfg.envelopes:
-        kwargs = dict(kind=kind, K=k, n=cfg.n, frobenius=frob, spectral=spec)
-        if kind == "hw":
-            kwargs["spectral_abs"] = babs
-        if kind in ("subexp", "esy2"):
-            kwargs["alpha"] = cfg.dist.alpha
-        envs[kind] = TailEnvelope(**kwargs)
+    reads = {name for kind in cfg.envelopes for name in ENVELOPE_INPUTS[kind]}
+    if "spectral" in reads:
+        inputs["spectral"] = float(np.linalg.norm(matrix, 2))
+    if "spectral_abs" in reads:
+        inputs["spectral_abs"] = float(np.linalg.norm(np.abs(matrix), 2))
+    envs = {kind: TailEnvelope(kind=kind, **inputs) for kind in cfg.envelopes}
     records = {
         "t": tail.t_grid,
         "survival": tail.survival,

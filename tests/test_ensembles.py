@@ -126,20 +126,26 @@ def test_truncation_gaussian_large_K_limit():
 
 
 def test_truncation_subexp_matches_incomplete_gamma():
-    for alpha in (0.5, 1.0, 2.0):
-        dist = DistSpec("subexp", alpha=alpha)
-        r = truncation_stats(dist, 4.0)
-        c = math.sqrt(special.gamma(1 + 2 * alpha))
-        T = (c * 4.0) ** (1 / alpha)
-        assert r.eps1 == pytest.approx(math.exp(-T), rel=1e-10)
-        assert r.sigma2 == pytest.approx(special.gammainc(1 + 2 * alpha, T), rel=1e-9)
+    # small alpha makes T = (cK)^(1/alpha) huge, and the mass of u^(2 alpha) e^-u sits on a sliver of [0, T]
+    for alpha in (0.1, 0.2, 0.25, 0.5, 1.0, 2.0):
+        for K in (4.0, 10.0, 30.0):
+            dist = DistSpec("subexp", alpha=alpha)
+            r = truncation_stats(dist, K)
+            c = math.sqrt(special.gamma(1 + 2 * alpha))
+            T = (c * K) ** (1 / alpha)
+            assert r.eps1 == pytest.approx(math.exp(-T), rel=1e-10)
+            assert r.sigma2 == pytest.approx(special.gammainc(1 + 2 * alpha, T), rel=1e-9)
 
 
 def test_truncation_uniform_closed_form():
     r = truncation_stats(DistSpec("bounded_uniform"), 1.5)
     assert r.eps1 == pytest.approx(1 - 1.5 / UNIFORM_BOUND, rel=1e-10)
-    # Var of U[-s,s] truncated at K: second moment K^2/3 * (K/s) mass-normalized
+    # second moment of U[-s,s] kept on [-K, K]: K^3 / (3 s) = (K/s)^3 for s = sqrt 3
+    assert r.sigma2 == pytest.approx((1.5 / UNIFORM_BOUND) ** 3, rel=1e-12)
     assert r.mu == pytest.approx(0.0, abs=1e-14)
+    for K in (UNIFORM_BOUND, 2.0, 30.0):
+        r = truncation_stats(DistSpec("bounded_uniform"), K)
+        assert (r.eps1, r.mu, r.sigma2) == (0.0, 0.0, 1.0)
 
 
 def test_truncation_requires_K_above_one():

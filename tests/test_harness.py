@@ -43,7 +43,7 @@ def test_config_defaults():
 def test_config_round_trip():
     cfg = _cfg(
         experiment="localscan",
-        dist={"kind": "subexp", "alpha": 0.5, "a": 2.0, "b": 1.0},
+        dist={"kind": "subexp", "alpha": 0.5},
         n=500,
         trials=3,
         scales=[1.0, 5.0],
@@ -73,6 +73,8 @@ def test_config_validation_errors():
         {"experiment": "tail", "statistic": "cubic"},
         {"experiment": "tail", "envelopes": ["hw", "esy1", "hw"]},
         {"experiment": "tail", "matrix": "hilbert"},
+        {"experiment": "tail", "trials": 100, "statistic": "projection", "envelopes": ["hkz", "vw1"]},
+        {"experiment": "tail", "trials": 100, "statistic": "quadratic", "envelopes": ["hw", "projection"]},
         {"experiment": "tail", "base_seed": -1},
         {"experiment": "covariance", "p": 0},
         {"experiment": "covariance", "n": 1},
@@ -406,6 +408,11 @@ def test_cli_config_error_exit_two(tmp_path):
         bad_number.write_text(json.dumps(raw))
         assert cli_main([raw["experiment"], "--config", str(bad_number), "--out", str(tmp_path)]) == 2
         assert not (tmp_path / raw["experiment"]).exists()
+    # an envelope that does not bound the statistic fails at load, before any draw
+    unfit = tmp_path / "unfit.json"
+    unfit.write_text(json.dumps({"experiment": "tail", "trials": 100, "statistic": "projection", "envelopes": ["hkz"]}))
+    assert cli_main(["tail", "--config", str(unfit), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "tail").exists()
     # the tail's trial minimum applies with and without a config file
     assert cli_main(["tail", "--trials", "99", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "tail").exists()

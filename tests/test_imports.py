@@ -75,7 +75,7 @@ print({_SCIPY_LOADED})
             experiment="tail",
             n=20,
             trials=200,
-            dist={"kind": "subexp", "alpha": 0.5, "a": 2.0, "b": 1.0},
+            dist={"kind": "subexp", "alpha": 0.5},
             envelopes=["subexp", "vw2"],
         ),
     ],

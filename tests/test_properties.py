@@ -128,9 +128,13 @@ def test_envelopes_monotone(kind, t1, t2):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.floats(1.0 + 1e-6, 30.0), st.sampled_from(["gaussian", "bounded_uniform"]))
-def test_truncation_stats_ranges(K, kind):
-    r = truncation_stats(DistSpec(kind), K)
+@given(
+    st.floats(1.0 + 1e-6, 30.0),
+    st.sampled_from(["gaussian", "bounded_uniform", "subexp"]),
+    st.floats(0.1, 3.0),
+)
+def test_truncation_stats_ranges(K, kind, alpha):
+    r = truncation_stats(DistSpec(kind, alpha=alpha), K)
     assert 0.0 <= r.eps1 <= 1.0
     assert 0.0 <= r.sigma2 <= 1.0 + 1e-9
     assert r.eps2 == abs(r.mu)
