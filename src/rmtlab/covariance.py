@@ -1,4 +1,4 @@
-"""Sample covariance matrices: singular triplets, Schur terms, identities.
+"""Sample covariance matrices: singular triplets, Schur residual, identities.
 
 Conventions for a p x n factor M (p <= n): W = M* M / n carries the
 Marchenko-Pastur spectrum on its top p eigenvalues, the compact Gram matrix
@@ -13,7 +13,7 @@ being several times cheaper than the SVD of M for p well below n.
 the route of ``singular_identities``, which takes the triplets of M and
 returns the entry and interlacing identities over every index i from one SVD
 of the minor, through the minor-identity kernel of ``rmtlab.delocalization``.
-The covariance Schur expansion is the Schur kernel of ``rmtlab.locallaw``
+The covariance Schur residual is the Schur kernel of ``rmtlab.locallaw``
 applied to the Gram matrix MM*/n.
 """
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .delocalization import _minor_identity
 from .ensembles import ParameterError, form_gram
-from .locallaw import _check_z, _schur_parts, _schur_residual
+from .locallaw import _check_z, _schur_residual
 from .spectral import ContractError, _pv_quad, mp_edges, rho_mp
 
 
@@ -74,30 +74,6 @@ def _thin_svd(m: np.ndarray) -> SingularTriplets:
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # numpy returns descending; flip to ascending
     return SingularTriplets(sigma=s[::-1], left=u[:, ::-1], right=vh[::-1].T.conj())
-
-
-@dataclass(frozen=True)
-class CovSchurTerms:
-    """Index-k terms of the covariance diagonal resolvent expansion.
-
-    The expansion reads s(z) = (1/p) sum_k 1/(xi_kk - z - Y_k) for the
-    Stieltjes transform of MM*/n, with xi_kk = ||X_k||^2/n for the k-th row
-    X_k of M, a_k = M_minor X_k / n, and Y_k = a_k* (W_minor - z)^-1 a_k.
-    """
-
-    k: int
-    xi_kk: float
-    yk: complex
-    s_minor: complex
-    expected_yk: complex  # ((p-1)/n) * (1 + z * s_minor)
-
-
-def covariance_schur_terms(m: np.ndarray, z: complex, k: int) -> CovSchurTerms:
-    z = _check_z(z)
-    p, n = m.shape
-    xi_kk, yk, s_minor = _schur_parts(form_gram(m), z, k)
-    expected = ((p - 1) / n) * (1.0 + z * s_minor)
-    return CovSchurTerms(k=k, xi_kk=xi_kk, yk=yk, s_minor=s_minor, expected_yk=expected)
 
 
 def covariance_schur_residual(m: np.ndarray, z: complex, gram_eigs: np.ndarray) -> float:
@@ -212,11 +188,9 @@ def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1) -> dict:
 
 
 __all__ = [
-    "CovSchurTerms",
     "SingularTriplets",
     "classify_mp_region",
     "covariance_schur_residual",
-    "covariance_schur_terms",
     "gram_triplets",
     "mp_self_consistency_residual",
     "pv_mp",

@@ -25,8 +25,6 @@ import numpy as np
 
 from .spectral import ContractError, SpectralDecomposition, check_hermitian
 
-DEGENERACY_GAP = 1e-10
-
 
 def classify_region(lam, eps: float):
     """'bulk' for |lam| <= 2 - eps, 'edge' up to 2 + eps, 'outside' beyond; elementwise on arrays."""
@@ -39,15 +37,13 @@ def classify_region(lam, eps: float):
 def eigvec_inf_norms(decomp: SpectralDecomposition, n: int, seed: int, eps: float = 0.1) -> dict:
     """Delocalization columns, one row per eigenvalue of an n x n normalized Wigner matrix.
 
-    Columns n, seed (uint64), index, lambda, region, inf_norm, scaled_bulk,
-    scaled_edge and degenerate.  scaled_bulk = sqrt(n) * inf_norm / sqrt(log n)
-    and scaled_edge = sqrt(n) * inf_norm / log n are O(1) under the bulk and
-    edge bounds respectively.  ``degenerate`` flags eigenvalues whose gap to
-    a neighbor is below 1e-10 (any orthonormal eigenbasis is accepted there).
+    Columns n, seed (uint64), index, lambda, region, inf_norm, scaled_bulk
+    and scaled_edge.  scaled_bulk = sqrt(n) * inf_norm / sqrt(log n) and
+    scaled_edge = sqrt(n) * inf_norm / log n are O(1) under the bulk and edge
+    bounds respectively.
     """
     vals = np.asarray(decomp.eigenvalues)
     logn = math.log(n)
-    close = np.diff(vals) < DEGENERACY_GAP
     inf_norms = np.abs(decomp.eigenvectors).max(axis=0)
     return {
         "n": np.full(vals.size, n),
@@ -58,7 +54,6 @@ def eigvec_inf_norms(decomp: SpectralDecomposition, n: int, seed: int, eps: floa
         "inf_norm": inf_norms,
         "scaled_bulk": math.sqrt(n) * inf_norms / math.sqrt(logn),
         "scaled_edge": math.sqrt(n) * inf_norms / logn,
-        "degenerate": np.r_[False, close] | np.r_[close, False],
     }
 
 
@@ -135,7 +130,6 @@ def deloc_scaling_fit(records: dict) -> ScalingFit:
 
 
 __all__ = [
-    "DEGENERACY_GAP",
     "ScalingFit",
     "classify_region",
     "deloc_scaling_fit",

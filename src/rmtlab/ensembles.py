@@ -45,6 +45,8 @@ class DistSpec:
 
     ``alpha`` is the sub-exponential exponent.  It fixes the tail exactly:
     P(|xi| >= t**alpha) = exp(-c**(1/alpha) t) with c = ``subexp_scale``.
+    For subexp it must be a finite number > 0 (not a bool) whose scale c is
+    finite, which holds up to alpha ~ 85.
     """
 
     kind: str
@@ -53,8 +55,14 @@ class DistSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ParameterError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "subexp" and self.alpha <= 0:
-            raise ParameterError("subexp requires alpha > 0")
+        if self.kind != "subexp":
+            return
+        a = self.alpha
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not math.isfinite(a) or a <= 0:
+            raise ParameterError(f"subexp requires a finite alpha > 0, not {a!r}")
+        # Gamma(1 + 2 alpha) overflows past alpha ~ 85, and a draw divided by inf is 0
+        if not math.isfinite(self.subexp_scale):
+            raise ParameterError(f"subexp alpha {a!r} is too large: its scale sqrt(Gamma(1 + 2 alpha)) overflows")
 
     @property
     def bound(self) -> float:
@@ -153,14 +161,6 @@ def sample_rect(dist: DistSpec, p: int, n: int, seed: int) -> np.ndarray:
     return _draw(dist, (p, n), _rng(seed))
 
 
-def form_covariance(m: np.ndarray) -> np.ndarray:
-    """Sample covariance matrix W = M* M / n for a p x n factor M."""
-    p, n = m.shape
-    if p > n:
-        raise ParameterError("factor must have p <= n")
-    return np.conj(m).T @ m / n
-
-
 def form_gram(m: np.ndarray) -> np.ndarray:
     """Compact Gram matrix M M* / n (p x p); same nonzero spectrum as W."""
     _, n = m.shape
@@ -234,7 +234,6 @@ __all__ = [
     "TruncationReport",
     "UNIFORM_BOUND",
     "derive_seed",
-    "form_covariance",
     "form_gram",
     "sample_rect",
     "sample_vector",

@@ -79,7 +79,9 @@ class ExperimentConfig:
     delta, eps, eta_multiple and the scales are finite positive numbers (not
     bools), and a given t_grid is a nonempty ascending list of finite
     nonnegative numbers.  A tail run needs at least TAIL_MIN_TRIALS trials,
-    so the default 5 fails here, before the tail matrix is drawn.
+    so the default 5 fails here, before the tail matrix is drawn.  A label
+    is one plain path component: no '/' or '\\', and no leading '.', so it
+    can name neither the experiment directory nor the writer's temporaries.
     """
 
     experiment: str
@@ -152,6 +154,11 @@ class ExperimentConfig:
             raise ConfigError(f"envelope kinds {unfit} do not bound the {self.statistic} statistic")
         if not 0 <= self.base_seed <= MASK64:
             raise ConfigError("base_seed must be a nonnegative 64-bit integer")
+        label = self.label
+        if label is not None and (
+            not isinstance(label, str) or not label or label.startswith(".") or any(c in label for c in "/\\\0")
+        ):
+            raise ConfigError(f"label must be one plain path component, not starting with '.': {label!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -172,11 +179,6 @@ def read_config(path):
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
-
-
-def load_config(path) -> ExperimentConfig:
-    """Load a JSON config file, validating fields and rejecting unknown keys."""
-    return config_from_dict(read_config(path))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -321,9 +323,7 @@ def _run_localscan(cfg: ExperimentConfig):
 def _deloc_trial(args):
     dist, n, eps, trial, seed = args
     w = sample_wigner(dist, n, seed, normalize=True)
-    records = eigvec_inf_norms(eig_decompose(w), n, seed, eps)
-    del records["degenerate"]
-    return records
+    return eigvec_inf_norms(eig_decompose(w), n, seed, eps)
 
 
 def _run_deloc(cfg: ExperimentConfig):
@@ -525,7 +525,6 @@ __all__ = [
     "ExperimentReport",
     "config_from_dict",
     "derive_seed",
-    "load_config",
     "read_config",
     "run_experiment",
 ]

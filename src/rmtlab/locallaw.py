@@ -7,12 +7,13 @@ Schur-complement resolvent terms of the diagonal expansion of a Hermitian h,
 
 with a_k the k-th column of h without h_kk (the sign of the diagonal term
 is fixed by requiring the expansion to be an exact identity).  One private
-kernel serves both ensembles: the Wigner functions here pass h = M/sqrt(n),
-so h_kk = zeta_kk/sqrt(n), and ``rmtlab.covariance`` passes the Gram matrix
-h = MM*/n.  The two-route residuals take h's eigenvalues from the caller.
+kernel, ``_schur_residual``, serves both ensembles: the Wigner residual here
+passes h = M/sqrt(n), so h_kk = zeta_kk/sqrt(n), and ``rmtlab.covariance``
+passes the Gram matrix h = MM*/n.  The two-route residuals take h's
+eigenvalues from the caller.
 
-Also: self-consistent-equation residuals, sliding-window count deviation at
-a given interval scale, and the empirical threshold-scale scan.
+Also: sliding-window count deviation at a given interval scale, and the
+empirical threshold-scale scan.
 """
 
 from __future__ import annotations
@@ -35,44 +36,11 @@ from .spectral import (
 STRIDE_FRAC = 0.25  # window stride of the count scans, as a fraction of the window length
 
 
-@dataclass(frozen=True)
-class SchurTerms:
-    """Index-k terms of the diagonal resolvent expansion at a point z."""
-
-    k: int
-    diag: float  # zeta_kk / sqrt(n)
-    yk: complex
-    s_minor: complex  # Stieltjes transform of the k-th minor
-    expected_yk: complex  # (1 - 1/n) * s_minor
-
-
 def _check_z(z: complex) -> complex:
     z = complex(z)
     if z.imag <= 0:
         raise DomainError("Im z must be positive")
     return z
-
-
-def _minor_parts(h: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(minor, a_k, h_kk) of a Hermitian h: a_k is column k of h without h_kk."""
-    n = h.shape[0]
-    if not 0 <= k < n:
-        raise ContractError("index k out of range")
-    keep = np.arange(n) != k
-    return h[np.ix_(keep, keep)], h[keep, k], float(np.real(h[k, k]))
-
-
-def _schur_parts(h: np.ndarray, z: complex, k: int) -> tuple[float, complex, complex]:
-    """(h_kk, Y_k, s_minor) of a Hermitian h: Y_k = a_k* (minor - z)^-1 a_k by one solve.
-
-    s_minor is the minor's Stieltjes transform from its eigenvalues, 0 for an
-    empty minor.
-    """
-    z = _check_z(z)
-    minor, a_k, h_kk = _minor_parts(h, k)
-    yk = complex(np.conj(a_k) @ np.linalg.solve(minor - z * np.eye(a_k.size), a_k))
-    s_minor = complex(np.mean(1.0 / (np.linalg.eigvalsh(minor) - z))) if a_k.size else 0.0j
-    return h_kk, yk, s_minor
 
 
 def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray) -> float:
@@ -91,47 +59,9 @@ def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray) -> float:
     return abs(total / n - stieltjes_empirical(eigs, z))
 
 
-def schur_terms(m: np.ndarray, z: complex, k: int) -> SchurTerms:
-    """Y_k and companions for row/column k of the unnormalized matrix M (W = M/sqrt(n))."""
-    n = m.shape[0]
-    diag, yk, s_minor = _schur_parts(m / math.sqrt(n), z, k)
-    return SchurTerms(k=k, diag=diag, yk=yk, s_minor=s_minor, expected_yk=(1.0 - 1.0 / n) * s_minor)
-
-
 def schur_identity_residual(m: np.ndarray, z: complex, eigs: np.ndarray) -> float:
     """|two-route gap| of the diagonal expansion of W = M/sqrt(n): the k-sum versus s_n(z) of eigs(W)."""
     return _schur_residual(m / math.sqrt(m.shape[0]), z, eigs)
-
-
-def yk_r_decomposition(m: np.ndarray, z: complex, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Minor eigenvalues and overlap residuals R_j = |u_j* X_k|^2 - 1.
-
-    X_k = sqrt(n) a_k, so (1/n) sum_j R_j/(lambda_j - z) recombines to
-    Y_k - E(Y_k | minor).
-    """
-    z = _check_z(z)
-    n = m.shape[0]
-    w_minor, a_k, _ = _minor_parts(m / math.sqrt(n), k)
-    vals, vecs = np.linalg.eigh(w_minor)
-    x_k = math.sqrt(n) * a_k
-    r = np.abs(np.conj(vecs).T @ x_k) ** 2 - 1.0
-    return vals, r
-
-
-def yk_deviation(m: np.ndarray, z: complex, k: int) -> complex:
-    """Y_k - E(Y_k | minor) = (1/n) sum_j R_j / (lambda_j - z)."""
-    terms = schur_terms(m, z, k)
-    return terms.yk - terms.expected_yk
-
-
-def self_consistency_residual(eigs: np.ndarray, z: complex) -> float:
-    """|s_n(z) + 1/(z + s_n(z))|, the defining-equation residual."""
-    z = _check_z(z)
-    s = stieltjes_empirical(eigs, z)
-    denom = z + s
-    if denom == 0:
-        raise DomainError("z + s_n(z) vanishes")
-    return abs(s + 1.0 / denom)
 
 
 def _interval_mass(density, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -186,18 +116,6 @@ def law_deviation(eigs: np.ndarray, density, scale: float, bulk: tuple[float, fl
     names = "window_lo,window_hi,N_I,expected_mass,rel_dev"
     windows = np.rec.fromarrays([w_lo, w_hi, count, mass, rel], names=names)
     return LawDeviation(max_rel_dev=float(np.max(rel, initial=0.0)), windows=windows)
-
-
-def crude_count_check(eigs: np.ndarray, n: int, scale: float) -> float:
-    """max over windows of N_I / (n |I|) on [min eig, max eig]."""
-    if scale <= 0:
-        raise ParameterError("scale must be positive")
-    eigs = np.sort(np.asarray(eigs))
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    w_lo = _window_starts(lo - scale / 2.0, hi, scale / 4.0)
-    w_lo = w_lo[w_lo < hi]
-    count = np.searchsorted(eigs, w_lo + scale) - np.searchsorted(eigs, w_lo)
-    return int(count.max()) / (n * scale)
 
 
 @dataclass(frozen=True)
@@ -257,14 +175,8 @@ def threshold_scan(
 __all__ = [
     "STRIDE_FRAC",
     "LawDeviation",
-    "SchurTerms",
     "ThresholdEstimate",
-    "crude_count_check",
     "law_deviation",
     "schur_identity_residual",
-    "schur_terms",
-    "self_consistency_residual",
     "threshold_scan",
-    "yk_deviation",
-    "yk_r_decomposition",
 ]

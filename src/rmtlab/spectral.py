@@ -1,4 +1,4 @@
-"""Spectra, limiting densities, Stieltjes transforms, and gap statistics.
+"""Spectra, limiting densities, Stieltjes transforms, and principal values.
 
 Branch handling: both closed-form Stieltjes transforms are evaluated as
 products of principal square roots of the linear factors at the support
@@ -50,16 +50,6 @@ def eig_decompose(w: np.ndarray) -> SpectralDecomposition:
     check_hermitian(w)
     vals, vecs = np.linalg.eigh(w)
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
-
-
-def count_interval(eigs: np.ndarray, lo: float, hi: float) -> int:
-    """Number of eigenvalues in the half-open interval [lo, hi)."""
-    eigs = np.asarray(eigs)
-    if np.any(np.diff(eigs) < 0):
-        raise ContractError("eigenvalues must be sorted ascending")
-    if not lo < hi:
-        raise ContractError("interval needs lo < hi")
-    return int(np.searchsorted(eigs, hi, side="left") - np.searchsorted(eigs, lo, side="left"))
 
 
 def rho_sc(x):
@@ -213,29 +203,6 @@ def pv_semicircle_numeric(lam: float, excision: float = 1e-6) -> float:
     return _pv_quad(lambda x: rho_sc(x) / (x - lam), lam, (-2.0, 2.0), excision, 1e-12)
 
 
-def max_gap(eigs: np.ndarray, lo: float, hi: float) -> float:
-    """Largest consecutive spacing among eigenvalues inside [lo, hi)."""
-    eigs = np.asarray(eigs)
-    if np.any(np.diff(eigs) < 0):
-        raise ContractError("eigenvalues must be sorted ascending")
-    inside = eigs[(eigs >= lo) & (eigs < hi)]
-    if inside.size < 2:
-        raise ContractError("need at least 2 eigenvalues in the region")
-    return float(np.max(np.diff(inside)))
-
-
-def semicircle_quantiles(n: int, grid: int = 200_001) -> np.ndarray:
-    """n points at semicircle quantiles (i - 1/2)/n; a deterministic atom set.
-
-    Inverts the closed-form CDF by monotone interpolation on a dense grid;
-    good to ~1e-9 at the default resolution.
-    """
-    xs = np.linspace(-2.0, 2.0, grid)
-    cdf = _sc_antiderivative(xs) + 0.5
-    qs = (np.arange(n) + 0.5) / n
-    return np.interp(qs, cdf, xs)
-
-
 def ks_distance(eigs: np.ndarray, cdf) -> float:
     """Kolmogorov-Smirnov distance between an ESD and a reference CDF."""
     eigs = np.sort(np.asarray(eigs))
@@ -251,10 +218,8 @@ __all__ = [
     "DomainError",
     "SpectralDecomposition",
     "check_hermitian",
-    "count_interval",
     "eig_decompose",
     "ks_distance",
-    "max_gap",
     "mp_edges",
     "mp_interval_mass",
     "pv_semicircle",
@@ -262,7 +227,6 @@ __all__ = [
     "rho_mp",
     "rho_sc",
     "sc_interval_mass",
-    "semicircle_quantiles",
     "stieltjes_empirical",
     "stieltjes_mp",
     "stieltjes_sc",

@@ -6,7 +6,6 @@ import pytest
 from rmtlab.covariance import (
     classify_mp_region,
     covariance_schur_residual,
-    covariance_schur_terms,
     gram_triplets,
     mp_self_consistency_residual,
     pv_mp,
@@ -58,33 +57,12 @@ def test_sigma_lambda_bridge():
     np.testing.assert_allclose(trip.sigma, np.sqrt(n * lam), atol=1e-10)
 
 
-@pytest.mark.filterwarnings("error")
-def test_covariance_schur_terms_p1_degenerate():
-    m = _factor(1, 6, 2)
-    z = 0.5 + 0.5j
-    t = covariance_schur_terms(m, z, 0)
-    assert t.yk == 0.0j and t.s_minor == 0.0j
-    # with p = 1: s(z) = 1/(xi_11 - z) exactly
-    gram = form_gram(m)
-    assert 1.0 / (t.xi_kk - z) == pytest.approx(1.0 / (gram[0, 0] - z), abs=1e-14)
-
-
-def test_covariance_schur_terms_fields():
-    m = _factor(6, 11, 3)
-    z = 1.0 + 0.4j
-    t = covariance_schur_terms(m, z, 2)
-    assert t.xi_kk == pytest.approx(float(np.sum(m[2] ** 2)) / 11)
-    assert t.expected_yk == pytest.approx((5 / 11) * (1.0 + z * t.s_minor), abs=1e-14)
-    with pytest.raises(DomainError):
-        covariance_schur_terms(m, 1.0 - 0.1j, 0)
-    with pytest.raises(ContractError):
-        covariance_schur_terms(m, z, 6)
-
-
 def test_covariance_schur_identity_exact():
     for p, n, seed in [(2, 3, 4), (6, 10, 5), (9, 9, 6)]:
         m = _factor(p, n, seed)
         assert covariance_schur_residual(m, 0.8 + 0.6j, np.linalg.eigvalsh(form_gram(m))) < 1e-11
+    with pytest.raises(DomainError):
+        covariance_schur_residual(m, 0.8 - 0.6j, np.linalg.eigvalsh(form_gram(m)))
 
 
 def test_mp_self_consistency_on_wishart():

@@ -40,19 +40,14 @@ def test_eigvec_records_basic():
     n = 64
     w = sample_wigner(DistSpec("gaussian"), n, 0)
     recs = eigvec_inf_norms(eig_decompose(w), n, 0)
+    # exactly the deloc CSV columns, in CSV order
+    assert list(recs) == ["n", "seed", "index", "lambda", "region", "inf_norm", "scaled_bulk", "scaled_edge"]
     assert all(column.shape == (n,) for column in recs.values())
     inf_norm = recs["inf_norm"]
     assert np.all((1.0 / math.sqrt(n) - 1e-12 <= inf_norm) & (inf_norm <= 1.0))
     assert recs["scaled_bulk"] == pytest.approx(math.sqrt(n) * inf_norm / math.sqrt(math.log(n)))
     assert recs["scaled_edge"] == pytest.approx(math.sqrt(n) * inf_norm / math.log(n))
     assert np.any(recs["region"] == "bulk")
-    assert not recs["degenerate"].any()  # gaussian spectrum is simple
-
-
-def test_degenerate_flagging():
-    w = np.diag([0.0, 0.0, 1.0])
-    recs = eigvec_inf_norms(eig_decompose(w), 3, 0)
-    assert recs["degenerate"].tolist() == [True, True, False]
 
 
 def _identities(w):

@@ -8,8 +8,18 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# the demos that read delocalization records or call the identity kernels, so a change to either reaches them
-@pytest.mark.parametrize("demo", ["delocalization_scaling.py", "marchenko_pastur.py", "exact_identities.py"])
+# every demo, so one that still imports a deleted or renamed name fails here
+DEMOS = [
+    "delocalization_scaling.py",
+    "marchenko_pastur.py",
+    "exact_identities.py",
+    "local_law_scan.py",
+    "quadratic_tails.py",
+    "semicircle_law.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
 def test_record_demos_run(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(

@@ -8,7 +8,6 @@ from rmtlab.ensembles import (
     DistSpec,
     ParameterError,
     UNIFORM_BOUND,
-    form_covariance,
     form_gram,
     sample_rect,
     sample_vector,
@@ -80,14 +79,9 @@ def test_wigner_edge_near_two():
     assert 1.9 <= top <= 2.2
 
 
-def test_form_covariance_direct_formula():
-    m = np.array([[1.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(form_covariance(m), m.T @ m / 2)
-
-
 def test_covariance_is_psd_and_has_rank_p():
     m = sample_rect(DistSpec("rademacher"), 80, 160, 2)
-    w = form_covariance(m)
+    w = m.T @ m / 160
     eigs = np.linalg.eigvalsh(w)
     assert eigs.min() >= -1e-10 * 160
     assert np.count_nonzero(eigs > 1e-8) == 80

@@ -1,0 +1,92 @@
+"""Golden records.csv hashes of seven small configs, on pinned CPU code paths.
+
+A record is byte-stable only for one OpenBLAS kernel, one BLAS thread count
+and one numpy SIMD dispatch level (README, *Determinism contract*).  The
+runs go to one subprocess that pins all three:
+
+- OPENBLAS_CORETYPE=Prescott: that kernel needs only SSE3, so any x86-64
+  host can force it;
+- OPENBLAS_NUM_THREADS=1;
+- NPY_ENABLE_CPU_FEATURES=X86_V2: numpy's baseline, so numpy takes no AVX2
+  or AVX-512 dispatch path.
+
+Each value is the first 16 hex digits of the SHA-256 of ``records.csv``.
+The table holds for the numpy and scipy versions that CI pins; on any other
+host or version the test skips and says why.
+"""
+
+import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PINNED_ENV = {"OPENBLAS_CORETYPE": "Prescott", "OPENBLAS_NUM_THREADS": "1", "NPY_ENABLE_CPU_FEATURES": "X86_V2"}
+PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+# label -> (config, hash); every field not named is its default
+GOLDEN = {
+    "tail": (dict(experiment="tail", n=400, trials=20_000, workers=2), "23a9f37e3b71caa7"),
+    "tail-projection": (
+        dict(
+            experiment="tail",
+            n=64,
+            d=16,
+            trials=2_000,
+            dist={"kind": "gaussian"},
+            statistic="projection",
+            envelopes=["projection"],
+            workers=2,
+        ),
+        "5a1fed55e8307e4f",
+    ),
+    "localscan": (dict(experiment="localscan", n=500, trials=2), "7c55eeb1f9df49bb"),
+    "identities": (dict(experiment="identities", trials=200, base_seed=1), "d29c3edc7df593a8"),
+    "covariance": (dict(experiment="covariance", n=600, p=300, trials=2), "14b8d29c2810730e"),
+    "deloc": (dict(experiment="deloc", n=300, trials=2), "b4ee1910b2ceaf2b"),
+    "pv": (dict(experiment="pv"), "93e006f9e177efb6"),
+}
+
+_RUN = """
+import hashlib, json, sys
+from rmtlab.harness import config_from_dict, run_experiment
+
+hashes = {}
+for label, raw in json.loads(sys.argv[1]).items():
+    report = run_experiment(config_from_dict(dict(raw, out_dir=sys.argv[2], label=label)))
+    hashes[label] = hashlib.sha256((report.out_path / "records.csv").read_bytes()).hexdigest()[:16]
+print(json.dumps(hashes))
+"""
+
+_host = {"machine": platform.machine().lower(), "numpy": np.__version__, "scipy": scipy.__version__}
+pytestmark = pytest.mark.skipif(
+    _host["machine"] not in ("x86_64", "amd64") or any(_host[k] != v for k, v in PINNED_VERSIONS.items()),
+    reason=(
+        "golden hashes are recorded for x86-64 with numpy {numpy} and scipy {scipy}".format(**PINNED_VERSIONS)
+        + "; this host is {machine} with numpy {numpy} and scipy {scipy}".format(**_host)
+    ),
+)
+
+
+def test_records_match_golden_hashes(tmp_path):
+    env = dict(os.environ, **PINNED_ENV)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)  # numpy rejects it beside NPY_ENABLE_CPU_FEATURES
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    configs = {label: raw for label, (raw, _) in GOLDEN.items()}
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN, json.dumps(configs), str(tmp_path)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {label: digest for label, (_, digest) in GOLDEN.items()}

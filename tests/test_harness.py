@@ -10,7 +10,7 @@ from rmtlab.harness import (
     ConfigError,
     ExperimentConfig,
     config_from_dict,
-    load_config,
+    read_config,
     run_experiment,
 )
 from rmtlab.seeds import derive_seed
@@ -121,10 +121,29 @@ def test_config_validation_errors():
         {"experiment": "covariance", "eta_multiple": float("nan")},
         {"experiment": "covariance", "eta_multiple": float("inf")},
         {"experiment": "covariance", "eta_multiple": "10"},
+        # a label names one directory beside the experiment's other runs and the writer's .tmp siblings
+        {"experiment": "pv", "label": "."},
+        {"experiment": "pv", "label": ".."},
+        {"experiment": "pv", "label": "a/b"},
+        {"experiment": "pv", "label": "a\\b"},
+        {"experiment": "pv", "label": ".hidden"},
+        {"experiment": "pv", "label": ""},
+        {"experiment": "pv", "label": 5},
+        # a subexp alpha is a finite number > 0 whose scale sqrt(Gamma(1 + 2 alpha)) is finite
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": float("nan")}},
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": float("inf")}},
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": float("-inf")}},
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": 1e6}},
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": 86}},
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": 0.0}},
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": True}},
+        {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": "0.5"}},
     ]
     for raw in cases:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
+    assert config_from_dict({"experiment": "pv", "label": "run.1"}).label == "run.1"
+    assert config_from_dict({"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": 85}}).dist.alpha == 85
     with pytest.raises(ConfigError):
         config_from_dict([1, 2, 3])
     assert config_from_dict({"experiment": "tail", "trials": 100, "base_seed": 2**64 - 1}).base_seed == 2**64 - 1
@@ -134,13 +153,13 @@ def test_load_config_parse_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="line"):
-        load_config(str(path))
+        config_from_dict(read_config(str(path)))
 
 
 def test_load_config_good(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": "pv"}))
-    assert load_config(str(path)).experiment == "pv"
+    assert config_from_dict(read_config(str(path))).experiment == "pv"
 
 
 def test_run_pv_experiment():
@@ -413,9 +432,26 @@ def test_cli_config_error_exit_two(tmp_path):
     unfit.write_text(json.dumps({"experiment": "tail", "trials": 100, "statistic": "projection", "envelopes": ["hkz"]}))
     assert cli_main(["tail", "--config", str(unfit), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "tail").exists()
+    # a subexp alpha of NaN fails at load: it would run, report ok and write NaN into config.json
+    nan_alpha = tmp_path / "nan_alpha.json"
+    raw = {"experiment": "tail", "n": 20, "trials": 200, "dist": {"kind": "subexp", "alpha": float("nan")}}
+    nan_alpha.write_text(json.dumps(raw))
+    assert cli_main(["tail", "--config", str(nan_alpha), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "tail").exists()
     # the tail's trial minimum applies with and without a config file
     assert cli_main(["tail", "--trials", "99", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "tail").exists()
+
+
+def test_cli_bad_label_keeps_earlier_runs(tmp_path, capsys):
+    # "." and ".." would name the experiment directory or the output root, which the writer replaces
+    assert cli_main(["pv", "--out", str(tmp_path), "--label", "keepme"]) == 0
+    assert cli_main(["pv", "--out", str(tmp_path)]) == 0
+    before = {p.relative_to(tmp_path): p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")}
+    assert sum(1 for p in before if p.name == "records.csv") == 2
+    for label in (".", "..", "a/b", ".keepme"):
+        assert cli_main(["pv", "--out", str(tmp_path), "--label", label]) == 2
+    assert {p.relative_to(tmp_path): p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
 def test_cli_deloc_n_one_exit_two(tmp_path, capsys):

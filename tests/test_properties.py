@@ -19,7 +19,6 @@ from rmtlab.ensembles import DistSpec, form_gram, sample_rect, sample_wigner, tr
 from rmtlab.locallaw import schur_identity_residual
 from rmtlab.seeds import MASK64, derive_seed
 from rmtlab.spectral import (
-    count_interval,
     eig_decompose,
     pv_semicircle,
     sc_interval_mass,
@@ -63,23 +62,6 @@ def test_stieltjes_mp_herglotz_and_self_consistent(x, eta, y):
 def test_pv_semicircle_odd_and_bounded(lam):
     assert pv_semicircle(-lam) == pytest.approx(-pv_semicircle(lam), abs=1e-12)
     assert abs(pv_semicircle(lam)) <= 1.0 + 1e-12
-
-
-@settings(deadline=None)
-@given(
-    st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=30),
-    st.floats(-3.0, 3.0),
-    st.floats(-3.0, 3.0),
-    st.floats(-3.0, 3.0),
-)
-def test_count_interval_additive(vals, a, b, c):
-    eigs = np.sort(np.asarray(vals))
-    lo, mid, hi = sorted([a, b, c])
-    if not (lo < mid < hi):
-        return
-    assert count_interval(eigs, lo, hi) == count_interval(eigs, lo, mid) + count_interval(
-        eigs, mid, hi
-    )
 
 
 @given(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5))

@@ -9,10 +9,8 @@ from rmtlab.spectral import (
     ContractError,
     DomainError,
     check_hermitian,
-    count_interval,
     eig_decompose,
     ks_distance,
-    max_gap,
     mp_edges,
     mp_interval_mass,
     pv_semicircle,
@@ -20,7 +18,6 @@ from rmtlab.spectral import (
     rho_mp,
     rho_sc,
     sc_interval_mass,
-    semicircle_quantiles,
     stieltjes_empirical,
     stieltjes_mp,
     stieltjes_sc,
@@ -40,17 +37,6 @@ def test_eig_decompose_reconstructs():
     recon = (d.eigenvectors * d.eigenvalues) @ d.eigenvectors.T
     np.testing.assert_allclose(recon, w, atol=1e-12)
     assert np.all(np.diff(d.eigenvalues) >= 0)
-
-
-def test_count_interval_half_open():
-    eigs = np.array([0.0, 1.0, 1.0, 2.0])
-    assert count_interval(eigs, 0.0, 1.0) == 1
-    assert count_interval(eigs, 0.0, 1.0 + 1e-12) == 3
-    assert count_interval(eigs, -5.0, 5.0) == 4
-    with pytest.raises(ContractError):
-        count_interval(eigs, 2.0, 1.0)
-    with pytest.raises(ContractError):
-        count_interval(eigs[::-1], 0.0, 1.0)
 
 
 def test_rho_sc_values():
@@ -196,28 +182,12 @@ def test_pv_numeric_rejects_bad_excision():
         pv_semicircle_numeric(0.0, excision=0.0)
 
 
-def test_max_gap_simple():
-    eigs = np.array([0.0, 0.1, 0.5, 0.6])
-    assert max_gap(eigs, -1.0, 1.0) == pytest.approx(0.4)
-    assert max_gap(eigs, 0.05, 0.55) == pytest.approx(0.4)
-    with pytest.raises(ContractError):
-        max_gap(eigs, 0.55, 0.65)  # only one inside
-
-
-def test_semicircle_quantiles_are_quantiles():
-    q = semicircle_quantiles(101)
-    assert np.all(np.diff(q) > 0)
-    assert abs(q[50]) < 1e-9  # median is 0
-    # CDF at each atom equals (i + 1/2)/n
-    for i in (0, 25, 100):
-        mass = sc_interval_mass(-2.0, q[i]) if q[i] > -2 else 0.0
-        assert mass == pytest.approx((i + 0.5) / 101, abs=1e-8)
-
-
 def test_ks_distance_exact_on_quantiles():
     # atoms at quantile midpoints give KS = 1/(2n) exactly
     n = 50
-    q = semicircle_quantiles(n)
+    xs = np.linspace(-2.0, 2.0, 200_001)
+    cdf = xs * np.sqrt(4.0 - xs * xs) / (4.0 * math.pi) + np.arcsin(xs / 2.0) / math.pi + 0.5
+    q = np.interp((np.arange(n) + 0.5) / n, cdf, xs)
     d = ks_distance(q, lambda x: sc_interval_mass(-2.0, x) if x > -2 else 0.0)
     assert d == pytest.approx(1.0 / (2 * n), abs=1e-6)
 
