@@ -1,6 +1,7 @@
 """Command line front end: ``rmtlab <experiment> --config PATH [overrides]``.
 
-Exit codes: 0 success, 2 configuration/validation error or a parameter the
+Each subcommand has the flags of the fields its experiment reads.  Exit codes:
+0 success, 2 a flag, configuration or validation error or a parameter the
 experiment rejects while running, 3 when --assert is passed and the
 experiment's summary check fails.
 """
@@ -15,19 +16,19 @@ from .ensembles import ParameterError
 from .harness import EXPERIMENTS, ConfigError, config_from_dict, read_config, run_experiment
 from .spectral import ContractError, DomainError
 
+FLAGS = {"base_seed": "--seed", "n": "--n", "p": "--p", "trials": "--trials", "workers": "--workers"}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rmtlab", description=__doc__)
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, (_, reads) in EXPERIMENTS.items():
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", help="JSON config file (flags below override it)")
-        p.add_argument("--seed", type=int, help="base seed (64-bit)")
-        p.add_argument("--trials", type=int)
-        p.add_argument("--n", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--out", help="output directory")
+        for field in reads:
+            if field in FLAGS:
+                p.add_argument(FLAGS[field], dest=field, type=int, help=f"config field {field}")
+        p.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
         p.add_argument("--label", help="output subdirectory label")
         p.add_argument(
             "--assert",
@@ -39,17 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    flags = {
-        "base_seed": args.seed,
-        "trials": args.trials,
-        "n": args.n,
-        "p": args.p,
-        "workers": args.workers,
-        "out_dir": args.out,
-        "label": args.label,
-    }
     try:
+        args, unread = build_parser().parse_known_args(argv)
+        if unread:
+            raise ConfigError(f"{args.experiment} takes no {' '.join(unread)}; see rmtlab {args.experiment} --help")
+        flags = {name: getattr(args, name, None) for name in (*FLAGS, "out_dir", "label")}
         raw = read_config(args.config) if args.config else {"experiment": args.experiment}
         if isinstance(raw, dict):
             if raw.get("experiment", args.experiment) != args.experiment:

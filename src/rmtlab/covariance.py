@@ -27,7 +27,7 @@ import numpy as np
 from .delocalization import _minor_identity
 from .ensembles import ParameterError, form_gram
 from .locallaw import _check_z, _schur_residual
-from .spectral import ContractError, _pv_quad, mp_edges, rho_mp
+from .spectral import ContractError, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def covariance_schur_residual(m: np.ndarray, z: complex, gram_eigs: np.ndarray) 
 def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) -> float:
     """|s + 1/(y + z - 1 + y z s)| for the empirical transform of MM*/n."""
     z = _check_z(z)
-    s = complex(np.mean(1.0 / (np.asarray(gram_eigs) - z)))
+    s = stieltjes_empirical(gram_eigs, z)
     return abs(s + 1.0 / (y + z - 1.0 + y * z * s))
 
 

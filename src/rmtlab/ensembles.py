@@ -46,7 +46,7 @@ class DistSpec:
     ``alpha`` is the sub-exponential exponent.  It fixes the tail exactly:
     P(|xi| >= t**alpha) = exp(-c**(1/alpha) t) with c = ``subexp_scale``.
     For subexp it must be a finite number > 0 (not a bool) whose scale c is
-    finite, which holds up to alpha ~ 85.
+    finite, which holds up to alpha ~ 85; it is stored as a float.
     """
 
     kind: str
@@ -63,6 +63,7 @@ class DistSpec:
         # Gamma(1 + 2 alpha) overflows past alpha ~ 85, and a draw divided by inf is 0
         if not math.isfinite(self.subexp_scale):
             raise ParameterError(f"subexp alpha {a!r} is too large: its scale sqrt(Gamma(1 + 2 alpha)) overflows")
+        object.__setattr__(self, "alpha", float(a))  # alpha 1 and 1.0 are one spec, with one config hash
 
     @property
     def bound(self) -> float:

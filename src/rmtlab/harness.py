@@ -8,8 +8,9 @@ written CSV is byte-identical for any worker count.  Each runner returns its
 records as columns, a dict of CSV column name -> 1-D array, and the writer
 turns each column into text in one pass.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
-renamed into place as one directory; the label defaults to a hash of the
-config fields other than out_dir and label.
+renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
+the config fields it reads: only those are settable, written to config.json
+and, but for workers, hashed into the default label.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .locallaw import law_deviation, schur_identity_residual, threshold_scan
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
 from .spectral import eig_decompose, mp_edges, pv_semicircle, pv_semicircle_numeric
 
-EXPERIMENTS = ("tail", "localscan", "deloc", "identities", "covariance", "pv")
 COLLISION_GAP = 1e-8  # identity checks with a collision gap at most this are skipped
 
 
@@ -67,21 +67,21 @@ def _finite(value) -> bool:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description; unknown keys are rejected at load.
+    """Validated experiment description; a key the experiment does not read fails at load.
 
-    Defaults: rademacher entries, n = 1000 (identities ignore n and run
-    ``trials`` instances with sizes cycling over [3, 16]), 5 trials,
+    Defaults: rademacher entries, n = 1000, 2000 trials for tail, 200
+    identity instances (sizes cycling over [3, 16]), 5 trials elsewhere,
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
     log n / n, single worker.  Counts, n_grid entries and base_seed must be
     ints (not bools), base_seed below 2^64, and envelopes known kinds that
     fit the statistic: ``projection`` for the projection statistic, the
     quadratic-form kinds (those that read ||A||_F) for the quadratic one.
-    delta, eps, eta_multiple and the scales are finite positive numbers (not
-    bools), and a given t_grid is a nonempty ascending list of finite
-    nonnegative numbers.  A tail run needs at least TAIL_MIN_TRIALS trials,
-    so the default 5 fails here, before the tail matrix is drawn.  A label
-    is one plain path component: no '/' or '\\', and no leading '.', so it
-    can name neither the experiment directory nor the writer's temporaries.
+    delta, eps, eta_multiple and the scales (strictly ascending) are finite
+    positive numbers, not bools; a given t_grid is a nonempty ascending list
+    of finite nonnegative numbers; all are stored as floats.  A tail run
+    needs at least TAIL_MIN_TRIALS trials.  A label is one plain path
+    component: no '/' or '\\', and no leading '.', so it can name neither
+    the experiment directory nor the writer's temporaries.
     """
 
     experiment: str
@@ -112,7 +112,7 @@ class ExperimentConfig:
             except ParameterError as exc:
                 raise ConfigError(f"field 'dist': {exc}") from exc
         if self.trials is None:
-            self.trials = 200 if self.experiment == "identities" else 5
+            self.trials = {"tail": 2000, "identities": 200}.get(self.experiment, 5)
         counts = [(name, getattr(self, name)) for name in ("n", "p", "trials", "workers", "d", "base_seed")]
         for name, value in counts + [("n_grid", v) for v in self.n_grid or []]:
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
@@ -130,17 +130,20 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _finite(value) or value <= 0:
                 raise ConfigError(f"field {name!r} must be a finite positive number, not {value!r}")
+            setattr(self, name, float(value))
         s = self.scales
         if not isinstance(s, list) or not s or not all(_finite(v) for v in s):
             raise ConfigError(f"field 'scales' must be a nonempty list of finite numbers, not {s!r}")
         if any(v <= 0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
             raise ConfigError("scales must be positive and strictly ascending")
+        self.scales = [float(v) for v in s]
         if self.t_grid is not None:
             t = self.t_grid
             if not isinstance(t, list) or not t or not all(_finite(v) for v in t):
                 raise ConfigError(f"field 't_grid' must be a nonempty list of finite numbers, not {t!r}")
             if any(v < 0 for v in t) or any(b < a for a, b in zip(t, t[1:])):
                 raise ConfigError("t_grid entries must be nonnegative and ascending")
+            self.t_grid = [float(v) for v in t]
         unknown = [kind for kind in self.envelopes if kind not in ENVELOPE_KINDS]
         if unknown:
             raise ConfigError(f"unknown envelope kinds {unknown}; known: {', '.join(ENVELOPE_KINDS)}")
@@ -161,14 +164,15 @@ class ExperimentConfig:
             raise ConfigError(f"label must be one plain path component, not starting with '.': {label!r}")
 
     def to_dict(self) -> dict:
+        """The experiment and the fields it reads: the text of config.json."""
         d = asdict(self)
         d["dist"] = self.dist.to_dict()
-        return d
+        return {name: d[name] for name in ("experiment", *EXPERIMENTS[self.experiment][1])}
 
     def config_hash(self) -> str:
-        """Hash of the fields that fix the numbers; out_dir and label only say where they go."""
+        """Hash of the fields that fix the numbers; the worker count never moves one."""
         fields = self.to_dict()
-        del fields["out_dir"], fields["label"]
+        fields.pop("workers", None)
         blob = json.dumps(fields, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -184,12 +188,15 @@ def read_config(path):
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     if "experiment" not in raw:
         raise ConfigError("field 'experiment' is required")
+    experiment = raw["experiment"]
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {experiment!r}")
+    reads = EXPERIMENTS[experiment][1]
+    unread = set(raw) - {"experiment", "out_dir", "label", *reads}
+    if unread:
+        raise ConfigError(f"{experiment} reads no keys {sorted(unread)}; it reads {', '.join(reads) or 'none'}")
     try:
         return ExperimentConfig(**raw)
     except TypeError as exc:
@@ -321,19 +328,14 @@ def _run_localscan(cfg: ExperimentConfig):
 
 
 def _deloc_trial(args):
-    dist, n, eps, trial, seed = args
+    dist, n, eps, seed = args
     w = sample_wigner(dist, n, seed, normalize=True)
     return eigvec_inf_norms(eig_decompose(w), n, seed, eps)
 
 
 def _run_deloc(cfg: ExperimentConfig):
-    n_values = cfg.n_grid or [cfg.n]
-    jobs = []
-    idx = 0
-    for n in n_values:
-        for t in range(cfg.trials):
-            jobs.append((cfg.dist, n, cfg.eps, t, derive_seed(cfg.base_seed, idx)))
-            idx += 1
+    sizes = [n for n in cfg.n_grid or [cfg.n] for _ in range(cfg.trials)]  # job i runs with seed i
+    jobs = [(cfg.dist, n, cfg.eps, derive_seed(cfg.base_seed, i)) for i, n in enumerate(sizes)]
     records = concat_columns(map_trials(_deloc_trial, jobs, cfg.workers))
     bulk = records["scaled_bulk"][records["region"] == "bulk"]
     bulk_max = bulk.max() if bulk.size else float("nan")
@@ -492,20 +494,21 @@ def _run_pv(cfg: ExperimentConfig):
     return records, summary
 
 
-_RUNNERS = {
-    "tail": _run_tail,
-    "localscan": _run_localscan,
-    "deloc": _run_deloc,
-    "identities": _run_identities,
-    "covariance": _run_covariance,
-    "pv": _run_pv,
+# experiment -> (runner, the config fields it reads besides experiment, out_dir and label)
+EXPERIMENTS = {
+    "tail": (_run_tail, ("dist", "n", "trials", "base_seed", "workers", "t_grid", "envelopes", "statistic", "d")),
+    "localscan": (_run_localscan, ("dist", "n", "trials", "base_seed", "workers", "delta", "scales")),
+    "deloc": (_run_deloc, ("dist", "n", "n_grid", "trials", "base_seed", "workers", "eps")),
+    "identities": (_run_identities, ("dist", "trials", "base_seed", "workers")),
+    "covariance": (_run_covariance, ("dist", "n", "p", "trials", "base_seed", "workers", "eps", "eta_multiple", "scales")),
+    "pv": (_run_pv, ()),
 }
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute the configured experiment and (optionally) persist its outputs."""
     start = time.perf_counter()
-    records, summary = _RUNNERS[cfg.experiment](cfg)
+    records, summary = EXPERIMENTS[cfg.experiment][0](cfg)
     report = ExperimentReport(
         config=cfg,
         records=records,

@@ -6,7 +6,9 @@ import pytest
 
 from rmtlab.cli import main as cli_main
 from rmtlab.ensembles import DistSpec
+from rmtlab.concentration import ENVELOPE_KINDS
 from rmtlab.harness import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     config_from_dict,
@@ -35,31 +37,101 @@ def test_config_defaults():
     assert cfg.dist == DistSpec("rademacher")
     assert cfg.n == 1000
     assert _cfg(experiment="identities").trials == 200
-    # the tail experiment shares the default of 5 trials, below its minimum, so it fails at load
+    # the tail default meets its minimum, so every default config runs
+    assert _cfg(experiment="tail").trials == 2000
     with pytest.raises(ConfigError, match="at least 100 trials, not 5"):
-        _cfg(experiment="tail")
+        _cfg(experiment="tail", trials=5)
+
+
+# a valid value other than the default for every field an experiment can read
+CHANGED = dict(
+    dist={"kind": "subexp", "alpha": 0.5},
+    n=500,
+    p=100,
+    n_grid=[64, 96],
+    trials=300,
+    base_seed=99,
+    workers=2,
+    delta=0.3,
+    eps=0.05,
+    eta_multiple=5.0,
+    scales=[1.0, 5.0],
+    t_grid=[0.0, 1.0, 2.0],
+    envelopes=["projection"],
+    statistic="projection",
+    d=8,
+)
 
 
 def test_config_round_trip():
-    cfg = _cfg(
-        experiment="localscan",
-        dist={"kind": "subexp", "alpha": 0.5},
-        n=500,
-        trials=3,
-        scales=[1.0, 5.0],
-        base_seed=99,
-    )
-    again = config_from_dict(cfg.to_dict())
-    assert again == cfg
-    assert again.config_hash() == cfg.config_hash()
+    for experiment, (_, reads) in EXPERIMENTS.items():
+        for cfg in (_cfg(experiment=experiment), _cfg(experiment=experiment, **{k: CHANGED[k] for k in reads})):
+            written = json.loads(json.dumps(cfg.to_dict()))  # as config.json holds it
+            assert sorted(written) == sorted(["experiment", *reads])
+            again = config_from_dict(written)
+            assert again == cfg
+            assert again.config_hash() == cfg.config_hash()
 
 
 def test_config_hash_sensitivity():
-    a = _cfg(experiment="tail", trials=100)
-    b = _cfg(experiment="tail", trials=100, base_seed=1)
-    assert a.config_hash() != b.config_hash()
-    moved = _cfg(experiment="tail", trials=100, out_dir="elsewhere", label="named")
-    assert moved.config_hash() == a.config_hash()
+    for experiment, (_, reads) in EXPERIMENTS.items():
+        base = _cfg(experiment=experiment).config_hash()
+        # where the outputs go and how many processes make them move no number
+        for where in (dict(out_dir="elsewhere", label="named"), dict(workers=3) if "workers" in reads else {}):
+            assert _cfg(experiment=experiment, **where).config_hash() == base
+        for name in reads:
+            if name != "workers":
+                fix = dict(experiment=experiment)
+                if name == "envelopes":
+                    fix["statistic"] = "projection"  # the changed envelope bounds the projection statistic only
+                assert _cfg(**fix, **{name: CHANGED[name]}).config_hash() != _cfg(**fix).config_hash(), name
+
+
+def test_config_hash_ignores_number_spelling():
+    # real-valued fields are stored as floats, so 1 and 1.0 make one config, one hash and one config.json
+    cases = [
+        ("localscan", "delta", 1, 1.0),
+        ("localscan", "scales", [1, 2], [1.0, 2.0]),
+        ("deloc", "eps", 1, 1.0),
+        ("covariance", "eta_multiple", 10, 10.0),
+        ("tail", "t_grid", [0, 1, 4], [0.0, 1.0, 4.0]),
+        *[("tail", "dist", {"kind": "subexp", "alpha": a}, {"kind": "subexp", "alpha": float(a)}) for a in (1, 2, 3)],
+    ]
+    for experiment, name, as_int, as_float in cases:
+        a = _cfg(experiment=experiment, **{name: as_int})
+        b = _cfg(experiment=experiment, **{name: as_float})
+        assert a == b
+        assert a.config_hash() == b.config_hash()
+        assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
+
+
+def test_experiment_table_matches_runner_reads(monkeypatch):
+    # every config field a runner reads is in its EXPERIMENTS row, and every field in the row is read
+    envelopes = [kind for kind in ENVELOPE_KINDS if kind != "projection"]
+    configs = [
+        _cfg(experiment="tail", n=12, trials=100, envelopes=envelopes, t_grid=[0.0, 5.0]),
+        _cfg(experiment="tail", n=12, d=4, trials=100, statistic="projection", envelopes=["projection"]),
+        _cfg(experiment="localscan", n=40, trials=1),
+        _cfg(experiment="deloc", n=16, trials=1),
+        _cfg(experiment="deloc", n_grid=[8, 12], trials=1),
+        _cfg(experiment="identities", trials=2),
+        _cfg(experiment="covariance", n=40, p=20, trials=1),
+        _cfg(experiment="pv"),
+    ]
+    fields = set(ExperimentConfig.__dataclass_fields__) - {"experiment", "out_dir", "label"}
+    reads = {name: set() for name in EXPERIMENTS}
+    original = ExperimentConfig.__getattribute__
+
+    def recording(self, name):
+        if name in fields:
+            reads[original(self, "experiment")].add(name)
+        return original(self, name)
+
+    monkeypatch.setattr(ExperimentConfig, "__getattribute__", recording)
+    for cfg in configs:
+        run_experiment(cfg, write=False)
+    monkeypatch.undo()
+    assert reads == {name: set(row) for name, (_, row) in EXPERIMENTS.items()}
 
 
 def test_config_validation_errors():
@@ -67,8 +139,8 @@ def test_config_validation_errors():
         {"experiment": "nope"},
         {"experiment": "tail", "n": 0},
         {"experiment": "tail", "trials": -1},
-        {"experiment": "tail", "delta": 0.0},
-        {"experiment": "tail", "scales": [2.0, 1.0]},
+        {"experiment": "localscan", "delta": 0.0},
+        {"experiment": "localscan", "scales": [2.0, 1.0]},
         {"experiment": "localscan", "scales": [1.0, 1.0]},
         {"experiment": "tail", "statistic": "cubic"},
         {"experiment": "tail", "envelopes": ["hw", "esy1", "hw"]},
@@ -105,7 +177,13 @@ def test_config_validation_errors():
         {"experiment": "tail", "t_grid": 1.0},
         {"experiment": "tail", "t_grid": [True, 2.0]},
         {"experiment": "tail", "trials": 99},
-        {"experiment": "tail"},  # the default 5 trials
+        {"experiment": "tail", "trials": 5},
+        # a field the experiment does not read is not accepted, even at its default value
+        {"experiment": "identities", "n": 1000},
+        {"experiment": "pv", "trials": 5},
+        {"experiment": "localscan", "eps": 0.1},
+        {"experiment": "tail", "p": 10},
+        {"experiment": ["tail"]},
         {"experiment": "localscan", "scales": [1.0, float("nan")]},
         {"experiment": "localscan", "scales": [1.0, float("inf")]},
         {"experiment": "localscan", "scales": [float("-inf"), 1.0]},
@@ -399,11 +477,12 @@ def test_cli_config_error_exit_two(tmp_path):
     good.write_text(json.dumps({"experiment": "tail", "trials": 100}))
     assert cli_main(["pv", "--config", str(good)]) == 2
     # invalid override
-    assert cli_main(["pv", "--n", "0", "--out", str(tmp_path)]) == 2
+    assert cli_main(["tail", "--n", "0", "--out", str(tmp_path)]) == 2
     # a count that is not an integer is rejected at load, before any run
     fractional = tmp_path / "fractional.json"
-    fractional.write_text(json.dumps({"experiment": "pv", "n": 2.5}))
-    assert cli_main(["pv", "--config", str(fractional)]) == 2
+    fractional.write_text(json.dumps({"experiment": "tail", "n": 2.5}))
+    assert cli_main(["tail", "--config", str(fractional), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "tail").exists()
     # a t_grid that is not an ascending list of finite nonnegative numbers fails at load, before any draw
     for t_grid in (["x"], [float("nan"), 1.0], [-1.0, 1.0]):
         bad_grid = tmp_path / "bad_grid.json"
@@ -461,11 +540,31 @@ def test_cli_deloc_n_one_exit_two(tmp_path, capsys):
 
 
 def test_cli_default_tail_exit_two(tmp_path, capsys):
-    # the default 5 trials are fewer than the tail estimate needs
-    assert cli_main(["tail", "--out", str(tmp_path)]) == 2
+    # 5 trials are fewer than the tail estimate needs
+    assert cli_main(["tail", "--trials", "5", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "tail").exists()
+
+
+def test_cli_default_tail_runs(tmp_path, capsys):
+    assert cli_main(["tail", "--out", str(tmp_path), "--label", "default", "--assert"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "tail" / "default"
+    assert sorted(f.name for f in out.iterdir()) == ["config.json", "records.csv", "summary.json"]
+    assert json.loads((out / "config.json").read_text())["trials"] == 2000
+
+
+def test_cli_unread_field_exit_two(tmp_path, capsys):
+    # a flag or config key the experiment does not read fails before any run, and writes nothing
+    assert cli_main(["identities", "--n", "5000", "--out", str(tmp_path)]) == 2
+    assert cli_main(["pv", "--trials", "5", "--out", str(tmp_path)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "identities", "trials": 4, "p": 3}))
+    assert cli_main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error:") for line in err)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_cli_tail_trials_flag_meets_minimum(tmp_path, capsys):
