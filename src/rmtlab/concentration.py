@@ -6,12 +6,13 @@ The central statistics are
     Y - tr = X* A X - trace(A)                   (quadratic form deviation)
 
 together with the closed-form tail bounds they satisfy for K-concentrated
-input vectors, and a seeded Monte Carlo estimator of the empirical survival
-function used to check those bounds numerically.  The estimator draws each
-vector from its own seeded stream and computes the statistic for blocks of
-``TAIL_BLOCK`` draws with one matrix product on one BLAS thread.  Blocks
-start at multiples of ``TAIL_BLOCK`` counted from draw 0, so every value is
-the same for any worker count and any number of cores.
+input vectors, one table that gives each bound's inputs and rate, and a
+seeded Monte Carlo estimator of the empirical survival function used to
+check those bounds numerically.  The estimator draws each vector from its own
+seeded stream and computes the statistic for blocks of ``TAIL_BLOCK`` draws
+with one matrix product on one BLAS thread.  Blocks start at multiples of
+``TAIL_BLOCK`` counted from draw 0, so every value is the same for any
+worker count and any number of cores.
 """
 
 from __future__ import annotations
@@ -25,19 +26,33 @@ from .ensembles import DistSpec, ParameterError, sample_vector
 from .seeds import derive_seed, map_trials, one_blas_thread
 from .spectral import ContractError
 
-#: the TailEnvelope fields each kind reads besides C, Cprime and K.  The
-#: quadratic-form kinds all read ||A||_F; the projection kind reads no matrix.
-ENVELOPE_INPUTS = {
-    "projection": (),
-    "vw1": ("frobenius", "spectral", "n"),
-    "vw2": ("frobenius", "spectral", "n", "n_eps1"),
-    "subexp": ("frobenius", "spectral", "n", "alpha"),
-    "hw": ("frobenius", "spectral_abs"),
-    "hkz": ("frobenius", "spectral"),
-    "esy1": ("frobenius",),
-    "esy2": ("frobenius", "alpha"),
+
+def _vw_rate(e: TailEnvelope, t: float) -> float:
+    return min(t * t / (e.frobenius * e.frobenius * math.log(e.n)), t / e.spectral) / (e.K * e.K)
+
+
+def _subexp_rate(e: TailEnvelope, t: float) -> float:
+    return min(
+        (t / (e.frobenius * math.sqrt(math.log(e.n)))) ** (1.0 / (e.alpha + 0.5)),
+        (t / e.spectral) ** (1.0 / (2.0 * e.alpha + 1.0)),
+    )
+
+
+#: kind -> (the TailEnvelope fields it reads besides C, Cprime and K, its
+#: rate r(t)).  The quadratic-form kinds all read ||A||_F; the projection
+#: kind reads no matrix.
+_ENVELOPES = {
+    "projection": ((), lambda e, t: t * t / (e.K * e.K)),
+    "vw1": (("frobenius", "spectral", "n"), _vw_rate),
+    "vw2": (("frobenius", "spectral", "n", "n_eps1"), _vw_rate),
+    "subexp": (("frobenius", "spectral", "n", "alpha"), _subexp_rate),
+    "hw": (("frobenius", "spectral_abs"), lambda e, t: min(t * t / (e.frobenius * e.frobenius), t / e.spectral_abs)),
+    "hkz": (("frobenius", "spectral"), lambda e, t: min(t * t / (e.frobenius * e.frobenius), t / e.spectral)),
+    "esy1": (("frobenius",), lambda e, t: t / e.frobenius),
+    "esy2": (("frobenius", "alpha"), lambda e, t: (t / e.frobenius) ** (1.0 / (2.0 + 2.0 * e.alpha))),
 }
-ENVELOPE_KINDS = tuple(ENVELOPE_INPUTS)
+ENVELOPE_INPUTS = {kind: inputs for kind, (inputs, _) in _ENVELOPES.items()}
+ENVELOPE_KINDS = tuple(_ENVELOPES)
 TAIL_BLOCK = 256  # draws per matrix product in empirical_tail
 TAIL_MIN_TRIALS = 100  # fewest draws empirical_tail accepts
 
@@ -145,8 +160,11 @@ class TailEnvelope:
     the boundedness/concentration parameter; ``frobenius``, ``spectral`` and
     ``spectral_abs`` are ||A||_F, ||A||_2 and ||B||_2 with B = (|a_ij|);
     ``n_eps1`` is eps1 = P(|xi| > K) of the truncated-variable bound, which
-    ``vw2`` adds as n * eps1.  ``ENVELOPE_INPUTS`` names the fields each kind
-    reads; a call raises ParameterError when one of them is None.
+    ``vw2`` adds as n * eps1.  Every kind bounds the tail at t by
+    pre * C * exp(-Cprime * r(t)), its rate r(t) read from one table, with
+    pre = log n for ``vw1`` and ``vw2`` and 1 otherwise.  ``ENVELOPE_INPUTS``
+    names the fields each kind reads; construction raises ParameterError
+    when one of them is None.
     """
 
     kind: str
@@ -165,43 +183,17 @@ class TailEnvelope:
             raise ParameterError(f"unknown envelope kind {self.kind!r}")
         if self.C <= 0 or self.Cprime <= 0 or self.K <= 0:
             raise ParameterError("envelope constants must be positive")
+        missing = [name for name in ENVELOPE_INPUTS[self.kind] if getattr(self, name) is None]
+        if missing:
+            raise ParameterError(f"envelope kind {self.kind!r} requires {', '.join(missing)}")
 
     def __call__(self, t: float) -> float:
         """Value of the closed-form bound at t >= 0 (not clipped at 1)."""
         if t < 0:
             raise ParameterError("t must be nonnegative")
-        for name in ENVELOPE_INPUTS[self.kind]:
-            if getattr(self, name) is None:
-                raise ParameterError(f"envelope kind {self.kind!r} requires {name}")
-        C, Cp, K = self.C, self.Cprime, self.K
-        F, S = self.frobenius, self.spectral
-        if self.kind == "projection":
-            return C * math.exp(-Cp * t * t / (K * K))
-        if self.kind in ("vw1", "vw2"):
-            logn = math.log(self.n)
-            expo = min(t * t / (F * F * logn), t / S) if t > 0 else 0.0
-            base = C * logn * math.exp(-Cp * expo / (K * K))
-            return base + (self.n * self.n_eps1 if self.kind == "vw2" else 0.0)
-        if self.kind == "subexp":
-            if t == 0:
-                return C
-            logn = math.log(self.n)
-            al = self.alpha
-            expo = min(
-                (t / (F * math.sqrt(logn))) ** (1.0 / (al + 0.5)),
-                (t / S) ** (1.0 / (2.0 * al + 1.0)),
-            )
-            return C * math.exp(-Cp * expo)
-        if self.kind == "hw":
-            expo = min(t * t / (F * F), t / self.spectral_abs)
-            return C * math.exp(-Cp * expo)
-        if self.kind == "hkz":
-            expo = min(t * t / (F * F), t / S)
-            return C * math.exp(-Cp * expo)
-        if self.kind == "esy1":
-            return C * math.exp(-Cp * t / F)
-        # esy2
-        return C * math.exp(-Cp * (t / F) ** (1.0 / (2.0 + 2.0 * self.alpha)))
+        pre = math.log(self.n) if self.kind in ("vw1", "vw2") else 1.0
+        value = pre * self.C * math.exp(-self.Cprime * _ENVELOPES[self.kind][1](self, t))
+        return value + self.n * self.n_eps1 if self.kind == "vw2" else value
 
 
 def lemma_projection_envelope(K: float) -> TailEnvelope:

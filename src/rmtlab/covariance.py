@@ -26,8 +26,8 @@ import numpy as np
 
 from .delocalization import _minor_identity
 from .ensembles import ParameterError, form_gram
-from .locallaw import _check_z, _schur_residual
-from .spectral import ContractError, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
+from .locallaw import _schur_residual
+from .spectral import ContractError, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
 
 @dataclass(frozen=True)
@@ -132,15 +132,15 @@ def _squares(sigma: np.ndarray) -> np.ndarray:
     return np.array([s**2 for s in sigma])
 
 
-def pv_mp(lam: float, y: float, excision: float = 1e-5) -> float:
+def pv_mp(lam: float, y: float) -> float:
     """Numerical principal value of y * int_a^b x rho_MP(x)/(x - lam) dx.
 
-    Symmetric excision around the pole with one Richardson step in the
-    excision width.  Near the support edges the integrand is integrable
-    and the value approaches +sqrt(y) at a and -sqrt(y) at b.
+    Symmetric excision of width 1e-5 around the pole with one Richardson
+    step in the excision width.  Near the support edges the integrand is
+    integrable and the value approaches +sqrt(y) at a and -sqrt(y) at b.
     """
     a, b = mp_edges(y)
-    return _pv_quad(lambda x: y * x * rho_mp(x, y) / (x - lam), lam, (a, b), excision, 1e-11)
+    return _pv_quad(lambda x: y * x * rho_mp(x, y) / (x - lam), lam, (a, b), 1e-5, 1e-11)
 
 
 def classify_mp_region(lam_w, y: float, eps: float):

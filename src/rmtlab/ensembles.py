@@ -46,7 +46,8 @@ class DistSpec:
     ``alpha`` is the sub-exponential exponent.  It fixes the tail exactly:
     P(|xi| >= t**alpha) = exp(-c**(1/alpha) t) with c = ``subexp_scale``.
     For subexp it must be a finite number > 0 (not a bool) whose scale c is
-    finite, which holds up to alpha ~ 85; it is stored as a float.
+    finite, which holds up to alpha ~ 85; it is stored as a float.  Other
+    kinds read no alpha, and ``from_dict`` rejects one given with them.
     """
 
     kind: str
@@ -108,7 +109,10 @@ class DistSpec:
         extra = set(d) - allowed
         if extra:
             raise ParameterError(f"unknown distribution fields {sorted(extra)}")
-        return cls(**d)
+        spec = cls(**d)
+        if "alpha" in d and spec.kind != "subexp":
+            raise ParameterError(f"alpha applies to the subexp kind only, not {spec.kind!r}")
+        return spec
 
 
 def _rng(seed: int) -> np.random.Generator:

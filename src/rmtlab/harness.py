@@ -76,6 +76,8 @@ class ExperimentConfig:
     ints (not bools), base_seed below 2^64, and envelopes known kinds that
     fit the statistic: ``projection`` for the projection statistic, the
     quadratic-form kinds (those that read ||A||_F) for the quadratic one.
+    A tail run needs n >= 2 for an envelope that reads n (log n), and
+    d <= n for the projection statistic.
     delta, eps, eta_multiple and the scales (strictly ascending) are finite
     positive numbers, not bools; a given t_grid is a nonempty ascending list
     of finite nonnegative numbers; all are stored as floats.  A tail run
@@ -155,6 +157,12 @@ class ExperimentConfig:
         unfit = [kind for kind in self.envelopes if ("frobenius" in ENVELOPE_INPUTS[kind]) != quadratic]
         if unfit:
             raise ConfigError(f"envelope kinds {unfit} do not bound the {self.statistic} statistic")
+        if self.experiment == "tail":
+            reads_n = [kind for kind in self.envelopes if "n" in ENVELOPE_INPUTS[kind]]
+            if reads_n and self.n < 2:
+                raise ConfigError(f"envelope kinds {reads_n} need n >= 2: they read log n")
+            if not quadratic and self.d > self.n:
+                raise ConfigError(f"field 'd' must be at most n = {self.n}: the frame has d orthonormal columns")
         if not 0 <= self.base_seed <= MASK64:
             raise ConfigError("base_seed must be a nonnegative 64-bit integer")
         label = self.label

@@ -27,20 +27,13 @@ from .ensembles import DistSpec, ParameterError, sample_wigner
 from .seeds import derive_seed, map_trials
 from .spectral import (
     ContractError,
-    DomainError,
+    _check_z,
     mp_interval_mass,
     sc_interval_mass,
     stieltjes_empirical,
 )
 
 STRIDE_FRAC = 0.25  # window stride of the count scans, as a fraction of the window length
-
-
-def _check_z(z: complex) -> complex:
-    z = complex(z)
-    if z.imag <= 0:
-        raise DomainError("Im z must be positive")
-    return z
 
 
 def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray) -> float:

@@ -36,12 +36,13 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def check_hermitian(w: np.ndarray, tol: float = 1e-10) -> None:
+def check_hermitian(w: np.ndarray) -> None:
+    """Raise ContractError unless w is square with |w - w*| <= 1e-10 max(1, max |w_ij|)."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ContractError("matrix must be square")
     dev = np.max(np.abs(w - np.conj(w.T)))
     scale = max(1.0, float(np.max(np.abs(w))))
-    if dev > tol * scale:
+    if dev > 1e-10 * scale:
         raise ContractError(f"matrix is not Hermitian (max asymmetry {dev:.3g})")
 
 
@@ -81,10 +82,17 @@ def sc_interval_mass(lo, hi):
     return _scalar_or_array(_sc_antiderivative(b) - _sc_antiderivative(a))
 
 
-def stieltjes_empirical(eigs: np.ndarray, z: complex) -> complex:
-    """s_n(z) = (1/n) sum 1/(lambda_i - z) for Im z > 0."""
+def _check_z(z: complex) -> complex:
+    """z as a complex number; raise DomainError unless Im z > 0."""
+    z = complex(z)
     if z.imag <= 0:
         raise DomainError("Im z must be positive")
+    return z
+
+
+def stieltjes_empirical(eigs: np.ndarray, z: complex) -> complex:
+    """s_n(z) = (1/n) sum 1/(lambda_i - z) for Im z > 0."""
+    z = _check_z(z)
     eigs = np.asarray(eigs)
     return complex(np.mean(1.0 / (eigs - z)))
 
@@ -95,9 +103,7 @@ def stieltjes_sc(z: complex) -> complex:
     sqrt(z^2-4) is computed as sqrt(z-2)*sqrt(z+2) with principal roots,
     which cuts exactly along [-2, 2] and behaves like z at infinity.
     """
-    if z.imag <= 0:
-        raise DomainError("Im z must be positive")
-    z = complex(z)
+    z = _check_z(z)
     return (-z + np.sqrt(z - 2.0) * np.sqrt(z + 2.0)) / 2.0
 
 
@@ -152,10 +158,8 @@ def stieltjes_mp(z: complex, y: float) -> complex:
     (y+z-1)^2 - 4yz factors as (z-a)(z-b); principal roots of the factors
     give the branch that is asymptotic to y+z-1 at infinity.
     """
-    if z.imag <= 0:
-        raise DomainError("Im z must be positive")
+    z = _check_z(z)
     a, b = mp_edges(y)
-    z = complex(z)
     root = np.sqrt(z - a) * np.sqrt(z - b)
     return -(y + z - 1.0 - root) / (2.0 * y * z)
 
@@ -180,8 +184,6 @@ def _pv_quad(f, lam: float, support: tuple[float, float], excision: float, tol: 
     """
     from scipy import integrate
 
-    if excision <= 0:
-        raise ParameterError("excision must be positive")
     lo, hi = support
 
     def integral(eps: float) -> float:
@@ -198,9 +200,9 @@ def _pv_quad(f, lam: float, support: tuple[float, float], excision: float, tol: 
     return 2.0 * integral(excision / 2.0) - integral(excision)
 
 
-def pv_semicircle_numeric(lam: float, excision: float = 1e-6) -> float:
-    """Symmetric-excision quadrature oracle for ``pv_semicircle``."""
-    return _pv_quad(lambda x: rho_sc(x) / (x - lam), lam, (-2.0, 2.0), excision, 1e-12)
+def pv_semicircle_numeric(lam: float) -> float:
+    """Symmetric-excision quadrature oracle for ``pv_semicircle``, excision 1e-6."""
+    return _pv_quad(lambda x: rho_sc(x) / (x - lam), lam, (-2.0, 2.0), 1e-6, 1e-12)
 
 
 def ks_distance(eigs: np.ndarray, cdf) -> float:

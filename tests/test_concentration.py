@@ -134,6 +134,7 @@ def test_envelope_monotone_nonincreasing():
     envs = [
         TailEnvelope(kind="projection", K=2.0),
         TailEnvelope(kind="vw1", K=1.0, n=100, frobenius=3.0, spectral=1.0),
+        TailEnvelope(kind="vw2", K=1.0, n=100, frobenius=3.0, spectral=1.0),
         TailEnvelope(kind="subexp", n=100, frobenius=3.0, spectral=1.0, alpha=1.0),
         TailEnvelope(kind="hw", frobenius=3.0, spectral_abs=1.0),
         TailEnvelope(kind="hkz", frobenius=3.0, spectral=1.0),
@@ -144,6 +145,8 @@ def test_envelope_monotone_nonincreasing():
     for env in envs:
         vals = [env(t) for t in ts]
         assert all(a >= b - 1e-14 for a, b in zip(vals, vals[1:])), env.kind
+        # r(0) = 0, so t = 0 gives pre * C: log n for vw1 and vw2, 1 otherwise
+        assert env(0.0) == (math.log(env.n) if env.kind in ("vw1", "vw2") else 1.0) * env.C, env.kind
 
 
 def test_envelope_vw2_adds_union_term():
@@ -160,13 +163,13 @@ def test_envelope_branch_switch():
 
 
 def test_envelope_requires_fields():
-    env = TailEnvelope(kind="hw", frobenius=1.0)
+    # a missing input fails at construction, not at each call
     with pytest.raises(ParameterError):
-        env(1.0)
+        TailEnvelope(kind="hw", frobenius=1.0)
     with pytest.raises(ParameterError):
         TailEnvelope(kind="nope")
     with pytest.raises(ParameterError):
-        env(-1.0)
+        TailEnvelope(kind="hw", frobenius=1.0, spectral_abs=1.0)(-1.0)
 
 
 def test_lemma_projection_envelope_constants():

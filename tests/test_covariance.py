@@ -154,8 +154,6 @@ def test_pv_mp_edge_limits():
     a, b = mp_edges(y)
     assert pv_mp(a, y) == pytest.approx(math.sqrt(y), abs=0.05)
     assert pv_mp(b, y) == pytest.approx(-math.sqrt(y), abs=0.05)
-    with pytest.raises(ParameterError):
-        pv_mp(1.0, y, excision=-1.0)
 
 
 def test_classify_mp_region_soft_and_hard():

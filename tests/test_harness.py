@@ -216,6 +216,15 @@ def test_config_validation_errors():
         {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": 0.0}},
         {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": True}},
         {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": "0.5"}},
+        # only subexp reads an alpha
+        {"experiment": "tail", "dist": {"kind": "gaussian", "alpha": 7}},
+        {"experiment": "localscan", "dist": {"kind": "rademacher", "alpha": 1.0}},
+        # an envelope that reads n takes its log, so needs n >= 2; the projection frame needs d <= n
+        {"experiment": "tail", "n": 1, "trials": 200, "envelopes": ["vw1"]},
+        {"experiment": "tail", "n": 1, "trials": 200, "envelopes": ["hw", "vw2"]},
+        {"experiment": "tail", "n": 1, "trials": 200, "envelopes": ["subexp"]},
+        {"experiment": "tail", "n": 10, "statistic": "projection"},
+        {"experiment": "tail", "n": 10, "d": 11, "statistic": "projection", "envelopes": ["projection"]},
     ]
     for raw in cases:
         with pytest.raises(ConfigError):
@@ -225,6 +234,8 @@ def test_config_validation_errors():
     with pytest.raises(ConfigError):
         config_from_dict([1, 2, 3])
     assert config_from_dict({"experiment": "tail", "trials": 100, "base_seed": 2**64 - 1}).base_seed == 2**64 - 1
+    assert config_from_dict({"experiment": "tail", "n": 1, "envelopes": ["hw", "hkz", "esy1", "esy2"]}).n == 1
+    assert config_from_dict({"experiment": "tail", "n": 10, "d": 10, "statistic": "projection"}).d == 10
 
 
 def test_load_config_parse_error(tmp_path):
@@ -511,12 +522,13 @@ def test_cli_config_error_exit_two(tmp_path):
     unfit.write_text(json.dumps({"experiment": "tail", "trials": 100, "statistic": "projection", "envelopes": ["hkz"]}))
     assert cli_main(["tail", "--config", str(unfit), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "tail").exists()
-    # a subexp alpha of NaN fails at load: it would run, report ok and write NaN into config.json
-    nan_alpha = tmp_path / "nan_alpha.json"
-    raw = {"experiment": "tail", "n": 20, "trials": 200, "dist": {"kind": "subexp", "alpha": float("nan")}}
-    nan_alpha.write_text(json.dumps(raw))
-    assert cli_main(["tail", "--config", str(nan_alpha), "--out", str(tmp_path)]) == 2
-    assert not (tmp_path / "tail").exists()
+    # a subexp alpha of NaN fails at load: it would run, report ok and write NaN into config.json;
+    # an alpha with another kind fails too: that kind reads none, and config.json would not show it
+    for dist in ({"kind": "subexp", "alpha": float("nan")}, {"kind": "gaussian", "alpha": 7}):
+        bad_alpha = tmp_path / "bad_alpha.json"
+        bad_alpha.write_text(json.dumps({"experiment": "tail", "n": 20, "trials": 200, "dist": dist}))
+        assert cli_main(["tail", "--config", str(bad_alpha), "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "tail").exists()
     # the tail's trial minimum applies with and without a config file
     assert cli_main(["tail", "--trials", "99", "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "tail").exists()
@@ -537,6 +549,35 @@ def test_cli_deloc_n_one_exit_two(tmp_path, capsys):
     assert cli_main(["deloc", "--n", "1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+_QUADRATIC_KINDS = [kind for kind in ENVELOPE_KINDS if kind != "projection"]
+_EDGE_CONFIGS = [
+    *(dict(experiment="tail", n=n, trials=100, envelopes=_QUADRATIC_KINDS) for n in (1, 2, 3)),
+    *(dict(experiment="tail", n=n, d=n, trials=100, statistic="projection", envelopes=["projection"]) for n in (1, 2, 3)),
+    *(dict(experiment=exp, n=n, trials=1) for exp in ("localscan", "deloc") for n in (1, 2, 3)),
+    *(dict(experiment="covariance", n=n, p=p, trials=1) for n in (1, 2, 3) for p in sorted({n, 1})),
+]
+
+
+def _edge_id(raw: dict) -> str:
+    return "-".join([raw["experiment"], raw.get("statistic", ""), f"n{raw['n']}", f"p{raw.get('p', '')}"])
+
+
+@pytest.mark.parametrize("raw", _EDGE_CONFIGS, ids=_edge_id)
+def test_cli_edge_sizes_exit_zero_or_two(raw, tmp_path, capsys):
+    # the smallest sizes run, or fail at load with one error line; none raises.  n = 1 fails
+    # wherever log n is read: the window scales, and the tail envelopes vw1, vw2 and subexp
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps(raw))
+    rc = cli_main([raw["experiment"], "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    if raw["n"] == 1 and raw.get("statistic") != "projection":
+        assert rc == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / raw["experiment"]).exists()
+    else:
+        assert rc == 0, err
 
 
 def test_cli_default_tail_exit_two(tmp_path, capsys):

@@ -177,11 +177,6 @@ def test_pv_semicircle_matches_numeric_oracle(lam):
     assert pv_semicircle(lam) == pytest.approx(pv_semicircle_numeric(lam), abs=1e-6)
 
 
-def test_pv_numeric_rejects_bad_excision():
-    with pytest.raises(ParameterError):
-        pv_semicircle_numeric(0.0, excision=0.0)
-
-
 def test_ks_distance_exact_on_quantiles():
     # atoms at quantile midpoints give KS = 1/(2n) exactly
     n = 50
