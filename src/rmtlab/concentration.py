@@ -8,11 +8,10 @@ The central statistics are
 together with the closed-form tail bounds they satisfy for K-concentrated
 input vectors, one table that gives each bound's inputs and rate, and a
 seeded Monte Carlo estimator of the empirical survival function used to
-check those bounds numerically.  The estimator draws each vector from its own
-seeded stream and computes the statistic for blocks of ``TAIL_BLOCK`` draws
-with one matrix product on one BLAS thread.  Blocks start at multiples of
-``TAIL_BLOCK`` counted from draw 0, so every value is the same for any
-worker count and any number of cores.
+check those bounds numerically.  Block b of ``TAIL_BLOCK`` draws takes its
+vectors from one stream seeded with derive_seed(base_seed, b), and is drawn
+and multiplied whole with one matrix product on one BLAS thread, so every
+value is the same for any draw count, worker count and number of cores.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import DistSpec, ParameterError, sample_vector
+from .ensembles import DistSpec, ParameterError, _draw, _rng
 from .seeds import derive_seed, map_trials, one_blas_thread
 from .spectral import ContractError
 
@@ -227,25 +226,25 @@ class EmpiricalTail:
 def _statistic_values(job) -> np.ndarray:
     """|statistic| for trials start..stop-1 of one contiguous range job.
 
-    ``start`` is a multiple of TAIL_BLOCK.  Each block of TAIL_BLOCK draws
-    is stacked as rows, so that one product gives the block: X A^T for the
-    quadratic form, X conj(U) for the projection.  A row's result depends on
-    its place in the block, the block's height and the BLAS thread count;
-    blocks start at multiples of TAIL_BLOCK and the products run on one
-    thread, so all three are fixed by the draw's index.
+    ``start`` is a multiple of TAIL_BLOCK.  Block b is one TAIL_BLOCK x n
+    draw from stream derive_seed(base_seed, b), and one product gives its
+    statistic: X A^T for the quadratic form, X conj(U) for the projection.
+    A row's result depends on its place in the block, the block's height and
+    the BLAS thread count; blocks are drawn and multiplied whole (even one
+    that ``stop`` cuts short) on one thread, so the draw's index fixes all three.
     """
     statistic, dist, n, base_seed, start, stop, frame, matrix = job
     out = np.empty(stop - start)
     with one_blas_thread():
         for lo in range(start, stop, TAIL_BLOCK):
             hi = min(lo + TAIL_BLOCK, stop)
-            x = np.stack([sample_vector(dist, n, derive_seed(base_seed, i)) for i in range(lo, hi)])
+            x = _draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(base_seed, lo // TAIL_BLOCK)))
             if statistic == "projection":
                 coeffs = np.abs(x @ np.conj(frame.basis)) ** 2
                 dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
             else:
                 dev = np.sum(np.conj(x) * (x @ matrix.T), axis=1) - np.trace(matrix)
-            out[lo - start : hi - start] = np.abs(dev)
+            out[lo - start : hi - start] = np.abs(dev[: hi - lo])
     return out
 
 
@@ -263,9 +262,9 @@ def empirical_tail(
     """Survival function of |statistic| over ``trials`` seeded draws.
 
     ``statistic`` is "projection" (needs ``frame``) or "quadratic" (needs
-    ``matrix``).  Trial i uses seed derive_seed(base_seed, i).  Each worker
-    gets a run of whole TAIL_BLOCK blocks and results are reduced in trial
-    order, so the output is byte-identical for any worker count.
+    ``matrix``).  Block b of TAIL_BLOCK draws, always drawn whole, uses seed
+    derive_seed(base_seed, b).  Workers get whole blocks, reduced in trial
+    order, so draw i depends on neither ``trials`` nor the worker count.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:

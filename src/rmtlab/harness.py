@@ -1,12 +1,12 @@
 """Experiment orchestration: config, seed fan-out, parallel trials, CSV/JSON.
 
-Every experiment is a pure function of (config, base_seed): trial i always
-runs with seed derive_seed(base_seed, i), and ``seeds.map_trials`` spreads
-the trials of ``localscan``, ``deloc``, ``identities``, ``covariance`` and
-``tail`` over ``workers`` processes and returns them in trial order, so the
-written CSV is byte-identical for any worker count.  Each runner returns its
-records as columns, a dict of CSV column name -> 1-D array, and the writer
-turns each column into text in one pass.  Output goes to
+Every experiment is a pure function of (config, base_seed): trial i runs with
+seed derive_seed(base_seed, i), and ``tail`` block b of TAIL_BLOCK draws with
+derive_seed(base_seed, b).  ``seeds.map_trials`` spreads the trials of every
+experiment but ``pv`` over ``workers`` processes and returns them in trial
+order, so the written CSV is byte-identical for any worker count.  Each runner
+returns its records as columns, a dict of CSV column name -> 1-D array, and
+the writer turns each column into text in one pass.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
 renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
 the config fields it reads: only those are settable, written to config.json
@@ -273,7 +273,7 @@ def _run_tail(cfg: ExperimentConfig):
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.base_seed, 1 << 48)))
         g = rng.standard_normal((cfg.n, cfg.n))
         matrix = (g + g.T) / math.sqrt(2.0)
-        frob = float(np.linalg.norm(matrix))
+        frob = math.sqrt(math.fsum(v for row in matrix * matrix for v in row.tolist()))  # correctly rounded, no BLAS
     t_grid = cfg.t_grid or list(np.linspace(0.0, 8.0 * max(1.0, frob), 33))
     k = cfg.dist.bound if math.isfinite(cfg.dist.bound) else 1.0
     tail = empirical_tail(
@@ -286,7 +286,8 @@ def _run_tail(cfg: ExperimentConfig):
         matrix=matrix,
         workers=cfg.workers,
     )
-    inputs = dict(K=k, n=cfg.n, frobenius=frob, alpha=cfg.dist.alpha)
+    # the kinds but subexp are sub-Gaussian, alpha = 1/2
+    inputs = dict(K=k, n=cfg.n, frobenius=frob, alpha=cfg.dist.alpha if cfg.dist.kind == "subexp" else 0.5)
     # spectral norms cost an SVD each: taken only for an envelope that reads them
     reads = {name for kind in cfg.envelopes for name in ENVELOPE_INPUTS[kind]}
     if "spectral" in reads:

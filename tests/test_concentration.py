@@ -5,6 +5,7 @@ import pytest
 
 from rmtlab import concentration
 from rmtlab.concentration import (
+    TAIL_BLOCK,
     EmpiricalTail,
     TailEnvelope,
     WeightedFrame,
@@ -18,7 +19,7 @@ from rmtlab.concentration import (
     quadratic_deviation,
     weighted_projection,
 )
-from rmtlab.ensembles import DistSpec, ParameterError, sample_vector
+from rmtlab.ensembles import KINDS, DistSpec, ParameterError, _draw, _rng, sample_vector
 from rmtlab.seeds import derive_seed, map_trials
 from rmtlab.spectral import ContractError
 
@@ -263,7 +264,8 @@ def test_block_values_match_per_draw_formulas(statistic, kind):
     dist = DistSpec(kind)
     job = (statistic, dist, n, 17, 0, 600, inputs.get("frame"), inputs.get("matrix"))
     values = concentration._statistic_values(job)
-    xs = [sample_vector(dist, n, derive_seed(17, i)) for i in range(600)]
+    # block b is one TAIL_BLOCK x n draw from stream derive_seed(17, b); 600 draws end inside block 2
+    xs = np.concatenate([_draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(17, b))) for b in range(3)])[:600]
     if statistic == "quadratic":
         reference = [abs(quadratic_deviation(x, inputs["matrix"])) for x in xs]
         scale = np.linalg.norm(inputs["matrix"])  # the statistic's standard deviation over sqrt(2)
@@ -272,6 +274,18 @@ def test_block_values_match_per_draw_formulas(statistic, kind):
         scale = 1.0
     # relative to the value, or to the statistic's scale for the few draws near 0
     np.testing.assert_allclose(values, reference, rtol=1e-11, atol=1e-11 * scale)
+
+
+@pytest.mark.parametrize("statistic", ["quadratic", "projection"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_values_do_not_depend_on_draw_count(statistic, kind):
+    # 300 draws end 44 rows into block 1, 600 draws 88 rows into block 2: a draw's value is the same in both
+    n, inputs = _tail_inputs(statistic)
+    runs = [
+        concentration._statistic_values((statistic, DistSpec(kind), n, 17, 0, stop, inputs.get("frame"), inputs.get("matrix")))
+        for stop in (300, 600)
+    ]
+    assert runs[0].tobytes() == runs[1][:300].tobytes()
 
 
 def test_empirical_tail_validation():

@@ -11,8 +11,10 @@ runs go to one subprocess that pins all three:
   or AVX-512 dispatch path.
 
 Each value is the first 16 hex digits of the SHA-256 of ``records.csv``.
-The table holds for the numpy and scipy versions that CI pins; on any other
-host or version the test skips and says why.
+The ``tail`` records read no kernel-dependent number, so that config also
+runs under the host's own kernel and must give the same bytes.  The table
+holds for the numpy and scipy versions that CI pins; on any other host or
+version the tests skip and say why.
 """
 
 import json
@@ -33,7 +35,7 @@ PINNED_VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1"}
 
 # label -> (config, hash); every field not named is its default
 GOLDEN = {
-    "tail": (dict(experiment="tail", n=400, trials=20_000, workers=2), "23a9f37e3b71caa7"),
+    "tail": (dict(experiment="tail", n=400, trials=20_000, workers=2), "93d8073631fe0c0d"),
     "tail-projection": (
         dict(
             experiment="tail",
@@ -45,7 +47,7 @@ GOLDEN = {
             envelopes=["projection"],
             workers=2,
         ),
-        "5a1fed55e8307e4f",
+        "e1920293a42c3348",
     ),
     "localscan": (dict(experiment="localscan", n=500, trials=2), "7c55eeb1f9df49bb"),
     "identities": (dict(experiment="identities", trials=200, base_seed=1), "d29c3edc7df593a8"),
@@ -75,18 +77,31 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_records_match_golden_hashes(tmp_path):
-    env = dict(os.environ, **PINNED_ENV)
-    env.pop("NPY_DISABLE_CPU_FEATURES", None)  # numpy rejects it beside NPY_ENABLE_CPU_FEATURES
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    configs = {label: raw for label, (raw, _) in GOLDEN.items()}
+def _hashes(configs, out_dir, env):
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
-        [sys.executable, "-c", _RUN, json.dumps(configs), str(tmp_path)],
-        cwd=tmp_path,
+        [sys.executable, "-c", _RUN, json.dumps(configs), str(out_dir)],
+        cwd=out_dir,
         env=env,
         capture_output=True,
         text=True,
         timeout=600,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {label: digest for label, (_, digest) in GOLDEN.items()}
+    return json.loads(result.stdout)
+
+
+def test_records_match_golden_hashes(tmp_path):
+    env = dict(os.environ, **PINNED_ENV)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)  # numpy rejects it beside NPY_ENABLE_CPU_FEATURES
+    configs = {label: raw for label, (raw, _) in GOLDEN.items()}
+    assert _hashes(configs, tmp_path, env) == {label: digest for label, (_, digest) in GOLDEN.items()}
+
+
+def test_tail_records_do_not_depend_on_blas_kernel(tmp_path):
+    # the tail statistic runs on one BLAS thread and ||A||_F is a correctly rounded fsum, so the
+    # host's own kernel and Prescott, the oldest one it can force, give the same bytes
+    configs = {"tail": GOLDEN["tail"][0]}
+    native = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    prescott = dict(native, OPENBLAS_CORETYPE="Prescott")
+    assert _hashes(configs, tmp_path, native) == _hashes(configs, tmp_path, prescott) == {"tail": GOLDEN["tail"][1]}

@@ -1,12 +1,13 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
 
 from rmtlab.cli import main as cli_main
 from rmtlab.ensembles import DistSpec
-from rmtlab.concentration import ENVELOPE_KINDS
+from rmtlab.concentration import ENVELOPE_KINDS, TailEnvelope
 from rmtlab.harness import (
     EXPERIMENTS,
     ConfigError,
@@ -390,6 +391,19 @@ def test_records_match_across_worker_counts(raw):
     pooled = run_experiment(_cfg(**raw, workers=2), write=False)
     assert _same_records(pooled.records, serial.records)
     assert pooled.summary == serial.summary
+
+
+def test_sub_gaussian_tail_envelopes_use_alpha_half():
+    # a gaussian is sub-exponential with alpha = 1/2 in DistSpec's convention, tail exp(-c t^2)
+    cfg = _cfg(experiment="tail", n=50, trials=200, dist={"kind": "gaussian"}, envelopes=["subexp", "esy2"])
+    report = run_experiment(cfg, write=False)
+    g = np.random.Generator(np.random.PCG64(derive_seed(cfg.base_seed, 1 << 48))).standard_normal((50, 50))
+    a = (g + g.T) / math.sqrt(2.0)
+    frob, spectral = math.sqrt(math.fsum((a * a).ravel().tolist())), float(np.linalg.norm(a, 2))
+    for kind in ("subexp", "esy2"):
+        env = TailEnvelope(kind=kind, n=50, frobenius=frob, spectral=spectral, alpha=0.5)
+        expected = np.array([env(t) for t in report.records["t"].tolist()])
+        assert report.records[f"envelope_{kind}"].tobytes() == expected.tobytes()
 
 
 def test_tail_without_envelopes_takes_no_svd(monkeypatch):
