@@ -281,10 +281,8 @@ def test_block_values_match_per_draw_formulas(statistic, kind):
 def test_values_do_not_depend_on_draw_count(statistic, kind):
     # 300 draws end 44 rows into block 1, 600 draws 88 rows into block 2: a draw's value is the same in both
     n, inputs = _tail_inputs(statistic)
-    runs = [
-        concentration._statistic_values((statistic, DistSpec(kind), n, 17, 0, stop, inputs.get("frame"), inputs.get("matrix")))
-        for stop in (300, 600)
-    ]
+    jobs = [(statistic, DistSpec(kind), n, 17, 0, stop, inputs.get("frame"), inputs.get("matrix")) for stop in (300, 600)]
+    runs = [concentration._statistic_values(job) for job in jobs]
     assert runs[0].tobytes() == runs[1][:300].tobytes()
 
 
