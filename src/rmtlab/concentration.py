@@ -229,9 +229,11 @@ def _statistic_values(job) -> np.ndarray:
     ``start`` is a multiple of TAIL_BLOCK.  Block b is one TAIL_BLOCK x n
     draw from stream derive_seed(base_seed, b), and one product gives its
     statistic: X A^T for the quadratic form, X conj(U) for the projection.
-    A row's result depends on its place in the block, the block's height and
-    the BLAS thread count; blocks are drawn and multiplied whole (even one
-    that ``stop`` cuts short) on one thread, so the draw's index fixes all three.
+    ``.conj()`` of a real array is the array itself, so a real draw is not
+    copied for its conjugate.  A row's result depends on its place in the
+    block, the block's height and the BLAS thread count; blocks are drawn and
+    multiplied whole (even one that ``stop`` cuts short) on one thread, so
+    the draw's index fixes all three.
     """
     statistic, dist, n, base_seed, start, stop, frame, matrix = job
     out = np.empty(stop - start)
@@ -240,10 +242,10 @@ def _statistic_values(job) -> np.ndarray:
             hi = min(lo + TAIL_BLOCK, stop)
             x = _draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(base_seed, lo // TAIL_BLOCK)))
             if statistic == "projection":
-                coeffs = np.abs(x @ np.conj(frame.basis)) ** 2
+                coeffs = np.abs(x @ frame.basis.conj()) ** 2
                 dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
             else:
-                dev = np.sum(np.conj(x) * (x @ matrix.T), axis=1) - np.trace(matrix)
+                dev = np.sum(x.conj() * (x @ matrix.T), axis=1) - np.trace(matrix)
             out[lo - start : hi - start] = np.abs(dev[: hi - lo])
     return out
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delocalization import _minor_identity
+from .delocalization import _column_inf_norms, _minor_identity
 from .ensembles import ParameterError, form_gram
 from .locallaw import _schur_residual
 from .spectral import ContractError, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
@@ -54,17 +54,20 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
     """Triplets of a p x n factor (p <= n) from one eigh of the p x p Gram matrix MM*.
 
     sigma^2 and the left vectors are the eigenpairs of MM*; each right
-    vector is M* left_i scaled to unit norm.  When sigma_min is at rounding
-    level relative to sigma_max, M* left_i carries no direction, so such
-    factors take the SVD instead.
+    vector is M* left_i scaled to unit norm.  For a real M, ``m.conj()`` is
+    M itself, so MM* is the product of M with its own transpose, which
+    numpy sends to SYRK (half the flops of a GEMM, no conjugate copy); a
+    complex M takes the conjugate.  When sigma_min is at rounding level
+    relative to sigma_max, M* left_i carries no direction, so such factors
+    take the SVD instead.
     """
     p, n = m.shape
     if p > n:
         raise ContractError("factor must have p <= n")
-    s2, left = np.linalg.eigh(m @ np.conj(m).T)
+    s2, left = np.linalg.eigh(m @ m.conj().T)
     if s2[0] <= 1e3 * p * np.finfo(float).eps * s2[-1]:
         return _thin_svd(m)
-    right = np.conj(m).T @ left
+    right = m.conj().T @ left
     right /= np.linalg.norm(right, axis=0)
     return SingularTriplets(sigma=np.sqrt(s2), left=left, right=right)
 
@@ -173,7 +176,7 @@ def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1) -> dict:
     p, n = trip.left.shape[0], trip.right.shape[0]
     dim = np.array([p, n])
     logd = np.array([math.log(p) if p > 1 else 1.0, math.log(n)])
-    inf_norms = np.column_stack([np.abs(trip.left).max(axis=0), np.abs(trip.right).max(axis=0)])
+    inf_norms = np.column_stack([_column_inf_norms(trip.left), _column_inf_norms(trip.right)])
     lam_w = _squares(trip.sigma) / n
     return {
         "side": np.tile(["left", "right"], p),

@@ -44,7 +44,7 @@ def eigvec_inf_norms(decomp: SpectralDecomposition, n: int, seed: int, eps: floa
     """
     vals = np.asarray(decomp.eigenvalues)
     logn = math.log(n)
-    inf_norms = np.abs(decomp.eigenvectors).max(axis=0)
+    inf_norms = _column_inf_norms(decomp.eigenvectors)
     return {
         "n": np.full(vals.size, n),
         "seed": np.full(vals.size, seed, dtype=np.uint64),
@@ -55,6 +55,13 @@ def eigvec_inf_norms(decomp: SpectralDecomposition, n: int, seed: int, eps: floa
         "scaled_bulk": math.sqrt(n) * inf_norms / math.sqrt(logn),
         "scaled_edge": math.sqrt(n) * inf_norms / logn,
     }
+
+
+def _column_inf_norms(v: np.ndarray) -> np.ndarray:
+    """max_k |v_k| of each column; a real block is read twice in place of an |v| copy."""
+    if np.iscomplexobj(v):
+        return np.abs(v).max(axis=0)
+    return np.maximum(v.max(axis=0), -v.min(axis=0))
 
 
 def _pole_sums(weights: np.ndarray, poles: np.ndarray, points, power: int) -> np.ndarray:

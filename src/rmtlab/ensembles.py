@@ -115,19 +115,23 @@ class DistSpec:
         return spec
 
 
+#: the sign of a 0/1 draw, by table lookup: one float array per draw and no arithmetic temporaries
+_SIGNS = np.array([-1.0, 1.0])
+
+
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
 
 
 def _draw(dist: DistSpec, size, rng: np.random.Generator) -> np.ndarray:
     if dist.kind == "rademacher":
-        return rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+        return _SIGNS.take(rng.integers(0, 2, size=size))
     if dist.kind == "gaussian":
         return rng.standard_normal(size)
     if dist.kind == "bounded_uniform":
         return rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=size)
     # subexp: sign * E^alpha, standardized
-    sign = rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
+    sign = _SIGNS.take(rng.integers(0, 2, size=size))
     e = rng.standard_exponential(size)
     return sign * e**dist.alpha / dist.subexp_scale
 
@@ -148,14 +152,16 @@ def sample_wigner(dist: DistSpec, n: int, seed: int, normalize: bool = True) -> 
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    rng = _rng(seed)
-    upper = _draw(dist, n * (n + 1) // 2, rng)
-    m = np.zeros((n, n))
-    mask = np.triu(np.ones((n, n), dtype=bool))
-    m[mask] = upper  # fills the (i, j), i <= j, pairs row by row
-    m.T[mask] = upper
+    upper = _draw(dist, n * (n + 1) // 2, _rng(seed))  # the (i, j), i <= j, pairs row by row
     if normalize:
-        m /= math.sqrt(n)
+        upper /= math.sqrt(n)
+    m = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        row = upper[start : start + n - i]
+        m[i, i:] = row
+        m[i:, i] = row
+        start += n - i
     return m
 
 
@@ -169,7 +175,7 @@ def sample_rect(dist: DistSpec, p: int, n: int, seed: int) -> np.ndarray:
 def form_gram(m: np.ndarray) -> np.ndarray:
     """Compact Gram matrix M M* / n (p x p); same nonzero spectrum as W."""
     _, n = m.shape
-    return m @ np.conj(m).T / n
+    return m @ m.conj().T / n  # conj() of a real array is the array, so numpy takes SYRK
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ derive_seed(base_seed, b).  ``seeds.map_trials`` spreads the trials of every
 experiment but ``pv`` over ``workers`` processes and returns them in trial
 order, so the written CSV is byte-identical for any worker count.  Each runner
 returns its records as columns, a dict of CSV column name -> 1-D array, and
-the writer turns each column into text in one pass.  Output goes to
+the writer formats each distinct value of a column once and joins the rows
+itself, in the bytes of ``csv.writer``'s excel dialect.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
 renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
 the config fields it reads: only those are settable, written to config.json
@@ -15,7 +16,6 @@ and, but for workers, hashed into the default label.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
@@ -220,15 +220,40 @@ class ExperimentReport:
     out_path: Path | None
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as an excel-dialect CSV field: quoted, quotes doubled, if it holds a comma, quote or line end."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _column_fields(column: np.ndarray) -> list[str]:
+    """The CSV field of each cell, repr for floats and str otherwise, each distinct value formatted once."""
+    kind = column.dtype.kind
+    if kind not in "fiubU":  # object cells, formatted one by one and quoted once per distinct text
+        texts = list(map(str, column.tolist()))
+        fields = {text: _csv_field(text) for text in set(texts)}
+        return list(map(fields.__getitem__, texts))
+    # floats are keyed by their bit pattern, so -0.0 and 0.0 (equal as floats) keep their own text
+    keys = column.view(f"u{column.itemsize}") if kind == "f" else column
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    fields = map(repr if kind == "f" else str, distinct.view(column.dtype).tolist())
+    if kind == "U":  # a number's text never needs quotes
+        fields = map(_csv_field, fields)
+    return np.array(list(fields), dtype=object)[inverse].tolist()
+
+
+def _records_text(records: dict) -> str:
+    """records.csv as ``csv.writer`` writes it in the excel dialect: a header, then one line per row."""
+    lines = [",".join(map(_csv_field, records)), *map(",".join, zip(*map(_column_fields, records.values())))]
+    if len(records) == 1:  # a lone empty field is quoted, so that it does not read back as a blank line
+        lines = [line or '""' for line in lines]
+    return "\r\n".join(lines) + "\r\n"
+
+
 def _write_files(report: ExperimentReport, out: Path) -> None:
-    cells = []
-    for column in report.records.values():
-        values = column.tolist()
-        cells.append(map(repr, values) if column.dtype.kind == "f" else map(str, values))
     with open(out / "records.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(report.records)
-        writer.writerows(zip(*cells))
+        fh.write(_records_text(report.records))
     (out / "config.json").write_text(json.dumps(report.config.to_dict(), indent=2, sort_keys=True) + "\n")
     summary = dict(report.summary)
     summary["version"] = f"{__version__}+{report.config.config_hash()}"

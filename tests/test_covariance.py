@@ -24,17 +24,18 @@ def _factor(p, n, seed, dist=DistSpec("gaussian")):
 
 @pytest.mark.parametrize("triplets", [singular_triplets, gram_triplets], ids=["svd", "gram"])
 def test_singular_triplets_reconstruct(triplets):
-    m = _factor(4, 7, 0)
-    trip = triplets(m)
-    assert np.all(np.diff(trip.sigma) >= 0)
-    recon = trip.left @ np.diag(trip.sigma) @ np.conj(trip.right).T
-    np.testing.assert_allclose(recon, m, atol=1e-12)
-    # triplet relations M v = sigma u, M* u = sigma v
-    for i in range(4):
-        np.testing.assert_allclose(m @ trip.right[:, i], trip.sigma[i] * trip.left[:, i], atol=1e-12)
-        np.testing.assert_allclose(
-            np.conj(m).T @ trip.left[:, i], trip.sigma[i] * trip.right[:, i], atol=1e-12
-        )
+    # a real factor, and a complex one, which takes the conjugate in MM* and M* U
+    for m in (_factor(4, 7, 0), _factor(4, 7, 0) + 1j * _factor(4, 7, 5)):
+        trip = triplets(m)
+        assert np.all(np.diff(trip.sigma) >= 0)
+        recon = trip.left @ np.diag(trip.sigma) @ np.conj(trip.right).T
+        np.testing.assert_allclose(recon, m, atol=1e-12)
+        # triplet relations M v = sigma u, M* u = sigma v
+        for i in range(4):
+            np.testing.assert_allclose(m @ trip.right[:, i], trip.sigma[i] * trip.left[:, i], atol=1e-12)
+            np.testing.assert_allclose(
+                np.conj(m).T @ trip.left[:, i], trip.sigma[i] * trip.right[:, i], atol=1e-12
+            )
     with pytest.raises(ContractError):
         triplets(np.ones((5, 3)))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rmtlab.delocalization import (
+    _column_inf_norms,
     classify_region,
     deloc_scaling_fit,
     eigvec_inf_norms,
@@ -24,6 +25,13 @@ def synthetic_records(n_values, inf_norm_fn) -> dict:
         "scaled_bulk": np.array([math.sqrt(n) * x / math.sqrt(math.log(n)) for n, x in zip(n_values, v)]),
         "scaled_edge": np.array([math.sqrt(n) * x / math.log(n) for n, x in zip(n_values, v)]),
     }
+
+
+def test_column_inf_norms_match_abs_max():
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal((30, 12))
+    for v in (real, real + 1j * rng.standard_normal((30, 12))):
+        assert _column_inf_norms(v).tobytes() == np.abs(v).max(axis=0).tobytes()
 
 
 def test_classify_region():

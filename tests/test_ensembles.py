@@ -5,9 +5,12 @@ import pytest
 from scipy import special
 
 from rmtlab.ensembles import (
+    KINDS,
     DistSpec,
     ParameterError,
     UNIFORM_BOUND,
+    _draw,
+    _rng,
     form_gram,
     sample_rect,
     sample_vector,
@@ -71,6 +74,39 @@ def test_wigner_normalization_entry_magnitude():
 def test_wigner_symmetry_is_exact():
     m = sample_wigner(DistSpec("gaussian"), 50, 9)
     np.testing.assert_array_equal(m, m.T)
+
+
+def _mask_fill_wigner(dist, n, seed, normalize):
+    """The former build of ``sample_wigner``, kept as its oracle: a boolean mask scatters the upper draw twice."""
+    upper = _draw(dist, n * (n + 1) // 2, _rng(seed))
+    m = np.zeros((n, n))
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    m[mask] = upper
+    m.T[mask] = upper
+    if normalize:
+        m /= math.sqrt(n)
+    return m
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("kind", KINDS)
+def test_wigner_matches_mask_fill_bit_for_bit(kind, normalize):
+    dist = DistSpec(kind)
+    for n in (1, 2, 3, 17, 64):
+        m = sample_wigner(dist, n, 40 + n, normalize=normalize)
+        assert m.tobytes() == _mask_fill_wigner(dist, n, 40 + n, normalize).tobytes()
+
+
+@pytest.mark.parametrize("dist", [DistSpec("rademacher"), DistSpec("subexp", alpha=0.7)], ids=["rademacher", "subexp"])
+def test_sign_draws_match_arithmetic_signs_bit_for_bit(dist):
+    # the former sign map, kept as the oracle: the 0/1 draw as floats, times 2, minus 1
+    rng = _rng(9)
+    sign = rng.integers(0, 2, size=(50, 40)).astype(np.float64) * 2.0 - 1.0
+    if dist.kind == "subexp":
+        expected = sign * rng.standard_exponential((50, 40)) ** dist.alpha / dist.subexp_scale
+    else:
+        expected = sign
+    assert _draw(dist, (50, 40), _rng(9)).tobytes() == expected.tobytes()
 
 
 def test_wigner_edge_near_two():

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 
@@ -12,6 +13,7 @@ from rmtlab.harness import (
     EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
+    _records_text,
     config_from_dict,
     read_config,
     run_experiment,
@@ -300,10 +302,11 @@ def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch):
     out = run_experiment(cfg).out_path
     before = {f.name: f.read_bytes() for f in out.iterdir()}
 
-    def broken_writer(*args, **kwargs):
+    def broken_dumps(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(csv, "writer", broken_writer)
+    # config.json is written after records.csv, so the temp directory holds a partial run when this fires
+    monkeypatch.setattr(json, "dumps", broken_dumps)
     with pytest.raises(OSError, match="disk full"):
         run_experiment(cfg)
     assert {f.name: f.read_bytes() for f in out.iterdir()} == before
@@ -314,6 +317,36 @@ def test_failed_write_keeps_previous_outputs(tmp_path, monkeypatch):
     assert run_experiment(cfg).out_path == out
     assert sorted(f.name for f in out.iterdir()) == sorted(before)
     assert [d.name for d in out.parent.iterdir()] == ["keep"]
+
+
+def _csv_writer_text(records: dict) -> str:
+    """The writer's former path, kept as its oracle: repr of each float, str of every other cell."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh, dialect="excel")
+    writer.writerow(records)
+    writer.writerows(zip(*(map(repr if c.dtype.kind == "f" else str, c.tolist()) for c in records.values())))
+    return fh.getvalue()
+
+
+def test_records_text_matches_csv_writer():
+    floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, -0.0, 1e300])
+    records = {
+        "x": floats,
+        "big": np.array([2**63, 2**64 - 1, 2**63, 0, 1, 7, 2**63 + 5, 3, 3], dtype=np.uint64),
+        "neg": np.array([-1, -(2**63), 5, 0, -1, 12, -7, 2**62, -3], dtype=np.int64),
+        "text": np.array(["a,b", 'say "hi"', "two\r\nlines", "", "plain", "a,b", "\n", "\r", '"'], dtype=object),
+        "region": np.array(["bulk", "edge", "", "bulk", "x,y", "bulk", "edge", '"q"', "bulk"]),
+        'odd, "name"': np.array([True, False, True, True, False, False, True, False, True]),
+    }
+    text = _records_text(records)
+    assert text == _csv_writer_text(records)
+    lines = text.split("\r\n")
+    assert lines[1].startswith("-0.0,") and lines[2].startswith("0.0,")  # -0.0 keeps its sign beside 0.0
+    empty = {name: column[:0] for name, column in records.items()}
+    assert _records_text(empty) == _csv_writer_text(empty)
+    # one column: a lone empty field is quoted so that it does not read as a blank line
+    lone = {"only": np.array(["", "a", ""], dtype=object)}
+    assert _records_text(lone) == _csv_writer_text(lone)
 
 
 def test_run_deloc_experiment():
