@@ -11,8 +11,11 @@ Usage: python3 demos/local_law_scan.py [n] [trials]
 import math
 import sys
 
-from rmtlab.ensembles import DistSpec
+import numpy as np
+
+from rmtlab.ensembles import DistSpec, sample_wigner
 from rmtlab.locallaw import threshold_scan
+from rmtlab.seeds import derive_seed
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
 trials = int(sys.argv[2]) if len(sys.argv) > 2 else 3
@@ -24,15 +27,12 @@ delta = 0.2
 print(f"Rademacher Wigner, n = {n}, {trials} seeds, target deviation {delta}")
 print(f"base scale log n / n = {unit:.5f}\n")
 
-est = threshold_scan(
-    DistSpec("rademacher"),
-    n,
-    [m * unit for m in mults],
-    delta=delta,
-    trials=trials,
-    bulk=(-1.8, 1.8),
-    base_seed=0,
-)
+# trial t is drawn with seed derive_seed(0, t), as in the localscan experiment
+spectra = [
+    np.linalg.eigvalsh(sample_wigner(DistSpec("rademacher"), n, derive_seed(0, t), normalize=True))
+    for t in range(trials)
+]
+est = threshold_scan(spectra, "semicircle", [m * unit for m in mults], delta, bulk=(-1.8, 1.8))
 
 print(f"{'scale':>12}  {'multiple':>8}  {'max rel dev':>11}")
 for mult, s, dev in zip(mults, est.scales, est.max_rel_dev):

@@ -7,7 +7,9 @@ experiment but ``pv`` over ``workers`` processes and returns them in trial
 order, so the written CSV is byte-identical for any worker count.  Each runner
 returns its records as columns, a dict of CSV column name -> 1-D array, and
 the writer formats each distinct value of a column once and joins the rows
-itself, in the bytes of ``csv.writer``'s excel dialect.  Output goes to
+itself, in the bytes of ``csv.writer``'s excel dialect.  ``localscan`` and
+``covariance`` reduce their trials' spectra in this process with
+``locallaw.threshold_scan`` (semicircle and MP laws).  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
 renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
 the config fields it reads: only those are settable, written to config.json
@@ -49,7 +51,7 @@ from .covariance import (
 )
 from .delocalization import eigvec_inf_norms, wigner_identities
 from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
-from .locallaw import law_deviation, schur_identity_residual, threshold_scan
+from .locallaw import ThresholdEstimate, schur_identity_residual, threshold_scan
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
 from .spectral import eig_decompose, mp_edges, pv_semicircle, pv_semicircle_numeric
 
@@ -80,7 +82,9 @@ class ExperimentConfig:
     d <= n for the projection statistic.
     delta, eps, eta_multiple and the scales (strictly ascending) are finite
     positive numbers, not bools; a given t_grid is a nonempty ascending list
-    of finite nonnegative numbers; all are stored as floats.  A tail run
+    of finite nonnegative numbers; all are stored as floats.  eps is below 2
+    for deloc, and for covariance leaves a bulk a + 2 eps < b - 2 eps inside
+    the MP edges a, b (eps below about sqrt(p/n)).  A tail run
     needs at least TAIL_MIN_TRIALS trials.  A label is one plain path
     component: no '/' or '\\', and no leading '.', so it can name neither
     the experiment directory nor the writer's temporaries.
@@ -133,6 +137,12 @@ class ExperimentConfig:
             if not _finite(value) or value <= 0:
                 raise ConfigError(f"field {name!r} must be a finite positive number, not {value!r}")
             setattr(self, name, float(value))
+        if self.experiment == "deloc" and self.eps >= 2:
+            raise ConfigError(f"field 'eps' must be below 2, not {self.eps!r}: the bulk is |lambda| <= 2 - eps")
+        if self.experiment == "covariance":
+            lo, hi = _covariance_shape(self.n, self.p, self.eps)[1]
+            if not lo < hi:
+                raise ConfigError(f"field 'eps' = {self.eps!r} leaves no MP bulk: a + 2 eps >= b - 2 eps")
         s = self.scales
         if not isinstance(s, list) or not s or not all(_finite(v) for v in s):
             raise ConfigError(f"field 'scales' must be a nonempty list of finite numbers, not {s!r}")
@@ -336,11 +346,23 @@ def _run_tail(cfg: ExperimentConfig):
 # --- localscan experiment ---------------------------------------------------
 
 
+def _scan_summary(est: ThresholdEstimate, delta: float, multiples: list[float]) -> dict:
+    """The local-law curve of a summary: the worst deviation per scale multiple and the threshold scale."""
+    curve = [float(v) for v in est.max_rel_dev]
+    return dict(delta=delta, scale_multiples=list(multiples), max_rel_dev=curve, threshold_scale=est.threshold_scale)
+
+
+def _wigner_spectrum(args) -> np.ndarray:
+    dist, n, seed = args
+    return np.linalg.eigvalsh(sample_wigner(dist, n, seed, normalize=True))
+
+
 def _run_localscan(cfg: ExperimentConfig):
     unit = math.log(cfg.n) / cfg.n
     scales = [s * unit for s in cfg.scales]
-    bulk = (-1.8, 1.8)
-    est = threshold_scan(cfg.dist, cfg.n, scales, cfg.delta, cfg.trials, bulk, cfg.base_seed, workers=cfg.workers)
+    jobs = [(cfg.dist, cfg.n, derive_seed(cfg.base_seed, t)) for t in range(cfg.trials)]
+    spectra = map_trials(_wigner_spectrum, jobs, cfg.workers)
+    est = threshold_scan(spectra, "semicircle", scales, cfg.delta, (-1.8, 1.8))
     windows = np.concatenate([dev.windows for devs in est.per_trial for dev in devs])
     runs = [dev.windows.size for devs in est.per_trial for dev in devs]  # windows per (trial, scale)
     records = {
@@ -348,13 +370,7 @@ def _run_localscan(cfg: ExperimentConfig):
         "trial": np.repeat(np.repeat(np.arange(cfg.trials), est.scales.size), runs),
         **{name: windows[name] for name in windows.dtype.names},
     }
-    summary = {
-        "ok": est.threshold_scale is not None,
-        "delta": cfg.delta,
-        "scale_multiples": list(cfg.scales),
-        "max_rel_dev": [float(v) for v in est.max_rel_dev],
-        "threshold_scale": est.threshold_scale,
-    }
+    summary = {"ok": est.threshold_scale is not None, **_scan_summary(est, cfg.delta, cfg.scales)}
     return records, summary
 
 
@@ -467,39 +483,44 @@ def _run_identities(cfg: ExperimentConfig):
 # --- covariance experiment --------------------------------------------------
 
 
+MP_GATE = 0.25  # the covariance gate on the MP count deviation, and the target of its threshold scan
+
+
+def _covariance_shape(n: int, p: int | None, eps: float) -> tuple[int, tuple[float, float]]:
+    """(p, bulk) of a covariance run: p defaults to n // 2, the bulk is the MP support less 2 eps at each end."""
+    p = p or n // 2
+    a, b = mp_edges(p / n)
+    return p, (a + 2 * eps, b - 2 * eps)
+
+
 def _covariance_trial(args):
-    dist, p, n, eps, scale_mult, eta_multiple, trial, seed = args
-    y = p / n
+    dist, p, n, eps, bulk, eta, trial, seed = args
     trip = gram_triplets(sample_rect(dist, p, n, seed))
     gram_eigs = trip.sigma**2 / n  # the eigenvalues of MM*/n, ascending
-    a, b = mp_edges(y)
-    unit = math.log(n) / n
-    dev = law_deviation(gram_eigs, ("mp", y), scale_mult * unit, (a + 2 * eps, b - 2 * eps))
-    eta = eta_multiple * unit
-    sc_res = max(
-        mp_self_consistency_residual(gram_eigs, x + 1j * eta, y)
-        for x in np.linspace(a + 2 * eps, b - 2 * eps, 25)
-    )
+    sc_res = max(mp_self_consistency_residual(gram_eigs, x + 1j * eta, p / n) for x in np.linspace(*bulk, 25))
     columns = singular_vec_inf_norms(trip, eps)
-    return {"trial": np.full(2 * p, trial), **columns}, dev.max_rel_dev, sc_res
+    return {"trial": np.full(2 * p, trial), **columns}, gram_eigs, sc_res
 
 
 def _run_covariance(cfg: ExperimentConfig):
-    p = cfg.p or cfg.n // 2
-    scale_mult = cfg.scales[-2] if len(cfg.scales) >= 2 else cfg.scales[-1]
+    p, bulk = _covariance_shape(cfg.n, cfg.p, cfg.eps)
+    y = p / cfg.n
+    unit = math.log(cfg.n) / cfg.n
     jobs = [
-        (cfg.dist, p, cfg.n, cfg.eps, scale_mult, cfg.eta_multiple, t, derive_seed(cfg.base_seed, t))
+        (cfg.dist, p, cfg.n, cfg.eps, bulk, cfg.eta_multiple * unit, t, derive_seed(cfg.base_seed, t))
         for t in range(cfg.trials)
     ]
     results = map_trials(_covariance_trial, jobs, cfg.workers)
     records = concat_columns([columns for columns, _, _ in results])
-    max_dev = max(d for _, d, _ in results)
+    est = threshold_scan([eigs for _, eigs, _ in results], ("mp", y), [s * unit for s in cfg.scales], MP_GATE, bulk)
+    max_dev = est.max_rel_dev[max(len(cfg.scales) - 2, 0)]  # the gated scale: the next to last, or the only one
     max_res = max(r for _, _, r in results)
     summary = {
-        "ok": bool(max_dev <= 0.25),
-        "y": p / cfg.n,
+        "ok": bool(max_dev <= MP_GATE),
+        "y": y,
         "max_mp_rel_dev": float(max_dev),
         "max_self_consistency_residual": float(max_res),
+        **_scan_summary(est, MP_GATE, cfg.scales),
     }
     return records, summary
 

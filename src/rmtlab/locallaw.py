@@ -13,7 +13,9 @@ passes the Gram matrix h = MM*/n.  The two-route residuals take h's
 eigenvalues from the caller.
 
 Also: sliding-window count deviation at a given interval scale, and the
-empirical threshold-scale scan.
+threshold-scale scan, a reduction over spectra the caller has already
+drawn: the semicircle law for Wigner spectra, the Marchenko-Pastur law for
+Gram spectra.  Nothing here samples a matrix or runs trials.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import DistSpec, ParameterError, sample_wigner
-from .seeds import derive_seed, map_trials
+from .ensembles import ParameterError
 from .spectral import (
     ContractError,
     _check_z,
@@ -117,52 +118,29 @@ class ThresholdEstimate:
 
     scales: np.ndarray
     max_rel_dev: np.ndarray
-    delta: float
     threshold_scale: float | None
-    per_trial: list  # per trial, one LawDeviation per scale
+    per_trial: list  # per spectrum, one LawDeviation per scale
 
 
-def _scan_trial(args) -> list[LawDeviation]:
-    """Sample one normalized Wigner matrix and scan the semicircle law at each scale."""
-    dist, n, scales, bulk, seed = args
-    eigs = np.linalg.eigvalsh(sample_wigner(dist, n, seed, normalize=True))
-    return [law_deviation(eigs, "semicircle", s, bulk) for s in scales]
-
-
-def threshold_scan(
-    dist: DistSpec,
-    n: int,
-    scales,
-    delta: float,
-    trials: int,
-    bulk: tuple[float, float],
-    base_seed: int,
-    workers: int = 1,
-) -> ThresholdEstimate:
+def threshold_scan(spectra, density, scales, delta: float, bulk: tuple[float, float]) -> ThresholdEstimate:
     """Scan interval scales for the smallest one where the count law holds.
 
-    For each scale, the deviation is maximized over windows and over
-    ``trials`` independent seeded matrices; the threshold is the smallest
-    scanned scale whose worst deviation is at most ``delta`` (None if no
-    scanned scale qualifies).  Trial t uses seed derive_seed(base_seed, t);
-    its per-scale deviations, windows included, are kept in ``per_trial``.
+    ``spectra`` holds one eigenvalue array per trial.  For each scale, the
+    ``law_deviation`` against ``density`` is maximized over windows and over
+    spectra; the threshold is the smallest scanned scale whose worst
+    deviation is at most ``delta`` (None if no scanned scale qualifies).
+    Each spectrum's per-scale deviations, windows included, are kept in
+    ``per_trial``, in the order of ``spectra``.
     """
     scales = np.asarray(scales, dtype=np.float64)
     if np.any(np.diff(scales) <= 0):
         raise ParameterError("scales must be strictly ascending")
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    jobs = [(dist, n, scales, bulk, derive_seed(base_seed, t)) for t in range(trials)]
-    per_trial = map_trials(_scan_trial, jobs, workers)
+    if not len(spectra):
+        raise ParameterError("need at least one spectrum")
+    per_trial = [[law_deviation(eigs, density, s, bulk) for s in scales] for eigs in spectra]
     worst = np.max([[dev.max_rel_dev for dev in devs] for devs in per_trial], axis=0)
-    threshold = None
-    for s, dev in zip(scales, worst):
-        if dev <= delta:
-            threshold = float(s)
-            break
-    return ThresholdEstimate(
-        scales=scales, max_rel_dev=worst, delta=delta, threshold_scale=threshold, per_trial=per_trial
-    )
+    threshold = next((float(s) for s, dev in zip(scales, worst) if dev <= delta), None)
+    return ThresholdEstimate(scales=scales, max_rel_dev=worst, threshold_scale=threshold, per_trial=per_trial)
 
 
 __all__ = [

@@ -189,15 +189,11 @@ def test_criterion_06_threshold_scan(announce):
     n = 2000
     unit = math.log(n) / n
     mults = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0]
-    est = threshold_scan(
-        DistSpec("rademacher"),
-        n,
-        [m * unit for m in mults],
-        delta=0.2,
-        trials=5,
-        bulk=(-1.8, 1.8),
-        base_seed=60,
-    )
+    spectra = [
+        np.linalg.eigvalsh(sample_wigner(DistSpec("rademacher"), n, derive_seed(60, t), normalize=True))
+        for t in range(5)
+    ]
+    est = threshold_scan(spectra, "semicircle", [m * unit for m in mults], delta=0.2, bulk=(-1.8, 1.8))
     curve = est.max_rel_dev
     monotone = all(curve[i + 1] <= curve[i] + 0.05 for i in range(len(curve) - 1))
     elapsed = time.perf_counter() - start

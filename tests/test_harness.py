@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from rmtlab import harness
 from rmtlab.cli import main as cli_main
-from rmtlab.ensembles import DistSpec
+from rmtlab.covariance import gram_triplets
+from rmtlab.ensembles import DistSpec, sample_rect
 from rmtlab.concentration import ENVELOPE_KINDS, TailEnvelope
 from rmtlab.harness import (
     EXPERIMENTS,
@@ -18,7 +20,9 @@ from rmtlab.harness import (
     read_config,
     run_experiment,
 )
+from rmtlab.locallaw import law_deviation
 from rmtlab.seeds import derive_seed
+from rmtlab.spectral import mp_edges
 
 
 def _cfg(**kw):
@@ -365,6 +369,33 @@ def test_run_localscan_experiment():
     assert len(report.summary["max_rel_dev"]) == 2
 
 
+def test_covariance_curve_is_the_mp_scan_of_every_scale():
+    n, p, trials, scales = 300, 120, 2, [1.0, 5.0, 20.0, 50.0]
+    report = run_experiment(_cfg(experiment="covariance", n=n, p=p, trials=trials, scales=scales), write=False)
+    summary = report.summary
+    assert summary["scale_multiples"] == scales and summary["delta"] == 0.25
+    assert len(summary["max_rel_dev"]) == len(scales)
+    assert summary["max_rel_dev"][-2] == summary["max_mp_rel_dev"]
+    y, unit = p / n, math.log(n) / n
+    a, b = mp_edges(y)
+    spectra = [
+        gram_triplets(sample_rect(DistSpec("rademacher"), p, n, derive_seed(0, t))).sigma ** 2 / n
+        for t in range(trials)
+    ]
+    for mult, worst in zip(scales, summary["max_rel_dev"]):
+        # the bulk at the default eps = 0.1
+        devs = [law_deviation(eigs, ("mp", y), mult * unit, (a + 0.2, b - 0.2)).max_rel_dev for eigs in spectra]
+        assert worst == max(devs)
+    below = [mult * unit for mult, worst in zip(scales, summary["max_rel_dev"]) if worst <= 0.25]
+    assert below and summary["threshold_scale"] == below[0]
+    # a config with one scale gates that scale: 1 log n/n fails the gate, 50 log n/n passes it
+    for mult, ok in ((1.0, False), (50.0, True)):
+        one = run_experiment(_cfg(experiment="covariance", n=n, p=p, trials=trials, scales=[mult]), write=False)
+        assert one.summary["max_rel_dev"] == [one.summary["max_mp_rel_dev"]]
+        assert one.summary["max_mp_rel_dev"] == summary["max_rel_dev"][scales.index(mult)]
+        assert one.summary["ok"] is ok
+
+
 def test_run_covariance_experiment():
     report = run_experiment(
         _cfg(experiment="covariance", n=200, p=100, trials=1, scales=[10.0, 20.0]),
@@ -416,8 +447,9 @@ def test_deloc_worker_invariance():
         dict(experiment="deloc", n=500, trials=2),
         dict(experiment="covariance", n=600, p=300, trials=2),
         dict(experiment="identities", trials=30),
+        dict(experiment="localscan", n=500, trials=2),
     ],
-    ids=["deloc", "covariance", "identities"],
+    ids=["deloc", "covariance", "identities", "localscan"],
 )
 def test_records_match_across_worker_counts(raw):
     serial = run_experiment(_cfg(**raw, workers=1), write=False)
@@ -666,6 +698,37 @@ def test_cli_tail_trials_flag_meets_minimum(tmp_path, capsys):
     assert (tmp_path / "tail" / "file" / "records.csv").read_bytes() == (
         tmp_path / "tail" / "flags" / "records.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        dict(experiment="covariance", eps=0.9),  # eps >= sqrt(p/n) = sqrt(1/2)
+        dict(experiment="covariance", n=100, p=4, eps=0.25),
+        dict(experiment="deloc", eps=2.0),
+        dict(experiment="deloc", n=50, eps=3.5),
+    ],
+    ids=["covariance-default", "covariance-thin", "deloc-2", "deloc-3.5"],
+)
+def test_cli_eps_without_bulk_exit_two_before_sampling(raw, tmp_path, capsys, monkeypatch):
+    # an eps that leaves no bulk fails at load: nothing is drawn and nothing written
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(harness, "sample_rect", no_draw)
+    monkeypatch.setattr(harness, "sample_wigner", no_draw)
+    path = tmp_path / "eps.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main([raw["experiment"], "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: field 'eps'") and err.count("\n") == 1
+    assert not (tmp_path / raw["experiment"]).exists()
+
+
+def test_eps_just_inside_the_bulk_loads():
+    _cfg(experiment="covariance", eps=0.7)
+    _cfg(experiment="covariance", n=100, p=4, eps=0.19)
+    _cfg(experiment="deloc", eps=1.99)
 
 
 def test_cli_assert_failure_exit_three(tmp_path, capsys):

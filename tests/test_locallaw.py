@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 
 from rmtlab.ensembles import DistSpec, ParameterError, sample_wigner
+from rmtlab.harness import _wigner_spectrum
 from rmtlab.locallaw import law_deviation, schur_identity_residual, threshold_scan
+from rmtlab.seeds import derive_seed, map_trials
 from rmtlab.spectral import ContractError, DomainError, sc_interval_mass
 
 
 def _wigner_unnorm(n, seed, dist=DistSpec("gaussian")):
     return sample_wigner(dist, n, seed, normalize=False)
+
+
+def _spectra(dist, n, trials, base_seed, workers=1):
+    """Normalized Wigner spectra of trials 0..trials-1, trial t drawn with seed derive_seed(base_seed, t)."""
+    jobs = [(dist, n, derive_seed(base_seed, t)) for t in range(trials)]
+    return map_trials(_wigner_spectrum, jobs, workers)
 
 
 def _semicircle_quantiles(n: int, grid: int = 200_001) -> np.ndarray:
@@ -123,12 +131,10 @@ def test_threshold_scan_finds_threshold_and_matches_serial():
     n = 400
     unit = math.log(n) / n
     scales = [unit, 10 * unit, 50 * unit]
-    est = threshold_scan(dist, n, scales, delta=0.25, trials=3, bulk=(-1.8, 1.8), base_seed=5)
+    est = threshold_scan(_spectra(dist, n, 3, 5), "semicircle", scales, delta=0.25, bulk=(-1.8, 1.8))
     assert est.threshold_scale is not None
     assert est.threshold_scale <= 50 * unit
-    est2 = threshold_scan(
-        dist, n, scales, delta=0.25, trials=3, bulk=(-1.8, 1.8), base_seed=5, workers=2
-    )
+    est2 = threshold_scan(_spectra(dist, n, 3, 5, workers=2), "semicircle", scales, delta=0.25, bulk=(-1.8, 1.8))
     np.testing.assert_array_equal(est.max_rel_dev, est2.max_rel_dev)
     assert est2.threshold_scale == est.threshold_scale
 
@@ -137,12 +143,13 @@ def test_threshold_scan_none_when_unreachable():
     dist = DistSpec("rademacher")
     n = 200
     unit = math.log(n) / n
-    est = threshold_scan(dist, n, [0.1 * unit], delta=1e-6, trials=1, bulk=(-1.8, 1.8), base_seed=0)
+    est = threshold_scan(_spectra(dist, n, 1, 0), "semicircle", [0.1 * unit], delta=1e-6, bulk=(-1.8, 1.8))
     assert est.threshold_scale is None
 
 
 def test_threshold_scan_validation():
+    spectra = _spectra(DistSpec("rademacher"), 100, 1, 0)
     with pytest.raises(ParameterError):
-        threshold_scan(DistSpec("rademacher"), 100, [0.2, 0.1], 0.2, 1, (-1.8, 1.8), 0)
+        threshold_scan(spectra, "semicircle", [0.2, 0.1], 0.2, (-1.8, 1.8))
     with pytest.raises(ParameterError):
-        threshold_scan(DistSpec("rademacher"), 100, [0.1], 0.2, 0, (-1.8, 1.8), 0)
+        threshold_scan([], "semicircle", [0.1], 0.2, (-1.8, 1.8))
