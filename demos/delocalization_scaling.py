@@ -21,9 +21,10 @@ n_grid = (256, 512, 1024)
 parts = []
 idx = 0
 for n in n_grid:
-    for s in range(seeds):
-        w = sample_wigner(DistSpec("rademacher"), n, derive_seed(0, idx))
-        parts.append(eigvec_inf_norms(eig_decompose(w), n, s))
+    for _ in range(seeds):
+        seed = derive_seed(0, idx)
+        w = sample_wigner(DistSpec("rademacher"), n, seed)
+        parts.append(eigvec_inf_norms(eig_decompose(w), seed))
         idx += 1
     print(f"n = {n:5d}: {seeds} seeds decomposed")
 

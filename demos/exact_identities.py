@@ -6,7 +6,8 @@ Wigner and singular identities go through one kernel and check every index i
 at once with the last coordinate deleted: the Wigner matrix is decomposed
 once and its minor once, and the factor's SVD serves both singular sides and
 the covariance Schur expansion.  The worst residual over i is printed,
-leaving out indices whose collision gap is at most 1e-8.
+leaving out indices whose collision gap is at most ``harness.COLLISION_GAP``,
+as the identities experiment does.
 
 Usage: python3 demos/exact_identities.py [n] [seed]
 """
@@ -19,13 +20,14 @@ import numpy as np
 from rmtlab.covariance import covariance_schur_residual, singular_identities, singular_triplets
 from rmtlab.delocalization import wigner_identities
 from rmtlab.ensembles import DistSpec, sample_rect, sample_wigner
+from rmtlab.harness import COLLISION_GAP
 from rmtlab.locallaw import schur_identity_residual
 from rmtlab.spectral import eig_decompose
 
 
 def worst(lhs, rhs, gap):
-    """Largest |lhs - rhs| over the indices whose collision gap exceeds 1e-8."""
-    return float(np.max(np.abs(lhs - rhs)[gap > 1e-8], initial=0.0))
+    """Largest |lhs - rhs| over the indices whose collision gap exceeds COLLISION_GAP."""
+    return float(np.max(np.abs(lhs - rhs)[gap > COLLISION_GAP], initial=0.0))
 
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 10

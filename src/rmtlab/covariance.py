@@ -19,12 +19,11 @@ applied to the Gram matrix MM*/n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .delocalization import _column_inf_norms, _minor_identity
+from .delocalization import _inf_norm_columns, _minor_identity, classify_region
 from .ensembles import ParameterError, form_gram
 from .locallaw import _schur_residual
 from .spectral import ContractError, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
@@ -146,53 +145,32 @@ def pv_mp(lam: float, y: float) -> float:
     return _pv_quad(lambda x: y * x * rho_mp(x, y) / (x - lam), lam, (a, b), 1e-5, 1e-11)
 
 
-def classify_mp_region(lam_w, y: float, eps: float):
-    """Region of a covariance eigenvalue sigma^2/n relative to the MP edges; elementwise on arrays.
-
-    Soft edges get the usual eps-windows.  At the hard edge (a = 0 when
-    y = 1) only [4 - eps, 4] counts as edge; everything near 0 is 'outside'.
-    """
-    a, b = mp_edges(y)
-    lam_w = np.asarray(lam_w)
-    bulk = (a + eps <= lam_w) & (lam_w <= b - eps)
-    if a == 0.0:  # the hard edge; exact when y == 1
-        edge = (b - eps <= lam_w) & (lam_w <= b)
-    else:
-        edge = ((a - eps <= lam_w) & (lam_w <= a + eps)) | ((b - eps <= lam_w) & (lam_w <= b + eps))
-    return np.select([bulk, edge], ["bulk", "edge"], "outside")[()]
-
-
 def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1) -> dict:
     """Delocalization columns for the left and right singular vectors of M.
 
     ``trip`` holds the singular triplets of the p x n factor M.  Two rows
     per index i, left then right, with the columns side, dim, index, lambda
-    (sigma_i^2/n), region, inf_norm, scaled_bulk and scaled_edge.  The
-    region is classified on sigma_i^2/n against the MP edges at aspect
-    ratio y = p/n.  Right vectors live in C^n and are scaled with sqrt(n);
-    left vectors live in C^p and are scaled with sqrt(p) (the
-    paper-normalized sqrt(n) value is recoverable as scaled * sqrt(n/p)).
+    (sigma_i^2/n), region (of sigma_i^2/n against the MP edges at aspect
+    ratio y = p/n) and those of ``delocalization._inf_norm_columns``.  Right
+    vectors live in C^n and are scaled with sqrt(n); left vectors live in
+    C^p and are scaled with sqrt(p) (the paper-normalized sqrt(n) value is
+    recoverable as scaled * sqrt(n/p)).
     """
     p, n = trip.left.shape[0], trip.right.shape[0]
-    dim = np.array([p, n])
-    logd = np.array([math.log(p) if p > 1 else 1.0, math.log(n)])
-    inf_norms = np.column_stack([_column_inf_norms(trip.left), _column_inf_norms(trip.right)])
     lam_w = _squares(trip.sigma) / n
+    left, right = _inf_norm_columns(trip.left), _inf_norm_columns(trip.right)
     return {
         "side": np.tile(["left", "right"], p),
-        "dim": np.tile(dim, p),
+        "dim": np.tile([p, n], p),
         "index": np.repeat(np.arange(p), 2),
         "lambda": np.repeat(lam_w, 2),
-        "region": np.repeat(classify_mp_region(lam_w, p / n, eps), 2),
-        "inf_norm": inf_norms.ravel(),
-        "scaled_bulk": (np.sqrt(dim) * inf_norms / np.sqrt(logd)).ravel(),
-        "scaled_edge": (np.sqrt(dim) * inf_norms / logd).ravel(),
+        "region": np.repeat(classify_region(lam_w, mp_edges(p / n), eps), 2),
+        **{name: np.column_stack([left[name], right[name]]).ravel() for name in left},
     }
 
 
 __all__ = [
     "SingularTriplets",
-    "classify_mp_region",
     "covariance_schur_residual",
     "gram_triplets",
     "mp_self_consistency_residual",

@@ -4,7 +4,8 @@ Bulk eigenvectors of a normalized Wigner matrix should have infinity norm
 of order sqrt(log n / n); edge eigenvectors of order log n / sqrt(n).  The
 records produced here are columns (a dict of 1-D arrays, one row per
 eigenvalue) carrying both scalings, so an n-grid scan can check the growth
-rate directly.
+rate directly.  The region rule and the scalings serve the singular vectors
+of ``rmtlab.covariance`` too, against the Marchenko-Pastur support.
 
 The minor identities of a Hermitian H with coordinate k deleted,
 
@@ -26,34 +27,55 @@ import numpy as np
 from .spectral import ContractError, SpectralDecomposition, check_hermitian
 
 
-def classify_region(lam, eps: float):
-    """'bulk' for |lam| <= 2 - eps, 'edge' up to 2 + eps, 'outside' beyond; elementwise on arrays."""
-    if not 0 < eps < 2:
-        raise ContractError("eps must lie in (0, 2)")
-    size = np.abs(lam)
-    return np.select([size <= 2.0 - eps, size <= 2.0 + eps], ["bulk", "edge"], "outside")[()]
+def classify_region(lam, edges, eps: float):
+    """Region of lam against the support [lo, hi] = edges; elementwise on arrays.
+
+    ``edges`` is (-2.0, 2.0) for the semicircle or ``mp_edges(y)``.  'bulk'
+    is [lo + eps, hi - eps]; 'edge' is within eps of hi, or of lo unless lo
+    is the hard edge 0 (the MP support at y = 1); 'outside' is the rest.
+    """
+    lo, hi = edges
+    if not 0 < eps < (hi - lo) / 2:
+        raise ContractError(f"eps must lie in (0, {(hi - lo) / 2:g})")
+    lam = np.asarray(lam)
+    bulk = (lo + eps <= lam) & (lam <= hi - eps)
+    edge = (hi - eps <= lam) & (lam <= hi + eps)
+    if lo != 0.0:
+        edge |= (lo - eps <= lam) & (lam <= lo + eps)
+    return np.select([bulk, edge], ["bulk", "edge"], "outside")[()]
 
 
-def eigvec_inf_norms(decomp: SpectralDecomposition, n: int, seed: int, eps: float = 0.1) -> dict:
+def eigvec_inf_norms(decomp: SpectralDecomposition, seed: int, eps: float = 0.1) -> dict:
     """Delocalization columns, one row per eigenvalue of an n x n normalized Wigner matrix.
 
-    Columns n, seed (uint64), index, lambda, region, inf_norm, scaled_bulk
-    and scaled_edge.  scaled_bulk = sqrt(n) * inf_norm / sqrt(log n) and
-    scaled_edge = sqrt(n) * inf_norm / log n are O(1) under the bulk and edge
-    bounds respectively.
+    Columns n, seed (uint64), index, lambda, region (against the semicircle
+    support [-2, 2]) and those of ``_inf_norm_columns``.
     """
     vals = np.asarray(decomp.eigenvalues)
-    logn = math.log(n)
-    inf_norms = _column_inf_norms(decomp.eigenvectors)
     return {
-        "n": np.full(vals.size, n),
+        "n": np.full(vals.size, vals.size),
         "seed": np.full(vals.size, seed, dtype=np.uint64),
         "index": np.arange(vals.size),
         "lambda": vals,
-        "region": classify_region(vals, eps),
-        "inf_norm": inf_norms,
-        "scaled_bulk": math.sqrt(n) * inf_norms / math.sqrt(logn),
-        "scaled_edge": math.sqrt(n) * inf_norms / logn,
+        "region": classify_region(vals, (-2.0, 2.0), eps),
+        **_inf_norm_columns(decomp.eigenvectors),
+    }
+
+
+def _inf_norm_columns(vectors: np.ndarray) -> dict:
+    """inf_norm, scaled_bulk and scaled_edge of each unit column in C^d.
+
+    scaled_bulk = sqrt(d) * inf_norm / sqrt(log d) and scaled_edge =
+    sqrt(d) * inf_norm / log d are O(1) under the bulk and edge bounds
+    respectively; log d reads as 1 at d = 1.
+    """
+    d = vectors.shape[0]
+    logd = math.log(d) if d > 1 else 1.0
+    inf_norm = _column_inf_norms(vectors)
+    return {
+        "inf_norm": inf_norm,
+        "scaled_bulk": math.sqrt(d) * inf_norm / math.sqrt(logd),
+        "scaled_edge": math.sqrt(d) * inf_norm / logd,
     }
 
 
@@ -64,10 +86,10 @@ def _column_inf_norms(v: np.ndarray) -> np.ndarray:
     return np.maximum(v.max(axis=0), -v.min(axis=0))
 
 
-def _pole_sums(weights: np.ndarray, poles: np.ndarray, points, power: int) -> np.ndarray:
+def _pole_sums(weights: np.ndarray, poles: np.ndarray, points: np.ndarray, power: int) -> np.ndarray:
     """sum_j weights_j / (poles_j - x)^power for each x in points; inf or nan at a pole."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.array([np.sum(weights / (poles - x) ** power) for x in points])
+        return np.sum(weights / (poles - points[:, None]) ** power, axis=1)
 
 
 def _minor_identity(vals, coord, mvals, overlaps, diag: float):

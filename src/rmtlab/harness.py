@@ -380,7 +380,7 @@ def _run_localscan(cfg: ExperimentConfig):
 def _deloc_trial(args):
     dist, n, eps, seed = args
     w = sample_wigner(dist, n, seed, normalize=True)
-    return eigvec_inf_norms(eig_decompose(w), n, seed, eps)
+    return eigvec_inf_norms(eig_decompose(w), seed, eps)
 
 
 def _run_deloc(cfg: ExperimentConfig):
@@ -495,10 +495,9 @@ def _covariance_shape(n: int, p: int | None, eps: float) -> tuple[int, tuple[flo
 
 def _covariance_trial(args):
     dist, p, n, eps, bulk, eta, trial, seed = args
-    trip = gram_triplets(sample_rect(dist, p, n, seed))
-    gram_eigs = trip.sigma**2 / n  # the eigenvalues of MM*/n, ascending
+    columns = singular_vec_inf_norms(gram_triplets(sample_rect(dist, p, n, seed)), eps)
+    gram_eigs = columns["lambda"][::2]  # sigma_i^2/n of the left rows: the eigenvalues of MM*/n, ascending
     sc_res = max(mp_self_consistency_residual(gram_eigs, x + 1j * eta, p / n) for x in np.linspace(*bulk, 25))
-    columns = singular_vec_inf_norms(trip, eps)
     return {"trial": np.full(2 * p, trial), **columns}, gram_eigs, sc_res
 
 

@@ -214,9 +214,10 @@ def test_criterion_07_delocalization_scaling(announce):
     parts = []
     idx = 0
     for n in (256, 512, 1024, 2048):
-        for seed in range(5):
-            w = sample_wigner(DistSpec("rademacher"), n, derive_seed(70, idx))
-            parts.append(eigvec_inf_norms(eig_decompose(w), n, seed))
+        for _ in range(5):
+            seed = derive_seed(70, idx)
+            w = sample_wigner(DistSpec("rademacher"), n, seed)
+            parts.append(eigvec_inf_norms(eig_decompose(w), seed))
             idx += 1
     records = concat_columns(parts)
     fit = deloc_scaling_fit(records)

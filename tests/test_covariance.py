@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from rmtlab.covariance import (
-    classify_mp_region,
     covariance_schur_residual,
     gram_triplets,
     mp_self_consistency_residual,
@@ -13,7 +12,7 @@ from rmtlab.covariance import (
     singular_triplets,
     singular_vec_inf_norms,
 )
-from rmtlab.delocalization import wigner_identities
+from rmtlab.delocalization import classify_region, wigner_identities
 from rmtlab.ensembles import DistSpec, ParameterError, form_gram, sample_rect
 from rmtlab.spectral import ContractError, DomainError, eig_decompose, mp_edges
 
@@ -159,14 +158,16 @@ def test_pv_mp_edge_limits():
 
 def test_classify_mp_region_soft_and_hard():
     a, b = mp_edges(0.5)
-    assert classify_mp_region((a + b) / 2, 0.5, 0.1) == "bulk"
-    assert classify_mp_region(a - 0.05, 0.5, 0.1) == "edge"
-    assert classify_mp_region(b + 0.05, 0.5, 0.1) == "edge"
-    assert classify_mp_region(b + 0.5, 0.5, 0.1) == "outside"
-    # hard edge at y = 1: nothing near 0 is "edge"
-    assert classify_mp_region(0.01, 1.0, 0.1) == "outside"
-    assert classify_mp_region(3.95, 1.0, 0.1) == "edge"
-    assert classify_mp_region(2.0, 1.0, 0.1) == "bulk"
+    assert classify_region((a + b) / 2, (a, b), 0.1) == "bulk"
+    assert classify_region(a - 0.05, (a, b), 0.1) == "edge"
+    assert classify_region(b + 0.05, (a, b), 0.1) == "edge"
+    assert classify_region(b + 0.5, (a, b), 0.1) == "outside"
+    # hard edge at y = 1: nothing near 0 is "edge"; the soft edge b = 4 has its full window
+    a, b = mp_edges(1.0)
+    assert classify_region(0.01, (a, b), 0.1) == "outside"
+    assert classify_region(3.95, (a, b), 0.1) == "edge"
+    assert classify_region(2.0, (a, b), 0.1) == "bulk"
+    assert classify_region(b + 0.05, (a, b), 0.1) == "edge"
 
 
 def test_singular_vec_inf_norms_records():
@@ -181,6 +182,22 @@ def test_singular_vec_inf_norms_records():
     # bulk right singular vectors are delocalized at this size
     bulk_right = recs["scaled_bulk"][(recs["side"] == "right") & (recs["region"] == "bulk")]
     assert bulk_right.size and max(bulk_right) < 5.0
+
+
+@pytest.mark.parametrize("p, n", [(1, 50), (30, 30)])
+def test_singular_vec_inf_norms_at_p_one_and_p_n(p, n):
+    trip = singular_triplets(_factor(p, n, 16))
+    recs = singular_vec_inf_norms(trip, eps=0.1)
+    assert all(column.shape == (2 * p,) for column in recs.values())
+    np.testing.assert_array_equal(recs["dim"], np.tile([p, n], p))
+    for name in ("lambda", "inf_norm", "scaled_bulk", "scaled_edge"):
+        assert np.all(np.isfinite(recs[name]))
+    lam = recs["lambda"][::2]
+    np.testing.assert_array_equal(recs["lambda"][1::2], lam)
+    np.testing.assert_allclose(lam, trip.sigma**2 / n, rtol=1e-15)
+    np.testing.assert_array_equal(recs["region"], np.repeat(classify_region(lam, mp_edges(p / n), 0.1), 2))
+    if p == 1:  # a unit vector in C^1, with log 1 read as 1
+        assert recs["inf_norm"][0] == pytest.approx(1.0) and recs["scaled_edge"][0] == recs["scaled_bulk"][0]
 
 
 def test_wishart_esd_ks_against_mp():

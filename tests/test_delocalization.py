@@ -5,6 +5,7 @@ import pytest
 
 from rmtlab.delocalization import (
     _column_inf_norms,
+    _pole_sums,
     classify_region,
     deloc_scaling_fit,
     eigvec_inf_norms,
@@ -34,20 +35,33 @@ def test_column_inf_norms_match_abs_max():
         assert _column_inf_norms(v).tobytes() == np.abs(v).max(axis=0).tobytes()
 
 
+def test_pole_sums_match_the_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    cases = [(rng.random(m), rng.standard_normal(m), rng.standard_normal(k)) for m, k in [(0, 3), (1, 1), (7, 8), (15, 16)]]
+    weights, poles, _ = cases[-1]
+    cases.append((weights, poles, np.concatenate([poles[:3], [0.5]])))  # points on a pole: inf or nan
+    for weights, poles, points in cases:
+        for power in (1, 2):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                loop = np.array([np.sum(weights / (poles - x) ** power) for x in points])
+            assert _pole_sums(weights, poles, points, power).tobytes() == loop.tobytes()
+
+
 def test_classify_region():
-    assert classify_region(0.0, 0.1) == "bulk"
-    assert classify_region(-1.9, 0.1) == "bulk"
-    assert classify_region(1.95, 0.1) == "edge"
-    assert classify_region(-2.05, 0.1) == "edge"
-    assert classify_region(2.2, 0.1) == "outside"
+    semicircle = (-2.0, 2.0)
+    assert classify_region(0.0, semicircle, 0.1) == "bulk"
+    assert classify_region(-1.9, semicircle, 0.1) == "bulk"
+    assert classify_region(1.95, semicircle, 0.1) == "edge"
+    assert classify_region(-2.05, semicircle, 0.1) == "edge"
+    assert classify_region(2.2, semicircle, 0.1) == "outside"
     with pytest.raises(ContractError):
-        classify_region(0.0, 0.0)
+        classify_region(0.0, semicircle, 0.0)
 
 
 def test_eigvec_records_basic():
     n = 64
     w = sample_wigner(DistSpec("gaussian"), n, 0)
-    recs = eigvec_inf_norms(eig_decompose(w), n, 0)
+    recs = eigvec_inf_norms(eig_decompose(w), 0)
     # exactly the deloc CSV columns, in CSV order
     assert list(recs) == ["n", "seed", "index", "lambda", "region", "inf_norm", "scaled_bulk", "scaled_edge"]
     assert all(column.shape == (n,) for column in recs.values())
@@ -56,6 +70,15 @@ def test_eigvec_records_basic():
     assert recs["scaled_bulk"] == pytest.approx(math.sqrt(n) * inf_norm / math.sqrt(math.log(n)))
     assert recs["scaled_edge"] == pytest.approx(math.sqrt(n) * inf_norm / math.log(n))
     assert np.any(recs["region"] == "bulk")
+
+
+def test_eigvec_records_at_n_one():
+    # log 1 reads as 1, so no division by zero
+    w = sample_wigner(DistSpec("gaussian"), 1, 3)
+    recs = eigvec_inf_norms(eig_decompose(w), 3)
+    assert recs["n"].tolist() == [1]
+    for name in ("inf_norm", "scaled_bulk", "scaled_edge"):
+        assert recs[name].tolist() == [1.0]
 
 
 def _identities(w):
@@ -119,7 +142,7 @@ def test_minor_eigenvalues_interlace():
 def test_bulk_deloc_moderate_n():
     n = 512
     w = sample_wigner(DistSpec("rademacher"), n, 7)
-    recs = eigvec_inf_norms(eig_decompose(w), n, 7)
+    recs = eigvec_inf_norms(eig_decompose(w), 7)
     bulk = recs["scaled_bulk"][recs["region"] == "bulk"]
     assert 0.5 <= max(bulk) <= 4.0
 

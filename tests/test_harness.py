@@ -8,7 +8,7 @@ import pytest
 
 from rmtlab import harness
 from rmtlab.cli import main as cli_main
-from rmtlab.covariance import gram_triplets
+from rmtlab.covariance import gram_triplets, mp_self_consistency_residual
 from rmtlab.ensembles import DistSpec, sample_rect
 from rmtlab.concentration import ENVELOPE_KINDS, TailEnvelope
 from rmtlab.harness import (
@@ -394,6 +394,30 @@ def test_covariance_curve_is_the_mp_scan_of_every_scale():
         assert one.summary["max_rel_dev"] == [one.summary["max_mp_rel_dev"]]
         assert one.summary["max_mp_rel_dev"] == summary["max_rel_dev"][scales.index(mult)]
         assert one.summary["ok"] is ok
+
+
+@pytest.mark.parametrize("n, p", [(200, 100), (100, 100)])
+def test_covariance_summary_comes_from_its_records(tmp_path, n, p):
+    cfg = _cfg(experiment="covariance", n=n, p=p, trials=3, out_dir=str(tmp_path))
+    report = run_experiment(cfg)
+    summary = json.loads((report.out_path / "summary.json").read_text())
+    with open(report.out_path / "records.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    spectra = [
+        np.array([float(row["lambda"]) for row in rows if row["trial"] == str(t) and row["side"] == "left"])
+        for t in range(cfg.trials)
+    ]
+    assert all(eigs.size == p for eigs in spectra)
+    y, unit = p / n, math.log(n) / n
+    a, b = mp_edges(y)
+    bulk = (a + 2 * cfg.eps, b - 2 * cfg.eps)
+    curve = [max(law_deviation(eigs, ("mp", y), mult * unit, bulk).max_rel_dev for eigs in spectra) for mult in cfg.scales]
+    assert summary["max_rel_dev"] == curve
+    eta = cfg.eta_multiple * unit
+    residual = max(
+        mp_self_consistency_residual(eigs, x + 1j * eta, y) for eigs in spectra for x in np.linspace(*bulk, 25)
+    )
+    assert summary["max_self_consistency_residual"] == residual
 
 
 def test_run_covariance_experiment():

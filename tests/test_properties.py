@@ -20,6 +20,7 @@ from rmtlab.locallaw import schur_identity_residual
 from rmtlab.seeds import MASK64, derive_seed
 from rmtlab.spectral import (
     eig_decompose,
+    mp_edges,
     pv_semicircle,
     sc_interval_mass,
     stieltjes_mp,
@@ -77,14 +78,24 @@ def test_sc_mass_additive_and_bounded(a, b):
     )
 
 
-@given(st.floats(-5.0, 5.0), st.floats(0.01, 1.9))
-def test_classify_region_trichotomy(lam, eps):
-    region = classify_region(lam, eps)
-    assert region in ("bulk", "edge", "outside")
-    if region == "bulk":
-        assert abs(lam) <= 2.0 - eps
-    elif region == "outside":
-        assert abs(lam) > 2.0 + eps
+@given(st.floats(-5.0, 5.0), st.floats(0.005, 0.95), st.one_of(st.none(), st.just(1.0), st.floats(0.01, 1.0)))
+def test_classify_region_trichotomy(lam, fraction, y):
+    # the semicircle support (y None) or the MP support at aspect ratio y; eps a fraction of the half-width
+    lo, hi = (-2.0, 2.0) if y is None else mp_edges(y)
+    eps = fraction * (hi - lo) / 2
+    # the drawn point, and the window ends with their neighbours on either side
+    ends = [lo - eps, lo + eps, hi - eps, hi + eps]
+    for x in [lam, *ends, *np.nextafter(ends, -np.inf), *np.nextafter(ends, np.inf)]:
+        region = classify_region(x, (lo, hi), eps)
+        assert region in ("bulk", "edge", "outside")
+        assert (region == "bulk") == (lo + eps <= x <= hi - eps)
+        near_edge = hi - eps <= x <= hi + eps or (lo != 0.0 and lo - eps <= x <= lo + eps)
+        assert (region == "edge") == (near_edge and region != "bulk")
+        if y is None:
+            if region == "bulk":
+                assert abs(x) <= 2.0 - eps
+            elif region == "outside":
+                assert abs(x) > 2.0 + eps
 
 
 @given(
