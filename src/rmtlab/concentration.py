@@ -232,21 +232,20 @@ def _statistic_values(job) -> np.ndarray:
     ``.conj()`` of a real array is the array itself, so a real draw is not
     copied for its conjugate.  A row's result depends on its place in the
     block, the block's height and the BLAS thread count; blocks are drawn and
-    multiplied whole (even one that ``stop`` cuts short) on one thread, so
-    the draw's index fixes all three.
+    multiplied whole (even one that ``stop`` cuts short), so the draw's index
+    fixes the first two, and the caller holds ``one_blas_thread`` for the third.
     """
     statistic, dist, n, base_seed, start, stop, frame, matrix = job
     out = np.empty(stop - start)
-    with one_blas_thread():
-        for lo in range(start, stop, TAIL_BLOCK):
-            hi = min(lo + TAIL_BLOCK, stop)
-            x = _draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(base_seed, lo // TAIL_BLOCK)))
-            if statistic == "projection":
-                coeffs = np.abs(x @ frame.basis.conj()) ** 2
-                dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
-            else:
-                dev = np.sum(x.conj() * (x @ matrix.T), axis=1) - np.trace(matrix)
-            out[lo - start : hi - start] = np.abs(dev[: hi - lo])
+    for lo in range(start, stop, TAIL_BLOCK):
+        hi = min(lo + TAIL_BLOCK, stop)
+        x = _draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(base_seed, lo // TAIL_BLOCK)))
+        if statistic == "projection":
+            coeffs = np.abs(x @ frame.basis.conj()) ** 2
+            dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
+        else:
+            dev = np.sum(x.conj() * (x @ matrix.T), axis=1) - np.trace(matrix)
+        out[lo - start : hi - start] = np.abs(dev[: hi - lo])
     return out
 
 
@@ -265,8 +264,8 @@ def empirical_tail(
 
     ``statistic`` is "projection" (needs ``frame``) or "quadratic" (needs
     ``matrix``).  Block b of TAIL_BLOCK draws, always drawn whole, uses seed
-    derive_seed(base_seed, b).  Workers get whole blocks, reduced in trial
-    order, so draw i depends on neither ``trials`` nor the worker count.
+    derive_seed(base_seed, b).  Workers get whole blocks on one BLAS thread,
+    reduced in trial order, so draw i depends on neither ``trials`` nor the worker count.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
@@ -293,7 +292,8 @@ def empirical_tail(
         for lo, hi in zip(bounds[:-1], bounds[1:])
         if hi > lo
     ]
-    values = np.concatenate(map_trials(_statistic_values, jobs, workers))
+    with one_blas_thread():
+        values = np.concatenate(map_trials(_statistic_values, jobs, workers))
 
     survival = np.array([np.count_nonzero(values >= t) / trials for t in t_grid])
     stderr = np.sqrt(survival * (1.0 - survival) / trials)

@@ -3,7 +3,7 @@
 Every experiment is a pure function of (config, base_seed): trial i runs with
 seed derive_seed(base_seed, i), and ``tail`` block b of TAIL_BLOCK draws with
 derive_seed(base_seed, b).  ``seeds.map_trials`` spreads the trials of every
-experiment but ``pv`` over ``workers`` processes and returns them in trial
+experiment but ``pv`` over ``workers`` threads and returns them in trial
 order, so the written CSV is byte-identical for any worker count.  Each runner
 returns its records as columns, a dict of CSV column name -> 1-D array, and
 the writer formats each distinct value of a column once and joins the rows

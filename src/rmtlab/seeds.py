@@ -3,15 +3,15 @@
 Every Monte Carlo trial gets its own seed via ``derive_seed(base, index)``.
 The mixing function is a splitmix64-style avalanche, so trial seeds are
 reproducible across platforms and independent of thread scheduling.
-``map_trials`` is the one place trials fan out to worker processes; it
+``map_trials`` is the one place trials fan out, to a pool of threads; it
 returns results in job order, so a reduction over them is the same for any
 worker count.  Trials return their records as columns: a dict of
 equal-length 1-D arrays keyed by column name, which ``concat_columns``
 joins in trial order.  ``one_blas_thread`` pins numpy's bundled OpenBLAS
 to one thread for a block of code and restores the setting after; the
-``tail`` statistic runs its block products under it, so its values do not
-depend on the worker or core count, while every other trial keeps the
-parent's BLAS thread setting.
+setting is one per process, and the ``tail`` statistic holds the pin around
+its whole fan-out, so its values do not depend on the worker or core count,
+while every other trial keeps the process's BLAS thread setting.
 """
 
 import contextlib
@@ -49,20 +49,20 @@ def derive_seed(base: int, index: int) -> int:
 
 
 def map_trials(fn, jobs, workers: int = 1) -> list:
-    """``[fn(job) for job in jobs]``, on up to ``workers`` processes.
+    """``[fn(job) for job in jobs]``, on up to ``workers`` threads.
 
-    Runs in-process when ``workers <= 1`` or there is at most one job;
-    otherwise ``fn`` and every job must be picklable.  Results come back in
-    job order whatever the worker count.  Worker processes get no BLAS
-    thread setting: pinning them would change ``eigh`` and ``svd`` results
-    in the last bits and break equality with the in-process run.  A job
-    that needs a fixed thread count sets it itself, in and out of process
-    alike (``one_blas_thread``, as the ``tail`` statistic does).
+    Runs in the calling thread when ``workers <= 1`` or there is at most one job.
+    Results come back in job order whatever the worker count.  A trial's
+    LAPACK, BLAS and generator fills release the GIL, so threads run them
+    in parallel.  All threads share the process's one BLAS thread setting,
+    so ``eigh`` and ``svd`` give the same bits on any worker count.  A caller
+    that needs a fixed thread count holds ``one_blas_thread`` around the
+    whole call, never inside a job: one job's restore would un-pin another.
     """
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
-    with futures.ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+    with futures.ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(fn, jobs))
 
 

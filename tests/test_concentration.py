@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rmtlab import concentration
+from rmtlab import concentration, seeds
 from rmtlab.concentration import (
     TAIL_BLOCK,
     EmpiricalTail,
@@ -256,6 +256,28 @@ def test_tail_values_do_not_depend_on_worker_count(monkeypatch, statistic, kind)
     assert runs[0].shape == (1000,)
     for values in runs[1:]:
         assert values.tobytes() == runs[0].tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_one_blas_pin_wraps_the_whole_tail_fan_out(monkeypatch, workers):
+    # the thread count is one setting per process: a pin entered per job would let one
+    # worker's restore un-pin the products of another still running
+    count, events = [4], []
+
+    def set_threads(k):
+        count[0] = k
+        events.append(("set", k))
+
+    def draw(*args):
+        events.append(("block", count[0]))
+        return _draw(*args)
+
+    monkeypatch.setattr(seeds, "_openblas_threads", lambda: (lambda: count[0], set_threads))
+    monkeypatch.setattr(concentration, "_draw", draw)
+    a = np.diag(np.linspace(-1.0, 1.0, 8))
+    empirical_tail("quadratic", DistSpec("rademacher"), np.array([0.0]), 1000, 3, matrix=a, workers=workers)
+    # 1,000 draws are four blocks of TAIL_BLOCK
+    assert events == [("set", 1)] + [("block", 1)] * 4 + [("set", 4)]
 
 
 @pytest.mark.parametrize(("statistic", "kind"), _BLOCK_CASES)

@@ -462,9 +462,9 @@ def test_deloc_worker_invariance():
 
 
 # Sizes at which OPENBLAS_NUM_THREADS=1 changes the serial deloc and
-# covariance rows (bundled scipy-openblas 0.3.31, 2 cores), so workers whose
-# BLAS threads differ from the parent's fail here.  The identity instances
-# are too small for BLAS threads to change them.
+# covariance rows (bundled scipy-openblas 0.3.31, 2 cores), so workers that
+# ran with another BLAS thread count than the serial run would fail here.
+# The identity instances are too small for BLAS threads to change them.
 @pytest.mark.parametrize(
     "raw",
     [

@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Any later import of scipy or a submodule raises ImportError, in this process
-# and in pool workers forked from it, so the run fails and names the module.
+# and so in its pool's worker threads, so the run fails and names the module.
 _BLOCK_SCIPY = """
 import sys
 

@@ -63,12 +63,19 @@ def test_map_trials_empty_jobs():
 def test_map_trials_single_worker_runs_in_process():
     seen = []
 
-    def record(job):  # a closure cannot be pickled, so this only works in-process
+    def record(job):  # runs in the calling thread, so the calls come in job order
         seen.append(job)
         return os.getpid(), job * job
 
     assert map_trials(record, range(4), workers=1) == [(os.getpid(), j * j) for j in range(4)]
     assert seen == [0, 1, 2, 3]
+
+
+def test_map_trials_runs_workers_as_threads_of_this_process():
+    def record(job):  # a closure: a process pool could not pickle it
+        return os.getpid(), job
+
+    assert map_trials(record, range(7), workers=3) == [(os.getpid(), j) for j in range(7)]
 
 
 def test_one_blas_thread_sets_and_restores():
