@@ -5,8 +5,9 @@ truncation), ``spectral`` (spectra, limiting densities, Stieltjes
 transforms), ``concentration`` (projection/quadratic-form statistics and
 tail envelopes), ``locallaw`` (windowed count laws and threshold scans),
 ``delocalization`` (eigenvector infinity norms and minor identities),
-``covariance`` (singular-value analogs), and ``harness`` (experiment
-orchestration and the CLI).
+``covariance`` (singular-value analogs), ``seeds`` (seed derivation and
+the trial engine), ``harness`` (experiment orchestration and outputs) and
+``cli`` (the command-line front end).
 """
 
 __version__ = "0.1.0"

@@ -8,10 +8,11 @@ The central statistics are
 together with the closed-form tail bounds they satisfy for K-concentrated
 input vectors, one table that gives each bound's inputs and rate, and a
 seeded Monte Carlo estimator of the empirical survival function used to
-check those bounds numerically.  Block b of ``TAIL_BLOCK`` draws takes its
-vectors from one stream seeded with derive_seed(base_seed, b), and is drawn
-and multiplied whole with one matrix product on one BLAS thread, so every
-value is the same for any draw count, worker count and number of cores.
+check those bounds numerically.  The estimator's trials are its blocks of
+``TAIL_BLOCK`` draws: ``seeds.map_trials`` gives block b the seed
+derive_seed(base_seed, b), and each block is drawn and multiplied whole with
+one matrix product on one BLAS thread, so every value is the same for any
+draw count, worker count and number of cores.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import DistSpec, ParameterError, _draw, _rng
-from .seeds import derive_seed, map_trials, one_blas_thread
+from .seeds import map_trials, one_blas_thread
 from .spectral import ContractError
 
 
@@ -223,30 +224,24 @@ class EmpiricalTail:
     trials: int
 
 
-def _statistic_values(job) -> np.ndarray:
-    """|statistic| for trials start..stop-1 of one contiguous range job.
+def _statistic_values(statistic, dist, n, frame, matrix, seed) -> np.ndarray:
+    """|statistic| for the TAIL_BLOCK draws of one block, drawn as one TAIL_BLOCK x n draw from ``seed``.
 
-    ``start`` is a multiple of TAIL_BLOCK.  Block b is one TAIL_BLOCK x n
-    draw from stream derive_seed(base_seed, b), and one product gives its
-    statistic: X A^T for the quadratic form, X conj(U) for the projection.
-    ``.conj()`` of a real array is the array itself, so a real draw is not
-    copied for its conjugate.  A row's result depends on its place in the
-    block, the block's height and the BLAS thread count; blocks are drawn and
-    multiplied whole (even one that ``stop`` cuts short), so the draw's index
-    fixes the first two, and the caller holds ``one_blas_thread`` for the third.
+    One product gives the block's statistic: X A^T for the quadratic form,
+    X conj(U) for the projection.  ``.conj()`` of a real array is the array
+    itself, so a real draw is not copied for its conjugate.  A row's result
+    depends on its place in the block, the block's height and the BLAS thread
+    count; every block is drawn and multiplied whole (even the last, which
+    the caller cuts short), so the draw's index fixes the first two, and the
+    caller holds ``one_blas_thread`` for the third.
     """
-    statistic, dist, n, base_seed, start, stop, frame, matrix = job
-    out = np.empty(stop - start)
-    for lo in range(start, stop, TAIL_BLOCK):
-        hi = min(lo + TAIL_BLOCK, stop)
-        x = _draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(base_seed, lo // TAIL_BLOCK)))
-        if statistic == "projection":
-            coeffs = np.abs(x @ frame.basis.conj()) ** 2
-            dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
-        else:
-            dev = np.sum(x.conj() * (x @ matrix.T), axis=1) - np.trace(matrix)
-        out[lo - start : hi - start] = np.abs(dev[: hi - lo])
-    return out
+    x = _draw(dist, (TAIL_BLOCK, n), _rng(seed))
+    if statistic == "projection":
+        coeffs = np.abs(x @ frame.basis.conj()) ** 2
+        dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
+    else:
+        dev = np.sum(x.conj() * (x @ matrix.T), axis=1) - np.trace(matrix)
+    return np.abs(dev)
 
 
 def empirical_tail(
@@ -263,9 +258,10 @@ def empirical_tail(
     """Survival function of |statistic| over ``trials`` seeded draws.
 
     ``statistic`` is "projection" (needs ``frame``) or "quadratic" (needs
-    ``matrix``).  Block b of TAIL_BLOCK draws, always drawn whole, uses seed
-    derive_seed(base_seed, b).  Workers get whole blocks on one BLAS thread,
-    reduced in trial order, so draw i depends on neither ``trials`` nor the worker count.
+    ``matrix``).  The trials of ``map_trials`` are the blocks of TAIL_BLOCK
+    draws: block b, always drawn whole, uses seed derive_seed(base_seed, b).
+    Workers get whole blocks on one BLAS thread, reduced in block order, so
+    draw i depends on neither ``trials`` nor the worker count.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
@@ -285,15 +281,12 @@ def empirical_tail(
     else:
         raise ParameterError(f"unknown statistic {statistic!r}")
 
-    blocks = -(-trials // TAIL_BLOCK)
-    bounds = np.minimum(np.linspace(0, blocks, max(workers, 1) + 1, dtype=int) * TAIL_BLOCK, trials)
-    jobs = [
-        (statistic, dist, n, base_seed, int(lo), int(hi), frame, matrix)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
+    def block(_, seed):
+        return _statistic_values(statistic, dist, n, frame, matrix, seed)
+
     with one_blas_thread():
-        values = np.concatenate(map_trials(_statistic_values, jobs, workers))
+        blocks = map_trials(block, -(-trials // TAIL_BLOCK), base_seed, workers)
+    values = np.concatenate(blocks)[:trials]
 
     survival = np.array([np.count_nonzero(values >= t) / trials for t in t_grid])
     stderr = np.sqrt(survival * (1.0 - survival) / trials)

@@ -1,10 +1,11 @@
-"""Experiment orchestration: config, seed fan-out, parallel trials, CSV/JSON.
+"""Experiment orchestration: config, trial runners over ``seeds.map_trials``, CSV/JSON.
 
-Every experiment is a pure function of (config, base_seed): trial i runs with
-seed derive_seed(base_seed, i), and ``tail`` block b of TAIL_BLOCK draws with
-derive_seed(base_seed, b).  ``seeds.map_trials`` spreads the trials of every
-experiment but ``pv`` over ``workers`` threads and returns them in trial
-order, so the written CSV is byte-identical for any worker count.  Each runner
+Every experiment is a pure function of (config, base_seed).  Each runner but
+``pv`` hands ``seeds.map_trials`` a closure of (trial index, seed) over its
+config; ``map_trials`` runs trial i with seed derive_seed(base_seed, i) on up
+to ``workers`` threads and returns the trials in index order, so the written
+CSV is byte-identical for any worker count.  A ``tail`` run's trials are its
+blocks of TAIL_BLOCK draws (``concentration.empirical_tail``).  Each runner
 returns its records as columns, a dict of CSV column name -> 1-D array, and
 the writer formats each distinct value of a column once and joins the rows
 itself, in the bytes of ``csv.writer``'s excel dialect.  ``localscan`` and
@@ -18,6 +19,7 @@ and, but for workers, hashed into the default label.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -74,10 +76,12 @@ class ExperimentConfig:
     Defaults: rademacher entries, n = 1000, 2000 trials for tail, 200
     identity instances (sizes cycling over [3, 16]), 5 trials elsewhere,
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
-    log n / n, single worker.  Counts, n_grid entries and base_seed must be
-    ints (not bools), base_seed below 2^64, and envelopes known kinds that
-    fit the statistic: ``projection`` for the projection statistic, the
-    quadratic-form kinds (those that read ||A||_F) for the quadratic one.
+    log n / n, single worker.  dist is a JSON object with a 'kind'; n_grid,
+    when given, and envelopes are lists.  Counts, n_grid entries and
+    base_seed must be ints (not bools), base_seed below 2^64, and envelopes
+    known kinds that fit the statistic: ``projection`` for the projection
+    statistic, the quadratic-form kinds (those that read ||A||_F) for the
+    quadratic one.
     A tail run needs n >= 2 for an envelope that reads n (log n), and
     d <= n for the projection statistic.
     delta, eps, eta_multiple and the scales (strictly ascending) are finite
@@ -112,13 +116,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if isinstance(self.dist, dict):
+        if not isinstance(self.dist, DistSpec):
             try:
                 self.dist = DistSpec.from_dict(self.dist)
             except ParameterError as exc:
                 raise ConfigError(f"field 'dist': {exc}") from exc
         if self.trials is None:
             self.trials = {"tail": 2000, "identities": 200}.get(self.experiment, 5)
+        for name, value in (("n_grid", [] if self.n_grid is None else self.n_grid), ("envelopes", self.envelopes)):
+            if not isinstance(value, list):
+                raise ConfigError(f"field {name!r} must be a list, not {value!r}")
         counts = [(name, getattr(self, name)) for name in ("n", "p", "trials", "workers", "d", "base_seed")]
         for name, value in counts + [("n_grid", v) for v in self.n_grid or []]:
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
@@ -352,16 +359,14 @@ def _scan_summary(est: ThresholdEstimate, delta: float, multiples: list[float]) 
     return dict(delta=delta, scale_multiples=list(multiples), max_rel_dev=curve, threshold_scale=est.threshold_scale)
 
 
-def _wigner_spectrum(args) -> np.ndarray:
-    dist, n, seed = args
-    return np.linalg.eigvalsh(sample_wigner(dist, n, seed, normalize=True))
-
-
 def _run_localscan(cfg: ExperimentConfig):
     unit = math.log(cfg.n) / cfg.n
     scales = [s * unit for s in cfg.scales]
-    jobs = [(cfg.dist, cfg.n, derive_seed(cfg.base_seed, t)) for t in range(cfg.trials)]
-    spectra = map_trials(_wigner_spectrum, jobs, cfg.workers)
+
+    def spectrum(_, seed):
+        return np.linalg.eigvalsh(sample_wigner(cfg.dist, cfg.n, seed, normalize=True))
+
+    spectra = map_trials(spectrum, cfg.trials, cfg.base_seed, cfg.workers)
     est = threshold_scan(spectra, "semicircle", scales, cfg.delta, (-1.8, 1.8))
     windows = np.concatenate([dev.windows for devs in est.per_trial for dev in devs])
     runs = [dev.windows.size for devs in est.per_trial for dev in devs]  # windows per (trial, scale)
@@ -377,16 +382,13 @@ def _run_localscan(cfg: ExperimentConfig):
 # --- deloc experiment -------------------------------------------------------
 
 
-def _deloc_trial(args):
-    dist, n, eps, seed = args
-    w = sample_wigner(dist, n, seed, normalize=True)
-    return eigvec_inf_norms(eig_decompose(w), seed, eps)
-
-
 def _run_deloc(cfg: ExperimentConfig):
-    sizes = [n for n in cfg.n_grid or [cfg.n] for _ in range(cfg.trials)]  # job i runs with seed i
-    jobs = [(cfg.dist, n, cfg.eps, derive_seed(cfg.base_seed, i)) for i, n in enumerate(sizes)]
-    records = concat_columns(map_trials(_deloc_trial, jobs, cfg.workers))
+    sizes = [n for n in cfg.n_grid or [cfg.n] for _ in range(cfg.trials)]  # trial i draws a size-sizes[i] matrix
+
+    def trial(i, seed):
+        return eigvec_inf_norms(eig_decompose(sample_wigner(cfg.dist, sizes[i], seed, normalize=True)), seed, cfg.eps)
+
+    records = concat_columns(map_trials(trial, len(sizes), cfg.base_seed, cfg.workers))
     bulk = records["scaled_bulk"][records["region"] == "bulk"]
     bulk_max = bulk.max() if bulk.size else float("nan")
     summary = {"ok": bool(bulk_max <= 4.0), "max_scaled_bulk": float(bulk_max)}
@@ -419,9 +421,8 @@ def _check_columns(instance: int, dim: int, p: int, checks: list) -> dict:
     }
 
 
-def _identity_instance(job) -> tuple[dict, int]:
-    """Exact-identity checks on one small random instance (dist, instance, seed): (columns, skipped)."""
-    dist, instance, seed = job
+def _identity_instance(dist: DistSpec, instance: int, seed: int) -> tuple[dict, int]:
+    """Exact-identity checks on one small random instance: (columns, skipped)."""
     rng_sizes_n = list(range(3, 17))
     n = rng_sizes_n[instance % len(rng_sizes_n)]
     p = 2 + instance % 9
@@ -465,8 +466,7 @@ def _identity_instance(job) -> tuple[dict, int]:
 
 
 def _run_identities(cfg: ExperimentConfig):
-    jobs = [(cfg.dist, i, derive_seed(cfg.base_seed, i)) for i in range(cfg.trials)]
-    results = map_trials(_identity_instance, jobs, cfg.workers)
+    results = map_trials(functools.partial(_identity_instance, cfg.dist), cfg.trials, cfg.base_seed, cfg.workers)
     records = concat_columns([columns for columns, _ in results])
     rel_err = records["rel_err"]
     failures = int(np.count_nonzero(rel_err > 1e-8))
@@ -493,23 +493,19 @@ def _covariance_shape(n: int, p: int | None, eps: float) -> tuple[int, tuple[flo
     return p, (a + 2 * eps, b - 2 * eps)
 
 
-def _covariance_trial(args):
-    dist, p, n, eps, bulk, eta, trial, seed = args
-    columns = singular_vec_inf_norms(gram_triplets(sample_rect(dist, p, n, seed)), eps)
-    gram_eigs = columns["lambda"][::2]  # sigma_i^2/n of the left rows: the eigenvalues of MM*/n, ascending
-    sc_res = max(mp_self_consistency_residual(gram_eigs, x + 1j * eta, p / n) for x in np.linspace(*bulk, 25))
-    return {"trial": np.full(2 * p, trial), **columns}, gram_eigs, sc_res
-
-
 def _run_covariance(cfg: ExperimentConfig):
     p, bulk = _covariance_shape(cfg.n, cfg.p, cfg.eps)
     y = p / cfg.n
     unit = math.log(cfg.n) / cfg.n
-    jobs = [
-        (cfg.dist, p, cfg.n, cfg.eps, bulk, cfg.eta_multiple * unit, t, derive_seed(cfg.base_seed, t))
-        for t in range(cfg.trials)
-    ]
-    results = map_trials(_covariance_trial, jobs, cfg.workers)
+    eta = cfg.eta_multiple * unit
+
+    def trial(t, seed):
+        columns = singular_vec_inf_norms(gram_triplets(sample_rect(cfg.dist, p, cfg.n, seed)), cfg.eps)
+        gram_eigs = columns["lambda"][::2]  # sigma_i^2/n of the left rows: the eigenvalues of MM*/n, ascending
+        sc_res = max(mp_self_consistency_residual(gram_eigs, x + 1j * eta, y) for x in np.linspace(*bulk, 25))
+        return {"trial": np.full(2 * p, t), **columns}, gram_eigs, sc_res
+
+    results = map_trials(trial, cfg.trials, cfg.base_seed, cfg.workers)
     records = concat_columns([columns for columns, _, _ in results])
     est = threshold_scan([eigs for _, eigs, _ in results], ("mp", y), [s * unit for s in cfg.scales], MP_GATE, bulk)
     max_dev = est.max_rel_dev[max(len(cfg.scales) - 2, 0)]  # the gated scale: the next to last, or the only one

@@ -1,17 +1,17 @@
 """Deterministic 64-bit seed derivation for parallel trial streams.
 
-Every Monte Carlo trial gets its own seed via ``derive_seed(base, index)``.
+``map_trials(trial, count, base_seed, workers)`` is the one trial engine and
+the one seed rule: trial i runs as ``trial(i, derive_seed(base_seed, i))``.
 The mixing function is a splitmix64-style avalanche, so trial seeds are
-reproducible across platforms and independent of thread scheduling.
-``map_trials`` is the one place trials fan out, to a pool of threads; it
-returns results in job order, so a reduction over them is the same for any
-worker count.  Trials return their records as columns: a dict of
-equal-length 1-D arrays keyed by column name, which ``concat_columns``
-joins in trial order.  ``one_blas_thread`` pins numpy's bundled OpenBLAS
-to one thread for a block of code and restores the setting after; the
-setting is one per process, and the ``tail`` statistic holds the pin around
-its whole fan-out, so its values do not depend on the worker or core count,
-while every other trial keeps the process's BLAS thread setting.
+reproducible across platforms and independent of thread scheduling.  Trials
+fan out to a pool of threads and come back in index order, so a reduction
+over them is the same for any worker count.  Trials return their records as
+columns: a dict of equal-length 1-D arrays keyed by column name, which
+``concat_columns`` joins in trial order.  ``one_blas_thread`` pins numpy's
+bundled OpenBLAS to one thread for a block of code and restores the setting
+after; the setting is one per process, and the ``tail`` statistic holds the
+pin around its whole fan-out, so its values do not depend on the worker or
+core count, while every other trial keeps the process's BLAS thread setting.
 """
 
 import contextlib
@@ -48,22 +48,22 @@ def derive_seed(base: int, index: int) -> int:
     return splitmix64(state)
 
 
-def map_trials(fn, jobs, workers: int = 1) -> list:
-    """``[fn(job) for job in jobs]``, on up to ``workers`` threads.
+def map_trials(trial, count: int, base_seed: int, workers: int = 1) -> list:
+    """``[trial(i, derive_seed(base_seed, i)) for i in range(count)]``, on up to ``workers`` threads.
 
-    Runs in the calling thread when ``workers <= 1`` or there is at most one job.
-    Results come back in job order whatever the worker count.  A trial's
+    Runs in the calling thread when ``workers <= 1`` or ``count <= 1``.
+    Results come back in index order whatever the worker count.  A trial's
     LAPACK, BLAS and generator fills release the GIL, so threads run them
     in parallel.  All threads share the process's one BLAS thread setting,
     so ``eigh`` and ``svd`` give the same bits on any worker count.  A caller
     that needs a fixed thread count holds ``one_blas_thread`` around the
-    whole call, never inside a job: one job's restore would un-pin another.
+    whole call, never inside a trial: one trial's restore would un-pin another.
     """
-    jobs = list(jobs)
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    with futures.ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(fn, jobs))
+    seeds = [derive_seed(base_seed, i) for i in range(count)]
+    if workers <= 1 or count <= 1:
+        return list(map(trial, range(count), seeds))
+    with futures.ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+        return list(pool.map(trial, range(count), seeds))
 
 
 def concat_columns(parts: list[dict]) -> dict:
@@ -71,8 +71,9 @@ def concat_columns(parts: list[dict]) -> dict:
     return {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
 
 
-def _find_openblas():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None.
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None after one warning.
 
     The symbols are looked up through numpy's core extension module, which
     links the library; ctypes loads only here, on first use.
@@ -85,22 +86,15 @@ def _find_openblas():
         lib = ctypes.CDLL(_multiarray_umath.__file__)
         get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
     except (ImportError, OSError, AttributeError):
-        return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get, set_threads
-
-
-@functools.cache
-def _openblas_threads():
-    calls = _find_openblas()
-    if calls is None:
         warnings.warn(
             "numpy's OpenBLAS thread control was not found; BLAS products run unpinned, "
             "so their last bits may depend on the core count",
             RuntimeWarning,
         )
-    return calls
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    return get, set_threads
 
 
 @contextlib.contextmanager

@@ -231,28 +231,31 @@ _BLOCK_CASES = [
 
 def _tail_inputs(statistic):
     # at n = 199 a row of X A^T moved in the last bits with the height of its block
-    # (Haswell OpenBLAS kernel), so blocks that followed the worker ranges would show
+    # (Haswell OpenBLAS kernel), so a block multiplied at another height would show
     n = 199
     if statistic == "quadratic":
         return n, dict(matrix=_symmetric_matrix(n, 4))
     return n, dict(frame=_complex_frame(n, 24, 4))
 
 
+def _tail_values(monkeypatch, statistic, kind, trials, workers=1):
+    """The |statistic| values that empirical_tail reduces: its blocks from map_trials, cut to ``trials``."""
+    _, inputs = _tail_inputs(statistic)
+    blocks = []
+
+    def spy(trial, count, base_seed, w):
+        blocks.extend(map_trials(trial, count, base_seed, w))
+        return blocks
+
+    monkeypatch.setattr(concentration, "map_trials", spy)
+    empirical_tail(statistic, DistSpec(kind), np.array([0.0]), trials, 17, workers=workers, **inputs)
+    return np.concatenate(blocks)[:trials]
+
+
 @pytest.mark.parametrize(("statistic", "kind"), _BLOCK_CASES)
 def test_tail_values_do_not_depend_on_worker_count(monkeypatch, statistic, kind):
-    # 1,000 draws: three full blocks and a short one; 2 and 3 workers split them differently
-    _, inputs = _tail_inputs(statistic)
-    runs = []
-    for workers in (1, 2, 3):
-        parts = []
-
-        def spy(fn, jobs, w):
-            parts.extend(map_trials(fn, jobs, w))
-            return parts
-
-        monkeypatch.setattr(concentration, "map_trials", spy)
-        empirical_tail(statistic, DistSpec(kind), np.array([0.0]), 1000, 17, workers=workers, **inputs)
-        runs.append(np.concatenate(parts))
+    # 1,000 draws: three full blocks and a short one; 2 and 3 workers run them on different threads
+    runs = [_tail_values(monkeypatch, statistic, kind, 1000, workers) for workers in (1, 2, 3)]
     assert runs[0].shape == (1000,)
     for values in runs[1:]:
         assert values.tobytes() == runs[0].tobytes()
@@ -284,8 +287,10 @@ def test_one_blas_pin_wraps_the_whole_tail_fan_out(monkeypatch, workers):
 def test_block_values_match_per_draw_formulas(statistic, kind):
     n, inputs = _tail_inputs(statistic)
     dist = DistSpec(kind)
-    job = (statistic, dist, n, 17, 0, 600, inputs.get("frame"), inputs.get("matrix"))
-    values = concentration._statistic_values(job)
+    frame, matrix = inputs.get("frame"), inputs.get("matrix")
+    blocks = [concentration._statistic_values(statistic, dist, n, frame, matrix, derive_seed(17, b)) for b in range(3)]
+    assert all(block.shape == (TAIL_BLOCK,) for block in blocks)
+    values = np.concatenate(blocks)[:600]
     # block b is one TAIL_BLOCK x n draw from stream derive_seed(17, b); 600 draws end inside block 2
     xs = np.concatenate([_draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(17, b))) for b in range(3)])[:600]
     if statistic == "quadratic":
@@ -300,11 +305,9 @@ def test_block_values_match_per_draw_formulas(statistic, kind):
 
 @pytest.mark.parametrize("statistic", ["quadratic", "projection"])
 @pytest.mark.parametrize("kind", KINDS)
-def test_values_do_not_depend_on_draw_count(statistic, kind):
+def test_values_do_not_depend_on_draw_count(monkeypatch, statistic, kind):
     # 300 draws end 44 rows into block 1, 600 draws 88 rows into block 2: a draw's value is the same in both
-    n, inputs = _tail_inputs(statistic)
-    jobs = [(statistic, DistSpec(kind), n, 17, 0, stop, inputs.get("frame"), inputs.get("matrix")) for stop in (300, 600)]
-    runs = [concentration._statistic_values(job) for job in jobs]
+    runs = [_tail_values(monkeypatch, statistic, kind, trials) for trials in (300, 600)]
     assert runs[0].tobytes() == runs[1][:300].tobytes()
 
 

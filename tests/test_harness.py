@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rmtlab import harness
+from rmtlab import concentration, harness
 from rmtlab.cli import main as cli_main
 from rmtlab.covariance import gram_triplets, mp_self_consistency_residual
 from rmtlab.ensembles import DistSpec, sample_rect
@@ -141,6 +141,22 @@ def test_experiment_table_matches_runner_reads(monkeypatch):
     assert reads == {name: set(row) for name, (_, row) in EXPERIMENTS.items()}
 
 
+_WRONG_TYPE_CONFIGS = [
+    {"experiment": "tail", "dist": "gaussian"},
+    {"experiment": "deloc", "dist": ["gaussian"]},
+    {"experiment": "identities", "dist": 3},
+    {"experiment": "localscan", "dist": None},
+    {"experiment": "deloc", "n_grid": 5},
+    {"experiment": "tail", "envelopes": "vw1"},
+    {"experiment": "tail", "envelopes": None},
+]
+
+
+def _wrong_field(raw: dict) -> str:
+    """The one field of a _WRONG_TYPE_CONFIGS entry besides experiment."""
+    return next(name for name in raw if name != "experiment")
+
+
 def test_config_validation_errors():
     cases = [
         {"experiment": "nope"},
@@ -235,6 +251,10 @@ def test_config_validation_errors():
     ]
     for raw in cases:
         with pytest.raises(ConfigError):
+            config_from_dict(raw)
+    # a field of the wrong JSON type fails with a message that names it
+    for raw in _WRONG_TYPE_CONFIGS:
+        with pytest.raises(ConfigError, match=f"^field '{_wrong_field(raw)}'"):
             config_from_dict(raw)
     assert config_from_dict({"experiment": "pv", "label": "run.1"}).label == "run.1"
     assert config_from_dict({"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": 85}}).dist.alpha == 85
@@ -524,7 +544,7 @@ def test_identity_instance_decomposes_each_factor_once(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
         if inner is not None:
             monkeypatch.setattr(inner, name, counted)
-    columns, _ = _identity_instance((DistSpec("rademacher"), 5, 17))  # n = 8, p = 7
+    columns, _ = _identity_instance(DistSpec("rademacher"), 5, 17)  # n = 8, p = 7
     assert calls == {"svd": 3, "solve": 2, "eigh": 3, "eigvalsh": 0}
     assert set(columns["check"].tolist()) >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
 
@@ -746,6 +766,29 @@ def test_cli_eps_without_bulk_exit_two_before_sampling(raw, tmp_path, capsys, mo
     assert cli_main([raw["experiment"], "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: field 'eps'") and err.count("\n") == 1
+    assert not (tmp_path / raw["experiment"]).exists()
+
+
+def _wrong_type_id(raw: dict) -> str:
+    field = _wrong_field(raw)
+    return f"{raw['experiment']}-{field}-{type(raw[field]).__name__}"
+
+
+@pytest.mark.parametrize("raw", _WRONG_TYPE_CONFIGS, ids=_wrong_type_id)
+def test_cli_field_of_wrong_type_exit_two_before_sampling(raw, tmp_path, capsys, monkeypatch):
+    # a dist that is not an object, or an n_grid or envelopes that is not a list, fails at load
+    # with one error line that names the field: nothing is drawn and nothing written
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a matrix was drawn")
+
+    monkeypatch.setattr(harness, "sample_rect", no_draw)
+    monkeypatch.setattr(harness, "sample_wigner", no_draw)
+    monkeypatch.setattr(concentration, "_draw", no_draw)
+    path = tmp_path / "wrong_type.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main([raw["experiment"], "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{_wrong_field(raw)}'") and err.count("\n") == 1
     assert not (tmp_path / raw["experiment"]).exists()
 
 

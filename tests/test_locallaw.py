@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from rmtlab.ensembles import DistSpec, ParameterError, sample_wigner
-from rmtlab.harness import _wigner_spectrum
 from rmtlab.locallaw import law_deviation, schur_identity_residual, threshold_scan
-from rmtlab.seeds import derive_seed, map_trials
+from rmtlab.seeds import map_trials
 from rmtlab.spectral import ContractError, DomainError, sc_interval_mass
 
 
@@ -16,8 +15,11 @@ def _wigner_unnorm(n, seed, dist=DistSpec("gaussian")):
 
 def _spectra(dist, n, trials, base_seed, workers=1):
     """Normalized Wigner spectra of trials 0..trials-1, trial t drawn with seed derive_seed(base_seed, t)."""
-    jobs = [(dist, n, derive_seed(base_seed, t)) for t in range(trials)]
-    return map_trials(_wigner_spectrum, jobs, workers)
+
+    def spectrum(_, seed):
+        return np.linalg.eigvalsh(sample_wigner(dist, n, seed, normalize=True))
+
+    return map_trials(spectrum, trials, base_seed, workers)
 
 
 def _semicircle_quantiles(n: int, grid: int = 200_001) -> np.ndarray:

@@ -1,5 +1,7 @@
+import ctypes
 import os
 import statistics
+import time
 import warnings
 
 import numpy as np
@@ -52,34 +54,61 @@ def test_derive_seed_avalanche():
 
 def test_map_trials_keeps_job_order_with_more_workers_than_jobs():
     jobs = [5, 0, 3]
-    assert map_trials(splitmix64, jobs, workers=8) == [splitmix64(j) for j in jobs]
+    assert map_trials(lambda i, _: splitmix64(jobs[i]), len(jobs), 0, workers=8) == [splitmix64(j) for j in jobs]
 
 
 def test_map_trials_empty_jobs():
-    assert map_trials(splitmix64, [], workers=1) == []
-    assert map_trials(splitmix64, [], workers=4) == []
+    assert map_trials(lambda i, seed: seed, 0, 0, workers=1) == []
+    assert map_trials(lambda i, seed: seed, 0, 0, workers=4) == []
 
 
 def test_map_trials_single_worker_runs_in_process():
     seen = []
 
-    def record(job):  # runs in the calling thread, so the calls come in job order
-        seen.append(job)
-        return os.getpid(), job * job
+    def record(i, _):  # runs in the calling thread, so the calls come in index order
+        seen.append(i)
+        return os.getpid(), i * i
 
-    assert map_trials(record, range(4), workers=1) == [(os.getpid(), j * j) for j in range(4)]
+    assert map_trials(record, 4, 0, workers=1) == [(os.getpid(), i * i) for i in range(4)]
     assert seen == [0, 1, 2, 3]
 
 
 def test_map_trials_runs_workers_as_threads_of_this_process():
-    def record(job):  # a closure: a process pool could not pickle it
-        return os.getpid(), job
+    def record(i, _):  # a closure: a process pool could not pickle it
+        return os.getpid(), i
 
-    assert map_trials(record, range(7), workers=3) == [(os.getpid(), j) for j in range(7)]
+    assert map_trials(record, 7, 0, workers=3) == [(os.getpid(), i) for i in range(7)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 7])
+@pytest.mark.parametrize("workers", [1, 3, 8])
+def test_map_trials_gives_trial_i_its_derived_seed_on_any_worker_count(workers, count):
+    base = 0x0123456789ABCDEF
+
+    def trial(i, seed):
+        time.sleep(0.001 * (count - i))  # later trials finish first on a pool
+        return i, seed
+
+    assert map_trials(trial, count, base, workers) == [(i, derive_seed(base, i)) for i in range(count)]
+
+
+def test_map_trials_worker_exception_reaches_the_caller():
+    raised = ValueError("trial 4 failed")
+
+    def trial(i, _):
+        if i == 4:
+            raise raised
+        return i
+
+    with pytest.raises(ValueError) as info:
+        map_trials(trial, 7, 0, workers=3)
+    assert info.value is raised
 
 
 def test_one_blas_thread_sets_and_restores():
-    calls = seeds._find_openblas()
+    with warnings.catch_warnings():  # the uncached lookup: its warning, if any, is not this test's
+        warnings.simplefilter("ignore")
+        calls = seeds._openblas_threads.__wrapped__()
     if calls is None:
         pytest.skip("numpy is not built on its bundled OpenBLAS")
     get, set_threads = calls
@@ -97,7 +126,10 @@ def test_one_blas_thread_sets_and_restores():
 
 
 def test_one_blas_thread_without_openblas_warns_once_and_runs(monkeypatch):
-    monkeypatch.setattr(seeds, "_find_openblas", lambda: None)
+    def no_library(*args, **kwargs):
+        raise OSError("no such library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_library)
     seeds._openblas_threads.cache_clear()
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -107,6 +139,7 @@ def test_one_blas_thread_without_openblas_warns_once_and_runs(monkeypatch):
             a = np.diag(np.linspace(-1.0, 1.0, 8))
             tail = empirical_tail("quadratic", DistSpec("rademacher"), np.array([0.0, 1.0]), 600, 0, matrix=a)
         assert [w.category for w in caught] == [RuntimeWarning]
+        assert "OpenBLAS thread control was not found" in str(caught[0].message)
         assert tail.survival[0] == 1.0
     finally:
         seeds._openblas_threads.cache_clear()
