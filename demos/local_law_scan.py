@@ -16,6 +16,7 @@ import numpy as np
 from rmtlab.ensembles import DistSpec, sample_wigner
 from rmtlab.locallaw import threshold_scan
 from rmtlab.seeds import derive_seed
+from rmtlab.spectral import sc_interval_mass
 
 n = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
 trials = int(sys.argv[2]) if len(sys.argv) > 2 else 3
@@ -32,7 +33,7 @@ spectra = [
     np.linalg.eigvalsh(sample_wigner(DistSpec("rademacher"), n, derive_seed(0, t), normalize=True))
     for t in range(trials)
 ]
-est = threshold_scan(spectra, "semicircle", [m * unit for m in mults], delta, bulk=(-1.8, 1.8))
+est = threshold_scan(spectra, sc_interval_mass, [m * unit for m in mults], delta, bulk=(-1.8, 1.8))
 
 print(f"{'scale':>12}  {'multiple':>8}  {'max rel dev':>11}")
 for mult, s, dev in zip(mults, est.scales, est.max_rel_dev):

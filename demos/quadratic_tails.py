@@ -28,7 +28,7 @@ print(f"symmetric A: n = {n}, ||A||_F = {frob:.2f}, ||A||_2 = {spec:.2f}")
 print(f"{trials} Rademacher trials\n")
 
 t_grid = np.linspace(0.0, 6.0 * frob, 13)
-tail = empirical_tail("quadratic", DistSpec("rademacher"), t_grid, trials, 0, matrix=a)
+tail = empirical_tail(a, DistSpec("rademacher"), t_grid, trials, 0)
 
 envs = {
     "hkz": TailEnvelope(kind="hkz", frobenius=frob, spectral=spec),

@@ -224,44 +224,45 @@ class EmpiricalTail:
     trials: int
 
 
-def _statistic_values(statistic, dist, n, frame, matrix, seed) -> np.ndarray:
-    """|statistic| for the TAIL_BLOCK draws of one block, drawn as one TAIL_BLOCK x n draw from ``seed``.
+def _statistic_values(target, dist, n, seed) -> np.ndarray:
+    """|deviation| for the TAIL_BLOCK draws of one block, drawn as one TAIL_BLOCK x n draw from ``seed``.
 
-    One product gives the block's statistic: X A^T for the quadratic form,
-    X conj(U) for the projection.  ``.conj()`` of a real array is the array
-    itself, so a real draw is not copied for its conjugate.  A row's result
-    depends on its place in the block, the block's height and the BLAS thread
-    count; every block is drawn and multiplied whole (even the last, which
-    the caller cuts short), so the draw's index fixes the first two, and the
-    caller holds ``one_blas_thread`` for the third.
+    A ``WeightedFrame`` target gives the projection deviation, any other
+    (a square matrix A) the quadratic-form deviation.  One product gives the
+    block's values: X conj(U) for the projection, X A^T for the quadratic
+    form.  ``.conj()`` of a real array is the array itself, so a real draw is
+    not copied for its conjugate.  A row's result depends on its place in
+    the block, the block's height and the BLAS thread count; every block is
+    drawn and multiplied whole (even the last, which the caller cuts short),
+    so the draw's index fixes the first two, and the caller holds
+    ``one_blas_thread`` for the third.
     """
     x = _draw(dist, (TAIL_BLOCK, n), _rng(seed))
-    if statistic == "projection":
-        coeffs = np.abs(x @ frame.basis.conj()) ** 2
-        dev = np.sqrt(np.sum(coeffs * frame.weights, axis=1)) - math.sqrt(float(np.sum(frame.weights)))
+    if isinstance(target, WeightedFrame):
+        coeffs = np.abs(x @ target.basis.conj()) ** 2
+        dev = np.sqrt(np.sum(coeffs * target.weights, axis=1)) - math.sqrt(float(np.sum(target.weights)))
     else:
-        dev = np.sum(x.conj() * (x @ matrix.T), axis=1) - np.trace(matrix)
+        dev = np.sum(x.conj() * (x @ target.T), axis=1) - np.trace(target)
     return np.abs(dev)
 
 
 def empirical_tail(
-    statistic: str,
+    target: WeightedFrame | np.ndarray,
     dist: DistSpec,
     t_grid: np.ndarray,
     trials: int,
     base_seed: int,
-    *,
-    frame: WeightedFrame | None = None,
-    matrix: np.ndarray | None = None,
     workers: int = 1,
 ) -> EmpiricalTail:
-    """Survival function of |statistic| over ``trials`` seeded draws.
+    """Survival function of the |deviation| of ``target`` over ``trials`` seeded draws.
 
-    ``statistic`` is "projection" (needs ``frame``) or "quadratic" (needs
-    ``matrix``).  The trials of ``map_trials`` are the blocks of TAIL_BLOCK
-    draws: block b, always drawn whole, uses seed derive_seed(base_seed, b).
-    Workers get whole blocks on one BLAS thread, reduced in block order, so
-    draw i depends on neither ``trials`` nor the worker count.
+    A ``WeightedFrame`` target gives the projection deviation
+    f(X) - sqrt(sum c_j), a square matrix A the quadratic-form deviation
+    X* A X - trace(A).  The trials of ``map_trials`` are the blocks of
+    TAIL_BLOCK draws: block b, always drawn whole, uses seed
+    derive_seed(base_seed, b).  Workers get whole blocks on one BLAS thread,
+    reduced in block order, so draw i depends on neither ``trials`` nor the
+    worker count.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0:
@@ -270,19 +271,10 @@ def empirical_tail(
         raise ParameterError("t_grid must be ascending")
     if trials < TAIL_MIN_TRIALS:
         raise ParameterError(f"need at least {TAIL_MIN_TRIALS} trials")
-    if statistic == "projection":
-        if frame is None:
-            raise ParameterError("projection statistic requires a frame")
-        n = frame.basis.shape[0]
-    elif statistic == "quadratic":
-        if matrix is None:
-            raise ParameterError("quadratic statistic requires a matrix")
-        n = matrix.shape[0]
-    else:
-        raise ParameterError(f"unknown statistic {statistic!r}")
+    n = (target.basis if isinstance(target, WeightedFrame) else target).shape[0]
 
     def block(_, seed):
-        return _statistic_values(statistic, dist, n, frame, matrix, seed)
+        return _statistic_values(target, dist, n, seed)
 
     with one_blas_thread():
         blocks = map_trials(block, -(-trials // TAIL_BLOCK), base_seed, workers)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ContractError, SpectralDecomposition, check_hermitian
+from .spectral import ContractError, check_hermitian
 
 
 def classify_region(lam, edges, eps: float):
@@ -45,11 +45,12 @@ def classify_region(lam, edges, eps: float):
     return np.select([bulk, edge], ["bulk", "edge"], "outside")[()]
 
 
-def eigvec_inf_norms(decomp: SpectralDecomposition, seed: int, eps: float = 0.1) -> dict:
+def eigvec_inf_norms(decomp, seed: int, eps: float = 0.1) -> dict:
     """Delocalization columns, one row per eigenvalue of an n x n normalized Wigner matrix.
 
-    Columns n, seed (uint64), index, lambda, region (against the semicircle
-    support [-2, 2]) and those of ``_inf_norm_columns``.
+    ``decomp`` is ``eig_decompose``'s ``EighResult``.  Columns n, seed
+    (uint64), index, lambda, region (against the semicircle support [-2, 2])
+    and those of ``_inf_norm_columns``.
     """
     vals = np.asarray(decomp.eigenvalues)
     return {
@@ -105,7 +106,7 @@ def _minor_identity(vals, coord, mvals, overlaps, diag: float):
     return np.abs(coord) ** 2, entry_rhs, _pole_sums(overlaps, mvals, vals, 1), diag - vals, gap
 
 
-def wigner_identities(w: np.ndarray, decomp: SpectralDecomposition):
+def wigner_identities(w: np.ndarray, decomp):
     """The minor identities of a Hermitian W with its last coordinate deleted, every i at once.
 
     ``decomp`` is ``eig_decompose(w)``; the minor takes one more eigh.  Returns

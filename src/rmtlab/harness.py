@@ -10,7 +10,9 @@ returns its records as columns, a dict of CSV column name -> 1-D array, and
 the writer formats each distinct value of a column once and joins the rows
 itself, in the bytes of ``csv.writer``'s excel dialect.  ``localscan`` and
 ``covariance`` reduce their trials' spectra in this process with
-``locallaw.threshold_scan`` (semicircle and MP laws).  Output goes to
+``locallaw.threshold_scan``, handing it the law's mass function: this module
+maps each config name (the statistic, the experiment's law) to the object
+the library takes, once.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
 renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
 the config fields it reads: only those are settable, written to config.json
@@ -53,11 +55,13 @@ from .covariance import (
 )
 from .delocalization import eigvec_inf_norms, wigner_identities
 from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
-from .locallaw import ThresholdEstimate, schur_identity_residual, threshold_scan
+from .locallaw import STRIDE_FRAC, ThresholdEstimate, schur_identity_residual, threshold_scan
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
-from .spectral import eig_decompose, mp_edges, pv_semicircle, pv_semicircle_numeric
+from .spectral import eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
 
 COLLISION_GAP = 1e-8  # identity checks with a collision gap at most this are skipped
+LOCALSCAN_BULK = (-1.8, 1.8)  # the semicircle bulk that localscan's windows slide across
+SCAN_WINDOWS_PER_N = 100  # the most windows per n that one scale of a count scan may slide across its bulk
 
 
 class ConfigError(ValueError):
@@ -77,18 +81,20 @@ class ExperimentConfig:
     identity instances (sizes cycling over [3, 16]), 5 trials elsewhere,
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
     log n / n, single worker.  dist is a JSON object with a 'kind'; n_grid,
-    when given, and envelopes are lists.  Counts, n_grid entries and
-    base_seed must be ints (not bools), base_seed below 2^64, and envelopes
-    known kinds that fit the statistic: ``projection`` for the projection
-    statistic, the quadratic-form kinds (those that read ||A||_F) for the
-    quadratic one.
+    when given, is a nonempty list, and envelopes is a list.  Counts, n_grid
+    entries and base_seed must be ints (not bools), base_seed below 2^64,
+    and envelopes known kinds that fit the statistic: ``projection`` for the
+    projection statistic, the quadratic-form kinds (those that read ||A||_F)
+    for the quadratic one.
     A tail run needs n >= 2 for an envelope that reads n (log n), and
     d <= n for the projection statistic.
     delta, eps, eta_multiple and the scales (strictly ascending) are finite
     positive numbers, not bools; a given t_grid is a nonempty ascending list
     of finite nonnegative numbers; all are stored as floats.  eps is below 2
     for deloc, and for covariance leaves a bulk a + 2 eps < b - 2 eps inside
-    the MP edges a, b (eps below about sqrt(p/n)).  A tail run
+    the MP edges a, b (eps below about sqrt(p/n)).  In localscan and
+    covariance, the smallest scale slides at most SCAN_WINDOWS_PER_N * n
+    windows, of stride STRIDE_FRAC times the scale, over its bulk.  A tail run
     needs at least TAIL_MIN_TRIALS trials.  A label is one plain path
     component: no '/' or '\\', and no leading '.', so it can name neither
     the experiment directory nor the writer's temporaries.
@@ -126,6 +132,8 @@ class ExperimentConfig:
         for name, value in (("n_grid", [] if self.n_grid is None else self.n_grid), ("envelopes", self.envelopes)):
             if not isinstance(value, list):
                 raise ConfigError(f"field {name!r} must be a list, not {value!r}")
+        if self.n_grid == []:
+            raise ConfigError("field 'n_grid' must list at least one size; leave it out to run n alone")
         counts = [(name, getattr(self, name)) for name in ("n", "p", "trials", "workers", "d", "base_seed")]
         for name, value in counts + [("n_grid", v) for v in self.n_grid or []]:
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
@@ -156,6 +164,15 @@ class ExperimentConfig:
         if any(v <= 0 for v in s) or any(b <= a for a, b in zip(s, s[1:])):
             raise ConfigError("scales must be positive and strictly ascending")
         self.scales = [float(v) for v in s]
+        if self.experiment in ("localscan", "covariance"):  # the window grid of the smallest scale must fit
+            covariance_bulk = _covariance_shape(self.n, self.p, self.eps)[1]
+            lo, hi = LOCALSCAN_BULK if self.experiment == "localscan" else covariance_bulk
+            least = (hi - lo) / (SCAN_WINDOWS_PER_N * self.n * STRIDE_FRAC * math.log(self.n) / self.n)
+            if self.scales[0] < least:
+                raise ConfigError(
+                    f"field 'scales': at n = {self.n} each scale must be at least {least:.3g} log n / n, so that"
+                    f" its windows over the bulk ({lo:g}, {hi:g}) number at most {SCAN_WINDOWS_PER_N * self.n}"
+                )
         if self.t_grid is not None:
             t = self.t_grid
             if not isinstance(t, list) or not t or not all(_finite(v) for v in t):
@@ -307,35 +324,25 @@ def _write_outputs(report: ExperimentReport, out_root: Path) -> Path:
 
 
 def _run_tail(cfg: ExperimentConfig):
-    frame = matrix = None
     if cfg.statistic == "projection":
-        frame = WeightedFrame(basis=np.eye(cfg.n)[:, : cfg.d], weights=np.ones(cfg.d))
+        target = WeightedFrame(basis=np.eye(cfg.n)[:, : cfg.d], weights=np.ones(cfg.d))
         frob = math.sqrt(cfg.d)  # scales the default t-grid; the projection envelope reads no norm
     else:
         rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.base_seed, 1 << 48)))
         g = rng.standard_normal((cfg.n, cfg.n))
-        matrix = (g + g.T) / math.sqrt(2.0)
-        frob = math.sqrt(math.fsum(v for row in matrix * matrix for v in row.tolist()))  # correctly rounded, no BLAS
+        target = (g + g.T) / math.sqrt(2.0)
+        frob = math.sqrt(math.fsum(v for row in target * target for v in row.tolist()))  # correctly rounded, no BLAS
     t_grid = cfg.t_grid or list(np.linspace(0.0, 8.0 * max(1.0, frob), 33))
     k = cfg.dist.bound if math.isfinite(cfg.dist.bound) else 1.0
-    tail = empirical_tail(
-        cfg.statistic,
-        cfg.dist,
-        np.asarray(t_grid),
-        cfg.trials,
-        cfg.base_seed,
-        frame=frame,
-        matrix=matrix,
-        workers=cfg.workers,
-    )
+    tail = empirical_tail(target, cfg.dist, np.asarray(t_grid), cfg.trials, cfg.base_seed, cfg.workers)
     # the kinds but subexp are sub-Gaussian, alpha = 1/2
     inputs = dict(K=k, n=cfg.n, frobenius=frob, alpha=cfg.dist.alpha if cfg.dist.kind == "subexp" else 0.5)
-    # spectral norms cost an SVD each: taken only for an envelope that reads them
+    # spectral norms cost an SVD each: taken only for an envelope that reads them (a quadratic one)
     reads = {name for kind in cfg.envelopes for name in ENVELOPE_INPUTS[kind]}
     if "spectral" in reads:
-        inputs["spectral"] = float(np.linalg.norm(matrix, 2))
+        inputs["spectral"] = float(np.linalg.norm(target, 2))
     if "spectral_abs" in reads:
-        inputs["spectral_abs"] = float(np.linalg.norm(np.abs(matrix), 2))
+        inputs["spectral_abs"] = float(np.linalg.norm(np.abs(target), 2))
     envs = {kind: TailEnvelope(kind=kind, **inputs) for kind in cfg.envelopes}
     records = {
         "t": tail.t_grid,
@@ -367,7 +374,7 @@ def _run_localscan(cfg: ExperimentConfig):
         return np.linalg.eigvalsh(sample_wigner(cfg.dist, cfg.n, seed, normalize=True))
 
     spectra = map_trials(spectrum, cfg.trials, cfg.base_seed, cfg.workers)
-    est = threshold_scan(spectra, "semicircle", scales, cfg.delta, (-1.8, 1.8))
+    est = threshold_scan(spectra, sc_interval_mass, scales, cfg.delta, LOCALSCAN_BULK)
     windows = np.concatenate([dev.windows for devs in est.per_trial for dev in devs])
     runs = [dev.windows.size for devs in est.per_trial for dev in devs]  # windows per (trial, scale)
     records = {
@@ -507,7 +514,8 @@ def _run_covariance(cfg: ExperimentConfig):
 
     results = map_trials(trial, cfg.trials, cfg.base_seed, cfg.workers)
     records = concat_columns([columns for columns, _, _ in results])
-    est = threshold_scan([eigs for _, eigs, _ in results], ("mp", y), [s * unit for s in cfg.scales], MP_GATE, bulk)
+    mass = functools.partial(mp_interval_mass, y=y)
+    est = threshold_scan([eigs for _, eigs, _ in results], mass, [s * unit for s in cfg.scales], MP_GATE, bulk)
     max_dev = est.max_rel_dev[max(len(cfg.scales) - 2, 0)]  # the gated scale: the next to last, or the only one
     max_res = max(r for _, _, r in results)
     summary = {

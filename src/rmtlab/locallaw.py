@@ -14,8 +14,10 @@ eigenvalues from the caller.
 
 Also: sliding-window count deviation at a given interval scale, and the
 threshold-scale scan, a reduction over spectra the caller has already
-drawn: the semicircle law for Wigner spectra, the Marchenko-Pastur law for
-Gram spectra.  Nothing here samples a matrix or runs trials.
+drawn.  Both take the law as its mass function, ``interval_mass(lo, hi)``
+applied elementwise on arrays: ``spectral.sc_interval_mass`` for Wigner
+spectra, ``functools.partial(spectral.mp_interval_mass, y=y)`` for Gram
+spectra.  Nothing here samples a matrix or runs trials.
 """
 
 from __future__ import annotations
@@ -26,13 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import ParameterError
-from .spectral import (
-    ContractError,
-    _check_z,
-    mp_interval_mass,
-    sc_interval_mass,
-    stieltjes_empirical,
-)
+from .spectral import ContractError, _check_z, stieltjes_empirical
 
 STRIDE_FRAC = 0.25  # window stride of the count scans, as a fraction of the window length
 
@@ -58,18 +54,9 @@ def schur_identity_residual(m: np.ndarray, z: complex, eigs: np.ndarray) -> floa
     return _schur_residual(m / math.sqrt(m.shape[0]), z, eigs)
 
 
-def _interval_mass(density, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    if density == "semicircle":
-        return sc_interval_mass(lo, hi)
-    kind, y = density
-    if kind != "mp":
-        raise ParameterError(f"unknown density {density!r}")
-    return mp_interval_mass(lo, hi, y)
-
-
 @dataclass(frozen=True)
 class LawDeviation:
-    """Sliding-window count deviation from a reference density.
+    """Sliding-window count deviation from a reference law.
 
     ``windows`` is a structured array with one element per window and the
     fields window_lo, window_hi, N_I (the count), expected_mass and rel_dev.
@@ -84,13 +71,14 @@ def _window_starts(lo: float, hi: float, stride: float) -> np.ndarray:
     return np.cumsum(np.r_[lo, np.full(int(math.ceil((hi - lo) / stride)) + 1, stride)])
 
 
-def law_deviation(eigs: np.ndarray, density, scale: float, bulk: tuple[float, float]) -> LawDeviation:
+def law_deviation(eigs: np.ndarray, interval_mass, scale: float, bulk: tuple[float, float]) -> LawDeviation:
     """Worst window-count deviation at interval length ``scale``.
 
     Windows of length ``scale`` slide across ``bulk`` with stride
     ``STRIDE_FRAC * scale``; the last one is clipped at the bulk's upper
-    end.  The expected count is n * integral of the density over the
-    window, n = len(eigs); windows of zero expected count are skipped.
+    end.  The expected count is n * interval_mass(lo, hi) of the window,
+    n = len(eigs), called once on the arrays of all window ends; windows of
+    zero expected count are skipped.
     """
     if scale <= 0:
         raise ParameterError("scale must be positive")
@@ -103,7 +91,7 @@ def law_deviation(eigs: np.ndarray, density, scale: float, bulk: tuple[float, fl
     w_lo = starts[: np.argmax(starts + scale >= hi - 1e-12) + 1]  # up to the first reaching hi
     w_hi = np.minimum(w_lo + scale, hi)
     count = np.searchsorted(eigs, w_hi) - np.searchsorted(eigs, w_lo)
-    mass = n * _interval_mass(density, w_lo, w_hi)
+    mass = n * interval_mass(w_lo, w_hi)
     keep = mass > 0
     w_lo, w_hi, count, mass = w_lo[keep], w_hi[keep], count[keep], mass[keep]
     rel = np.abs(count - mass) / mass
@@ -122,13 +110,14 @@ class ThresholdEstimate:
     per_trial: list  # per spectrum, one LawDeviation per scale
 
 
-def threshold_scan(spectra, density, scales, delta: float, bulk: tuple[float, float]) -> ThresholdEstimate:
+def threshold_scan(spectra, interval_mass, scales, delta: float, bulk: tuple[float, float]) -> ThresholdEstimate:
     """Scan interval scales for the smallest one where the count law holds.
 
-    ``spectra`` holds one eigenvalue array per trial.  For each scale, the
-    ``law_deviation`` against ``density`` is maximized over windows and over
-    spectra; the threshold is the smallest scanned scale whose worst
-    deviation is at most ``delta`` (None if no scanned scale qualifies).
+    ``spectra`` holds one eigenvalue array per trial, and ``interval_mass``
+    is the law's mass function, as ``law_deviation`` takes it.  For each
+    scale, the ``law_deviation`` is maximized over windows and over spectra;
+    the threshold is the smallest scanned scale whose worst deviation is at
+    most ``delta`` (None if no scanned scale qualifies).
     Each spectrum's per-scale deviations, windows included, are kept in
     ``per_trial``, in the order of ``spectra``.
     """
@@ -137,7 +126,7 @@ def threshold_scan(spectra, density, scales, delta: float, bulk: tuple[float, fl
         raise ParameterError("scales must be strictly ascending")
     if not len(spectra):
         raise ParameterError("need at least one spectrum")
-    per_trial = [[law_deviation(eigs, density, s, bulk) for s in scales] for eigs in spectra]
+    per_trial = [[law_deviation(eigs, interval_mass, s, bulk) for s in scales] for eigs in spectra]
     worst = np.max([[dev.max_rel_dev for dev in devs] for devs in per_trial], axis=0)
     threshold = next((float(s) for s, dev in zip(scales, worst) if dev <= delta), None)
     return ThresholdEstimate(scales=scales, max_rel_dev=worst, threshold_scale=threshold, per_trial=per_trial)

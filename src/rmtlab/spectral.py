@@ -13,7 +13,6 @@ module, so a wrapper patched onto ``scipy.integrate.quad`` sees every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +27,6 @@ class ContractError(ValueError):
     """Structural precondition violated (unsorted input, non-Hermitian, ...)."""
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Ascending eigenvalues and the matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def check_hermitian(w: np.ndarray) -> None:
     """Raise ContractError unless w is square with |w - w*| <= 1e-10 max(1, max |w_ij|)."""
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -46,11 +37,10 @@ def check_hermitian(w: np.ndarray) -> None:
         raise ContractError(f"matrix is not Hermitian (max asymmetry {dev:.3g})")
 
 
-def eig_decompose(w: np.ndarray) -> SpectralDecomposition:
-    """Full eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+def eig_decompose(w: np.ndarray):
+    """numpy's ``EighResult`` of a Hermitian matrix: ascending ``eigenvalues`` and matching ``eigenvectors`` columns."""
     check_hermitian(w)
-    vals, vecs = np.linalg.eigh(w)
-    return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return np.linalg.eigh(w)
 
 
 def rho_sc(x):
@@ -218,7 +208,6 @@ def ks_distance(eigs: np.ndarray, cdf) -> float:
 __all__ = [
     "ContractError",
     "DomainError",
-    "SpectralDecomposition",
     "check_hermitian",
     "eig_decompose",
     "ks_distance",

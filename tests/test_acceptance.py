@@ -4,6 +4,7 @@ The statistical criteria run scaled-down seeded experiments; the identity and
 analytic criteria are deterministic.  Budgets are wall-clock upper bounds.
 """
 
+import functools
 import math
 import time
 
@@ -159,7 +160,7 @@ def test_criterion_05_local_laws_desk_scale(announce):
     for seed in range(5):
         w = sample_wigner(DistSpec("rademacher"), n, derive_seed(50, seed))
         eigs = np.linalg.eigvalsh(w)
-        dev = law_deviation(eigs, "semicircle", scale, (-1.8, 1.8))
+        dev = law_deviation(eigs, sc_interval_mass, scale, (-1.8, 1.8))
         worst_sc = max(worst_sc, dev.max_rel_dev)
 
     p, n2 = 1000, 2000
@@ -170,7 +171,7 @@ def test_criterion_05_local_laws_desk_scale(announce):
     for seed in range(5):
         m = sample_rect(DistSpec("rademacher"), p, n2, derive_seed(51, seed))
         gram_eigs = np.linalg.eigvalsh(form_gram(m))
-        dev = law_deviation(gram_eigs, ("mp", y), scale_mp, (a + 0.2, b - 0.2))
+        dev = law_deviation(gram_eigs, functools.partial(mp_interval_mass, y=y), scale_mp, (a + 0.2, b - 0.2))
         worst_mp = max(worst_mp, dev.max_rel_dev)
     elapsed = time.perf_counter() - start
     ok = worst_sc <= 0.2 and worst_mp <= 0.25
@@ -193,7 +194,7 @@ def test_criterion_06_threshold_scan(announce):
         np.linalg.eigvalsh(sample_wigner(DistSpec("rademacher"), n, derive_seed(60, t), normalize=True))
         for t in range(5)
     ]
-    est = threshold_scan(spectra, "semicircle", [m * unit for m in mults], delta=0.2, bulk=(-1.8, 1.8))
+    est = threshold_scan(spectra, sc_interval_mass, [m * unit for m in mults], delta=0.2, bulk=(-1.8, 1.8))
     curve = est.max_rel_dev
     monotone = all(curve[i + 1] <= curve[i] + 0.05 for i in range(len(curve) - 1))
     elapsed = time.perf_counter() - start
@@ -262,9 +263,7 @@ def test_criterion_08_quadratic_form_statistics(announce):
     k_hyp = 10.0 * (DistSpec("gaussian").fourth_moment() + 1.0)
     env = lemma_projection_envelope(K=k_hyp)
     t_grid = np.linspace(0.0, 40.0, 21)
-    tail = empirical_tail(
-        "projection", DistSpec("gaussian"), t_grid, 2000, derive_seed(80, 2), frame=frame
-    )
+    tail = empirical_tail(frame, DistSpec("gaussian"), t_grid, 2000, derive_seed(80, 2))
     envelope_ok = all(
         s <= min(1.0, env(float(t))) + 1e-12 for t, s in zip(t_grid, tail.survival)
     )

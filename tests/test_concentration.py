@@ -192,8 +192,8 @@ def test_optimal_K_balances_exponents():
 def test_empirical_tail_deterministic_and_monotone():
     a = np.diag(np.linspace(-1, 1, 8))
     t_grid = np.linspace(0.0, 6.0, 13)
-    r1 = empirical_tail("quadratic", DistSpec("gaussian"), t_grid, 200, 9, matrix=a)
-    r2 = empirical_tail("quadratic", DistSpec("gaussian"), t_grid, 200, 9, matrix=a)
+    r1 = empirical_tail(a, DistSpec("gaussian"), t_grid, 200, 9)
+    r2 = empirical_tail(a, DistSpec("gaussian"), t_grid, 200, 9)
     np.testing.assert_array_equal(r1.survival, r2.survival)
     assert r1.survival[0] == 1.0
     assert np.all(np.diff(r1.survival) <= 0)
@@ -203,10 +203,8 @@ def test_empirical_tail_deterministic_and_monotone():
 def test_empirical_tail_worker_invariance():
     a = np.diag(np.linspace(-1, 1, 8))
     t_grid = np.linspace(0.0, 6.0, 13)
-    serial = empirical_tail("quadratic", DistSpec("rademacher"), t_grid, 120, 5, matrix=a)
-    parallel = empirical_tail(
-        "quadratic", DistSpec("rademacher"), t_grid, 120, 5, matrix=a, workers=3
-    )
+    serial = empirical_tail(a, DistSpec("rademacher"), t_grid, 120, 5)
+    parallel = empirical_tail(a, DistSpec("rademacher"), t_grid, 120, 5, workers=3)
     np.testing.assert_array_equal(serial.survival, parallel.survival)
 
 
@@ -229,18 +227,18 @@ _BLOCK_CASES = [
 ]
 
 
-def _tail_inputs(statistic):
+def _tail_target(statistic):
     # at n = 199 a row of X A^T moved in the last bits with the height of its block
     # (Haswell OpenBLAS kernel), so a block multiplied at another height would show
     n = 199
     if statistic == "quadratic":
-        return n, dict(matrix=_symmetric_matrix(n, 4))
-    return n, dict(frame=_complex_frame(n, 24, 4))
+        return n, _symmetric_matrix(n, 4)
+    return n, _complex_frame(n, 24, 4)
 
 
 def _tail_values(monkeypatch, statistic, kind, trials, workers=1):
     """The |statistic| values that empirical_tail reduces: its blocks from map_trials, cut to ``trials``."""
-    _, inputs = _tail_inputs(statistic)
+    _, target = _tail_target(statistic)
     blocks = []
 
     def spy(trial, count, base_seed, w):
@@ -248,7 +246,7 @@ def _tail_values(monkeypatch, statistic, kind, trials, workers=1):
         return blocks
 
     monkeypatch.setattr(concentration, "map_trials", spy)
-    empirical_tail(statistic, DistSpec(kind), np.array([0.0]), trials, 17, workers=workers, **inputs)
+    empirical_tail(target, DistSpec(kind), np.array([0.0]), trials, 17, workers=workers)
     return np.concatenate(blocks)[:trials]
 
 
@@ -278,26 +276,25 @@ def test_one_blas_pin_wraps_the_whole_tail_fan_out(monkeypatch, workers):
     monkeypatch.setattr(seeds, "_openblas_threads", lambda: (lambda: count[0], set_threads))
     monkeypatch.setattr(concentration, "_draw", draw)
     a = np.diag(np.linspace(-1.0, 1.0, 8))
-    empirical_tail("quadratic", DistSpec("rademacher"), np.array([0.0]), 1000, 3, matrix=a, workers=workers)
+    empirical_tail(a, DistSpec("rademacher"), np.array([0.0]), 1000, 3, workers=workers)
     # 1,000 draws are four blocks of TAIL_BLOCK
     assert events == [("set", 1)] + [("block", 1)] * 4 + [("set", 4)]
 
 
 @pytest.mark.parametrize(("statistic", "kind"), _BLOCK_CASES)
 def test_block_values_match_per_draw_formulas(statistic, kind):
-    n, inputs = _tail_inputs(statistic)
+    n, target = _tail_target(statistic)
     dist = DistSpec(kind)
-    frame, matrix = inputs.get("frame"), inputs.get("matrix")
-    blocks = [concentration._statistic_values(statistic, dist, n, frame, matrix, derive_seed(17, b)) for b in range(3)]
+    blocks = [concentration._statistic_values(target, dist, n, derive_seed(17, b)) for b in range(3)]
     assert all(block.shape == (TAIL_BLOCK,) for block in blocks)
     values = np.concatenate(blocks)[:600]
     # block b is one TAIL_BLOCK x n draw from stream derive_seed(17, b); 600 draws end inside block 2
     xs = np.concatenate([_draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(17, b))) for b in range(3)])[:600]
     if statistic == "quadratic":
-        reference = [abs(quadratic_deviation(x, inputs["matrix"])) for x in xs]
-        scale = np.linalg.norm(inputs["matrix"])  # the statistic's standard deviation over sqrt(2)
+        reference = [abs(quadratic_deviation(x, target)) for x in xs]
+        scale = np.linalg.norm(target)  # the statistic's standard deviation over sqrt(2)
     else:
-        reference = [abs(projection_deviation(x, inputs["frame"])) for x in xs]
+        reference = [abs(projection_deviation(x, target)) for x in xs]
         scale = 1.0
     # relative to the value, or to the statistic's scale for the few draws near 0
     np.testing.assert_allclose(values, reference, rtol=1e-11, atol=1e-11 * scale)
@@ -314,13 +311,9 @@ def test_values_do_not_depend_on_draw_count(monkeypatch, statistic, kind):
 def test_empirical_tail_validation():
     a = np.eye(3)
     with pytest.raises(ParameterError):
-        empirical_tail("quadratic", DistSpec("gaussian"), np.array([0.0]), 50, 0, matrix=a)
+        empirical_tail(a, DistSpec("gaussian"), np.array([0.0]), 50, 0)
     with pytest.raises(ParameterError):
-        empirical_tail("quadratic", DistSpec("gaussian"), np.array([]), 200, 0, matrix=a)
-    with pytest.raises(ParameterError):
-        empirical_tail("projection", DistSpec("gaussian"), np.array([0.0]), 200, 0)
-    with pytest.raises(ParameterError):
-        empirical_tail("nope", DistSpec("gaussian"), np.array([0.0]), 200, 0, matrix=a)
+        empirical_tail(a, DistSpec("gaussian"), np.array([]), 200, 0)
 
 
 def test_projection_tail_respects_lemma_envelope():
@@ -328,7 +321,7 @@ def test_projection_tail_respects_lemma_envelope():
     n, d = 64, 16
     frame = _coord_frame(n, d)
     t_grid = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
-    tail = empirical_tail("projection", DistSpec("rademacher"), t_grid, 2000, 21, frame=frame)
+    tail = empirical_tail(frame, DistSpec("rademacher"), t_grid, 2000, 21)
     env = lemma_projection_envelope(K=1.0)
     for t, s in zip(t_grid, tail.survival):
         assert s <= min(1.0, env(float(t))) + 1e-12
@@ -342,7 +335,7 @@ def test_rademacher_coordinate_projection_is_degenerate(n, d):
         frame = _coord_frame(n, d, weights)
         for seed in range(50):
             assert projection_deviation(sample_vector(DistSpec("rademacher"), n, seed), frame) == 0.0
-        tail = empirical_tail("projection", DistSpec("rademacher"), np.array([0.0, 1e-12, 0.5]), 500, 3, frame=frame)
+        tail = empirical_tail(frame, DistSpec("rademacher"), np.array([0.0, 1e-12, 0.5]), 500, 3)
         assert tail.survival.tolist() == [1.0, 0.0, 0.0]
 
 

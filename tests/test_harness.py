@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import math
@@ -22,7 +23,7 @@ from rmtlab.harness import (
 )
 from rmtlab.locallaw import law_deviation
 from rmtlab.seeds import derive_seed
-from rmtlab.spectral import mp_edges
+from rmtlab.spectral import mp_edges, mp_interval_mass
 
 
 def _cfg(**kw):
@@ -151,10 +152,18 @@ _WRONG_TYPE_CONFIGS = [
     {"experiment": "tail", "envelopes": None},
 ]
 
+# configs with a field of the right type but a value that cannot run: an empty n_grid, and a smallest
+# scale whose window grid over the bulk exceeds 100 n windows (here it would ask for petabytes)
+_UNFIT_VALUE_CONFIGS = [
+    {"experiment": "deloc", "n_grid": []},
+    {"experiment": "localscan", "n": 100, "trials": 1, "scales": [1e-12]},
+    {"experiment": "covariance", "n": 100, "trials": 1, "scales": [1e-300, 1.0]},
+]
+
 
 def _wrong_field(raw: dict) -> str:
-    """The one field of a _WRONG_TYPE_CONFIGS entry besides experiment."""
-    return next(name for name in raw if name != "experiment")
+    """The field that a _WRONG_TYPE_CONFIGS or _UNFIT_VALUE_CONFIGS entry gets wrong: its last."""
+    return list(raw)[-1]
 
 
 def test_config_validation_errors():
@@ -252,8 +261,14 @@ def test_config_validation_errors():
     for raw in cases:
         with pytest.raises(ConfigError):
             config_from_dict(raw)
-    # a field of the wrong JSON type fails with a message that names it
-    for raw in _WRONG_TYPE_CONFIGS:
+    # a field of the wrong JSON type, or of a value that cannot run, fails with a message that names it;
+    # at n = 100 the window cap is a multiple of about 0.0313 in localscan and 0.0211 in covariance
+    fine_scales = [
+        {"experiment": "localscan", "n": 100, "scales": [0.030, 1.0]},
+        {"experiment": "localscan", "n": 1000, "scales": [1e-6]},
+        {"experiment": "covariance", "n": 100, "scales": [0.020]},
+    ]
+    for raw in _WRONG_TYPE_CONFIGS + _UNFIT_VALUE_CONFIGS + fine_scales:
         with pytest.raises(ConfigError, match=f"^field '{_wrong_field(raw)}'"):
             config_from_dict(raw)
     assert config_from_dict({"experiment": "pv", "label": "run.1"}).label == "run.1"
@@ -402,9 +417,10 @@ def test_covariance_curve_is_the_mp_scan_of_every_scale():
         gram_triplets(sample_rect(DistSpec("rademacher"), p, n, derive_seed(0, t))).sigma ** 2 / n
         for t in range(trials)
     ]
+    mass = functools.partial(mp_interval_mass, y=y)
     for mult, worst in zip(scales, summary["max_rel_dev"]):
         # the bulk at the default eps = 0.1
-        devs = [law_deviation(eigs, ("mp", y), mult * unit, (a + 0.2, b - 0.2)).max_rel_dev for eigs in spectra]
+        devs = [law_deviation(eigs, mass, mult * unit, (a + 0.2, b - 0.2)).max_rel_dev for eigs in spectra]
         assert worst == max(devs)
     below = [mult * unit for mult, worst in zip(scales, summary["max_rel_dev"]) if worst <= 0.25]
     assert below and summary["threshold_scale"] == below[0]
@@ -431,7 +447,8 @@ def test_covariance_summary_comes_from_its_records(tmp_path, n, p):
     y, unit = p / n, math.log(n) / n
     a, b = mp_edges(y)
     bulk = (a + 2 * cfg.eps, b - 2 * cfg.eps)
-    curve = [max(law_deviation(eigs, ("mp", y), mult * unit, bulk).max_rel_dev for eigs in spectra) for mult in cfg.scales]
+    mass = functools.partial(mp_interval_mass, y=y)
+    curve = [max(law_deviation(eigs, mass, mult * unit, bulk).max_rel_dev for eigs in spectra) for mult in cfg.scales]
     assert summary["max_rel_dev"] == curve
     eta = cfg.eta_multiple * unit
     residual = max(
@@ -774,10 +791,11 @@ def _wrong_type_id(raw: dict) -> str:
     return f"{raw['experiment']}-{field}-{type(raw[field]).__name__}"
 
 
-@pytest.mark.parametrize("raw", _WRONG_TYPE_CONFIGS, ids=_wrong_type_id)
+@pytest.mark.parametrize("raw", _WRONG_TYPE_CONFIGS + _UNFIT_VALUE_CONFIGS, ids=_wrong_type_id)
 def test_cli_field_of_wrong_type_exit_two_before_sampling(raw, tmp_path, capsys, monkeypatch):
-    # a dist that is not an object, or an n_grid or envelopes that is not a list, fails at load
-    # with one error line that names the field: nothing is drawn and nothing written
+    # a dist that is not an object, an n_grid or envelopes that is not a list, an empty n_grid or a
+    # scale too fine for its window grid fails at load with one error line that names the field:
+    # nothing is drawn and nothing written
     def no_draw(*args, **kwargs):
         raise AssertionError("a matrix was drawn")
 
@@ -790,6 +808,12 @@ def test_cli_field_of_wrong_type_exit_two_before_sampling(raw, tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"error: field '{_wrong_field(raw)}'") and err.count("\n") == 1
     assert not (tmp_path / raw["experiment"]).exists()
+
+
+def test_scales_just_above_the_window_cap_load():
+    # at n = 100 the localscan cap of 100 n windows over (-1.8, 1.8) is a multiple of about 0.0313
+    assert config_from_dict({"experiment": "localscan", "n": 100, "scales": [0.032, 1.0]}).scales[0] == 0.032
+    assert config_from_dict({"experiment": "covariance", "n": 100, "scales": [0.022]}).scales == [0.022]
 
 
 def test_eps_just_inside_the_bulk_loads():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from rmtlab.ensembles import DistSpec, ParameterError, sample_wigner
 from rmtlab.locallaw import law_deviation, schur_identity_residual, threshold_scan
 from rmtlab.seeds import map_trials
-from rmtlab.spectral import ContractError, DomainError, sc_interval_mass
+from rmtlab.spectral import ContractError, DomainError, mp_interval_mass, sc_interval_mass
 
 
 def _wigner_unnorm(n, seed, dist=DistSpec("gaussian")):
@@ -69,7 +70,7 @@ def test_schur_requires_upper_half_plane():
 
 def test_law_deviation_on_perfect_atoms():
     eigs = _semicircle_quantiles(20000)
-    dev = law_deviation(eigs, "semicircle", 0.05, (-1.8, 1.8))
+    dev = law_deviation(eigs, sc_interval_mass, 0.05, (-1.8, 1.8))
     assert dev.max_rel_dev < 0.01
     assert dev.windows.size
     for lo, hi, count, mass, rel in dev.windows.tolist():
@@ -85,7 +86,7 @@ def test_law_deviation_grid_is_repeated_addition(scale):
     starts = [lo]
     while starts[-1] + scale < hi - 1e-12:
         starts.append(starts[-1] + 0.25 * scale)
-    dev = law_deviation(eigs, "semicircle", scale, (lo, hi))
+    dev = law_deviation(eigs, sc_interval_mass, scale, (lo, hi))
     assert dev.windows["window_lo"].tolist() == starts
     assert dev.windows["window_hi"].tolist() == [min(s + scale, hi) for s in starts]
     for w_lo, w_hi, count, mass, rel in dev.windows.tolist():
@@ -96,18 +97,16 @@ def test_law_deviation_grid_is_repeated_addition(scale):
 def test_law_deviation_detects_a_hole():
     eigs = _semicircle_quantiles(20000)
     holed = eigs[(eigs < 0.0) | (eigs > 0.2)]
-    dev = law_deviation(holed, "semicircle", 0.1, (-1.8, 1.8))
+    dev = law_deviation(holed, sc_interval_mass, 0.1, (-1.8, 1.8))
     assert dev.max_rel_dev > 0.5
 
 
 def test_law_deviation_validation():
     eigs = _semicircle_quantiles(100)
     with pytest.raises(ParameterError):
-        law_deviation(eigs, "semicircle", -1.0, (-1.8, 1.8))
+        law_deviation(eigs, sc_interval_mass, -1.0, (-1.8, 1.8))
     with pytest.raises(ContractError):
-        law_deviation(eigs, "semicircle", 0.1, (1.8, -1.8))
-    with pytest.raises(ParameterError):
-        law_deviation(eigs, ("not-mp", 0.5), 0.1, (-1.8, 1.8))
+        law_deviation(eigs, sc_interval_mass, 0.1, (1.8, -1.8))
 
 
 def test_law_deviation_mp_density():
@@ -115,7 +114,13 @@ def test_law_deviation_mp_density():
 
     m = sample_rect(DistSpec("gaussian"), 600, 1200, 7)
     eigs = np.linalg.eigvalsh(form_gram(m))
-    dev = law_deviation(eigs, ("mp", 0.5), 0.2, (0.3, 2.7))
+    dev = law_deviation(eigs, functools.partial(mp_interval_mass, y=0.5), 0.2, (0.3, 2.7))
+    assert dev.max_rel_dev < 0.2
+    # y = 1 (p = n): the support is [0, 4], and the scan starts at the hard edge 0, where the density diverges
+    m = sample_rect(DistSpec("gaussian"), 600, 600, 7)
+    eigs = np.linalg.eigvalsh(form_gram(m))
+    dev = law_deviation(eigs, functools.partial(mp_interval_mass, y=1.0), 0.2, (0.0, 3.0))
+    assert dev.windows["window_lo"][0] == 0.0
     assert dev.max_rel_dev < 0.2
 
 
@@ -124,7 +129,7 @@ def test_wigner_local_law_moderate():
     m = sample_wigner(DistSpec("rademacher"), n, 8, normalize=True)
     eigs = np.linalg.eigvalsh(m)
     scale = 30 * math.log(n) / n
-    dev = law_deviation(eigs, "semicircle", scale, (-1.8, 1.8))
+    dev = law_deviation(eigs, sc_interval_mass, scale, (-1.8, 1.8))
     assert dev.max_rel_dev <= 0.3
 
 
@@ -133,10 +138,10 @@ def test_threshold_scan_finds_threshold_and_matches_serial():
     n = 400
     unit = math.log(n) / n
     scales = [unit, 10 * unit, 50 * unit]
-    est = threshold_scan(_spectra(dist, n, 3, 5), "semicircle", scales, delta=0.25, bulk=(-1.8, 1.8))
+    est = threshold_scan(_spectra(dist, n, 3, 5), sc_interval_mass, scales, delta=0.25, bulk=(-1.8, 1.8))
     assert est.threshold_scale is not None
     assert est.threshold_scale <= 50 * unit
-    est2 = threshold_scan(_spectra(dist, n, 3, 5, workers=2), "semicircle", scales, delta=0.25, bulk=(-1.8, 1.8))
+    est2 = threshold_scan(_spectra(dist, n, 3, 5, workers=2), sc_interval_mass, scales, delta=0.25, bulk=(-1.8, 1.8))
     np.testing.assert_array_equal(est.max_rel_dev, est2.max_rel_dev)
     assert est2.threshold_scale == est.threshold_scale
 
@@ -145,13 +150,21 @@ def test_threshold_scan_none_when_unreachable():
     dist = DistSpec("rademacher")
     n = 200
     unit = math.log(n) / n
-    est = threshold_scan(_spectra(dist, n, 1, 0), "semicircle", [0.1 * unit], delta=1e-6, bulk=(-1.8, 1.8))
+    est = threshold_scan(_spectra(dist, n, 1, 0), sc_interval_mass, [0.1 * unit], delta=1e-6, bulk=(-1.8, 1.8))
     assert est.threshold_scale is None
+
+
+def test_threshold_scan_takes_any_mass_function():
+    # evenly spaced points on [0, 1] against the uniform law's mass, hi - lo: every window holds its share
+    spectra = [(np.arange(10000) + 0.5) / 10000]
+    est = threshold_scan(spectra, lambda lo, hi: hi - lo, [0.05, 0.1], delta=0.01, bulk=(0.0, 1.0))
+    assert np.all(est.max_rel_dev < 1e-3)
+    assert est.threshold_scale == 0.05
 
 
 def test_threshold_scan_validation():
     spectra = _spectra(DistSpec("rademacher"), 100, 1, 0)
     with pytest.raises(ParameterError):
-        threshold_scan(spectra, "semicircle", [0.2, 0.1], 0.2, (-1.8, 1.8))
+        threshold_scan(spectra, sc_interval_mass, [0.2, 0.1], 0.2, (-1.8, 1.8))
     with pytest.raises(ParameterError):
-        threshold_scan([], "semicircle", [0.1], 0.2, (-1.8, 1.8))
+        threshold_scan([], sc_interval_mass, [0.1], 0.2, (-1.8, 1.8))

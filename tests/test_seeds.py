@@ -119,7 +119,7 @@ def test_one_blas_thread_sets_and_restores():
             assert get() == 1
         assert get() == 3
         a = np.diag(np.linspace(-1.0, 1.0, 8))
-        empirical_tail("quadratic", DistSpec("rademacher"), np.array([0.0, 1.0]), 300, 0, matrix=a)
+        empirical_tail(a, DistSpec("rademacher"), np.array([0.0, 1.0]), 300, 0)
         assert get() == 3
     finally:
         set_threads(original)
@@ -137,7 +137,7 @@ def test_one_blas_thread_without_openblas_warns_once_and_runs(monkeypatch):
             with one_blas_thread():
                 pass
             a = np.diag(np.linspace(-1.0, 1.0, 8))
-            tail = empirical_tail("quadratic", DistSpec("rademacher"), np.array([0.0, 1.0]), 600, 0, matrix=a)
+            tail = empirical_tail(a, DistSpec("rademacher"), np.array([0.0, 1.0]), 600, 0)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "OpenBLAS thread control was not found" in str(caught[0].message)
         assert tail.survival[0] == 1.0
