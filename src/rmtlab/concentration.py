@@ -121,6 +121,8 @@ def psd_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     from .spectral import check_hermitian
 
+    if np.ndim(a) != 2:
+        raise ContractError("matrix must be square")  # check_hermitian would pass a stack of matrices
     check_hermitian(a)
     vals, vecs = np.linalg.eigh(a)
     pos = np.clip(vals, 0.0, None)
@@ -271,7 +273,13 @@ def empirical_tail(
         raise ParameterError("t_grid must be ascending")
     if trials < TAIL_MIN_TRIALS:
         raise ParameterError(f"need at least {TAIL_MIN_TRIALS} trials")
-    n = (target.basis if isinstance(target, WeightedFrame) else target).shape[0]
+    if isinstance(target, WeightedFrame):
+        n = target.basis.shape[0]
+    else:
+        target = np.asarray(target)
+        if target.ndim != 2 or target.shape[0] != target.shape[1]:
+            raise ContractError(f"the target must be a WeightedFrame or a square matrix, not of shape {target.shape}")
+        n = target.shape[0]
 
     def block(_, seed):
         return _statistic_values(target, dist, n, seed)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delocalization import _inf_norm_columns, _minor_identity, classify_region
+from .delocalization import _abs2, _inf_norm_columns, _minor_identity, classify_region
 from .ensembles import ParameterError, form_gram
 from .locallaw import _schur_residual
-from .spectral import ContractError, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
+from .spectral import ContractError, _aligned, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,8 @@ class SingularTriplets:
 
 
 def singular_triplets(m: np.ndarray) -> SingularTriplets:
-    p, n = m.shape
+    """The SVD's triplets of a p x n factor (p <= n), or of a stack of them (leading axes)."""
+    p, n = m.shape[-2:]
     if p > n:
         raise ContractError("factor must have p <= n")
     return _thin_svd(m)
@@ -72,14 +73,17 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
 
 
 def _thin_svd(m: np.ndarray) -> SingularTriplets:
-    """Triplets of a matrix of any shape; min(p, n) of them, ascending."""
+    """Triplets of a matrix of any shape, or of a stack of them; min(p, n) of them, ascending."""
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     # numpy returns descending; flip to ascending
-    return SingularTriplets(sigma=s[::-1], left=u[:, ::-1], right=vh[::-1].T.conj())
+    return SingularTriplets(sigma=s[..., ::-1], left=u[..., ::-1], right=np.swapaxes(vh[..., ::-1, :], -1, -2).conj())
 
 
-def covariance_schur_residual(m: np.ndarray, z: complex, gram_eigs: np.ndarray) -> float:
-    """Two-route gap: the k-sum versus the Stieltjes transform of gram_eigs, the sigma_i^2/n."""
+def covariance_schur_residual(m: np.ndarray, z: complex, gram_eigs: np.ndarray):
+    """Two-route gap: the k-sum versus the Stieltjes transform of gram_eigs, the sigma_i^2/n.
+
+    A stack of factors M (leading axes) with gram_eigs stacked alike gives an array of gaps.
+    """
     return _schur_residual(form_gram(m), z, gram_eigs)
 
 
@@ -107,31 +111,32 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
     for H = M*M (right) or MM* (left) and use its kernel.  Returns arrays
     (entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap)
     indexed by i, from one SVD of the minor; the gap is
-    min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
+    min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).  A stack of
+    factors (leading axes) with their stacked triplets gives a stack of each
+    array, with the bits of one call per factor.
     """
-    p, n = m.shape
+    p, n = m.shape[-2:]
     if p > n:
         raise ContractError("factor must have p <= n")
     if side == "right":
-        x, minor = m[:, -1], _thin_svd(m[:, :-1])
+        x, minor = m[..., :, -1:], _thin_svd(m[..., :, :-1])  # X as a column
         vecs, basis = trip.right, minor.left
     elif side == "left":
-        x, minor = np.conj(m[-1, :]), _thin_svd(m[:-1, :])  # Y with Y* the last row
+        x, minor = _aligned(np.conj(m[..., -1:, :]).swapaxes(-1, -2)), _thin_svd(m[..., :-1, :])  # Y* the last row
         vecs, basis = trip.left, minor.right
     else:
         raise ParameterError("side must be 'left' or 'right'")
     msig2 = minor.sigma**2
-    weighted = msig2 * np.abs(np.conj(basis).T @ x) ** 2
+    weighted = msig2 * _abs2((_aligned(np.conj(basis)).swapaxes(-1, -2) @ x)[..., 0])
+    norm2 = np.real(x.swapaxes(-1, -2).conj() @ x)[..., 0, 0]  # ||X||^2: a real X is not copied for its conjugate
     sig2 = _squares(trip.sigma)
-    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = _minor_identity(
-        sig2, vecs[-1], msig2, weighted, np.real(np.vdot(x, x))
-    )
+    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = _minor_identity(sig2, vecs[..., -1, :], msig2, weighted, norm2)
     return entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap / np.maximum(1.0, sig2)
 
 
 def _squares(sigma: np.ndarray) -> np.ndarray:
     """sigma_i^2 squared one scalar at a time: the array square rounds a few values differently."""
-    return np.array([s**2 for s in sigma])
+    return np.array([s**2 for s in sigma.ravel()]).reshape(sigma.shape)
 
 
 def pv_mp(lam: float, y: float) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ContractError, check_hermitian
+from .spectral import ContractError, _aligned, check_hermitian
 
 
 def classify_region(lam, edges, eps: float):
@@ -87,23 +87,33 @@ def _column_inf_norms(v: np.ndarray) -> np.ndarray:
     return np.maximum(v.max(axis=0), -v.min(axis=0))
 
 
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 elementwise: re^2 + im^2, or v^2 for a real v.
+
+    numpy's complex abs rounds by the layout of its input, so a row of a stack could differ from the row alone.
+    """
+    return v.real**2 + v.imag**2 if np.iscomplexobj(v) else v**2
+
+
 def _pole_sums(weights: np.ndarray, poles: np.ndarray, points: np.ndarray, power: int) -> np.ndarray:
-    """sum_j weights_j / (poles_j - x)^power for each x in points; inf or nan at a pole."""
+    """sum_j weights_j / (poles_j - x)^power for each x in points, over any leading batch axes; inf or nan at a pole."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.sum(weights / (poles - points[:, None]) ** power, axis=1)
+        return np.sum(weights[..., None, :] / (poles[..., None, :] - points[..., :, None]) ** power, axis=-1)
 
 
-def _minor_identity(vals, coord, mvals, overlaps, diag: float):
+def _minor_identity(vals, coord, mvals, overlaps, diag):
     """(entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap) for every i.
 
     ``vals`` and ``coord`` are H's eigenvalues and coordinate k of its
     eigenvectors, ``mvals`` and ``overlaps`` the mu_j and w_j above, ``diag``
-    is H_kk.  The gap is the distance from vals_i to the nearest mu_j (inf for
-    an empty minor); the identities are ill-conditioned where it is tiny.
+    is H_kk; leading axes, on all of them alike, index a stack of matrices.
+    The gap is the distance from vals_i to the nearest mu_j (inf for an empty
+    minor); the identities are ill-conditioned where it is tiny.
     """
-    gap = np.min(np.abs(mvals[None, :] - vals[:, None]), axis=1, initial=np.inf)
+    gap = np.min(np.abs(mvals[..., None, :] - vals[..., :, None]), axis=-1, initial=np.inf)
     entry_rhs = 1.0 / (1.0 + _pole_sums(overlaps, mvals, vals, 2))
-    return np.abs(coord) ** 2, entry_rhs, _pole_sums(overlaps, mvals, vals, 1), diag - vals, gap
+    interlacing_rhs = np.expand_dims(diag, -1) - vals
+    return _abs2(coord), entry_rhs, _pole_sums(overlaps, mvals, vals, 1), interlacing_rhs, gap
 
 
 def wigner_identities(w: np.ndarray, decomp):
@@ -111,15 +121,17 @@ def wigner_identities(w: np.ndarray, decomp):
 
     ``decomp`` is ``eig_decompose(w)``; the minor takes one more eigh.  Returns
     arrays (entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap)
-    indexed by i, the identities above with H = W and k = n - 1.
+    indexed by i, the identities above with H = W and k = n - 1.  A stack of
+    matrices (leading axes before the last two) gives a stack of each array,
+    with the bits of one call per matrix.
     """
     check_hermitian(w)
     vals, vecs = decomp.eigenvalues, decomp.eigenvectors
-    if vals.shape != (w.shape[0],):
+    if vals.shape != w.shape[:-1]:
         raise ContractError("decomposition does not match the matrix size")
-    mvals, mvecs = np.linalg.eigh(w[:-1, :-1])
-    overlaps = np.abs(np.conj(mvecs).T @ w[:-1, -1]) ** 2
-    return _minor_identity(vals, vecs[-1], mvals, overlaps, float(np.real(w[-1, -1])))
+    mvals, mvecs = np.linalg.eigh(w[..., :-1, :-1])
+    overlaps = _abs2((_aligned(np.conj(mvecs)).swapaxes(-1, -2) @ w[..., :-1, -1:])[..., 0])
+    return _minor_identity(vals, vecs[..., -1, :], mvals, overlaps, np.real(w[..., -1, -1]))
 
 
 @dataclass(frozen=True)

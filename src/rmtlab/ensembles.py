@@ -173,9 +173,9 @@ def sample_rect(dist: DistSpec, p: int, n: int, seed: int) -> np.ndarray:
 
 
 def form_gram(m: np.ndarray) -> np.ndarray:
-    """Compact Gram matrix M M* / n (p x p); same nonzero spectrum as W."""
-    _, n = m.shape
-    return m @ m.conj().T / n  # conj() of a real array is the array, so numpy takes SYRK
+    """Compact Gram matrix M M* / n (p x p), of each factor in a stack too; same nonzero spectrum as W."""
+    n = m.shape[-1]
+    return m @ np.swapaxes(m.conj(), -1, -2) / n  # conj() of a real array is the array, so numpy takes SYRK
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,15 @@ itself, in the bytes of ``csv.writer``'s excel dialect.  ``localscan`` and
 ``covariance`` reduce their trials' spectra in this process with
 ``locallaw.threshold_scan``, handing it the law's mass function: this module
 maps each config name (the statistic, the experiment's law) to the object
-the library takes, once.  Output goes to
-out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
-renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
-the config fields it reads: only those are settable, written to config.json
-and, but for workers, hashed into the default label.
+the library takes, once.  ``identities`` draws each instance's matrices
+through ``map_trials``, then, in this thread, calls each identity kernel
+once per shape group (instances of one Wigner size, or of one factor
+shape) on a stack, and builds its record columns once, in instance order;
+a stacked kernel gives each matrix the bits of a call on it alone.  Output
+goes to out_dir/<experiment>/<label>/ as records.csv + summary.json +
+config.json, renamed into place as one directory.  ``EXPERIMENTS`` names
+each runner and the config fields it reads: only those are settable,
+written to config.json and, but for workers, hashed into the default label.
 """
 
 from __future__ import annotations
@@ -55,13 +59,12 @@ from .covariance import (
 )
 from .delocalization import eigvec_inf_norms, wigner_identities
 from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
-from .locallaw import STRIDE_FRAC, ThresholdEstimate, schur_identity_residual, threshold_scan
+from .locallaw import SCAN_WINDOWS_PER_N, ThresholdEstimate, least_scale, schur_identity_residual, threshold_scan
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
-from .spectral import eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
+from .spectral import _aligned, eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
 
 COLLISION_GAP = 1e-8  # identity checks with a collision gap at most this are skipped
 LOCALSCAN_BULK = (-1.8, 1.8)  # the semicircle bulk that localscan's windows slide across
-SCAN_WINDOWS_PER_N = 100  # the most windows per n that one scale of a count scan may slide across its bulk
 
 
 class ConfigError(ValueError):
@@ -93,9 +96,10 @@ class ExperimentConfig:
     of finite nonnegative numbers; all are stored as floats.  eps is below 2
     for deloc, and for covariance leaves a bulk a + 2 eps < b - 2 eps inside
     the MP edges a, b (eps below about sqrt(p/n)).  In localscan and
-    covariance, the smallest scale slides at most SCAN_WINDOWS_PER_N * n
-    windows, of stride STRIDE_FRAC times the scale, over its bulk.  A tail run
-    needs at least TAIL_MIN_TRIALS trials.  A label is one plain path
+    covariance, the smallest scale is at least ``locallaw.least_scale`` of
+    its bulk and of the eigenvalues it scans (n, or the Gram matrix's p), the
+    rule ``law_deviation`` applies.  A tail run needs at least
+    TAIL_MIN_TRIALS trials.  A label is one plain path
     component: no '/' or '\\', and no leading '.', so it can name neither
     the experiment directory nor the writer's temporaries.
     """
@@ -165,13 +169,16 @@ class ExperimentConfig:
             raise ConfigError("scales must be positive and strictly ascending")
         self.scales = [float(v) for v in s]
         if self.experiment in ("localscan", "covariance"):  # the window grid of the smallest scale must fit
-            covariance_bulk = _covariance_shape(self.n, self.p, self.eps)[1]
-            lo, hi = LOCALSCAN_BULK if self.experiment == "localscan" else covariance_bulk
-            least = (hi - lo) / (SCAN_WINDOWS_PER_N * self.n * STRIDE_FRAC * math.log(self.n) / self.n)
-            if self.scales[0] < least:
+            p, covariance_bulk = _covariance_shape(self.n, self.p, self.eps)
+            # the scan sees n Wigner eigenvalues, or the p of the Gram matrix
+            eigs, (lo, hi) = (self.n, LOCALSCAN_BULK) if self.experiment == "localscan" else (p, covariance_bulk)
+            unit = math.log(self.n) / self.n
+            least = least_scale(eigs, (lo, hi))
+            if self.scales[0] * unit < least:  # the scale the runner hands law_deviation
                 raise ConfigError(
-                    f"field 'scales': at n = {self.n} each scale must be at least {least:.3g} log n / n, so that"
-                    f" its windows over the bulk ({lo:g}, {hi:g}) number at most {SCAN_WINDOWS_PER_N * self.n}"
+                    f"field 'scales': at n = {self.n} each scale must be at least {least / unit:.3g} log n / n, so"
+                    f" that its windows over the bulk ({lo:g}, {hi:g}) number at most {SCAN_WINDOWS_PER_N} for each"
+                    f" of the {eigs} eigenvalues scanned"
                 )
         if self.t_grid is not None:
             t = self.t_grid
@@ -409,79 +416,139 @@ def _rel_err(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
     return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), floor)
 
 
-def _check_columns(instance: int, dim: int, p: int, checks: list) -> dict:
-    """Columns for (name, rel_err, collision_gap) families of checks, interleaved per index.
-
-    Checks whose collision gap is at most COLLISION_GAP are left out.
-    """
-    rel_err = np.column_stack([err for _, err, _ in checks]).ravel()
-    keep = np.column_stack([gap for _, _, gap in checks]).ravel() > COLLISION_GAP
-    # object cells share the few name strings; a fixed-width unicode column would take 100 bytes a row
-    names = np.tile(np.array([name for name, _, _ in checks], dtype=object), rel_err.size // len(checks))
-    count = np.count_nonzero(keep)
-    return {
-        "instance": np.full(count, instance),
-        "check": names[keep],
-        "n": np.full(count, dim),
-        "p": np.full(count, p),
-        "rel_err": rel_err[keep],
-    }
+IDENTITY_Z = 0.3 + 0.7j  # the spectral parameter of both Schur expansions
+# the checks in an instance's row order; the right and left singular families interleave per index i
+IDENTITY_CHECKS = (
+    "entry",
+    "interlacing",
+    "schur_sum",
+    "spectral_form",
+    "singular_entry_right",
+    "singular_entry_left",
+    "singular_interlacing_right",
+    "singular_interlacing_left",
+    "cov_schur_sum",
+)
 
 
-def _identity_instance(dist: DistSpec, instance: int, seed: int) -> tuple[dict, int]:
-    """Exact-identity checks on one small random instance: (columns, skipped)."""
-    rng_sizes_n = list(range(3, 17))
-    n = rng_sizes_n[instance % len(rng_sizes_n)]
+def _identity_shape(instance: int) -> tuple[int, int, int]:
+    """(n, p, pn) of an instance: its Wigner size, cycling over [3, 16], and the shape p x pn of its factor."""
+    n = 3 + instance % 14
     p = 2 + instance % 9
-    pn = max(p, 3 + instance % 14)
-    z = 0.3 + 0.7j
-    unguarded = np.array([np.inf])  # the collision gap of a check that needs no guard
+    return n, p, max(p, n)
 
-    w = sample_wigner(dist, n, seed, normalize=True)
+
+def _identity_draws(dist: DistSpec, instance: int, seed: int) -> tuple:
+    """The matrices of one instance: Wigner W, vector x, quadratic form A (gaussian) and factor M."""
+    n, p, pn = _identity_shape(instance)
+    return (
+        sample_wigner(dist, n, seed, normalize=True),
+        sample_vector(dist, n, derive_seed(seed, 1)),
+        sample_wigner(DistSpec("gaussian"), n, derive_seed(seed, 2), normalize=False),
+        sample_rect(dist, p, pn, derive_seed(seed, 3)),
+    )
+
+
+class _CheckRows:
+    """The check rows of a run, filled in shape batches: rel_err, collision gap and check of each row."""
+
+    def __init__(self, rows: int):
+        self.rel_err = np.empty(rows)
+        self.gap = np.empty(rows)
+        self.check = np.empty(rows, dtype=np.intp)  # index into IDENTITY_CHECKS
+
+    def put(self, first: np.ndarray, blocks: list) -> None:
+        """Write the rows of k instances, instance j's from row first[j] on, block after block.
+
+        A block is a list of families (name, rel_err, collision_gap) of k x m arrays, interleaved per index;
+        a gap of shape (k, 1) serves every index.
+        """
+        errs, gaps, checks = [], [], []
+        for families in blocks:
+            errs.append(np.stack([err for _, err, _ in families], axis=-1).reshape(len(first), -1))
+            gaps.append(np.stack([np.broadcast_to(gap, err.shape) for _, err, gap in families], axis=-1))
+            checks += [IDENTITY_CHECKS.index(name) for name, _, _ in families] * families[0][1].shape[-1]
+        errs = np.concatenate(errs, axis=1)
+        rows = first[:, None] + np.arange(errs.shape[1])
+        self.rel_err[rows] = errs
+        self.gap[rows] = np.concatenate([gap.reshape(len(first), -1) for gap in gaps], axis=1)
+        self.check[rows] = checks
+
+
+def _wigner_checks(rows: _CheckRows, first: np.ndarray, draws: list) -> None:
+    """The Wigner rows of a batch of instances of one size n: entry, interlacing, Schur sum, quadratic form."""
+    w, a = (_aligned(np.stack([draw[j] for draw in draws])) for j in (0, 2))
+    x = _aligned(np.stack([draw[1] for draw in draws])[..., None])  # the vectors as columns
+    n = w.shape[-1]
+    unguarded = np.full((len(draws), 1), np.inf)  # the collision gap of a check that needs no guard
     decomp = eig_decompose(w)
     entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp)
-    schur = schur_identity_residual(math.sqrt(n) * w, z, decomp.eigenvalues)
-    blocks = [
-        (n, 0, [("entry", _rel_err(entry_lhs, entry_rhs, 1e-30), gap)]),
-        (n, 0, [("interlacing", _rel_err(inter_lhs, inter_rhs, 1.0), gap)]),
-        (n, 0, [("schur_sum", np.array([schur]), unguarded)]),
-    ]
-
+    schur = schur_identity_residual(math.sqrt(n) * w, IDENTITY_Z, decomp.eigenvalues)
     # spectral identity of the quadratic form against the eigenbasis frame
-    x = sample_vector(dist, n, derive_seed(seed, 1))
-    a = sample_wigner(DistSpec("gaussian"), n, derive_seed(seed, 2), normalize=False)
     vals, vecs = np.linalg.eigh(a)
-    lhs_q = quadratic_deviation(x, a)
-    rhs_q = complex(np.sum(vals * (np.abs(np.conj(vecs).T @ x) ** 2 - 1.0)))
-    spectral = abs(lhs_q - rhs_q) / max(abs(lhs_q), 1.0)
-    blocks.append((n, 0, [("spectral_form", np.array([spectral]), unguarded)]))
+    coeffs = np.abs((_aligned(np.conj(vecs)).swapaxes(-1, -2) @ x)[..., 0]) ** 2
+    spectral = []
+    for (_, x_j, a_j, _), rhs in zip(draws, np.sum(vals * (coeffs - 1.0), axis=-1).tolist()):
+        lhs = quadratic_deviation(x_j, a_j)
+        spectral.append(abs(lhs - rhs) / max(abs(lhs), 1.0))
+    rows.put(
+        first,
+        [
+            [("entry", _rel_err(entry_lhs, entry_rhs, 1e-30), gap)],
+            [("interlacing", _rel_err(inter_lhs, inter_rhs, 1.0), gap)],
+            [("schur_sum", np.reshape(schur, (-1, 1)), unguarded)],
+            [("spectral_form", np.reshape(spectral, (-1, 1)), unguarded)],
+        ],
+    )
 
-    m = sample_rect(dist, p, pn, derive_seed(seed, 3))
+
+def _factor_checks(rows: _CheckRows, first: np.ndarray, factors: list) -> None:
+    """The factor rows of a batch of instances of one shape p x pn: singular entry and interlacing, Schur sum."""
+    m = _aligned(np.stack(factors))
     trip = singular_triplets(m)
-    scale = max(float(trip.sigma[-1] ** 2), 1.0)
+    scale = np.maximum([s**2 for s in trip.sigma[:, -1]], 1.0)[:, None]  # sigma_max^2 as singular_identities squares it
     entries, interlacings = [], []
     for side in ("right", "left"):
         entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)
         entries.append((f"singular_entry_{side}", _rel_err(entry_lhs, entry_rhs, 1e-30), gap))
         interlacings.append((f"singular_interlacing_{side}", np.abs(inter_lhs - inter_rhs) / scale, gap))
-    blocks += [(pn, p, entries), (pn, p, interlacings)]
-    cov_schur = covariance_schur_residual(m, z, trip.sigma**2 / pn)
-    blocks.append((pn, p, [("cov_schur_sum", np.array([cov_schur]), unguarded)]))
-    columns = concat_columns([_check_columns(instance, dim, dim_p, checks) for dim, dim_p, checks in blocks])
-    attempted = sum(err.size for _, _, checks in blocks for _, err, _ in checks)
-    return columns, attempted - columns["rel_err"].size
+    cov_schur = covariance_schur_residual(m, IDENTITY_Z, trip.sigma**2 / m.shape[-1])
+    unguarded = np.full((len(factors), 1), np.inf)
+    rows.put(first, [entries, interlacings, [("cov_schur_sum", np.reshape(cov_schur, (-1, 1)), unguarded)]])
 
 
 def _run_identities(cfg: ExperimentConfig):
-    results = map_trials(functools.partial(_identity_instance, cfg.dist), cfg.trials, cfg.base_seed, cfg.workers)
-    records = concat_columns([columns for columns, _ in results])
+    draws = map_trials(functools.partial(_identity_draws, cfg.dist), cfg.trials, cfg.base_seed, cfg.workers)
+    n, p, pn = np.array([_identity_shape(i) for i in range(cfg.trials)]).T
+    # an instance's rows: n entry, n interlacing, Schur sum, quadratic form; then 2p singular entry,
+    # 2p singular interlacing, covariance Schur sum
+    wigner_rows, factor_rows = 2 * n + 2, 4 * p + 1
+    sizes = wigner_rows + factor_rows
+    first = np.cumsum(sizes) - sizes
+    rows = _CheckRows(int(sizes.sum()))
+    for size in np.unique(n):
+        batch = np.flatnonzero(n == size)
+        _wigner_checks(rows, first[batch], [draws[i] for i in batch])
+    for shape in np.unique(np.column_stack([p, pn]), axis=0):
+        batch = np.flatnonzero((p == shape[0]) & (pn == shape[1]))
+        _factor_checks(rows, first[batch] + wigner_rows[batch], [draws[i][3] for i in batch])
+    keep = rows.gap > COLLISION_GAP
+    runs = np.column_stack([wigner_rows, factor_rows]).ravel()
+    records = {
+        "instance": np.repeat(np.arange(cfg.trials), sizes)[keep],
+        # object cells share the few name strings; a fixed-width unicode column would take 100 bytes a row
+        "check": np.array(IDENTITY_CHECKS, dtype=object)[rows.check[keep]],
+        "n": np.repeat(np.column_stack([n, pn]).ravel(), runs)[keep],
+        "p": np.repeat(np.column_stack([np.zeros_like(p), p]).ravel(), runs)[keep],
+        "rel_err": rows.rel_err[keep],
+    }
     rel_err = records["rel_err"]
     failures = int(np.count_nonzero(rel_err > 1e-8))
     summary = {
         "ok": not failures,
         "checks": rel_err.size,
         "failures": failures,
-        "skipped": sum(skips for _, skips in results),
+        "skipped": int(keep.size - rel_err.size),
         "max_rel_err": float(np.max(rel_err, initial=0.0)),
     }
     return records, summary

@@ -31,27 +31,44 @@ from .ensembles import ParameterError
 from .spectral import ContractError, _check_z, stieltjes_empirical
 
 STRIDE_FRAC = 0.25  # window stride of the count scans, as a fraction of the window length
+SCAN_WINDOWS_PER_N = 100  # the most windows per eigenvalue that one scale of a count scan may slide across its bulk
 
 
-def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray) -> float:
-    """|(1/n) sum_k 1/(h_kk - z - Y_k) - s_h(z)|, all n minors in one stacked solve; eigs are h's."""
+def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray):
+    """|(1/n) sum_k 1/(h_kk - z - Y_k) - s_h(z)|, all n minors in one stacked solve; eigs are h's.
+
+    Leading axes before h's last two index a stack of matrices, with eigs
+    stacked alike: one solve serves the whole stack and the result is an
+    array over the stack, each value with the bits of one call per matrix.
+    The k-sum runs left to right in Python complex arithmetic.
+    """
     z = _check_z(z)
-    n = h.shape[0]
-    if np.shape(eigs) != (n,):
+    n = h.shape[-1]
+    if np.shape(eigs) != h.shape[:-1]:
         raise ContractError("need one eigenvalue per row of the matrix")
     rest = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)  # row k: every index but k
-    cols = np.take_along_axis(h.T, rest, axis=1)  # row k: column k of h without h_kk
-    minors = h[rest[:, :, None], rest[:, None, :]] - z * np.eye(n - 1)
-    solves = np.linalg.solve(minors, cols[..., None])[..., 0]
-    total = 0.0j
-    for h_kk, a_k, solve in zip(np.real(np.diag(h)).tolist(), cols, solves):
-        total += 1.0 / (h_kk - z - complex(np.conj(a_k) @ solve))
-    return abs(total / n - stieltjes_empirical(eigs, z))
+    # row k: column k of h without h_kk, in C order: on a stack the fancy index returns another layout,
+    # whose BLAS dots below would sum in another order
+    cols = np.ascontiguousarray(np.swapaxes(h, -1, -2)[..., np.arange(n)[:, None], rest])
+    minors = h[..., rest[:, :, None], rest[:, None, :]] - z * np.eye(n - 1)
+    solves = np.linalg.solve(minors, cols[..., None])
+    yk = (np.conj(cols)[..., None, :] @ solves)[..., 0, 0]  # a_k* (h_minor - z)^-1 a_k, one dot per k
+    terms = np.real(np.diagonal(h, axis1=-2, axis2=-1)) - z - yk
+    residuals = []
+    for row, row_eigs in zip(terms.reshape(-1, n).tolist(), np.reshape(eigs, (-1, n))):
+        total = 0.0j
+        for term in row:
+            total += 1.0 / term
+        residuals.append(abs(total / n - stieltjes_empirical(row_eigs, z)))
+    return np.reshape(residuals, h.shape[:-2])[()]
 
 
-def schur_identity_residual(m: np.ndarray, z: complex, eigs: np.ndarray) -> float:
-    """|two-route gap| of the diagonal expansion of W = M/sqrt(n): the k-sum versus s_n(z) of eigs(W)."""
-    return _schur_residual(m / math.sqrt(m.shape[0]), z, eigs)
+def schur_identity_residual(m: np.ndarray, z: complex, eigs: np.ndarray):
+    """|two-route gap| of the diagonal expansion of W = M/sqrt(n): the k-sum versus s_n(z) of eigs(W).
+
+    A stack of matrices M (leading axes) with eigs stacked alike gives an array of gaps.
+    """
+    return _schur_residual(m / math.sqrt(m.shape[-1]), z, eigs)
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,17 @@ def _window_starts(lo: float, hi: float, stride: float) -> np.ndarray:
     return np.cumsum(np.r_[lo, np.full(int(math.ceil((hi - lo) / stride)) + 1, stride)])
 
 
+def least_scale(n: int, bulk: tuple[float, float]) -> float:
+    """The finest window length ``law_deviation`` takes for n eigenvalues over ``bulk``.
+
+    At stride STRIDE_FRAC times the length, a finer window would slide more
+    than SCAN_WINDOWS_PER_N * n windows across the bulk (n = 1 for an empty
+    spectrum).
+    """
+    lo, hi = bulk
+    return (hi - lo) / (SCAN_WINDOWS_PER_N * max(n, 1) * STRIDE_FRAC)
+
+
 def law_deviation(eigs: np.ndarray, interval_mass, scale: float, bulk: tuple[float, float]) -> LawDeviation:
     """Worst window-count deviation at interval length ``scale``.
 
@@ -78,7 +106,8 @@ def law_deviation(eigs: np.ndarray, interval_mass, scale: float, bulk: tuple[flo
     ``STRIDE_FRAC * scale``; the last one is clipped at the bulk's upper
     end.  The expected count is n * interval_mass(lo, hi) of the window,
     n = len(eigs), called once on the arrays of all window ends; windows of
-    zero expected count are skipped.
+    zero expected count are skipped.  A scale below ``least_scale(n, bulk)``
+    raises ParameterError before any window is laid out.
     """
     if scale <= 0:
         raise ParameterError("scale must be positive")
@@ -87,6 +116,12 @@ def law_deviation(eigs: np.ndarray, interval_mass, scale: float, bulk: tuple[flo
     lo, hi = bulk
     if not lo < hi:
         raise ContractError("bulk interval needs lo < hi")
+    least = least_scale(n, bulk)
+    if scale < least:
+        raise ParameterError(
+            f"scale {scale:g} is below {least:.3g}: its windows over the bulk ({lo:g}, {hi:g})"
+            f" would number more than {SCAN_WINDOWS_PER_N} per eigenvalue"
+        )
     starts = _window_starts(lo, hi, STRIDE_FRAC * scale)
     w_lo = starts[: np.argmax(starts + scale >= hi - 1e-12) + 1]  # up to the first reaching hi
     w_hi = np.minimum(w_lo + scale, hi)
@@ -133,10 +168,12 @@ def threshold_scan(spectra, interval_mass, scales, delta: float, bulk: tuple[flo
 
 
 __all__ = [
+    "SCAN_WINDOWS_PER_N",
     "STRIDE_FRAC",
     "LawDeviation",
     "ThresholdEstimate",
     "law_deviation",
+    "least_scale",
     "schur_identity_residual",
     "threshold_scan",
 ]

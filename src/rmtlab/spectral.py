@@ -28,17 +28,44 @@ class ContractError(ValueError):
 
 
 def check_hermitian(w: np.ndarray) -> None:
-    """Raise ContractError unless w is square with |w - w*| <= 1e-10 max(1, max |w_ij|)."""
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+    """Raise ContractError unless w is square with |w - w*| <= 1e-10 max(1, max |w_ij|).
+
+    Leading axes before the last two index a stack of matrices, each checked on its own scale.
+    """
+    if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise ContractError("matrix must be square")
-    dev = np.max(np.abs(w - np.conj(w.T)))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if dev > 1e-10 * scale:
-        raise ContractError(f"matrix is not Hermitian (max asymmetry {dev:.3g})")
+    dev = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))), axis=(-2, -1), initial=0.0)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1), initial=0.0))
+    if np.any(dev > 1e-10 * scale):
+        raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")
+
+
+def _aligned(a: np.ndarray) -> np.ndarray:
+    """A copy of a stack of matrices (..., r, c) whose matrices each start on a 16-byte boundary.
+
+    A fresh lone array starts on one, and a BLAS dot kernel (OpenBLAS's SSE2
+    one) sums a vector that does not in another order, so a product over a
+    stack has the bits of one product per matrix only on a stack so placed.
+    Each matrix keeps its own layout, C or F order; a lone matrix is returned
+    as it is.
+    """
+    if a.ndim < 3:
+        return a
+    *batch, r, c = a.shape
+    size = r * c
+    buf = np.empty((*batch, size + (-size * a.itemsize) % 16 // a.itemsize), a.dtype)[..., :size]
+    first = a[(0,) * len(batch)]
+    f_order = first.flags.f_contiguous and not first.flags.c_contiguous
+    out = buf.reshape(*batch, c, r).swapaxes(-1, -2) if f_order else buf.reshape(*batch, r, c)
+    out[...] = a
+    return out
 
 
 def eig_decompose(w: np.ndarray):
-    """numpy's ``EighResult`` of a Hermitian matrix: ascending ``eigenvalues`` and matching ``eigenvectors`` columns."""
+    """numpy's ``EighResult`` of a Hermitian matrix: ascending ``eigenvalues`` and matching ``eigenvectors`` columns.
+
+    A stack of matrices gives stacked results, with the bits of one eigh per matrix.
+    """
     check_hermitian(w)
     return np.linalg.eigh(w)
 

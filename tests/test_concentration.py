@@ -314,6 +314,10 @@ def test_empirical_tail_validation():
         empirical_tail(a, DistSpec("gaussian"), np.array([0.0]), 50, 0)
     with pytest.raises(ParameterError):
         empirical_tail(a, DistSpec("gaussian"), np.array([]), 200, 0)
+    # a matrix that is not square fails before any block is drawn, as quadratic_deviation does
+    for bad in (np.ones((3, 4)), np.ones(3), np.ones((2, 3, 3))):
+        with pytest.raises(ContractError, match="square matrix"):
+            empirical_tail(bad, DistSpec("gaussian"), np.array([0.0]), 200, 0)
 
 
 def test_projection_tail_respects_lemma_envelope():

@@ -262,7 +262,7 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError):
             config_from_dict(raw)
     # a field of the wrong JSON type, or of a value that cannot run, fails with a message that names it;
-    # at n = 100 the window cap is a multiple of about 0.0313 in localscan and 0.0211 in covariance
+    # at n = 100 the window cap is a multiple of about 0.0313 in localscan and 0.0422 in covariance (p = 50)
     fine_scales = [
         {"experiment": "localscan", "n": 100, "scales": [0.030, 1.0]},
         {"experiment": "localscan", "n": 1000, "scales": [1e-6]},
@@ -545,25 +545,41 @@ def test_tail_without_envelopes_takes_no_svd(monkeypatch):
 
 
 def test_identity_instance_decomposes_each_factor_once(monkeypatch):
-    # one SVD of the factor and one of each of its two minors; one stacked solve per Schur expansion;
-    # one eigh of the Wigner matrix, one of its minor and one of the quadratic form's matrix
-    from rmtlab.harness import _identity_instance
+    # per instance: one SVD of the factor and one of each of its two minors; one stacked solve per Schur
+    # expansion; one eigh of the Wigner matrix, one of its minor and one of the quadratic form's matrix.
+    # Instances of one shape share each call: one call per shape group and family
+    from rmtlab.harness import _identity_shape
 
-    calls = {"svd": 0, "solve": 0, "eigh": 0, "eigvalsh": 0}
+    calls = {"svd": [], "solve": [], "eigh": [], "eigvalsh": []}
     inner = getattr(np.linalg, "_linalg", None)
     for name in calls:
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            # a solve takes one instance's n minors as one stack: the matrices of a call are its instances
+            calls[_name].append(math.prod(np.shape(a)[: -3 if _name == "solve" else -2]))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
         if inner is not None:
             monkeypatch.setattr(inner, name, counted)
-    columns, _ = _identity_instance(DistSpec("rademacher"), 5, 17)  # n = 8, p = 7
-    assert calls == {"svd": 3, "solve": 2, "eigh": 3, "eigvalsh": 0}
-    assert set(columns["check"].tolist()) >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
+    trials = 40
+    report = run_experiment(_cfg(experiment="identities", trials=trials), write=False)
+    shapes = [_identity_shape(i) for i in range(trials)]
+    sizes, factors = len({n for n, _, _ in shapes}), len({(p, pn) for _, p, pn in shapes})
+    assert {name: sum(counts) for name, counts in calls.items()} == {
+        "svd": 3 * trials,
+        "solve": 2 * trials,
+        "eigh": 3 * trials,
+        "eigvalsh": 0,
+    }
+    assert {name: len(counts) for name, counts in calls.items()} == {
+        "svd": 3 * factors,
+        "solve": sizes + factors,
+        "eigh": 3 * sizes,
+        "eigvalsh": 0,
+    }
+    assert set(report.records["check"].tolist()) >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
 
 
 def test_float_formatting_round_trips(tmp_path):
@@ -811,9 +827,12 @@ def test_cli_field_of_wrong_type_exit_two_before_sampling(raw, tmp_path, capsys,
 
 
 def test_scales_just_above_the_window_cap_load():
-    # at n = 100 the localscan cap of 100 n windows over (-1.8, 1.8) is a multiple of about 0.0313
+    # at n = 100 the localscan cap of 100 n windows over (-1.8, 1.8) is a multiple of about 0.0313; the
+    # covariance scan sees the p = 50 Gram eigenvalues, so its cap of 100 p windows is a multiple of about 0.0422
     assert config_from_dict({"experiment": "localscan", "n": 100, "scales": [0.032, 1.0]}).scales[0] == 0.032
-    assert config_from_dict({"experiment": "covariance", "n": 100, "scales": [0.022]}).scales == [0.022]
+    assert config_from_dict({"experiment": "covariance", "n": 100, "scales": [0.043]}).scales == [0.043]
+    with pytest.raises(ConfigError, match="^field 'scales'"):
+        config_from_dict({"experiment": "covariance", "n": 100, "scales": [0.041]})
 
 
 def test_eps_just_inside_the_bulk_loads():

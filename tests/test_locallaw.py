@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from rmtlab import locallaw
 from rmtlab.ensembles import DistSpec, ParameterError, sample_wigner
-from rmtlab.locallaw import law_deviation, schur_identity_residual, threshold_scan
+from rmtlab.locallaw import law_deviation, least_scale, schur_identity_residual, threshold_scan
 from rmtlab.seeds import map_trials
 from rmtlab.spectral import ContractError, DomainError, mp_interval_mass, sc_interval_mass
 
@@ -107,6 +108,22 @@ def test_law_deviation_validation():
         law_deviation(eigs, sc_interval_mass, -1.0, (-1.8, 1.8))
     with pytest.raises(ContractError):
         law_deviation(eigs, sc_interval_mass, 0.1, (1.8, -1.8))
+
+
+def test_law_deviation_rejects_an_over_fine_scale_before_laying_out_windows(monkeypatch):
+    # 1e-15 over (-1.8, 1.8) would take ~1.4e16 window starts; the cap of 100 windows per eigenvalue
+    # (least_scale, the rule config load applies too) refuses it before any is allocated
+    eigs = _semicircle_quantiles(100)
+    monkeypatch.setattr(locallaw, "_window_starts", lambda *args: pytest.fail("windows laid out"))
+    with pytest.raises(ParameterError, match="100 per eigenvalue"):
+        law_deviation(eigs, sc_interval_mass, 1e-15, (-1.8, 1.8))
+    least = least_scale(eigs.size, (-1.8, 1.8))
+    assert least == 3.6 / (100 * 100 * 0.25)
+    with pytest.raises(ParameterError):
+        law_deviation(eigs, sc_interval_mass, least * (1 - 1e-12), (-1.8, 1.8))
+    monkeypatch.undo()
+    dev = law_deviation(eigs, sc_interval_mass, least, (-1.8, 1.8))
+    assert dev.windows.size <= 100 * eigs.size + 2
 
 
 def test_law_deviation_mp_density():
