@@ -1,9 +1,9 @@
 """Command line front end: ``rmtlab <experiment> --config PATH [overrides]``.
 
 Each subcommand has the flags of the fields its experiment reads.  Exit codes:
-0 success, 2 a flag, configuration or validation error or a parameter the
-experiment rejects while running, 3 when --assert is passed and the
-experiment's summary check fails.
+0 success, 2 a flag, configuration or validation error, a parameter the
+experiment rejects while running or an output path the OS rejects, 3 when
+--assert is passed and the experiment's summary check fails.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def main(argv=None) -> int:
             raw.update({k: v for k, v in flags.items() if v is not None})
         cfg = config_from_dict(raw)
         report = run_experiment(cfg)
-    except (ConfigError, ParameterError, ContractError, DomainError) as exc:
+    except (ConfigError, ParameterError, ContractError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

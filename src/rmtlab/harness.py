@@ -14,13 +14,13 @@ itself, in the bytes of ``csv.writer``'s excel dialect.  ``localscan`` and
 maps each config name (the statistic, the experiment's law) to the object
 the library takes, once.  ``identities`` draws each instance's matrices
 through ``map_trials``, then, in this thread, calls each identity kernel
-once per shape group (instances of one Wigner size, or of one factor
-shape) on a stack, and builds its record columns once, in instance order;
-a stacked kernel gives each matrix the bits of a call on it alone.  Output
-goes to out_dir/<experiment>/<label>/ as records.csv + summary.json +
-config.json, renamed into place as one directory.  ``EXPERIMENTS`` names
-each runner and the config fields it reads: only those are settable,
-written to config.json and, but for workers, hashed into the default label.
+once per shape group (one Wigner size, or one factor shape) on a stack,
+each matrix keeping the bits of a lone call; ``concat_columns`` joins the
+groups' rows, and one stable sort by instance orders them.  Output goes to
+out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
+renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
+the config fields it reads: only those are settable, written to
+config.json and, but for workers, hashed into the default label.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from .seeds import MASK64, concat_columns, derive_seed, map_trials
 from .spectral import _aligned, eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
 
 COLLISION_GAP = 1e-8  # identity checks with a collision gap at most this are skipped
+LABEL_BYTES = 255 - len("..") - 32 - len(".tmp")  # so the writer's .{label}.{32 hex}.tmp fits a 255-byte name
 LOCALSCAN_BULK = (-1.8, 1.8)  # the semicircle bulk that localscan's windows slide across
 
 
@@ -101,7 +102,8 @@ class ExperimentConfig:
     rule ``law_deviation`` applies.  A tail run needs at least
     TAIL_MIN_TRIALS trials.  A label is one plain path
     component: no '/' or '\\', and no leading '.', so it can name neither
-    the experiment directory nor the writer's temporaries.
+    the experiment directory nor the writer's temporaries, and at most
+    LABEL_BYTES bytes, so that a temporary's name fits a file name.
     """
 
     experiment: str
@@ -211,6 +213,8 @@ class ExperimentConfig:
             not isinstance(label, str) or not label or label.startswith(".") or any(c in label for c in "/\\\0")
         ):
             raise ConfigError(f"label must be one plain path component, not starting with '.': {label!r}")
+        if label is not None and len(os.fsencode(label)) > LABEL_BYTES:
+            raise ConfigError(f"field 'label' must be at most {LABEL_BYTES} UTF-8 bytes, not {len(os.fsencode(label))}")
 
     def to_dict(self) -> dict:
         """The experiment and the fields it reads: the text of config.json."""
@@ -229,9 +233,13 @@ class ExperimentConfig:
 def read_config(path):
     """Parse a JSON config file without validating it (``config_from_dict`` does that)."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"parse error at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {str(path)!r} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {str(path)!r}: {exc.strerror}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -417,18 +425,6 @@ def _rel_err(lhs: np.ndarray, rhs: np.ndarray, floor: float) -> np.ndarray:
 
 
 IDENTITY_Z = 0.3 + 0.7j  # the spectral parameter of both Schur expansions
-# the checks in an instance's row order; the right and left singular families interleave per index i
-IDENTITY_CHECKS = (
-    "entry",
-    "interlacing",
-    "schur_sum",
-    "spectral_form",
-    "singular_entry_right",
-    "singular_entry_left",
-    "singular_interlacing_right",
-    "singular_interlacing_left",
-    "cov_schur_sum",
-)
 
 
 def _identity_shape(instance: int) -> tuple[int, int, int]:
@@ -449,38 +445,35 @@ def _identity_draws(dist: DistSpec, instance: int, seed: int) -> tuple:
     )
 
 
-class _CheckRows:
-    """The check rows of a run, filled in shape batches: rel_err, collision gap and check of each row."""
+def _check_columns(batch: np.ndarray, n: int, p: int, blocks: list) -> dict:
+    """The record columns of a shape group's rows, n and p in each, plus a "gap" column of collision gaps.
 
-    def __init__(self, rows: int):
-        self.rel_err = np.empty(rows)
-        self.gap = np.empty(rows)
-        self.check = np.empty(rows, dtype=np.intp)  # index into IDENTITY_CHECKS
-
-    def put(self, first: np.ndarray, blocks: list) -> None:
-        """Write the rows of k instances, instance j's from row first[j] on, block after block.
-
-        A block is a list of families (name, rel_err, collision_gap) of k x m arrays, interleaved per index;
-        a gap of shape (k, 1) serves every index.
-        """
-        errs, gaps, checks = [], [], []
-        for families in blocks:
-            errs.append(np.stack([err for _, err, _ in families], axis=-1).reshape(len(first), -1))
-            gaps.append(np.stack([np.broadcast_to(gap, err.shape) for _, err, gap in families], axis=-1))
-            checks += [IDENTITY_CHECKS.index(name) for name, _, _ in families] * families[0][1].shape[-1]
-        errs = np.concatenate(errs, axis=1)
-        rows = first[:, None] + np.arange(errs.shape[1])
-        self.rel_err[rows] = errs
-        self.gap[rows] = np.concatenate([gap.reshape(len(first), -1) for gap in gaps], axis=1)
-        self.check[rows] = checks
+    The rows run instance after instance, each instance's blocks in order.  A block is a list of families
+    (check, rel_err, collision gap) of k x m arrays, interleaved per index; a gap of None marks a check that
+    needs no guard.
+    """
+    errs, gaps, checks = [], [], []
+    for families in blocks:
+        errs.append(np.stack([err for _, err, _ in families], axis=-1).reshape(len(batch), -1))
+        gaps.append(np.stack([np.full(err.shape, np.inf) if gap is None else gap for _, err, gap in families], -1))
+        checks += [name for name, _, _ in families] * families[0][1].shape[-1]
+    rows = len(batch) * len(checks)
+    return {
+        "instance": np.repeat(batch, len(checks)),
+        # object cells share the few name strings; a fixed-width unicode column would take 100 bytes a row
+        "check": np.tile(np.array(checks, dtype=object), len(batch)),
+        "n": np.full(rows, n),
+        "p": np.full(rows, p),
+        "rel_err": np.concatenate(errs, axis=1).ravel(),
+        "gap": np.concatenate([gap.reshape(len(batch), -1) for gap in gaps], axis=1).ravel(),
+    }
 
 
-def _wigner_checks(rows: _CheckRows, first: np.ndarray, draws: list) -> None:
+def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
     """The Wigner rows of a batch of instances of one size n: entry, interlacing, Schur sum, quadratic form."""
     w, a = (_aligned(np.stack([draw[j] for draw in draws])) for j in (0, 2))
     x = _aligned(np.stack([draw[1] for draw in draws])[..., None])  # the vectors as columns
     n = w.shape[-1]
-    unguarded = np.full((len(draws), 1), np.inf)  # the collision gap of a check that needs no guard
     decomp = eig_decompose(w)
     entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp)
     schur = schur_identity_residual(math.sqrt(n) * w, IDENTITY_Z, decomp.eigenvalues)
@@ -491,57 +484,45 @@ def _wigner_checks(rows: _CheckRows, first: np.ndarray, draws: list) -> None:
     for (_, x_j, a_j, _), rhs in zip(draws, np.sum(vals * (coeffs - 1.0), axis=-1).tolist()):
         lhs = quadratic_deviation(x_j, a_j)
         spectral.append(abs(lhs - rhs) / max(abs(lhs), 1.0))
-    rows.put(
-        first,
-        [
-            [("entry", _rel_err(entry_lhs, entry_rhs, 1e-30), gap)],
-            [("interlacing", _rel_err(inter_lhs, inter_rhs, 1.0), gap)],
-            [("schur_sum", np.reshape(schur, (-1, 1)), unguarded)],
-            [("spectral_form", np.reshape(spectral, (-1, 1)), unguarded)],
-        ],
-    )
+    blocks = [
+        [("entry", _rel_err(entry_lhs, entry_rhs, 1e-30), gap)],
+        [("interlacing", _rel_err(inter_lhs, inter_rhs, 1.0), gap)],
+        [("schur_sum", np.reshape(schur, (-1, 1)), None)],
+        [("spectral_form", np.reshape(spectral, (-1, 1)), None)],
+    ]
+    return _check_columns(batch, n, 0, blocks)
 
 
-def _factor_checks(rows: _CheckRows, first: np.ndarray, factors: list) -> None:
+def _factor_checks(batch: np.ndarray, factors: list) -> dict:
     """The factor rows of a batch of instances of one shape p x pn: singular entry and interlacing, Schur sum."""
     m = _aligned(np.stack(factors))
+    p, pn = m.shape[-2:]
     trip = singular_triplets(m)
     scale = np.maximum([s**2 for s in trip.sigma[:, -1]], 1.0)[:, None]  # sigma_max^2 as singular_identities squares it
-    entries, interlacings = [], []
+    entries, interlacings = [], []  # the right and left families interleave per index i
     for side in ("right", "left"):
         entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)
         entries.append((f"singular_entry_{side}", _rel_err(entry_lhs, entry_rhs, 1e-30), gap))
         interlacings.append((f"singular_interlacing_{side}", np.abs(inter_lhs - inter_rhs) / scale, gap))
-    cov_schur = covariance_schur_residual(m, IDENTITY_Z, trip.sigma**2 / m.shape[-1])
-    unguarded = np.full((len(factors), 1), np.inf)
-    rows.put(first, [entries, interlacings, [("cov_schur_sum", np.reshape(cov_schur, (-1, 1)), unguarded)]])
+    cov_schur = np.reshape(covariance_schur_residual(m, IDENTITY_Z, trip.sigma**2 / pn), (-1, 1))
+    return _check_columns(batch, pn, p, [entries, interlacings, [("cov_schur_sum", cov_schur, None)]])
 
 
 def _run_identities(cfg: ExperimentConfig):
     draws = map_trials(functools.partial(_identity_draws, cfg.dist), cfg.trials, cfg.base_seed, cfg.workers)
-    n, p, pn = np.array([_identity_shape(i) for i in range(cfg.trials)]).T
-    # an instance's rows: n entry, n interlacing, Schur sum, quadratic form; then 2p singular entry,
-    # 2p singular interlacing, covariance Schur sum
-    wigner_rows, factor_rows = 2 * n + 2, 4 * p + 1
-    sizes = wigner_rows + factor_rows
-    first = np.cumsum(sizes) - sizes
-    rows = _CheckRows(int(sizes.sum()))
-    for size in np.unique(n):
-        batch = np.flatnonzero(n == size)
-        _wigner_checks(rows, first[batch], [draws[i] for i in batch])
-    for shape in np.unique(np.column_stack([p, pn]), axis=0):
-        batch = np.flatnonzero((p == shape[0]) & (pn == shape[1]))
-        _factor_checks(rows, first[batch] + wigner_rows[batch], [draws[i][3] for i in batch])
-    keep = rows.gap > COLLISION_GAP
-    runs = np.column_stack([wigner_rows, factor_rows]).ravel()
-    records = {
-        "instance": np.repeat(np.arange(cfg.trials), sizes)[keep],
-        # object cells share the few name strings; a fixed-width unicode column would take 100 bytes a row
-        "check": np.array(IDENTITY_CHECKS, dtype=object)[rows.check[keep]],
-        "n": np.repeat(np.column_stack([n, pn]).ravel(), runs)[keep],
-        "p": np.repeat(np.column_stack([np.zeros_like(p), p]).ravel(), runs)[keep],
-        "rel_err": rows.rel_err[keep],
-    }
+    shapes = np.array([_identity_shape(i) for i in range(cfg.trials)])
+    groups = []
+    for size in np.unique(shapes[:, 0]):
+        batch = np.flatnonzero(shapes[:, 0] == size)
+        groups.append(_wigner_checks(batch, [draws[i] for i in batch]))
+    for shape in np.unique(shapes[:, 1:], axis=0):
+        batch = np.flatnonzero((shapes[:, 1:] == shape).all(axis=1))
+        groups.append(_factor_checks(batch, [draws[i][3] for i in batch]))
+    rows = concat_columns(groups)
+    # the Wigner groups are joined first, so the stable sort puts each instance's Wigner rows before its factor rows
+    order = np.argsort(rows["instance"], kind="stable")
+    keep = rows["gap"][order] > COLLISION_GAP
+    records = {name: rows[name][order[keep]] for name in ("instance", "check", "n", "p", "rel_err")}
     rel_err = records["rel_err"]
     failures = int(np.count_nonzero(rel_err > 1e-8))
     summary = {

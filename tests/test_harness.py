@@ -701,6 +701,28 @@ def test_cli_bad_label_keeps_earlier_runs(tmp_path, capsys):
     assert {p.relative_to(tmp_path): p.is_file() and p.read_bytes() for p in tmp_path.rglob("*")} == before
 
 
+def test_cli_path_the_os_rejects_exit_two(tmp_path, capsys):
+    # a config that is missing, a directory or not UTF-8, an output root under a file, and a label whose
+    # temporary .{label}.{32 hex}.tmp passes 255 bytes: one error line each, and nothing left behind
+    out = tmp_path / "out"
+    (tmp_path / "latin1.json").write_bytes(b'{"experiment": "pv", "label": "\xe9"}')
+    (tmp_path / "file").write_text("")
+    cases = [
+        ["--config", str(tmp_path / "missing.json"), "--out", str(out)],
+        ["--config", str(tmp_path), "--out", str(out)],
+        ["--config", str(tmp_path / "latin1.json"), "--out", str(out)],
+        ["--out", str(tmp_path / "file" / "x")],
+        ["--out", str(out), "--label", "a" * 218],
+    ]
+    for args in cases:
+        assert cli_main(["pv", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+    assert cli_main(["pv", "--out", str(out), "--label", "a" * 217]) == 0
+    assert sorted(p.name for p in (out / "pv" / ("a" * 217)).iterdir()) == ["config.json", "records.csv", "summary.json"]
+
+
 def test_cli_deloc_n_one_exit_two(tmp_path, capsys):
     assert cli_main(["deloc", "--n", "1", "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err

@@ -4,7 +4,9 @@ The identities experiment calls each kernel once per shape group, on a stack
 laid out by ``spectral._aligned`` (every matrix on a 16-byte boundary, as a
 lone array is); these tests build their stacks the same way and compare
 ``tobytes()`` against single calls.  Wigner sizes n in {1, 2, 3, 16}, factor
-shapes p x pn with p = pn and p < pn, real and complex entries.
+shapes p x pn with p = pn and p < pn, real and complex entries.  The last
+test runs the experiment itself: a group's stack height moves with the
+instance count, and an instance's rows must not.
 """
 
 import math
@@ -15,6 +17,7 @@ import pytest
 from rmtlab.covariance import covariance_schur_residual, singular_identities, singular_triplets
 from rmtlab.delocalization import _minor_identity, _pole_sums, wigner_identities
 from rmtlab.ensembles import form_gram
+from rmtlab.harness import _records_text, config_from_dict, run_experiment
 from rmtlab.locallaw import _schur_residual, schur_identity_residual
 from rmtlab.spectral import _aligned, eig_decompose
 
@@ -117,3 +120,16 @@ def test_aligned_keeps_values_and_layout():
         assert all(one.ctypes.data % 16 == 0 for one in out)
     lone = rng.standard_normal((4, 4))
     assert _aligned(lone) is lone
+
+
+@pytest.mark.parametrize("base_seed, kind", [(1, "rademacher"), (3, "gaussian")])
+def test_identity_rows_do_not_depend_on_the_run(base_seed, kind):
+    # a run of k instances stacks fewer matrices in each shape group than a run of 60, and gives the same rows
+    def records(trials):
+        raw = dict(experiment="identities", trials=trials, base_seed=base_seed, dist={"kind": kind}, workers=2)
+        return run_experiment(config_from_dict(raw), write=False).records
+
+    big = records(60)
+    for k in (1, 7, 20, 59):
+        first = big["instance"] < k
+        assert _records_text({name: column[first] for name, column in big.items()}) == _records_text(records(k))
