@@ -288,7 +288,7 @@ def empirical_tail(
         blocks = map_trials(block, -(-trials // TAIL_BLOCK), base_seed, workers)
     values = np.concatenate(blocks)[:trials]
 
-    survival = np.array([np.count_nonzero(values >= t) / trials for t in t_grid])
+    survival = (trials - np.searchsorted(np.sort(values), t_grid, side="left")) / trials  # a draw equal to t counts
     stderr = np.sqrt(survival * (1.0 - survival) / trials)
     return EmpiricalTail(t_grid=t_grid, survival=survival, stderr=stderr, trials=trials)
 

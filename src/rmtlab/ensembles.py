@@ -124,16 +124,15 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _draw(dist: DistSpec, size, rng: np.random.Generator) -> np.ndarray:
-    if dist.kind == "rademacher":
-        return _SIGNS.take(rng.integers(0, 2, size=size))
     if dist.kind == "gaussian":
         return rng.standard_normal(size)
     if dist.kind == "bounded_uniform":
         return rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=size)
-    # subexp: sign * E^alpha, standardized
     sign = _SIGNS.take(rng.integers(0, 2, size=size))
-    e = rng.standard_exponential(size)
-    return sign * e**dist.alpha / dist.subexp_scale
+    if dist.kind == "rademacher":
+        return sign
+    # subexp: sign * E^alpha, standardized
+    return sign * rng.standard_exponential(size) ** dist.alpha / dist.subexp_scale
 
 
 def sample_vector(dist: DistSpec, n: int, seed: int) -> np.ndarray:

@@ -7,12 +7,13 @@ to ``workers`` threads and returns the trials in index order, so the written
 CSV is byte-identical for any worker count.  A ``tail`` run's trials are its
 blocks of TAIL_BLOCK draws (``concentration.empirical_tail``).  Each runner
 returns its records as columns, a dict of CSV column name -> 1-D array, and
-the writer formats each distinct value of a column once and joins the rows
-itself, in the bytes of ``csv.writer``'s excel dialect.  ``localscan`` and
-``covariance`` reduce their trials' spectra in this process with
-``locallaw.threshold_scan``, handing it the law's mass function: this module
-maps each config name (the statistic, the experiment's law) to the object
-the library takes, once.  ``identities`` draws each instance's matrices
+the writer formats each distinct value of a column once, as text (object
+or str cells, quoted as needed) or as numbers (``np.unique``, never quoted),
+and joins the rows itself, in the bytes of ``csv.writer``'s excel dialect.
+``localscan`` and ``covariance`` reduce their trials' spectra in this
+process with ``locallaw.threshold_scan``, handing it the law's mass
+function: this module maps each config name (the statistic, the
+experiment's law) to the object the library takes, once.  ``identities`` draws each instance's matrices
 through ``map_trials``, then, in this thread, calls each identity kernel
 once per shape group (one Wigner size, or one factor shape) on a stack,
 each matrix keeping the bits of a lone call; ``concat_columns`` joins the
@@ -49,6 +50,7 @@ from .concentration import (
     quadratic_deviation,
 )
 from .covariance import (
+    _squares,
     covariance_schur_residual,
     gram_triplets,
     mp_self_consistency_residual,
@@ -57,8 +59,8 @@ from .covariance import (
     singular_triplets,
     singular_vec_inf_norms,
 )
-from .delocalization import eigvec_inf_norms, wigner_identities
-from .ensembles import DistSpec, ParameterError, sample_rect, sample_vector, sample_wigner
+from .delocalization import _abs2, eigvec_inf_norms, wigner_identities
+from .ensembles import DistSpec, ParameterError, _rng, sample_rect, sample_vector, sample_wigner
 from .locallaw import SCAN_WINDOWS_PER_N, ThresholdEstimate, least_scale, schur_identity_residual, threshold_scan
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
 from .spectral import _aligned, eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
@@ -160,8 +162,10 @@ class ExperimentConfig:
             setattr(self, name, float(value))
         if self.experiment == "deloc" and self.eps >= 2:
             raise ConfigError(f"field 'eps' must be below 2, not {self.eps!r}: the bulk is |lambda| <= 2 - eps")
+        # a scan sees the n Wigner eigenvalues in the semicircle bulk, or the p of the Gram matrix in the MP one
+        eigs, (lo, hi) = self.n, LOCALSCAN_BULK
         if self.experiment == "covariance":
-            lo, hi = _covariance_shape(self.n, self.p, self.eps)[1]
+            eigs, (lo, hi) = _covariance_shape(self.n, self.p, self.eps)
             if not lo < hi:
                 raise ConfigError(f"field 'eps' = {self.eps!r} leaves no MP bulk: a + 2 eps >= b - 2 eps")
         s = self.scales
@@ -171,9 +175,6 @@ class ExperimentConfig:
             raise ConfigError("scales must be positive and strictly ascending")
         self.scales = [float(v) for v in s]
         if self.experiment in ("localscan", "covariance"):  # the window grid of the smallest scale must fit
-            p, covariance_bulk = _covariance_shape(self.n, self.p, self.eps)
-            # the scan sees n Wigner eigenvalues, or the p of the Gram matrix
-            eigs, (lo, hi) = (self.n, LOCALSCAN_BULK) if self.experiment == "localscan" else (p, covariance_bulk)
             unit = math.log(self.n) / self.n
             least = least_scale(eigs, (lo, hi))
             if self.scales[0] * unit < least:  # the scale the runner hands law_deviation
@@ -279,16 +280,14 @@ def _csv_field(text: str) -> str:
 def _column_fields(column: np.ndarray) -> list[str]:
     """The CSV field of each cell, repr for floats and str otherwise, each distinct value formatted once."""
     kind = column.dtype.kind
-    if kind not in "fiubU":  # object cells, formatted one by one and quoted once per distinct text
+    if kind not in "fiub":  # text (object or str cells): each distinct text quoted once
         texts = list(map(str, column.tolist()))
         fields = {text: _csv_field(text) for text in set(texts)}
         return list(map(fields.__getitem__, texts))
-    # floats are keyed by their bit pattern, so -0.0 and 0.0 (equal as floats) keep their own text
+    # numbers, never quoted; floats keyed by bit pattern, so -0.0 and 0.0 (equal as floats) keep their own text
     keys = column.view(f"u{column.itemsize}") if kind == "f" else column
     distinct, inverse = np.unique(keys, return_inverse=True)
     fields = map(repr if kind == "f" else str, distinct.view(column.dtype).tolist())
-    if kind == "U":  # a number's text never needs quotes
-        fields = map(_csv_field, fields)
     return np.array(list(fields), dtype=object)[inverse].tolist()
 
 
@@ -343,8 +342,7 @@ def _run_tail(cfg: ExperimentConfig):
         target = WeightedFrame(basis=np.eye(cfg.n)[:, : cfg.d], weights=np.ones(cfg.d))
         frob = math.sqrt(cfg.d)  # scales the default t-grid; the projection envelope reads no norm
     else:
-        rng = np.random.Generator(np.random.PCG64(derive_seed(cfg.base_seed, 1 << 48)))
-        g = rng.standard_normal((cfg.n, cfg.n))
+        g = _rng(derive_seed(cfg.base_seed, 1 << 48)).standard_normal((cfg.n, cfg.n))
         target = (g + g.T) / math.sqrt(2.0)
         frob = math.sqrt(math.fsum(v for row in target * target for v in row.tolist()))  # correctly rounded, no BLAS
     t_grid = cfg.t_grid or list(np.linspace(0.0, 8.0 * max(1.0, frob), 33))
@@ -479,7 +477,7 @@ def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
     schur = schur_identity_residual(math.sqrt(n) * w, IDENTITY_Z, decomp.eigenvalues)
     # spectral identity of the quadratic form against the eigenbasis frame
     vals, vecs = np.linalg.eigh(a)
-    coeffs = np.abs((_aligned(np.conj(vecs)).swapaxes(-1, -2) @ x)[..., 0]) ** 2
+    coeffs = _abs2((_aligned(np.conj(vecs)).swapaxes(-1, -2) @ x)[..., 0])
     spectral = []
     for (_, x_j, a_j, _), rhs in zip(draws, np.sum(vals * (coeffs - 1.0), axis=-1).tolist()):
         lhs = quadratic_deviation(x_j, a_j)
@@ -498,7 +496,7 @@ def _factor_checks(batch: np.ndarray, factors: list) -> dict:
     m = _aligned(np.stack(factors))
     p, pn = m.shape[-2:]
     trip = singular_triplets(m)
-    scale = np.maximum([s**2 for s in trip.sigma[:, -1]], 1.0)[:, None]  # sigma_max^2 as singular_identities squares it
+    scale = np.maximum(_squares(trip.sigma[:, -1]), 1.0)[:, None]  # sigma_max^2 as singular_identities squares it
     entries, interlacings = [], []  # the right and left families interleave per index i
     for side in ("right", "left"):
         entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)

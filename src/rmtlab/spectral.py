@@ -5,6 +5,10 @@ products of principal square roots of the linear factors at the support
 edges.  That realizes the branch cut exactly on the support and gives the
 correct asymptotics at infinity, which pins down the Herglotz branch.
 
+One scalar rule: the densities and masses work elementwise on arrays, and a
+0-d input (a float or a 0-d array) gives an ``np.float64`` through ``[()]``,
+with the bits of the same point inside an array.
+
 Only the principal-value quadrature uses scipy; it imports
 ``scipy.integrate`` when called and calls ``integrate.quad`` through the
 module, so a wrapper patched onto ``scipy.integrate.quad`` sees every call.
@@ -71,32 +75,27 @@ def eig_decompose(w: np.ndarray):
 
 
 def rho_sc(x):
-    """Semicircle density sqrt(4 - x^2)/(2 pi) on [-2, 2], zero outside."""
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    """Semicircle density sqrt(4 - x^2)/(2 pi) on [-2, 2], zero outside and at NaN."""
+    x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     inside = np.abs(x) <= 2.0
     out[inside] = np.sqrt(4.0 - x[inside] ** 2) / (2.0 * math.pi)
-    return float(out[0]) if scalar else out
+    return out[()]
 
 
 def _sc_antiderivative(x):
     return x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) + np.arcsin(x / 2.0) / math.pi
 
 
-def _scalar_or_array(value):
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def sc_interval_mass(lo, hi):
-    """Exact semicircle mass of [lo, hi] from the antiderivative, elementwise on arrays."""
+    """Exact semicircle mass of [lo, hi] from the antiderivative."""
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if not np.all(lo < hi):
         raise ContractError("interval needs lo < hi")
     a = np.clip(lo, -2.0, 2.0)
     b = np.clip(hi, -2.0, 2.0)
-    return _scalar_or_array(_sc_antiderivative(b) - _sc_antiderivative(a))
+    return (_sc_antiderivative(b) - _sc_antiderivative(a))[()]
 
 
 def _check_z(z: complex) -> complex:
@@ -133,15 +132,14 @@ def mp_edges(y: float) -> tuple[float, float]:
 
 
 def rho_mp(x, y: float):
-    """Marchenko-Pastur density sqrt((b-x)(x-a))/(2 pi x y) on [a, b]."""
+    """Marchenko-Pastur density sqrt((b-x)(x-a))/(2 pi x y) on [a, b], zero outside, at x = 0 and at NaN."""
     a, b = mp_edges(y)
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
     inside = (x >= a) & (x <= b) & (x > 0)
     xi = x[inside]
     out[inside] = np.sqrt((b - xi) * (xi - a)) / (2.0 * math.pi * xi * y)
-    return float(out[0]) if scalar else out
+    return out[()]
 
 
 def _mp_antiderivative(x, y: float):
@@ -158,7 +156,7 @@ def _mp_antiderivative(x, y: float):
 
 
 def mp_interval_mass(lo, hi, y: float):
-    """MP mass of [lo, hi] from the closed-form antiderivative, elementwise on arrays.
+    """MP mass of [lo, hi] from the closed-form antiderivative.
 
     Bounds are clipped to the support [a, b]; an interval empty after clipping has mass 0.
     """
@@ -166,7 +164,7 @@ def mp_interval_mass(lo, hi, y: float):
     lo = np.clip(np.asarray(lo, dtype=np.float64), a, b)
     hi = np.clip(np.asarray(hi, dtype=np.float64), a, b)
     mass = (_mp_antiderivative(hi, y) - _mp_antiderivative(lo, y)) / (2.0 * math.pi * y)
-    return _scalar_or_array(np.where(lo < hi, mass, 0.0))
+    return np.where(lo < hi, mass, 0.0)[()]
 
 
 def stieltjes_mp(z: complex, y: float) -> complex:

@@ -343,6 +343,15 @@ def test_rademacher_coordinate_projection_is_degenerate(n, d):
         assert tail.survival.tolist() == [1.0, 0.0, 0.0]
 
 
+def test_empirical_tail_counts_a_draw_equal_to_t_at_an_interior_atom():
+    # for x in {-1, 1}^4 and A = J - I, X*AX - tr A = (sum x)^2 - 4 takes only |.| in {0, 4, 12},
+    # so a draw that counts as at or above t = 4 and t = 12 puts their survival with that of 0.5 and 4.5
+    a = np.ones((4, 4)) - np.eye(4)
+    tail = empirical_tail(a, DistSpec("rademacher"), np.array([0.5, 4.0, 4.5, 12.0, 12.5]), 1000, 2)
+    s_half, s4, s4_half, s12, s12_half = tail.survival.tolist()
+    assert s4 == s_half > s4_half == s12 > s12_half == 0.0
+
+
 def test_gaussian_quadratic_variance_oracle():
     # Var(X'AX - trA) = 2||A||_F^2 for gaussian X and symmetric A
     rng = np.random.default_rng(7)

@@ -21,7 +21,12 @@ DEMOS = [
 
 @pytest.mark.parametrize("demo", DEMOS)
 def test_record_demos_run(demo):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    # pytest's -W reaches only its own process, so the demo is told by the environment that a RuntimeWarning is an error
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True, timeout=300
     )

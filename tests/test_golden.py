@@ -78,7 +78,12 @@ pytestmark = pytest.mark.skipif(
 
 
 def _hashes(configs, out_dir, env):
-    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    # pytest's -W reaches only its own process, so the run is told by the environment that a RuntimeWarning is an error
+    env = dict(
+        env,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     result = subprocess.run(
         [sys.executable, "-c", _RUN, json.dumps(configs), str(out_dir)],
         cwd=out_dir,

@@ -386,6 +386,9 @@ def test_records_text_matches_csv_writer():
     # one column: a lone empty field is quoted so that it does not read as a blank line
     lone = {"only": np.array(["", "a", ""], dtype=object)}
     assert _records_text(lone) == _csv_writer_text(lone)
+    lone_str = {"only": lone["only"].astype(str)}  # the same cells as a str column, through the one text path
+    assert lone_str["only"].dtype.kind == "U"
+    assert _records_text(lone_str) == _csv_writer_text(lone_str)
 
 
 def test_run_deloc_experiment():

@@ -31,7 +31,12 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('
 
 
 def _python(code: str, cwd: Path) -> str:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    # pytest's -W reaches only its own process, so the child is told by the environment that a RuntimeWarning is an error
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
     )

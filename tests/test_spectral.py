@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -83,6 +84,40 @@ def test_mp_mass_matches_quadrature(y):
         assert mp_interval_mass(l, h, y) == m
     assert mp_interval_mass(b, b + 1.0, y) == 0.0
     assert mp_interval_mass(a, b, y) == pytest.approx(1.0, abs=1e-14)
+
+
+_A, _B = mp_edges(0.5)
+# law -> (the law, the argument tuples of its points): both support edges, points outside and inside, x = 0 at
+# y = 1 (the MP hard edge) and NaN for the densities; a mass's interval starts at its point
+_LAWS = {
+    "rho_sc": (rho_sc, [(x,) for x in (-2.0, 2.0, -2.5, 3.0, 0.0, 1.3, math.nan)]),
+    "rho_mp-0.5": (functools.partial(rho_mp, y=0.5), [(x,) for x in (_A, _B, 0.0, -1.0, 3.5, 1.0, math.nan)]),
+    "rho_mp-1": (functools.partial(rho_mp, y=1.0), [(x,) for x in (0.0, 4.0, -0.5, 4.5, 1e-3, 2.0, math.nan)]),
+    "sc_interval_mass": (sc_interval_mass, [(x, x + 0.5) for x in (-2.0, 2.0, -3.0, 2.5, -2.25, 0.0, 1.7)]),
+    "mp_interval_mass-0.5": (
+        functools.partial(mp_interval_mass, y=0.5),
+        [(x, x + 0.5) for x in (_A, _B, -1.0, 3.5, _A - 0.25, 1.0, _B - 0.25)],
+    ),
+    "mp_interval_mass-1": (
+        functools.partial(mp_interval_mass, y=1.0),
+        [(x, x + 0.5) for x in (0.0, 4.0, -1.0, 5.0, -0.25, 1.0, 3.75)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _LAWS)
+def test_law_of_a_scalar_is_a_0d_float64_with_the_bits_of_its_array_point(name):
+    law, points = _LAWS[name]
+    values = law(*map(np.array, zip(*points)))
+    assert values.shape == (len(points),)
+    singles = []
+    for args in points:
+        as_float, as_0d = law(*args), law(*map(np.array, args))
+        for value in (as_float, as_0d):
+            assert type(value) is np.float64 and np.ndim(value) == 0
+        assert as_float.tobytes() == as_0d.tobytes()
+        singles.append(as_float)
+    assert values.tobytes() == np.array(singles).tobytes()
 
 
 def test_stieltjes_sc_golden_point():
