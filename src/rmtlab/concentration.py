@@ -267,10 +267,8 @@ def empirical_tail(
     worker count.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    if t_grid.size == 0:
-        raise ParameterError("t_grid must be nonempty")
-    if np.any(np.diff(t_grid) < 0):
-        raise ParameterError("t_grid must be ascending")
+    if t_grid.size == 0 or np.any(np.isnan(t_grid)) or np.any(np.diff(t_grid) < 0):
+        raise ParameterError("t_grid must be nonempty, ascending and without NaN")
     if trials < TAIL_MIN_TRIALS:
         raise ParameterError(f"need at least {TAIL_MIN_TRIALS} trials")
     if isinstance(target, WeightedFrame):

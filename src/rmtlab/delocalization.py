@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import ContractError, _aligned, check_hermitian
+from .spectral import SC_EDGES, ContractError, _aligned, check_hermitian
 
 
 def classify_region(lam, edges, eps: float):
     """Region of lam against the support [lo, hi] = edges; elementwise on arrays.
 
-    ``edges`` is (-2.0, 2.0) for the semicircle or ``mp_edges(y)``.  'bulk'
+    ``edges`` is ``SC_EDGES`` for the semicircle or ``mp_edges(y)``.  'bulk'
     is [lo + eps, hi - eps]; 'edge' is within eps of hi, or of lo unless lo
     is the hard edge 0 (the MP support at y = 1); 'outside' is the rest.
     """
@@ -58,7 +58,7 @@ def eigvec_inf_norms(decomp, seed: int, eps: float = 0.1) -> dict:
         "seed": np.full(vals.size, seed, dtype=np.uint64),
         "index": np.arange(vals.size),
         "lambda": vals,
-        "region": classify_region(vals, (-2.0, 2.0), eps),
+        "region": classify_region(vals, SC_EDGES, eps),
         **_inf_norm_columns(decomp.eigenvectors),
     }
 

@@ -491,9 +491,9 @@ def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
     return _check_columns(batch, n, 0, blocks)
 
 
-def _factor_checks(batch: np.ndarray, factors: list) -> dict:
+def _factor_checks(batch: np.ndarray, draws: list) -> dict:
     """The factor rows of a batch of instances of one shape p x pn: singular entry and interlacing, Schur sum."""
-    m = _aligned(np.stack(factors))
+    m = _aligned(np.stack([draw[3] for draw in draws]))
     p, pn = m.shape[-2:]
     trip = singular_triplets(m)
     scale = np.maximum(_squares(trip.sigma[:, -1]), 1.0)[:, None]  # sigma_max^2 as singular_identities squares it
@@ -508,16 +508,12 @@ def _factor_checks(batch: np.ndarray, factors: list) -> dict:
 
 def _run_identities(cfg: ExperimentConfig):
     draws = map_trials(functools.partial(_identity_draws, cfg.dist), cfg.trials, cfg.base_seed, cfg.workers)
-    shapes = np.array([_identity_shape(i) for i in range(cfg.trials)])
-    groups = []
-    for size in np.unique(shapes[:, 0]):
-        batch = np.flatnonzero(shapes[:, 0] == size)
-        groups.append(_wigner_checks(batch, [draws[i] for i in batch]))
-    for shape in np.unique(shapes[:, 1:], axis=0):
-        batch = np.flatnonzero((shapes[:, 1:] == shape).all(axis=1))
-        groups.append(_factor_checks(batch, [draws[i][3] for i in batch]))
-    rows = concat_columns(groups)
-    # the Wigner groups are joined first, so the stable sort puts each instance's Wigner rows before its factor rows
+    groups = {}  # (checks, Wigner size or factor shape) -> its instances
+    for checks, shape in ((_wigner_checks, slice(0, 1)), (_factor_checks, slice(1, 3))):
+        for i in range(cfg.trials):
+            groups.setdefault((checks, _identity_shape(i)[shape]), []).append(i)
+    # the Wigner groups are inserted, so joined, first: the stable sort puts each instance's Wigner rows first
+    rows = concat_columns([checks(np.array(batch), [draws[i] for i in batch]) for (checks, _), batch in groups.items()])
     order = np.argsort(rows["instance"], kind="stable")
     keep = rows["gap"][order] > COLLISION_GAP
     records = {name: rows[name][order[keep]] for name in ("instance", "check", "n", "p", "rel_err")}

@@ -5,8 +5,14 @@ products of principal square roots of the linear factors at the support
 edges.  That realizes the branch cut exactly on the support and gives the
 correct asymptotics at infinity, which pins down the Herglotz branch.
 
-One scalar rule: the densities and masses work elementwise on arrays, and a
-0-d input (a float or a 0-d array) gives an ``np.float64`` through ``[()]``,
+The semicircle and Marchenko-Pastur (MP) laws differ only in their edges
+(``SC_EDGES``, ``mp_edges(y)``) and formulas.  One density rule: the formula
+inside the open support, 0.0 on its edges, outside and at NaN (so the MP hard
+edge x = 0 at y = 1 never divides 0 by 0).  One mass rule: lo < hi
+everywhere, else ``ContractError`` (a reversed, empty or NaN interval), then
+the antiderivative's difference over the interval clipped to the support,
+over the law's normalizer (1, or 2 pi y for MP).  Both work elementwise on
+arrays; a float or a 0-d array gives an ``np.float64`` through ``[()]``,
 with the bits of the same point inside an array.
 
 Only the principal-value quadrature uses scipy; it imports
@@ -21,6 +27,8 @@ import math
 import numpy as np
 
 from .ensembles import ParameterError
+
+SC_EDGES = (-2.0, 2.0)  # the semicircle support
 
 
 class DomainError(ValueError):
@@ -74,13 +82,26 @@ def eig_decompose(w: np.ndarray):
     return np.linalg.eigh(w)
 
 
-def rho_sc(x):
-    """Semicircle density sqrt(4 - x^2)/(2 pi) on [-2, 2], zero outside and at NaN."""
+def _density(x, edges: tuple[float, float], formula):
+    """``formula`` at the points of x strictly inside ``edges``, 0.0 elsewhere and at NaN; ``[()]`` of the result."""
     x = np.asarray(x, dtype=np.float64)
     out = np.zeros_like(x)
-    inside = np.abs(x) <= 2.0
-    out[inside] = np.sqrt(4.0 - x[inside] ** 2) / (2.0 * math.pi)
+    inside = (edges[0] < x) & (x < edges[1])
+    out[inside] = formula(x[inside])
     return out[()]
+
+
+def _interval_mass(lo, hi, edges: tuple[float, float], antiderivative, normalizer: float):
+    """The antiderivative's difference over [lo, hi] clipped to ``edges``, over ``normalizer``; needs lo < hi."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    if not np.all(lo < hi):
+        raise ContractError("interval needs lo < hi")
+    return ((antiderivative(np.clip(hi, *edges)) - antiderivative(np.clip(lo, *edges))) / normalizer)[()]
+
+
+def rho_sc(x):
+    """Semicircle density sqrt(4 - x^2)/(2 pi) on [-2, 2], zero outside and at NaN."""
+    return _density(x, SC_EDGES, lambda t: np.sqrt(4.0 - t**2) / (2.0 * math.pi))
 
 
 def _sc_antiderivative(x):
@@ -88,14 +109,8 @@ def _sc_antiderivative(x):
 
 
 def sc_interval_mass(lo, hi):
-    """Exact semicircle mass of [lo, hi] from the antiderivative."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    if not np.all(lo < hi):
-        raise ContractError("interval needs lo < hi")
-    a = np.clip(lo, -2.0, 2.0)
-    b = np.clip(hi, -2.0, 2.0)
-    return (_sc_antiderivative(b) - _sc_antiderivative(a))[()]
+    """Exact semicircle mass of [lo, hi] from the antiderivative; raises ContractError unless lo < hi."""
+    return _interval_mass(lo, hi, SC_EDGES, _sc_antiderivative, 1.0)
 
 
 def _check_z(z: complex) -> complex:
@@ -134,12 +149,7 @@ def mp_edges(y: float) -> tuple[float, float]:
 def rho_mp(x, y: float):
     """Marchenko-Pastur density sqrt((b-x)(x-a))/(2 pi x y) on [a, b], zero outside, at x = 0 and at NaN."""
     a, b = mp_edges(y)
-    x = np.asarray(x, dtype=np.float64)
-    out = np.zeros_like(x)
-    inside = (x >= a) & (x <= b) & (x > 0)
-    xi = x[inside]
-    out[inside] = np.sqrt((b - xi) * (xi - a)) / (2.0 * math.pi * xi * y)
-    return out[()]
+    return _density(x, (a, b), lambda t: np.sqrt((b - t) * (t - a)) / (2.0 * math.pi * t * y))
 
 
 def _mp_antiderivative(x, y: float):
@@ -156,15 +166,8 @@ def _mp_antiderivative(x, y: float):
 
 
 def mp_interval_mass(lo, hi, y: float):
-    """MP mass of [lo, hi] from the closed-form antiderivative.
-
-    Bounds are clipped to the support [a, b]; an interval empty after clipping has mass 0.
-    """
-    a, b = mp_edges(y)
-    lo = np.clip(np.asarray(lo, dtype=np.float64), a, b)
-    hi = np.clip(np.asarray(hi, dtype=np.float64), a, b)
-    mass = (_mp_antiderivative(hi, y) - _mp_antiderivative(lo, y)) / (2.0 * math.pi * y)
-    return np.where(lo < hi, mass, 0.0)[()]
+    """Exact MP mass of [lo, hi] from the antiderivative; raises ContractError unless lo < hi."""
+    return _interval_mass(lo, hi, mp_edges(y), lambda x: _mp_antiderivative(x, y), 2.0 * math.pi * y)
 
 
 def stieltjes_mp(z: complex, y: float) -> complex:
@@ -217,7 +220,7 @@ def _pv_quad(f, lam: float, support: tuple[float, float], excision: float, tol: 
 
 def pv_semicircle_numeric(lam: float) -> float:
     """Symmetric-excision quadrature oracle for ``pv_semicircle``, excision 1e-6."""
-    return _pv_quad(lambda x: rho_sc(x) / (x - lam), lam, (-2.0, 2.0), 1e-6, 1e-12)
+    return _pv_quad(lambda x: rho_sc(x) / (x - lam), lam, SC_EDGES, 1e-6, 1e-12)
 
 
 def ks_distance(eigs: np.ndarray, cdf) -> float:
@@ -233,6 +236,7 @@ def ks_distance(eigs: np.ndarray, cdf) -> float:
 __all__ = [
     "ContractError",
     "DomainError",
+    "SC_EDGES",
     "check_hermitian",
     "eig_decompose",
     "ks_distance",

@@ -314,6 +314,10 @@ def test_empirical_tail_validation():
         empirical_tail(a, DistSpec("gaussian"), np.array([0.0]), 50, 0)
     with pytest.raises(ParameterError):
         empirical_tail(a, DistSpec("gaussian"), np.array([]), 200, 0)
+    # a NaN in t_grid fails wherever it stands, as at config load
+    for t_grid in ([0.0, math.nan], [math.nan, 0.0], [math.nan]):
+        with pytest.raises(ParameterError, match="NaN"):
+            empirical_tail(np.eye(4), DistSpec("rademacher"), t_grid, 100, 0)
     # a matrix that is not square fails before any block is drawn, as quadratic_deviation does
     for bad in (np.ones((3, 4)), np.ones(3), np.ones((2, 3, 3))):
         with pytest.raises(ContractError, match="square matrix"):

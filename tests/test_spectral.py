@@ -68,6 +68,12 @@ def test_sc_mass_elementwise_on_arrays():
     assert masses[-1] == 0.0
     with pytest.raises(ContractError):
         sc_interval_mass(lo, lo)
+    # one interval contract for both laws: a reversed, empty or NaN interval raises, on or off the support
+    bad = [(hi, lo), (lo, lo), (1.0, 0.5), (1.0, 1.0), (5.0, 5.0), (math.nan, 1.0), (0.5, math.nan)]
+    for mass in [sc_interval_mass] + [functools.partial(mp_interval_mass, y=y) for y in (0.5, 1.0)]:
+        for bad_lo, bad_hi in bad:
+            with pytest.raises(ContractError, match="lo < hi"):
+                mass(bad_lo, bad_hi)
 
 
 @pytest.mark.parametrize("y", [0.1, 0.5, 1.0])
