@@ -129,25 +129,18 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
     msig2 = minor.sigma**2
     weighted = msig2 * _abs2((_aligned(np.conj(basis)).swapaxes(-1, -2) @ x)[..., 0])
     norm2 = np.real(x.swapaxes(-1, -2).conj() @ x)[..., 0, 0]  # ||X||^2: a real X is not copied for its conjugate
-    sig2 = _squares(trip.sigma)
+    sig2 = trip.sigma**2
     entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = _minor_identity(sig2, vecs[..., -1, :], msig2, weighted, norm2)
     return entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap / np.maximum(1.0, sig2)
 
 
-def _squares(sigma: np.ndarray) -> np.ndarray:
-    """sigma_i^2 squared one scalar at a time: the array square rounds a few values differently."""
-    return np.array([s**2 for s in sigma.ravel()]).reshape(sigma.shape)
-
-
 def pv_mp(lam: float, y: float) -> float:
-    """Numerical principal value of y * int_a^b x rho_MP(x)/(x - lam) dx.
+    """Numerical principal value of y * int_a^b x rho_MP(x)/(x - lam) dx, by QUADPACK's Cauchy-weight rule.
 
-    Symmetric excision of width 1e-5 around the pole with one Richardson
-    step in the excision width.  Near the support edges the integrand is
-    integrable and the value approaches +sqrt(y) at a and -sqrt(y) at b.
+    At the support edges the integrand is integrable and the value equals
+    +sqrt(y) at a and -sqrt(y) at b.
     """
-    a, b = mp_edges(y)
-    return _pv_quad(lambda x: y * x * rho_mp(x, y) / (x - lam), lam, (a, b), 1e-5, 1e-11)
+    return _pv_quad(lambda x: y * x * rho_mp(x, y), lam, mp_edges(y))
 
 
 def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1) -> dict:
@@ -162,7 +155,7 @@ def singular_vec_inf_norms(trip: SingularTriplets, eps: float = 0.1) -> dict:
     recoverable as scaled * sqrt(n/p)).
     """
     p, n = trip.left.shape[0], trip.right.shape[0]
-    lam_w = _squares(trip.sigma) / n
+    lam_w = trip.sigma**2 / n
     left, right = _inf_norm_columns(trip.left), _inf_norm_columns(trip.right)
     return {
         "side": np.tile(["left", "right"], p),

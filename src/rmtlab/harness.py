@@ -47,10 +47,8 @@ from .concentration import (
     TailEnvelope,
     WeightedFrame,
     empirical_tail,
-    quadratic_deviation,
 )
 from .covariance import (
-    _squares,
     covariance_schur_residual,
     gram_triplets,
     mp_self_consistency_residual,
@@ -105,7 +103,9 @@ class ExperimentConfig:
     TAIL_MIN_TRIALS trials.  A label is one plain path
     component: no '/' or '\\', and no leading '.', so it can name neither
     the experiment directory nor the writer's temporaries, and at most
-    LABEL_BYTES bytes, so that a temporary's name fits a file name.
+    LABEL_BYTES bytes, so that a temporary's name fits a file name.  out_dir
+    is a string, and it and the label encode as file names (``os.fsencode``;
+    a lone surrogate does not).
     """
 
     experiment: str
@@ -209,11 +209,18 @@ class ExperimentConfig:
                 raise ConfigError(f"field 'd' must be at most n = {self.n}: the frame has d orthonormal columns")
         if not 0 <= self.base_seed <= MASK64:
             raise ConfigError("base_seed must be a nonnegative 64-bit integer")
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"field 'out_dir' must be a string, not {self.out_dir!r}")
         label = self.label
         if label is not None and (
             not isinstance(label, str) or not label or label.startswith(".") or any(c in label for c in "/\\\0")
         ):
             raise ConfigError(f"label must be one plain path component, not starting with '.': {label!r}")
+        for name, path in (("out_dir", self.out_dir), ("label", label or "")):
+            try:
+                os.fsencode(path)
+            except UnicodeEncodeError as exc:
+                raise ConfigError(f"field {name!r} cannot name a file: {exc.reason} in {path!r}") from exc
         if label is not None and len(os.fsencode(label)) > LABEL_BYTES:
             raise ConfigError(f"field 'label' must be at most {LABEL_BYTES} UTF-8 bytes, not {len(os.fsencode(label))}")
 
@@ -478,10 +485,9 @@ def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
     # spectral identity of the quadratic form against the eigenbasis frame
     vals, vecs = np.linalg.eigh(a)
     coeffs = _abs2((_aligned(np.conj(vecs)).swapaxes(-1, -2) @ x)[..., 0])
-    spectral = []
-    for (_, x_j, a_j, _), rhs in zip(draws, np.sum(vals * (coeffs - 1.0), axis=-1).tolist()):
-        lhs = quadratic_deviation(x_j, a_j)
-        spectral.append(abs(lhs - rhs) / max(abs(lhs), 1.0))
+    # X*AX - tr A, each product on a 16-byte boundary as in concentration.quadratic_deviation's lone call
+    lhs = (_aligned(np.conj(x)).swapaxes(-1, -2) @ _aligned(a @ x))[..., 0, 0] - np.trace(a, axis1=-2, axis2=-1)
+    spectral = np.abs(lhs - np.sum(vals * (coeffs - 1.0), axis=-1)) / np.maximum(np.abs(lhs), 1.0)
     blocks = [
         [("entry", _rel_err(entry_lhs, entry_rhs, 1e-30), gap)],
         [("interlacing", _rel_err(inter_lhs, inter_rhs, 1.0), gap)],
@@ -496,7 +502,7 @@ def _factor_checks(batch: np.ndarray, draws: list) -> dict:
     m = _aligned(np.stack([draw[3] for draw in draws]))
     p, pn = m.shape[-2:]
     trip = singular_triplets(m)
-    scale = np.maximum(_squares(trip.sigma[:, -1]), 1.0)[:, None]  # sigma_max^2 as singular_identities squares it
+    scale = np.maximum(trip.sigma[:, -1:] ** 2, 1.0)
     entries, interlacings = [], []  # the right and left families interleave per index i
     for side in ("right", "left"):
         entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)
@@ -579,7 +585,7 @@ def _run_pv(cfg: ExperimentConfig):
     numeric = [pv_semicircle_numeric(lam) for lam in lams]
     y = 0.5
     a, b = mp_edges(y)
-    # the MP principal value tends to +sqrt(y) at the lower edge and -sqrt(y) at the upper
+    # the MP principal value equals +sqrt(y) at the lower edge and -sqrt(y) at the upper
     reference += [math.sqrt(y), -math.sqrt(y)]
     numeric += [pv_mp(a, y), pv_mp(b, y)]
     records = {

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensembles import ParameterError
-from .spectral import ContractError, _check_z, stieltjes_empirical
+from .spectral import ContractError, _check_z
 
 STRIDE_FRAC = 0.25  # window stride of the count scans, as a fraction of the window length
 SCAN_WINDOWS_PER_N = 100  # the most windows per eigenvalue that one scale of a count scan may slide across its bulk
@@ -39,8 +39,8 @@ def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray):
 
     Leading axes before h's last two index a stack of matrices, with eigs
     stacked alike: one solve serves the whole stack and the result is an
-    array over the stack, each value with the bits of one call per matrix.
-    The k-sum runs left to right in Python complex arithmetic.
+    array over the stack, each value with the bits of one call per matrix:
+    both means reduce along the last axis, row by row.
     """
     z = _check_z(z)
     n = h.shape[-1]
@@ -54,13 +54,7 @@ def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray):
     solves = np.linalg.solve(minors, cols[..., None])
     yk = (np.conj(cols)[..., None, :] @ solves)[..., 0, 0]  # a_k* (h_minor - z)^-1 a_k, one dot per k
     terms = np.real(np.diagonal(h, axis1=-2, axis2=-1)) - z - yk
-    residuals = []
-    for row, row_eigs in zip(terms.reshape(-1, n).tolist(), np.reshape(eigs, (-1, n))):
-        total = 0.0j
-        for term in row:
-            total += 1.0 / term
-        residuals.append(abs(total / n - stieltjes_empirical(row_eigs, z)))
-    return np.reshape(residuals, h.shape[:-2])[()]
+    return np.abs(np.mean(1.0 / terms, axis=-1) - np.mean(1.0 / (eigs - z), axis=-1))[()]
 
 
 def schur_identity_residual(m: np.ndarray, z: complex, eigs: np.ndarray):

@@ -193,34 +193,25 @@ def pv_semicircle(lam: float) -> float:
     return -lam / 2.0 + math.copysign(math.sqrt(lam * lam - 4.0), lam) / 2.0
 
 
-def _pv_quad(f, lam: float, support: tuple[float, float], excision: float, tol: float) -> float:
-    """Principal value of int f over ``support``, pole at lam: quad at tolerance ``tol``.
+def _pv_quad(f, lam: float, support: tuple[float, float]) -> float:
+    """Principal value of int f(x)/(x - lam) dx over ``support``, by QUADPACK at tolerance 1e-12.
 
-    A pole inside the support is cut out symmetrically; the cut's error is
-    linear in its half-width, so one Richardson step combines excision/2 and
-    excision.  A pole outside the support needs no cut.
+    A pole strictly inside the support takes QAWC, quad's Cauchy weight
+    1/(x - lam) on f; a pole on an edge or outside leaves f(x)/(x - lam)
+    integrable (f vanishes at the edges), and plain quad takes it.
     """
     from scipy import integrate
 
     lo, hi = support
-
-    def integral(eps: float) -> float:
-        total = 0.0
-        for a, b in ((lo, lam - eps), (lam + eps, hi)):
-            a, b = max(a, lo), min(b, hi)
-            if a < b:
-                val, _ = integrate.quad(f, a, b, limit=400, epsabs=tol, epsrel=tol)
-                total += val
-        return total
-
-    if not lo <= lam <= hi:
-        return integral(0.0)
-    return 2.0 * integral(excision / 2.0) - integral(excision)
+    opts = dict(epsabs=1e-12, epsrel=1e-12, limit=400)  # 1e-12 takes more than quad's default 50 subintervals
+    if lo < lam < hi:
+        return integrate.quad(f, lo, hi, weight="cauchy", wvar=lam, **opts)[0]
+    return integrate.quad(lambda x: f(x) / (x - lam), lo, hi, **opts)[0]
 
 
 def pv_semicircle_numeric(lam: float) -> float:
-    """Symmetric-excision quadrature oracle for ``pv_semicircle``, excision 1e-6."""
-    return _pv_quad(lambda x: rho_sc(x) / (x - lam), lam, SC_EDGES, 1e-6, 1e-12)
+    """QUADPACK oracle for ``pv_semicircle``: the Cauchy-weight rule on rho_sc."""
+    return _pv_quad(rho_sc, lam, SC_EDGES)
 
 
 def ks_distance(eigs: np.ndarray, cdf) -> float:

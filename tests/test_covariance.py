@@ -156,6 +156,20 @@ def test_pv_mp_edge_limits():
     assert pv_mp(b, y) == pytest.approx(-math.sqrt(y), abs=0.05)
 
 
+def test_principal_values_match_closed_forms():
+    from rmtlab.spectral import pv_semicircle, pv_semicircle_numeric
+
+    for lam in (0.0, 0.5, -1.0, 1.9, -1.99, 2.0, -2.0, 3.0, -10.0):
+        assert pv_semicircle_numeric(lam) == pytest.approx(pv_semicircle(lam), abs=1e-11)
+    for y in (0.1, 0.5, 1.0):  # at y = 1 the lower edge is the hard edge 0
+        a, b = mp_edges(y)
+        assert pv_mp(a, y) == pytest.approx(math.sqrt(y), abs=1e-11)
+        assert pv_mp(b, y) == pytest.approx(-math.sqrt(y), abs=1e-11)
+        for lam in (a + 0.01 * (b - a), a + 0.3 * (b - a), 1.0, b - 0.01 * (b - a)):
+            expected = math.sqrt(y) * pv_semicircle((lam - 1.0 - y) / math.sqrt(y))
+            assert pv_mp(lam, y) == pytest.approx(expected, abs=1e-11)
+
+
 def test_classify_mp_region_soft_and_hard():
     a, b = mp_edges(0.5)
     assert classify_region((a + b) / 2, (a, b), 0.1) == "bulk"

@@ -239,6 +239,10 @@ def test_config_validation_errors():
         {"experiment": "pv", "label": ".hidden"},
         {"experiment": "pv", "label": ""},
         {"experiment": "pv", "label": 5},
+        # out_dir is a string, and out_dir and label encode as file names: a lone surrogate does not
+        {"experiment": "pv", "out_dir": 5},
+        {"experiment": "pv", "label": "\ud800"},
+        {"experiment": "pv", "out_dir": "o\ud800"},
         # a subexp alpha is a finite number > 0 whose scale sqrt(Gamma(1 + 2 alpha)) is finite
         {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": float("nan")}},
         {"experiment": "tail", "trials": 200, "dist": {"kind": "subexp", "alpha": float("inf")}},
@@ -724,6 +728,16 @@ def test_cli_path_the_os_rejects_exit_two(tmp_path, capsys):
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
     assert cli_main(["pv", "--out", str(out), "--label", "a" * 217]) == 0
     assert sorted(p.name for p in (out / "pv" / ("a" * 217)).iterdir()) == ["config.json", "records.csv", "summary.json"]
+
+
+def test_cli_unencodable_label_exit_two_before_any_output(tmp_path, capsys):
+    # JSON "\ud800" reads as a lone surrogate, which no file name encodes
+    path = tmp_path / "surrogate.json"
+    path.write_text(json.dumps({"experiment": "pv", "label": "\ud800"}))
+    assert cli_main(["pv", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_deloc_n_one_exit_two(tmp_path, capsys):
