@@ -1,34 +1,27 @@
 """Eigenvector delocalization across matrix sizes.
 
-Collects infinity norms of all eigenvectors over an n-grid and several
-seeds, then fits the growth of the bulk extreme sqrt(n)*||u||_inf against
-log n.  A slope near 1/2 on the log-log-log axis is the sqrt(log n)
-delocalization rate; localized vectors would show sqrt(n)-scale norms.
+Runs the ``deloc`` experiment, which collects infinity norms of all
+eigenvectors over an n-grid and several seeds, then fits the growth of the
+bulk extreme sqrt(n)*||u||_inf against log n.  A slope near 1/2 on the
+log-log-log axis is the sqrt(log n) delocalization rate; localized vectors
+would show sqrt(n)-scale norms.
 
 Usage: python3 demos/delocalization_scaling.py [seeds]
 """
 
 import sys
 
-from rmtlab.delocalization import deloc_scaling_fit, eigvec_inf_norms
-from rmtlab.ensembles import DistSpec, sample_wigner
-from rmtlab.seeds import concat_columns, derive_seed
-from rmtlab.spectral import eig_decompose
+from rmtlab.delocalization import deloc_scaling_fit
+from rmtlab.harness import config_from_dict, run_experiment
 
 seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 3
-n_grid = (256, 512, 1024)
+n_grid = [256, 512, 1024]
 
-parts = []
-idx = 0
+report = run_experiment(config_from_dict({"experiment": "deloc", "n_grid": n_grid, "trials": seeds}), write=False)
 for n in n_grid:
-    for _ in range(seeds):
-        seed = derive_seed(0, idx)
-        w = sample_wigner(DistSpec("rademacher"), n, seed)
-        parts.append(eigvec_inf_norms(eig_decompose(w), seed))
-        idx += 1
     print(f"n = {n:5d}: {seeds} seeds decomposed")
 
-fit = deloc_scaling_fit(concat_columns(parts))
+fit = deloc_scaling_fit(report.records)
 
 print(f"\n{'n':>6}  {'max bulk sqrt(n)|u|/sqrt(log n)':>32}  {'max edge sqrt(n)|u|/log n':>26}")
 for n in n_grid:

@@ -194,7 +194,11 @@ class TailEnvelope:
         if t < 0:
             raise ParameterError("t must be nonnegative")
         pre = math.log(self.n) if self.kind in ("vw1", "vw2") else 1.0
-        value = pre * self.C * math.exp(-self.Cprime * _ENVELOPES[self.kind][1](self, t))
+        try:
+            rate = _ENVELOPES[self.kind][1](self, t)
+        except OverflowError:  # a float power past the largest float: the rate is +inf, its exp term 0
+            rate = math.inf
+        value = pre * self.C * math.exp(-self.Cprime * rate)
         return value + self.n * self.n_eps1 if self.kind == "vw2" else value
 
 

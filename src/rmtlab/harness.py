@@ -85,11 +85,11 @@ class ExperimentConfig:
     identity instances (sizes cycling over [3, 16]), 5 trials elsewhere,
     delta = 0.2, eps = 0.1, eta_multiple = 10, scales in multiples of
     log n / n, single worker.  dist is a JSON object with a 'kind'; n_grid,
-    when given, is a nonempty list, and envelopes is a list.  Counts, n_grid
-    entries and base_seed must be ints (not bools), base_seed below 2^64,
-    and envelopes known kinds that fit the statistic: ``projection`` for the
-    projection statistic, the quadratic-form kinds (those that read ||A||_F)
-    for the quadratic one.
+    when given, is a nonempty list, and envelopes is a list.  Counts (but a
+    null p or trials, their default), n_grid entries and base_seed must be
+    ints (not bools), base_seed below 2^64, and envelopes known kinds that
+    fit the statistic: ``projection`` for the projection statistic, the
+    quadratic-form kinds (those that read ||A||_F) for the quadratic one.
     A tail run needs n >= 2 for an envelope that reads n (log n), and
     d <= n for the projection statistic.
     delta, eps, eta_multiple and the scales (strictly ascending) are finite
@@ -144,7 +144,7 @@ class ExperimentConfig:
             raise ConfigError("field 'n_grid' must list at least one size; leave it out to run n alone")
         counts = [(name, getattr(self, name)) for name in ("n", "p", "trials", "workers", "d", "base_seed")]
         for name, value in counts + [("n_grid", v) for v in self.n_grid or []]:
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if (isinstance(value, bool) or not isinstance(value, int)) and not (name == "p" and value is None):
                 raise ConfigError(f"field {name!r} must be an integer, not {value!r}")
         for name in ("n", "trials", "workers", "d"):
             if getattr(self, name) < 1:
@@ -351,7 +351,7 @@ def _run_tail(cfg: ExperimentConfig):
     else:
         g = _rng(derive_seed(cfg.base_seed, 1 << 48)).standard_normal((cfg.n, cfg.n))
         target = (g + g.T) / math.sqrt(2.0)
-        frob = math.sqrt(math.fsum(v for row in target * target for v in row.tolist()))  # correctly rounded, no BLAS
+        frob = math.sqrt(math.fsum((target * target).ravel()))  # correctly rounded in any order, no BLAS
     t_grid = cfg.t_grid or list(np.linspace(0.0, 8.0 * max(1.0, frob), 33))
     k = cfg.dist.bound if math.isfinite(cfg.dist.bound) else 1.0
     tail = empirical_tail(target, cfg.dist, np.asarray(t_grid), cfg.trials, cfg.base_seed, cfg.workers)

@@ -13,7 +13,10 @@ everywhere, else ``ContractError`` (a reversed, empty or NaN interval), then
 the antiderivative's difference over the interval clipped to the support,
 over the law's normalizer (1, or 2 pi y for MP).  Both work elementwise on
 arrays; a float or a 0-d array gives an ``np.float64`` through ``[()]``,
-with the bits of the same point inside an array.
+with the bits of the same point inside an array.  An interval from -inf is
+the law's CDF: ``sc_interval_mass(-np.inf, x)``, ``mp_interval_mass(-np.inf,
+x, y)``.  The KS distance of a spectrum to a law is
+``scipy.stats.kstest(eigs, cdf).statistic`` on that CDF.
 
 Only the principal-value quadrature uses scipy; it imports
 ``scipy.integrate`` when called and calls ``integrate.quad`` through the
@@ -214,23 +217,12 @@ def pv_semicircle_numeric(lam: float) -> float:
     return _pv_quad(rho_sc, lam, SC_EDGES)
 
 
-def ks_distance(eigs: np.ndarray, cdf) -> float:
-    """Kolmogorov-Smirnov distance between an ESD and a reference CDF."""
-    eigs = np.sort(np.asarray(eigs))
-    n = eigs.size
-    ref = np.asarray([cdf(x) for x in eigs])
-    upper = np.max(np.arange(1, n + 1) / n - ref)
-    lower = np.max(ref - np.arange(0, n) / n)
-    return float(max(upper, lower))
-
-
 __all__ = [
     "ContractError",
     "DomainError",
     "SC_EDGES",
     "check_hermitian",
     "eig_decompose",
-    "ks_distance",
     "mp_edges",
     "mp_interval_mass",
     "pv_semicircle",

@@ -163,6 +163,15 @@ def test_envelope_branch_switch():
     assert env(100.0) == pytest.approx(math.exp(-100.0))
 
 
+def test_envelope_overflowing_rate_is_zero():
+    # at alpha = 0.1 the subexp rate raises t / ||A||_F sqrt(log n) to the power 1 / 0.6, which overflows a
+    # float at t = 1e300: the rate is +inf there, so the bound is 0.0, and a finite rate keeps its value
+    env = TailEnvelope(kind="subexp", frobenius=1.0, spectral=1.0, n=3, alpha=0.1)
+    assert env(1e300) == 0.0
+    rate = min((2.0 / math.sqrt(math.log(3))) ** (1.0 / (0.1 + 0.5)), 2.0 ** (1.0 / (2.0 * 0.1 + 1.0)))
+    assert env(2.0) == math.exp(-rate)
+
+
 def test_envelope_requires_fields():
     # a missing input fails at construction, not at each call
     with pytest.raises(ParameterError):

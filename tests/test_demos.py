@@ -19,16 +19,28 @@ DEMOS = [
 ]
 
 
-@pytest.mark.parametrize("demo", DEMOS)
-def test_record_demos_run(demo):
-    # pytest's -W reaches only its own process, so the demo is told by the environment that a RuntimeWarning is an error
+def _run_python(args):
+    """Run ``python args`` in a fresh interpreter on the source tree, a RuntimeWarning an error."""
+    # pytest's -W reaches only its own process, so the child is told by the environment that a RuntimeWarning is an error
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
         PYTHONWARNINGS="error::RuntimeWarning",
     )
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)], env=env, capture_output=True, text=True, timeout=300
-    )
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_record_demos_run(demo):
+    result = _run_python([str(ROOT / "demos" / demo)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout
+
+
+def test_readme_quick_start_runs():
+    # the Python block under README's "## Quick start", so a snippet that names a deleted or renamed function fails
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    result = _run_python(["-c", block])
     assert result.returncode == 0, result.stderr
     assert result.stdout

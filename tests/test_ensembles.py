@@ -58,6 +58,25 @@ def test_standardization_mean_and_variance(dist):
     assert abs(np.var(x) - 1.0) < 0.02
 
 
+# kind -> (E x^4 in closed form, a band for the mean of x^4 over 200,000 draws fixed before the run): at least
+# five standard errors sqrt((E x^8 - (E x^4)^2) / N) of each kind, which are 0, 0.022, 0.0054 and 0.11
+FOURTH_MOMENTS = {
+    "rademacher": (1.0, 1e-12),
+    "gaussian": (3.0, 0.15),
+    "bounded_uniform": (9.0 / 5.0, 0.05),
+    "subexp": (6.0, 0.6),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_fourth_moment_closed_form_and_sample(kind):
+    dist = DistSpec(kind)  # subexp at its default alpha = 1: Gamma(1 + 4 alpha) / Gamma(1 + 2 alpha)^2 = 24 / 4
+    fourth, band = FOURTH_MOMENTS[kind]
+    assert dist.fourth_moment() == pytest.approx(fourth, rel=1e-14)
+    x = sample_vector(dist, 200_000, 13)
+    assert abs(np.mean(x**4) - dist.fourth_moment()) < band
+
+
 def test_wigner_small_matrix_structure():
     m = sample_wigner(DistSpec("rademacher"), 2, 5, normalize=False)
     assert m.shape == (2, 2)

@@ -10,7 +10,7 @@ import pytest
 from rmtlab import concentration, harness
 from rmtlab.cli import main as cli_main
 from rmtlab.covariance import gram_triplets, mp_self_consistency_residual
-from rmtlab.ensembles import DistSpec, sample_rect
+from rmtlab.ensembles import UNIFORM_BOUND, DistSpec, sample_rect
 from rmtlab.concentration import ENVELOPE_KINDS, TailEnvelope
 from rmtlab.harness import (
     EXPERIMENTS,
@@ -150,6 +150,12 @@ _WRONG_TYPE_CONFIGS = [
     {"experiment": "deloc", "n_grid": 5},
     {"experiment": "tail", "envelopes": "vw1"},
     {"experiment": "tail", "envelopes": None},
+    # a JSON null where the default is not null: only p and trials default to None
+    {"experiment": "tail", "n": None},
+    {"experiment": "localscan", "workers": None},
+    {"experiment": "tail", "d": None},
+    {"experiment": "identities", "base_seed": None},
+    {"experiment": "deloc", "n_grid": [64, None]},
 ]
 
 # configs with a field of the right type but a value that cannot run: an empty n_grid, and a smallest
@@ -775,6 +781,45 @@ def test_cli_edge_sizes_exit_zero_or_two(raw, tmp_path, capsys):
         assert rc == 0, err
 
 
+def test_cli_tail_overflowing_envelope_exit_zero(tmp_path, capsys):
+    # the subexp rate at alpha = 0.1 overflows a float at t = 1e300: the run writes the bound 0.0 there
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        json.dumps(
+            {
+                "experiment": "tail",
+                "n": 3,
+                "trials": 100,
+                "dist": {"kind": "subexp", "alpha": 0.1},
+                "envelopes": ["subexp"],
+                "t_grid": [0.0, 1e300],
+            }
+        )
+    )
+    assert cli_main(["tail", "--config", str(path), "--out", str(tmp_path), "--label", "overflow"]) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO((tmp_path / "tail" / "overflow" / "records.csv").read_text())))
+    assert [(row["t"], row["envelope_subexp"]) for row in rows] == [("0.0", "1.0"), ("1e+300", "0.0")]
+
+
+def test_tail_bounded_uniform_projection_envelope():
+    # the projection envelope reads K, here the uniform bound sqrt(3): with C = C' = 1 it is exp(-t^2 / K^2)
+    cfg = config_from_dict(
+        {
+            "experiment": "tail",
+            "n": 8,
+            "d": 4,
+            "trials": 100,
+            "dist": {"kind": "bounded_uniform"},
+            "statistic": "projection",
+            "envelopes": ["projection"],
+        }
+    )
+    records = run_experiment(cfg, write=False).records
+    k = UNIFORM_BOUND
+    assert records["envelope_projection"].tolist() == [math.exp(-t * t / (k * k)) for t in records["t"].tolist()]
+
+
 def test_cli_default_tail_exit_two(tmp_path, capsys):
     # 5 trials are fewer than the tail estimate needs
     assert cli_main(["tail", "--trials", "5", "--out", str(tmp_path)]) == 2
@@ -843,7 +888,9 @@ def test_cli_eps_without_bulk_exit_two_before_sampling(raw, tmp_path, capsys, mo
 
 def _wrong_type_id(raw: dict) -> str:
     field = _wrong_field(raw)
-    return f"{raw['experiment']}-{field}-{type(raw[field]).__name__}"
+    value = raw[field]
+    null_entry = "-of-None" if isinstance(value, list) and None in value else ""  # so [64, None] keeps list's id free
+    return f"{raw['experiment']}-{field}-{type(value).__name__}{null_entry}"
 
 
 @pytest.mark.parametrize("raw", _WRONG_TYPE_CONFIGS + _UNFIT_VALUE_CONFIGS, ids=_wrong_type_id)

@@ -3,15 +3,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from rmtlab.ensembles import DistSpec, ParameterError, sample_wigner
 from rmtlab.spectral import (
+    SC_EDGES,
     ContractError,
     DomainError,
     check_hermitian,
     eig_decompose,
-    ks_distance,
     mp_edges,
     mp_interval_mass,
     pv_semicircle,
@@ -218,24 +218,36 @@ def test_pv_semicircle_matches_numeric_oracle(lam):
     assert pv_semicircle(lam) == pytest.approx(pv_semicircle_numeric(lam), abs=1e-6)
 
 
+@pytest.mark.parametrize("y", [None, 0.5, 1.0], ids=["semicircle", "mp-0.5", "mp-1"])
+def test_mass_from_minus_inf_is_the_cdf(y):
+    # the CDF that KS distances read, bit for bit the hand-written 0 up to the lower edge, the mass from it above
+    mass = sc_interval_mass if y is None else functools.partial(mp_interval_mass, y=y)
+    lo, hi = SC_EDGES if y is None else mp_edges(y)
+    x = np.array([lo - 1.0, lo, np.nextafter(lo, np.inf), (lo + hi) / 2, hi, hi + 1.0])
+    cdf = mass(-np.inf, x)
+    hand = np.array([mass(lo, v) if v > lo else 0.0 for v in x.tolist()])
+    np.testing.assert_array_equal(cdf.view(np.uint64), hand.view(np.uint64))
+    assert cdf[-1] == pytest.approx(1.0, abs=1e-14)
+
+
 def test_ks_distance_exact_on_quantiles():
     # atoms at quantile midpoints give KS = 1/(2n) exactly
     n = 50
     xs = np.linspace(-2.0, 2.0, 200_001)
     cdf = xs * np.sqrt(4.0 - xs * xs) / (4.0 * math.pi) + np.arcsin(xs / 2.0) / math.pi + 0.5
     q = np.interp((np.arange(n) + 0.5) / n, cdf, xs)
-    d = ks_distance(q, lambda x: sc_interval_mass(-2.0, x) if x > -2 else 0.0)
+    d = stats.kstest(q, functools.partial(sc_interval_mass, -np.inf)).statistic
     assert d == pytest.approx(1.0 / (2 * n), abs=1e-6)
 
 
 def test_ks_distance_degenerate():
     # one atom at 5 vs a unit step at 0: the gap just left of the atom is 1
-    d = ks_distance(np.array([5.0]), lambda x: 0.0 if x < 0 else 1.0)
+    d = stats.kstest(np.array([5.0]), lambda x: np.where(x < 0, 0.0, 1.0)).statistic
     assert d == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wigner_esd_converges_in_ks():
     w = sample_wigner(DistSpec("gaussian"), 800, 4)
     eigs = np.linalg.eigvalsh(w)
-    d = ks_distance(eigs, lambda x: sc_interval_mass(-2.0, x) if x > -2 else (0.0 if x <= -2 else 1.0))
+    d = stats.kstest(eigs, functools.partial(sc_interval_mass, -np.inf)).statistic
     assert d < 0.06
