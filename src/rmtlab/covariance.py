@@ -12,7 +12,8 @@ being several times cheaper than the SVD of M for p well below n.
 ``singular_triplets`` is the SVD: the accuracy reference in the tests, and
 the route of ``singular_identities``, which takes the triplets of M and
 returns the entry and interlacing identities over every index i from one SVD
-of the minor, through the minor-identity kernel of ``rmtlab.delocalization``.
+of the minor, through the minor-identity kernel of ``rmtlab.delocalization``;
+its overlaps and ||X||^2 are sums by that module's rule for stacks.
 The covariance Schur residual is the Schur kernel of ``rmtlab.locallaw``
 applied to the Gram matrix MM*/n.
 """
@@ -23,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delocalization import _abs2, _inf_norm_columns, _minor_identity, classify_region
+from .delocalization import _abs2, _inf_norm_columns, _minor_identity, _overlaps, classify_region
 from .ensembles import ParameterError, form_gram
 from .locallaw import _schur_residual
-from .spectral import ContractError, _aligned, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
+from .spectral import ContractError, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
 
 @dataclass(frozen=True)
@@ -119,16 +120,16 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
     if p > n:
         raise ContractError("factor must have p <= n")
     if side == "right":
-        x, minor = m[..., :, -1:], _thin_svd(m[..., :, :-1])  # X as a column
+        x, minor = m[..., :, -1], _thin_svd(m[..., :, :-1])  # X the last column
         vecs, basis = trip.right, minor.left
     elif side == "left":
-        x, minor = _aligned(np.conj(m[..., -1:, :]).swapaxes(-1, -2)), _thin_svd(m[..., :-1, :])  # Y* the last row
+        x, minor = np.conj(m[..., -1, :]), _thin_svd(m[..., :-1, :])  # Y* the last row
         vecs, basis = trip.left, minor.right
     else:
         raise ParameterError("side must be 'left' or 'right'")
     msig2 = minor.sigma**2
-    weighted = msig2 * _abs2((_aligned(np.conj(basis)).swapaxes(-1, -2) @ x)[..., 0])
-    norm2 = np.real(x.swapaxes(-1, -2).conj() @ x)[..., 0, 0]  # ||X||^2: a real X is not copied for its conjugate
+    weighted = msig2 * _overlaps(basis, x)
+    norm2 = np.sum(_abs2(x), axis=-1)  # ||X||^2
     sig2 = trip.sigma**2
     entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = _minor_identity(sig2, vecs[..., -1, :], msig2, weighted, norm2)
     return entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap / np.maximum(1.0, sig2)

@@ -15,6 +15,9 @@ The minor identities of a Hermitian H with coordinate k deleted,
 with mu_j the minor's eigenvalues and w_j = |u_j(minor)* y|^2 for y column k
 of H without H_kk, go through one kernel for every index i at once: the
 Wigner identities here, and those of ``rmtlab.covariance`` for H = MM* or M*M.
+The kernels for stacks of matrices sum by one rule, never by a BLAS vector
+product: an elementwise product in C order, ``np.sum`` along its last axis
+(``_overlaps``), which numpy reduces row by row as it reduces a lone vector.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SC_EDGES, ContractError, _aligned, check_hermitian
+from .spectral import SC_EDGES, ContractError, check_hermitian
 
 
 def classify_region(lam, edges, eps: float):
@@ -95,6 +98,11 @@ def _abs2(v: np.ndarray) -> np.ndarray:
     return v.real**2 + v.imag**2 if np.iscomplexobj(v) else v**2
 
 
+def _overlaps(vecs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """|v_j* y|^2 for each column v_j of vecs, over any leading batch axes, by the rule for stacks above."""
+    return _abs2(np.sum(np.multiply(np.conj(vecs).swapaxes(-1, -2), y[..., None, :], order="C"), axis=-1))
+
+
 def _pole_sums(weights: np.ndarray, poles: np.ndarray, points: np.ndarray, power: int) -> np.ndarray:
     """sum_j weights_j / (poles_j - x)^power for each x in points, over any leading batch axes; inf or nan at a pole."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,8 +138,7 @@ def wigner_identities(w: np.ndarray, decomp):
     if vals.shape != w.shape[:-1]:
         raise ContractError("decomposition does not match the matrix size")
     mvals, mvecs = np.linalg.eigh(w[..., :-1, :-1])
-    overlaps = _abs2((_aligned(np.conj(mvecs)).swapaxes(-1, -2) @ w[..., :-1, -1:])[..., 0])
-    return _minor_identity(vals, vecs[..., -1, :], mvals, overlaps, np.real(w[..., -1, -1]))
+    return _minor_identity(vals, vecs[..., -1, :], mvals, _overlaps(mvecs, w[..., :-1, -1]), np.real(w[..., -1, -1]))
 
 
 @dataclass(frozen=True)

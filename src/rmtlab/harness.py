@@ -15,8 +15,9 @@ process with ``locallaw.threshold_scan``, handing it the law's mass
 function: this module maps each config name (the statistic, the
 experiment's law) to the object the library takes, once.  ``identities`` draws each instance's matrices
 through ``map_trials``, then, in this thread, calls each identity kernel
-once per shape group (one Wigner size, or one factor shape) on a stack,
-each matrix keeping the bits of a lone call; ``concat_columns`` joins the
+once per shape group (one Wigner size, or one factor shape) on a plain
+``np.stack``, each matrix keeping the bits of a lone call wherever it sits,
+as no sum there is a BLAS vector product; ``concat_columns`` joins the
 groups' rows, and one stable sort by instance orders them.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
 renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
@@ -57,11 +58,11 @@ from .covariance import (
     singular_triplets,
     singular_vec_inf_norms,
 )
-from .delocalization import _abs2, eigvec_inf_norms, wigner_identities
+from .delocalization import _overlaps, eigvec_inf_norms, wigner_identities
 from .ensembles import DistSpec, ParameterError, _rng, sample_rect, sample_vector, sample_wigner
 from .locallaw import SCAN_WINDOWS_PER_N, ThresholdEstimate, least_scale, schur_identity_residual, threshold_scan
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
-from .spectral import _aligned, eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
+from .spectral import eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
 
 COLLISION_GAP = 1e-8  # identity checks with a collision gap at most this are skipped
 LABEL_BYTES = 255 - len("..") - 32 - len(".tmp")  # so the writer's .{label}.{32 hex}.tmp fits a 255-byte name
@@ -476,18 +477,16 @@ def _check_columns(batch: np.ndarray, n: int, p: int, blocks: list) -> dict:
 
 def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
     """The Wigner rows of a batch of instances of one size n: entry, interlacing, Schur sum, quadratic form."""
-    w, a = (_aligned(np.stack([draw[j] for draw in draws])) for j in (0, 2))
-    x = _aligned(np.stack([draw[1] for draw in draws])[..., None])  # the vectors as columns
+    w, x, a = (np.stack([draw[j] for draw in draws]) for j in range(3))
     n = w.shape[-1]
     decomp = eig_decompose(w)
     entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp)
     schur = schur_identity_residual(math.sqrt(n) * w, IDENTITY_Z, decomp.eigenvalues)
     # spectral identity of the quadratic form against the eigenbasis frame
     vals, vecs = np.linalg.eigh(a)
-    coeffs = _abs2((_aligned(np.conj(vecs)).swapaxes(-1, -2) @ x)[..., 0])
-    # X*AX - tr A, each product on a 16-byte boundary as in concentration.quadratic_deviation's lone call
-    lhs = (_aligned(np.conj(x)).swapaxes(-1, -2) @ _aligned(a @ x))[..., 0, 0] - np.trace(a, axis1=-2, axis2=-1)
-    spectral = np.abs(lhs - np.sum(vals * (coeffs - 1.0), axis=-1)) / np.maximum(np.abs(lhs), 1.0)
+    ax = np.sum(a * x[..., None, :], axis=-1)
+    lhs = np.sum(np.conj(x) * ax, axis=-1) - np.trace(a, axis1=-2, axis2=-1)  # X*AX - tr A
+    spectral = np.abs(lhs - np.sum(vals * (_overlaps(vecs, x) - 1.0), axis=-1)) / np.maximum(np.abs(lhs), 1.0)
     blocks = [
         [("entry", _rel_err(entry_lhs, entry_rhs, 1e-30), gap)],
         [("interlacing", _rel_err(inter_lhs, inter_rhs, 1.0), gap)],
@@ -499,7 +498,7 @@ def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
 
 def _factor_checks(batch: np.ndarray, draws: list) -> dict:
     """The factor rows of a batch of instances of one shape p x pn: singular entry and interlacing, Schur sum."""
-    m = _aligned(np.stack([draw[3] for draw in draws]))
+    m = np.stack([draw[3] for draw in draws])
     p, pn = m.shape[-2:]
     trip = singular_triplets(m)
     scale = np.maximum(trip.sigma[:, -1:] ** 2, 1.0)

@@ -10,7 +10,8 @@ is fixed by requiring the expansion to be an exact identity).  One private
 kernel, ``_schur_residual``, serves both ensembles: the Wigner residual here
 passes h = M/sqrt(n), so h_kk = zeta_kk/sqrt(n), and ``rmtlab.covariance``
 passes the Gram matrix h = MM*/n.  The two-route residuals take h's
-eigenvalues from the caller.
+eigenvalues from the caller.  The Y_k and both means are sums along the last
+axis of C-order arrays, ``rmtlab.delocalization``'s rule for stacks.
 
 Also: sliding-window count deviation at a given interval scale, and the
 threshold-scale scan, a reduction over spectra the caller has already
@@ -40,19 +41,17 @@ def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray):
     Leading axes before h's last two index a stack of matrices, with eigs
     stacked alike: one solve serves the whole stack and the result is an
     array over the stack, each value with the bits of one call per matrix:
-    both means reduce along the last axis, row by row.
+    the Y_k and both means reduce along the last axis, row by row.
     """
     z = _check_z(z)
     n = h.shape[-1]
     if np.shape(eigs) != h.shape[:-1]:
         raise ContractError("need one eigenvalue per row of the matrix")
     rest = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)  # row k: every index but k
-    # row k: column k of h without h_kk, in C order: on a stack the fancy index returns another layout,
-    # whose BLAS dots below would sum in another order
-    cols = np.ascontiguousarray(np.swapaxes(h, -1, -2)[..., np.arange(n)[:, None], rest])
+    cols = np.swapaxes(h, -1, -2)[..., np.arange(n)[:, None], rest]  # row k: column k of h without h_kk
     minors = h[..., rest[:, :, None], rest[:, None, :]] - z * np.eye(n - 1)
-    solves = np.linalg.solve(minors, cols[..., None])
-    yk = (np.conj(cols)[..., None, :] @ solves)[..., 0, 0]  # a_k* (h_minor - z)^-1 a_k, one dot per k
+    solves = np.linalg.solve(minors, cols[..., None])[..., 0]
+    yk = np.sum(np.multiply(np.conj(cols), solves, order="C"), axis=-1)  # a_k* (h_minor - z)^-1 a_k
     terms = np.real(np.diagonal(h, axis1=-2, axis2=-1)) - z - yk
     return np.abs(np.mean(1.0 / terms, axis=-1) - np.mean(1.0 / (eigs - z), axis=-1))[()]
 

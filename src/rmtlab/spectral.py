@@ -18,6 +18,9 @@ the law's CDF: ``sc_interval_mass(-np.inf, x)``, ``mp_interval_mass(-np.inf,
 x, y)``.  The KS distance of a spectrum to a law is
 ``scipy.stats.kstest(eigs, cdf).statistic`` on that CDF.
 
+On a stack of matrices, ``eig_decompose``'s eigh runs LAPACK once per
+matrix on a copy, so the stack's place in memory does not reach the bits.
+
 Only the principal-value quadrature uses scipy; it imports
 ``scipy.integrate`` when called and calls ``integrate.quad`` through the
 module, so a wrapper patched onto ``scipy.integrate.quad`` sees every call.
@@ -53,27 +56,6 @@ def check_hermitian(w: np.ndarray) -> None:
     scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1), initial=0.0))
     if np.any(dev > 1e-10 * scale):
         raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")
-
-
-def _aligned(a: np.ndarray) -> np.ndarray:
-    """A copy of a stack of matrices (..., r, c) whose matrices each start on a 16-byte boundary.
-
-    A fresh lone array starts on one, and a BLAS dot kernel (OpenBLAS's SSE2
-    one) sums a vector that does not in another order, so a product over a
-    stack has the bits of one product per matrix only on a stack so placed.
-    Each matrix keeps its own layout, C or F order; a lone matrix is returned
-    as it is.
-    """
-    if a.ndim < 3:
-        return a
-    *batch, r, c = a.shape
-    size = r * c
-    buf = np.empty((*batch, size + (-size * a.itemsize) % 16 // a.itemsize), a.dtype)[..., :size]
-    first = a[(0,) * len(batch)]
-    f_order = first.flags.f_contiguous and not first.flags.c_contiguous
-    out = buf.reshape(*batch, c, r).swapaxes(-1, -2) if f_order else buf.reshape(*batch, r, c)
-    out[...] = a
-    return out
 
 
 def eig_decompose(w: np.ndarray):

@@ -50,7 +50,7 @@ GOLDEN = {
         "e1920293a42c3348",
     ),
     "localscan": (dict(experiment="localscan", n=500, trials=2), "7c55eeb1f9df49bb"),
-    "identities": (dict(experiment="identities", trials=200, base_seed=1), "078bd9873e2c52d7"),
+    "identities": (dict(experiment="identities", trials=200, base_seed=1), "d1ad36dd7baa190b"),
     "covariance": (dict(experiment="covariance", n=600, p=300, trials=2), "be471adf7b62b03c"),
     "deloc": (dict(experiment="deloc", n=300, trials=2), "b4ee1910b2ceaf2b"),
     "pv": (dict(experiment="pv"), "1b26431b4995cc09"),

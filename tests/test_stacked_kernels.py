@@ -1,12 +1,12 @@
 """Each stack-aware kernel, fed a stack of inputs, gives the bits of one call per input.
 
-The identities experiment calls each kernel once per shape group, on a stack
-laid out by ``spectral._aligned`` (every matrix on a 16-byte boundary, as a
-lone array is); these tests build their stacks the same way and compare
-``tobytes()`` against single calls.  Wigner sizes n in {1, 2, 3, 16}, factor
-shapes p x pn with p = pn and p < pn, real and complex entries.  The last
-test runs the experiment itself: a group's stack height moves with the
-instance count, and an instance's rows must not.
+The identities experiment calls each kernel once per shape group, on a
+plain ``np.stack`` of its draws; these tests build their stacks the same way,
+and again one float64 into a buffer, and compare ``tobytes()`` against single
+calls on fresh copies.  Wigner sizes n in {1, 2, 3, 16}, factor shapes p x pn
+with p = pn and p < pn, real and complex entries.  The last test runs the
+experiment itself: a group's stack height moves with the instance count, and
+an instance's rows must not.
 """
 
 import math
@@ -19,7 +19,7 @@ from rmtlab.delocalization import _minor_identity, _pole_sums, wigner_identities
 from rmtlab.ensembles import form_gram
 from rmtlab.harness import _records_text, config_from_dict, run_experiment
 from rmtlab.locallaw import _schur_residual, schur_identity_residual
-from rmtlab.spectral import _aligned, eig_decompose
+from rmtlab.spectral import eig_decompose
 
 SIZES = [1, 2, 3, 16]
 FACTOR_SHAPES = [(1, 1), (2, 2), (3, 3), (16, 16), (2, 5), (3, 16)]
@@ -34,11 +34,18 @@ def _draw(rng, shape, complex_entries):
 
 def _hermitian_stack(n, complex_entries, seed, batch=(STACK,)):
     g = _draw(np.random.default_rng(seed), (*batch, n, n), complex_entries)
-    return _aligned((g + np.conj(np.swapaxes(g, -1, -2))) / 2)
+    return np.stack(list((g + np.conj(np.swapaxes(g, -1, -2))) / 2))
 
 
 def _factor_stack(p, pn, complex_entries, seed):
-    return _aligned(_draw(np.random.default_rng(seed), (STACK, p, pn), complex_entries))
+    return np.stack(list(_draw(np.random.default_rng(seed), (STACK, p, pn), complex_entries)))
+
+
+def _offset(a):
+    """A copy of ``a`` that starts one float64 into its buffer, where no fresh array starts."""
+    out = np.empty(a.nbytes // 8 + 1)[1:].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
 
 
 def _assert_stacked(stacked, singles):
@@ -52,14 +59,14 @@ def _assert_stacked(stacked, singles):
             assert np.asarray(single[k]).tobytes() == row.tobytes()
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_pole_sums_and_minor_identity_stack(n):
+def _check_pole_sums_and_minor_identity(n, place):
     rng = np.random.default_rng(n)
     m = n - 1
     weights, poles, mvals = rng.random((STACK, m)), rng.standard_normal((STACK, m)), rng.standard_normal((STACK, m))
     vals, coord, diag = rng.standard_normal((STACK, n)), rng.standard_normal((STACK, n)), rng.standard_normal(STACK)
     if m:
         vals[0, 0] = mvals[0, 0]  # a point on a pole: inf or nan, alike in both
+    weights, poles, mvals, vals, coord, diag = map(place, (weights, poles, mvals, vals, coord, diag))
     for power in (1, 2):
         singles = [_pole_sums(weights[j], poles[j], vals[j], power) for j in range(STACK)]
         _assert_stacked(_pole_sums(weights, poles, vals, power), singles)
@@ -68,33 +75,67 @@ def test_pole_sums_and_minor_identity_stack(n):
         _assert_stacked(_minor_identity(vals, coord, mvals, weights, diag), singles)
 
 
+def _check_wigner_kernels(w):
+    n = w.shape[-1]
+    decomp = eig_decompose(w)
+    lone = [one.copy() for one in w]
+    singles = [eig_decompose(one) for one in lone]
+    _assert_stacked(tuple(decomp), [tuple(one) for one in singles])
+    _assert_stacked(wigner_identities(w, decomp), [wigner_identities(one, d) for one, d in zip(lone, singles)])
+    m = math.sqrt(n) * w
+    eigs = decomp.eigenvalues
+    singles = [schur_identity_residual(math.sqrt(n) * a, Z, e) for a, e in zip(lone, eigs)]
+    _assert_stacked(schur_identity_residual(m, Z, eigs), singles)
+    _assert_stacked(_schur_residual(w, Z, eigs), [_schur_residual(a, Z, e) for a, e in zip(lone, eigs)])
+
+
+def _check_factor_kernels(m):
+    pn = m.shape[-1]
+    trip = singular_triplets(m)
+    lone = [one.copy() for one in m]
+    singles = [singular_triplets(one) for one in lone]
+    for side in ("right", "left"):
+        stacked = singular_identities(m, trip, side)
+        _assert_stacked(stacked, [singular_identities(one, t, side) for one, t in zip(lone, singles)])
+    gram_eigs = trip.sigma**2 / pn
+    stacked = covariance_schur_residual(m, Z, gram_eigs)
+    _assert_stacked(stacked, [covariance_schur_residual(one, Z, e) for one, e in zip(lone, gram_eigs)])
+    _assert_stacked(form_gram(m), [form_gram(one) for one in lone])
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_pole_sums_and_minor_identity_stack(n):
+    _check_pole_sums_and_minor_identity(n, np.asarray)
+
+
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("n", SIZES)
 def test_wigner_kernels_stack(n, complex_entries):
-    w = _hermitian_stack(n, complex_entries, seed=10 + n)
-    decomp = eig_decompose(w)
-    singles = [eig_decompose(one) for one in w]
-    _assert_stacked(tuple(decomp), [tuple(one) for one in singles])
-    _assert_stacked(wigner_identities(w, decomp), [wigner_identities(one, d) for one, d in zip(w, singles)])
-    m = math.sqrt(n) * w
-    eigs = decomp.eigenvalues
-    _assert_stacked(schur_identity_residual(m, Z, eigs), [schur_identity_residual(a, Z, e) for a, e in zip(m, eigs)])
-    _assert_stacked(_schur_residual(w, Z, eigs), [_schur_residual(a, Z, e) for a, e in zip(w, eigs)])
+    _check_wigner_kernels(_hermitian_stack(n, complex_entries, seed=10 + n))
 
 
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("p, pn", FACTOR_SHAPES)
 def test_factor_kernels_stack(p, pn, complex_entries):
-    m = _factor_stack(p, pn, complex_entries, seed=100 * p + pn)
-    trip = singular_triplets(m)
-    singles = [singular_triplets(one) for one in m]
-    for side in ("right", "left"):
-        stacked = singular_identities(m, trip, side)
-        _assert_stacked(stacked, [singular_identities(one, t, side) for one, t in zip(m, singles)])
-    gram_eigs = trip.sigma**2 / pn
-    stacked = covariance_schur_residual(m, Z, gram_eigs)
-    _assert_stacked(stacked, [covariance_schur_residual(one, Z, e) for one, e in zip(m, gram_eigs)])
-    _assert_stacked(form_gram(m), [form_gram(one) for one in m])
+    _check_factor_kernels(_factor_stack(p, pn, complex_entries, seed=100 * p + pn))
+
+
+# the same checks on stacks one float64 into their buffer: each matrix sits 8 bytes from where a plain stack puts it
+@pytest.mark.parametrize("n", SIZES)
+def test_pole_sums_and_minor_identity_offset_stack(n):
+    _check_pole_sums_and_minor_identity(n, _offset)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", SIZES)
+def test_wigner_kernels_offset_stack(n, complex_entries):
+    _check_wigner_kernels(_offset(_hermitian_stack(n, complex_entries, seed=10 + n)))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("p, pn", FACTOR_SHAPES)
+def test_factor_kernels_offset_stack(p, pn, complex_entries):
+    _check_factor_kernels(_offset(_factor_stack(p, pn, complex_entries, seed=100 * p + pn)))
 
 
 def test_two_batch_axes_and_a_lone_matrix():
@@ -108,18 +149,6 @@ def test_two_batch_axes_and_a_lone_matrix():
     lone = schur_identity_residual(w[0, 0], Z, np.linalg.eigvalsh(w[0, 0] / math.sqrt(6)))
     assert np.ndim(lone) == 0 and isinstance(lone, float)
     assert all(np.shape(out) == (6,) for out in wigner_identities(w[0, 0], eig_decompose(w[0, 0])))
-
-
-def test_aligned_keeps_values_and_layout():
-    rng = np.random.default_rng(0)
-    c_order = rng.standard_normal((3, 5, 3))  # 15 doubles a matrix: every other one off a 16-byte boundary
-    f_order = np.swapaxes(rng.standard_normal((3, 3, 5)), -1, -2)  # each matrix in F order
-    for a, layout in ((c_order, "C_CONTIGUOUS"), (f_order, "F_CONTIGUOUS"), (c_order[..., :1], "C_CONTIGUOUS")):
-        out = _aligned(a)
-        assert np.array_equal(out, a) and out[0].flags[layout]
-        assert all(one.ctypes.data % 16 == 0 for one in out)
-    lone = rng.standard_normal((4, 4))
-    assert _aligned(lone) is lone
 
 
 @pytest.mark.parametrize("base_seed, kind", [(1, "rademacher"), (3, "gaussian")])
