@@ -8,7 +8,13 @@ eigenvalue ordering used elsewhere.
 
 Two routes give the triplets.  ``gram_triplets`` takes one eigh of the
 p x p Gram matrix MM* and one product M* U; the covariance trial uses it,
-being several times cheaper than the SVD of M for p well below n.
+being several times cheaper than the SVD of M for p well below n.  It
+normalizes M* U in place, its squares taken in row blocks of at most
+``ensembles._CHUNK`` entries.  With M the factor's size and G the Gram
+matrix's, a call's arrays then peak at the larger of two steps: the eigh,
+M + 5G (the factor, MM*, eigh's own copy of it and 2G workspace, which
+numpy's linalg allocates outside numpy's arrays, and the eigenvectors U),
+and the normalization, 2M + G and one block (the factor, U and M* U).
 ``singular_triplets`` is the SVD: the accuracy reference in the tests, and
 the route of ``singular_identities``, which takes the triplets of M and
 returns the entry and interlacing identities over every index i from one SVD
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .delocalization import _abs2, _inf_norm_columns, _minor_identity, _overlaps, classify_region
-from .ensembles import ParameterError, form_gram
+from .ensembles import _CHUNK, ParameterError, form_gram
 from .locallaw import _schur_residual
 from .spectral import ContractError, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
@@ -60,7 +66,9 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
     numpy sends to SYRK (half the flops of a GEMM, no conjugate copy); a
     complex M takes the conjugate.  When sigma_min is at rounding level
     relative to sigma_max, M* left_i carries no direction, so such factors
-    take the SVD instead.
+    take the SVD instead.  The right vectors are M* U divided in place by
+    its column norms, which ``_column_norms`` sums in bounded row blocks
+    with the bits of ``np.linalg.norm(M* U, axis=0)``: no n x p temporary.
     """
     p, n = m.shape
     if p > n:
@@ -69,8 +77,32 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
     if s2[0] <= 1e3 * p * np.finfo(float).eps * s2[-1]:
         return _thin_svd(m)
     right = m.conj().T @ left
-    right /= np.linalg.norm(right, axis=0)
+    right /= _column_norms(right)
     return SingularTriplets(sigma=np.sqrt(s2), left=left, right=right)
+
+
+def _column_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(x, axis=0)`` of an n x p array, squared in row blocks of at most ``_CHUNK`` entries or one row.
+
+    numpy adds the rows of a reduction over the outer axis in order, so the
+    blocks, each reduced with the running sum folded into its first row, give
+    norm's bits.  A single column (p = 1) numpy sums pairwise, so it is
+    squared whole: n entries, the size of the factor itself.  The squares are
+    norm's own, the real part of conj(x) * x (|x|^2 for complex entries),
+    made in one reused block buffer.
+    """
+    n, p = x.shape
+    rows = n if p == 1 else max(1, _CHUNK // p)
+    buffer = np.empty((min(rows, n), p), dtype=x.dtype)
+    total = np.zeros(p)
+    for start in range(0, n, rows):
+        block = x[start : start + rows]
+        squares = np.conjugate(block, out=buffer[: len(block)])
+        squares *= block
+        squares = squares.real
+        squares[0] += total
+        np.add.reduce(squares, axis=0, out=total)
+    return np.sqrt(total, out=total)
 
 
 def _thin_svd(m: np.ndarray) -> SingularTriplets:

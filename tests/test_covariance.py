@@ -14,7 +14,7 @@ from rmtlab.covariance import (
     singular_vec_inf_norms,
 )
 from rmtlab.delocalization import classify_region, wigner_identities
-from rmtlab.ensembles import DistSpec, ParameterError, form_gram, sample_rect
+from rmtlab.ensembles import _CHUNK, DistSpec, ParameterError, form_gram, sample_rect
 from rmtlab.spectral import ContractError, DomainError, eig_decompose, mp_edges
 
 
@@ -47,6 +47,27 @@ def test_gram_triplets_rank_deficient_falls_back_to_svd():
     assert np.all(np.isfinite(trip.right))
     np.testing.assert_allclose(np.linalg.norm(trip.right, axis=0), 1.0, atol=1e-15)
     np.testing.assert_allclose(trip.sigma, singular_triplets(m).sigma, atol=1e-15)
+    assert trip.right.tobytes() == singular_triplets(m).right.tobytes()
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize(("p", "n"), [(1, 400), (1, _CHUNK + 5), (200, 400), (400, 400)])
+def test_gram_right_vectors_match_numpy_norm_bit_for_bit(p, n, complex_entries):
+    # the column norms are summed in row blocks of at most _CHUNK entries: three blocks at p = n = 400, two at
+    # p = n/2, and one at p = 1, where numpy sums pairwise, at any n
+    m = _factor(p, n, 3) + (1j * _factor(p, n, 4) if complex_entries else 0.0)
+    trip = gram_triplets(m)
+    product = m.conj().T @ trip.left
+    assert trip.right.tobytes() == (product / np.linalg.norm(product, axis=0)).tobytes()
+
+
+def test_gram_triplets_hold_outputs_gram_and_one_chunk(peak_bytes):
+    # p = n/2 = 500: the factor M is 4 MB and the Gram matrix 2 MB; squaring M* U whole would add 4 MB
+    p, n = 500, 1000
+    trip, peak = peak_bytes(gram_triplets, _factor(p, n, 8))
+    outputs = trip.sigma.nbytes + trip.left.nbytes + trip.right.nbytes
+    gram = 8 * p * p + 8 * p  # MM* and eigh's eigenvalues
+    assert peak <= outputs + gram + 8 * _CHUNK + 64 * 1024
 
 
 def test_sigma_lambda_bridge():
