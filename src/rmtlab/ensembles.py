@@ -12,12 +12,11 @@ All entry distributions have mean 0 and variance 1:
 Sampling is a pure function of (spec, size, seed): identical arguments give
 bit-identical output on every platform and under any parallel schedule.
 
-Chunk rule: a draw of at most ``_CHUNK`` = 2**16 entries is one generator
-call; a larger one streams into its destination in chunks of ``_CHUNK``,
-one call each, with the bits of one call.  So a draw holds no temporary
-beyond one chunk (an int64 0/1 draw of 512 KiB for a sign): a p x n factor
-costs its own p n floats, and a Wigner matrix its n**2, whose upper triangle
-is drawn into the matrix's own buffer.
+Chunk rule: ``sample_rect`` writes its draw straight into the p x n output
+in chunks of at most ``_CHUNK`` = 2**16 entries, one generator call each,
+with the bits of one call.  So a factor holds no temporary beyond one chunk
+(an int64 0/1 draw of 512 KiB for a sign), where a single call would stage a
+full-size one beside it.  The other samplers draw in one call.
 
 ``scipy.special`` is imported only inside the functions that use it: the
 subexp scale and fourth moment (``gamma``), the Gaussian truncation moments
@@ -32,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import PCG64, Generator  # numpy loads numpy.random lazily; every run samples, so load it now
+import numpy.random  # numpy loads it lazily; every run samples, so load it with the package
 
 from .seeds import derive_seed
 
@@ -125,20 +124,15 @@ class DistSpec:
 #: the sign of a 0/1 draw, by table lookup: one float array per draw and no arithmetic temporaries
 _SIGNS = np.array([-1.0, 1.0])
 
-#: the most entries one generator call draws: the bound on a draw's temporaries
+#: the most entries one generator call of a streamed draw makes: the bound on its temporaries
 _CHUNK = 1 << 16
 
 
-def _rng(seed: int) -> Generator:
-    return Generator(PCG64(seed & ((1 << 64) - 1)))
+def _rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
 
 
-def _draw(dist: DistSpec, size, rng: Generator) -> np.ndarray:
-    """A fresh array of i.i.d. draws from ``dist``: one generator call up to ``_CHUNK`` entries, else ``_fill``."""
-    if (math.prod(size) if isinstance(size, tuple) else size) > _CHUNK:
-        out = np.empty(size)
-        _fill(dist, out.reshape(-1), rng)
-        return out
+def _draw(dist: DistSpec, size, rng: np.random.Generator) -> np.ndarray:
     if dist.kind == "gaussian":
         return rng.standard_normal(size)
     if dist.kind == "bounded_uniform":
@@ -150,7 +144,7 @@ def _draw(dist: DistSpec, size, rng: Generator) -> np.ndarray:
     return sign * rng.standard_exponential(size) ** dist.alpha / dist.subexp_scale
 
 
-def _fill(dist: DistSpec, out: np.ndarray, rng: Generator) -> None:
+def _fill(dist: DistSpec, out: np.ndarray, rng: np.random.Generator) -> None:
     """Write i.i.d. draws from ``dist`` into ``out``, a contiguous 1-D float array, one chunk at a time.
 
     A chunk is at most ``_CHUNK`` entries, one generator call written
@@ -192,48 +186,32 @@ def sample_vector(dist: DistSpec, n: int, seed: int) -> np.ndarray:
 def sample_wigner(dist: DistSpec, n: int, seed: int, normalize: bool = True) -> np.ndarray:
     """Symmetric n x n matrix with i.i.d. upper-triangle entries from ``dist``.
 
-    The (i, j), i <= j, pairs are drawn row by row.  A draw of more than
-    ``_CHUNK`` pairs streams through ``_fill`` into the front of the matrix's
-    own buffer, so no array but the matrix outgrows one chunk; a smaller one
-    is one call of ``_draw``.  Rows then move to their places from the last
-    up: in the buffer, row i's place starts at or after its own pairs, and
-    the pairs of the rows above it end before that place.  Each placed row
-    is mirrored into the rows below it, which are placed already (real
-    entries, so conjugation is transposition).  With ``normalize`` the
-    matrix is divided by sqrt(n), putting the spectrum on the semicircle
-    scale [-2, 2].
+    The lower triangle mirrors the upper one (real entries, so conjugation is
+    transposition).  With ``normalize`` the matrix is divided by sqrt(n),
+    putting the spectrum on the semicircle scale [-2, 2].
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
-    m = np.empty((n, n))
-    end = n * (n + 1) // 2
-    streamed = end > _CHUNK
-    if streamed:
-        upper = m.reshape(-1)[:end]
-        _fill(dist, upper, _rng(seed))
-    else:
-        upper = _draw(dist, end, _rng(seed))
+    upper = _draw(dist, n * (n + 1) // 2, _rng(seed))  # the (i, j), i <= j, pairs row by row
     if normalize:
         upper /= math.sqrt(n)
-    if not streamed:  # the pairs are an array of their own: one assignment places a row and its mirror
-        for i in range(n - 1, -1, -1):
-            start = end - n + i
-            m[i, i:] = m[i:, i] = upper[start:end]
-            end = start
-        return m
-    for i in range(n - 1, -1, -1):  # the pairs may overlap the row's place: move the row, then mirror it
-        start = end - n + i
-        m[i, i:] = upper[start:end]
-        m[i + 1 :, i] = m[i, i + 1 :]
-        end = start
+    m = np.empty((n, n))
+    start = 0
+    for i in range(n):
+        row = upper[start : start + n - i]
+        m[i, i:] = row
+        m[i:, i] = row
+        start += n - i
     return m
 
 
 def sample_rect(dist: DistSpec, p: int, n: int, seed: int) -> np.ndarray:
-    """p x n matrix of i.i.d. entries from ``dist``, p <= n."""
+    """p x n matrix of i.i.d. entries from ``dist``, p <= n, streamed into place by ``_fill``."""
     if not 1 <= p <= n:
         raise ParameterError("need 1 <= p <= n")
-    return _draw(dist, (p, n), _rng(seed))
+    out = np.empty((p, n))
+    _fill(dist, out.reshape(-1), _rng(seed))
+    return out
 
 
 def form_gram(m: np.ndarray) -> np.ndarray:

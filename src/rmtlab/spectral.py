@@ -52,14 +52,8 @@ def check_hermitian(w: np.ndarray) -> None:
     """
     if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise ContractError("matrix must be square")
-    axes = (-2, -1)
-    diff = w - np.swapaxes(w, -1, -2).conj()  # conj() of a real array is the array itself, not a copy
-    if w.dtype.kind == "f":  # one temporary: |diff| in place, and max |w_ij| = max(max w, -min w)
-        dev = np.max(np.abs(diff, out=diff), axis=axes, initial=0.0)
-        top = np.maximum(np.max(w, axis=axes, initial=0.0), -np.min(w, axis=axes, initial=0.0))
-    else:
-        dev, top = np.max(np.abs(diff), axis=axes, initial=0.0), np.max(np.abs(w), axis=axes, initial=0.0)
-    scale = np.maximum(1.0, top)
+    dev = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))), axis=(-2, -1), initial=0.0)
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1), initial=0.0))
     if np.any(dev > 1e-10 * scale):
         raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")
 

@@ -51,10 +51,13 @@ def test_gram_triplets_rank_deficient_falls_back_to_svd():
 
 
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
-@pytest.mark.parametrize(("p", "n"), [(1, 400), (1, _CHUNK + 5), (200, 400), (400, 400)])
+@pytest.mark.parametrize(
+    ("p", "n"), [(1, 400), (1, _CHUNK + 5), (2, _CHUNK // 2 + 7), (3, _CHUNK // 3 + 5), (200, 400), (400, 400)]
+)
 def test_gram_right_vectors_match_numpy_norm_bit_for_bit(p, n, complex_entries):
     # the column norms are summed in row blocks of at most _CHUNK entries: three blocks at p = n = 400, two at
-    # p = n/2, and one at p = 1, where numpy sums pairwise, at any n
+    # p = n/2 and at p = 2 and 3, whose short rows reduce in numpy's shortest inner loops, and one at p = 1, where
+    # numpy sums pairwise, at any n
     m = _factor(p, n, 3) + (1j * _factor(p, n, 4) if complex_entries else 0.0)
     trip = gram_triplets(m)
     product = m.conj().T @ trip.left

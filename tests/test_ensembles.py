@@ -11,6 +11,7 @@ from rmtlab.ensembles import (
     UNIFORM_BOUND,
     _CHUNK,
     _draw,
+    _fill,
     _rng,
     form_gram,
     sample_rect,
@@ -96,25 +97,9 @@ def test_wigner_symmetry_is_exact():
     np.testing.assert_array_equal(m, m.T)
 
 
-def _one_shot(dist, size, rng):
-    """The former ``_draw``, kept as the oracle: one generator call per stream, whatever the size.
-
-    The sign is the 0/1 draw as floats, times 2, minus 1; subexp draws every
-    sign before any exponential factor.
-    """
-    if dist.kind == "gaussian":
-        return rng.standard_normal(size)
-    if dist.kind == "bounded_uniform":
-        return rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=size)
-    sign = rng.integers(0, 2, size=size).astype(np.float64) * 2.0 - 1.0
-    if dist.kind == "rademacher":
-        return sign
-    return sign * rng.standard_exponential(size) ** dist.alpha / dist.subexp_scale
-
-
 def _mask_fill_wigner(dist, n, seed, normalize):
-    """The former build of ``sample_wigner``, kept as its oracle: a mask scatters the one-shot upper draw twice."""
-    upper = _one_shot(dist, n * (n + 1) // 2, _rng(seed))
+    """The former build of ``sample_wigner``, kept as its oracle: a boolean mask scatters the upper draw twice."""
+    upper = _draw(dist, n * (n + 1) // 2, _rng(seed))
     m = np.zeros((n, n))
     mask = np.triu(np.ones((n, n), dtype=bool))
     m[mask] = upper
@@ -127,49 +112,51 @@ def _mask_fill_wigner(dist, n, seed, normalize):
 @pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("kind", KINDS)
 def test_wigner_matches_mask_fill_bit_for_bit(kind, normalize):
-    # up to n = 361 the pairs (65,341 there) are one call of _draw; the 80,200 of n = 400 stream in two chunks
-    # into the matrix's own buffer
     dist = DistSpec(kind)
-    for n in (1, 2, 3, 17, 64, 361, 400):
+    for n in (1, 2, 3, 17, 64):
         m = sample_wigner(dist, n, 40 + n, normalize=normalize)
         assert m.tobytes() == _mask_fill_wigner(dist, n, 40 + n, normalize).tobytes()
 
 
-@pytest.mark.parametrize("size", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3, (3, _CHUNK // 2 + 5)])
+@pytest.mark.parametrize("size", [1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
 def test_chunked_draws_match_one_shot_bit_for_bit(dist, size):
-    # odd chunk lengths included: the last chunk of 2 * _CHUNK + 3 entries has 3
+    # _fill makes one generator call per chunk, _draw one for the whole stream; odd chunk lengths included: the
+    # last chunk of 2 * _CHUNK + 3 entries has 3
     rng, oracle_rng = _rng(9), _rng(9)
-    x, expected = _draw(dist, size, rng), _one_shot(dist, size, oracle_rng)
-    assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+    x = np.empty(size)
+    _fill(dist, x, rng)
+    assert x.tobytes() == _draw(dist, size, oracle_rng).tobytes()
     # the generators end in one state, the spare 32-bit half of a 0/1 draw included, so their next draws agree
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert rng.integers(0, 2, size=5).tobytes() == oracle_rng.integers(0, 2, size=5).tobytes()
 
 
-_SLACK = 64 * 1024  # tracemalloc counts every Python object too: the generator, views and small arrays
-_INT_CHUNK = 8 * _CHUNK  # an int64 0/1 draw of one chunk
+@pytest.mark.parametrize(("p", "n"), [(1, 1), (8, 16), (3, _CHUNK // 2 + 5), (400, 1000)])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
+def test_sample_rect_matches_one_shot_bit_for_bit(dist, p, n):
+    x = sample_rect(dist, p, n, 11)
+    assert x.shape == (p, n) and x.tobytes() == _draw(dist, (p, n), _rng(11)).tobytes()
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
-def test_draws_hold_at_most_one_chunk_beside_their_output(dist, peak_bytes):
-    # a 400 x 1000 draw is 3.2 MB, about six chunks; a full-size 0/1 draw would double it
+def test_sample_rect_holds_at_most_one_chunk_beside_its_output(dist, peak_bytes):
+    # a 400 x 1000 draw is 3.2 MB, about six chunks; a full-size 0/1 draw would double it. tracemalloc counts
+    # every Python object too (the generator, views and small arrays), so 64 KiB of slack
     x, peak = peak_bytes(sample_rect, dist, 400, 1000, 5)
-    assert peak <= x.nbytes + _INT_CHUNK + _SLACK
-    x, peak = peak_bytes(_draw, dist, 3 * _CHUNK + 1, _rng(5))
-    assert peak <= x.nbytes + _INT_CHUNK + _SLACK
-
-
-@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
-def test_wigner_holds_its_matrix_and_at_most_one_chunk(dist, peak_bytes):
-    # n = 1000: the matrix is 8 MB, and its 500,500 pairs in an array of their own would add 4 MB
-    m, peak = peak_bytes(sample_wigner, dist, 1000, 5)
-    assert peak <= m.nbytes + _INT_CHUNK + _SLACK
+    assert peak <= x.nbytes + 8 * _CHUNK + 64 * 1024
 
 
 @pytest.mark.parametrize("dist", [DistSpec("rademacher"), DistSpec("subexp", alpha=0.7)], ids=["rademacher", "subexp"])
 def test_sign_draws_match_arithmetic_signs_bit_for_bit(dist):
-    assert _draw(dist, (50, 40), _rng(9)).tobytes() == _one_shot(dist, (50, 40), _rng(9)).tobytes()
+    # the former sign map, kept as the oracle: the 0/1 draw as floats, times 2, minus 1
+    rng = _rng(9)
+    sign = rng.integers(0, 2, size=(50, 40)).astype(np.float64) * 2.0 - 1.0
+    if dist.kind == "subexp":
+        expected = sign * rng.standard_exponential((50, 40)) ** dist.alpha / dist.subexp_scale
+    else:
+        expected = sign
+    assert _draw(dist, (50, 40), _rng(9)).tobytes() == expected.tobytes()
 
 
 def test_wigner_edge_near_two():

@@ -32,48 +32,6 @@ def test_check_hermitian_rejects():
         check_hermitian(np.ones((2, 3)))
 
 
-def _former_check_hermitian(w):
-    """The former body of ``check_hermitian``, kept as the oracle: a conjugate copy, a difference, two abs."""
-    dev = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))), axis=(-2, -1), initial=0.0)
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1), initial=0.0))
-    if np.any(dev > 1e-10 * scale):
-        raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")
-
-
-def _verdict(check, w):
-    try:
-        check(w)
-    except ContractError as err:
-        return str(err)
-    return None
-
-
-def test_check_hermitian_matches_former_verdicts():
-    rng = np.random.default_rng(4)
-    g = rng.standard_normal((3, 6, 6))
-    sym = g + np.swapaxes(g, -1, -2)
-    herm = sym + 1j * (g - np.swapaxes(g, -1, -2))
-    cases = [sym, herm, sym[0], np.zeros((0, 0)), -50.0 * np.eye(3)]
-    for w in (sym, herm):
-        for tilt in (1e-13, 1e-9, 1e-3):  # below, near and above the 1e-10 relative gate
-            bent = w.copy()
-            bent[..., 0, 5] += tilt * np.max(np.abs(w))
-            cases.append(bent)
-    nan = sym[0].copy()
-    nan[1, 2] = np.nan
-    cases += [nan, np.array([[-3.0, 2e-10], [0.0, 1.0]]), np.array([[-3.0, 4e-10], [0.0, 1.0]])]
-    for w in cases:
-        assert _verdict(check_hermitian, w) == _verdict(_former_check_hermitian, w)
-    assert _verdict(check_hermitian, cases[-1]).startswith("matrix is not Hermitian")
-
-
-def test_check_hermitian_holds_one_temporary(peak_bytes):
-    # a real w: |w - w^T| in place, and no copy for the conjugate or for |w|; numpy's reductions buffer 64 KiB
-    w = sample_wigner(DistSpec("gaussian"), 600, 3)
-    _, peak = peak_bytes(check_hermitian, w)
-    assert peak <= w.nbytes + 128 * 1024
-
-
 def test_eig_decompose_reconstructs():
     w = sample_wigner(DistSpec("gaussian"), 30, 3)
     d = eig_decompose(w)
