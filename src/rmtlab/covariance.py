@@ -8,13 +8,15 @@ eigenvalue ordering used elsewhere.
 
 Two routes give the triplets.  ``gram_triplets`` takes one eigh of the
 p x p Gram matrix MM* and one product M* U; the covariance trial uses it,
-being several times cheaper than the SVD of M for p well below n.  It
-normalizes M* U in place, its squares taken in row blocks of at most
-``ensembles._CHUNK`` entries.  With M the factor's size and G the Gram
-matrix's, a call's arrays then peak at the larger of two steps: the eigh,
-M + 5G (the factor, MM*, eigh's own copy of it and 2G workspace, which
-numpy's linalg allocates outside numpy's arrays, and the eigenvectors U),
-and the normalization, 2M + G and one block (the factor, U and M* U).
+being several times cheaper than the SVD of M for p well below n.  A real
+MM* is solved in its own memory by ``spectral._eigh_owned``, which
+overwrites it with the eigenvectors U, and M* U is normalized in place, its
+squares taken in row blocks of at most ``ensembles._CHUNK`` entries.  With
+M the factor's size and G the Gram matrix's, a call's arrays then peak at
+the larger of two steps: the eigh, M + 3G (the factor, MM* becoming U, and
+dsyevd's workspace of about 2G, all numpy arrays), and the normalization,
+2M + G and one block (the factor, U and M* U).  A complex MM* takes numpy's
+eigh, which adds its own copy of MM* and a separate U.
 ``singular_triplets`` is the SVD: the accuracy reference in the tests, and
 the route of ``singular_identities``, which takes the triplets of M and
 returns the entry and interlacing identities over every index i from one SVD
@@ -33,7 +35,7 @@ import numpy as np
 from .delocalization import _abs2, _inf_norm_columns, _minor_identity, _overlaps, classify_region
 from .ensembles import _CHUNK, ParameterError, form_gram
 from .locallaw import _schur_residual
-from .spectral import ContractError, _check_z, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
+from .spectral import ContractError, _check_z, _eigh_owned, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
 
 @dataclass(frozen=True)
@@ -63,8 +65,9 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
     sigma^2 and the left vectors are the eigenpairs of MM*; each right
     vector is M* left_i scaled to unit norm.  For a real M, ``m.conj()`` is
     M itself, so MM* is the product of M with its own transpose, which
-    numpy sends to SYRK (half the flops of a GEMM, no conjugate copy); a
-    complex M takes the conjugate.  When sigma_min is at rounding level
+    numpy sends to SYRK (half the flops of a GEMM, no conjugate copy) and
+    mirrors into an exactly symmetric matrix, solved in place; a complex M
+    takes the conjugate.  When sigma_min is at rounding level
     relative to sigma_max, M* left_i carries no direction, so such factors
     take the SVD instead.  The right vectors are M* U divided in place by
     its column norms, which ``_column_norms`` sums in bounded row blocks
@@ -73,7 +76,7 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
     p, n = m.shape
     if p > n:
         raise ContractError("factor must have p <= n")
-    s2, left = np.linalg.eigh(m @ m.conj().T)
+    s2, left = _eigh_owned(m @ m.conj().T)  # the product is a temporary, so a real one is solved in place
     if s2[0] <= 1e3 * p * np.finfo(float).eps * s2[-1]:
         return _thin_svd(m)
     right = m.conj().T @ left

@@ -51,7 +51,9 @@ def classify_region(lam, edges, eps: float):
 def eigvec_inf_norms(decomp, seed: int, eps: float = 0.1) -> dict:
     """Delocalization columns, one row per eigenvalue of an n x n normalized Wigner matrix.
 
-    ``decomp`` is ``eig_decompose``'s ``EighResult``.  Columns n, seed
+    ``decomp`` has the fields ``eigenvalues`` and ``eigenvectors``: the
+    ``EighResult`` of ``eig_decompose``, or what ``spectral._eigh_owned``
+    returns for a trial's own matrix.  Columns n, seed
     (uint64), index, lambda, region (against the semicircle support [-2, 2])
     and those of ``_inf_norm_columns``.
     """

@@ -62,7 +62,16 @@ from .delocalization import _overlaps, eigvec_inf_norms, wigner_identities
 from .ensembles import DistSpec, ParameterError, _rng, sample_rect, sample_vector, sample_wigner
 from .locallaw import SCAN_WINDOWS_PER_N, ThresholdEstimate, least_scale, schur_identity_residual, threshold_scan
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
-from .spectral import eig_decompose, mp_edges, mp_interval_mass, pv_semicircle, pv_semicircle_numeric, sc_interval_mass
+from .spectral import (
+    _eigh_owned,
+    check_hermitian,
+    eig_decompose,
+    mp_edges,
+    mp_interval_mass,
+    pv_semicircle,
+    pv_semicircle_numeric,
+    sc_interval_mass,
+)
 
 COLLISION_GAP = 1e-8  # identity checks with a collision gap at most this are skipped
 LABEL_BYTES = 255 - len("..") - 32 - len(".tmp")  # so the writer's .{label}.{32 hex}.tmp fits a 255-byte name
@@ -392,7 +401,7 @@ def _run_localscan(cfg: ExperimentConfig):
     scales = [s * unit for s in cfg.scales]
 
     def spectrum(_, seed):
-        return np.linalg.eigvalsh(sample_wigner(cfg.dist, cfg.n, seed, normalize=True))
+        return _eigh_owned(sample_wigner(cfg.dist, cfg.n, seed, normalize=True), vectors=False)
 
     spectra = map_trials(spectrum, cfg.trials, cfg.base_seed, cfg.workers)
     est = threshold_scan(spectra, sc_interval_mass, scales, cfg.delta, LOCALSCAN_BULK)
@@ -414,7 +423,9 @@ def _run_deloc(cfg: ExperimentConfig):
     sizes = [n for n in cfg.n_grid or [cfg.n] for _ in range(cfg.trials)]  # trial i draws a size-sizes[i] matrix
 
     def trial(i, seed):
-        return eigvec_inf_norms(eig_decompose(sample_wigner(cfg.dist, sizes[i], seed, normalize=True)), seed, cfg.eps)
+        w = sample_wigner(cfg.dist, sizes[i], seed, normalize=True)
+        check_hermitian(w)
+        return eigvec_inf_norms(_eigh_owned(w), seed, cfg.eps)
 
     records = concat_columns(map_trials(trial, len(sizes), cfg.base_seed, cfg.workers))
     bulk = records["scaled_bulk"][records["region"] == "bulk"]

@@ -12,6 +12,9 @@ bundled OpenBLAS to one thread for a block of code and restores the setting
 after; the setting is one per process, and the ``tail`` statistic holds the
 pin around its whole fan-out, so its values do not depend on the worker or
 core count, while every other trial keeps the process's BLAS thread setting.
+``_openblas`` loads numpy's bundled OpenBLAS once for the process, and both
+the thread pin and the in-place eigensolver of ``rmtlab.spectral`` take
+their functions from it through ``_openblas_functions``.
 """
 
 import contextlib
@@ -72,10 +75,10 @@ def concat_columns(parts: list[dict]) -> dict:
 
 
 @functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None after one warning.
+def _openblas():
+    """numpy's bundled OpenBLAS as a ``ctypes.CDLL``, or None where it cannot be loaded.
 
-    The symbols are looked up through numpy's core extension module, which
+    Its symbols are reached through numpy's core extension module, which
     links the library; ctypes loads only here, on first use.
     """
     import ctypes
@@ -83,18 +86,39 @@ def _openblas_threads():
     try:
         from numpy._core import _multiarray_umath
 
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, set_threads = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        warnings.warn(
-            "numpy's OpenBLAS thread control was not found; BLAS products run unpinned, "
-            "so their last bits may depend on the core count",
-            RuntimeWarning,
-        )
+        return ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
         return None
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    return get, set_threads
+
+
+def _openblas_functions(signatures: dict, missing: str) -> list | None:
+    """numpy's OpenBLAS functions by symbol name, each given its ``(argtypes, restype)`` from ``signatures``.
+
+    None, after a RuntimeWarning that reads ``missing``, where the library or a symbol is not found.
+    """
+    lib = _openblas()
+    if lib is None or not all(hasattr(lib, name) for name in signatures):
+        warnings.warn(missing, RuntimeWarning)
+        return None
+    functions = [getattr(lib, name) for name in signatures]
+    for fn, (argtypes, restype) in zip(functions, signatures.values()):
+        fn.argtypes, fn.restype = argtypes, restype
+    return functions
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None after one warning."""
+    import ctypes
+
+    return _openblas_functions(
+        {
+            "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+            "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+        },
+        "numpy's OpenBLAS thread control was not found; BLAS products run unpinned, "
+        "so their last bits may depend on the core count",
+    )
 
 
 @contextlib.contextmanager

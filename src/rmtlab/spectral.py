@@ -20,6 +20,19 @@ x, y)``.  The KS distance of a spectrum to a law is
 
 On a stack of matrices, ``eig_decompose``'s eigh runs LAPACK once per
 matrix on a copy, so the stack's place in memory does not reach the bits.
+A trial that builds its own real symmetric matrix and never reads it again
+solves it with ``_eigh_owned`` instead: one ``dsyevd`` of numpy's bundled
+OpenBLAS, reached through ctypes, in the matrix's own memory.  Its workspace
+is numpy arrays, and its eigenvectors are the overwritten matrix read as
+columns: no copy is made, and tracemalloc sees every buffer it asks for.  LAPACK
+gets the bytes numpy's eigh would hand it: numpy copies the matrix to
+column-major order and reads the lower triangle, while the in-place call
+reads the row-major matrix as column-major, which is its transpose, and
+reads the lower triangle of that, the matrix's upper triangle.  The two
+agree on a matrix equal to its own transpose bit for bit, as the trials'
+Wigner draws and SYRK Gram products are, so the values and vectors are
+numpy's bits.  ``check_hermitian`` passes a matrix only when every
+asymmetry is a number within its tolerance, so NaN fails it.
 
 Only the principal-value quadrature uses scipy; it imports
 ``scipy.integrate`` when called and calls ``integrate.quad`` through the
@@ -28,10 +41,13 @@ module, so a wrapper patched onto ``scipy.integrate.quad`` sees every call.
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
+from . import seeds
 from .ensembles import ParameterError
 
 SC_EDGES = (-2.0, 2.0)  # the semicircle support
@@ -54,7 +70,7 @@ def check_hermitian(w: np.ndarray) -> None:
         raise ContractError("matrix must be square")
     dev = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))), axis=(-2, -1), initial=0.0)
     scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1), initial=0.0))
-    if np.any(dev > 1e-10 * scale):
+    if not np.all(dev <= 1e-10 * scale):  # NaN compares false, so a NaN entry fails here
         raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")
 
 
@@ -65,6 +81,66 @@ def eig_decompose(w: np.ndarray):
     """
     check_hermitian(w)
     return np.linalg.eigh(w)
+
+
+class _Eigenpairs(NamedTuple):
+    """Ascending eigenvalues and matching eigenvector columns, the fields of numpy's ``EighResult``."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+
+@functools.cache
+def _syevd():
+    """numpy's OpenBLAS ``dsyevd`` (64-bit integers) with its ctypes signature, or None after one RuntimeWarning."""
+    import ctypes
+
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the lengths of jobz and uplo
+    argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
+    found = seeds._openblas_functions(
+        {"scipy_dsyevd_64_": (argtypes, None)},
+        "numpy's OpenBLAS dsyevd was not found; trial eigensolves take numpy's eigh on a copy of the matrix",
+    )
+    return None if found is None else found[0]
+
+
+def _eigh_owned(a: np.ndarray, vectors: bool = True):
+    """Eigenvalues of a real symmetric matrix, with ``vectors`` also its eigenvectors, solved in ``a``'s own memory.
+
+    For a matrix the caller built and never reads again.  A C-contiguous
+    float64 ``a`` is overwritten by one LAPACK ``dsyevd``, which reads its
+    upper triangle, so ``a`` must equal its own transpose bit for bit; then
+    the results carry the bits of ``np.linalg.eigh(a)`` (``eigvalsh``
+    without ``vectors``), which reads the lower one.  The workspace is two
+    numpy arrays of the sizes LAPACK's query asks for, as numpy sizes it,
+    and the eigenvectors are ``a.T``, the overwritten matrix read as
+    columns, in ``_Eigenpairs``.  Other input, or a numpy without the
+    symbol, takes numpy's call and is left as it was.
+    """
+    syevd = _syevd()
+    square = a.ndim == 2 and a.shape[0] == a.shape[1]
+    if syevd is None or a.dtype != np.float64 or not (square and a.flags.c_contiguous and a.flags.writeable):
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    from ctypes import byref, c_int64
+
+    n, lda = c_int64(a.shape[0]), c_int64(max(a.shape[0], 1))
+    lwork, liwork, info = c_int64(-1), c_int64(-1), c_int64(0)
+    jobz = b"V" if vectors else b"N"
+    w = np.empty(a.shape[0])
+
+    def call(work, iwork):
+        syevd(
+            jobz, b"L", byref(n), a.ctypes.data, byref(lda), w.ctypes.data,
+            work.ctypes.data, byref(lwork), iwork.ctypes.data, byref(liwork), byref(info), 1, 1,
+        )
+        if info.value:
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, iwork)  # lwork = liwork = -1: LAPACK writes the sizes it wants
+    lwork.value, liwork.value = int(work[0]), int(iwork[0])
+    call(np.empty(lwork.value), np.empty(liwork.value, dtype=np.int64))
+    return _Eigenpairs(w, a.T) if vectors else w
 
 
 def _density(x, edges: tuple[float, float], formula):

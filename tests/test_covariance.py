@@ -73,6 +73,16 @@ def test_gram_triplets_hold_outputs_gram_and_one_chunk(peak_bytes):
     assert peak <= outputs + gram + 8 * _CHUNK + 64 * 1024
 
 
+def test_gram_triplets_solve_the_gram_matrix_in_place(peak_bytes):
+    # the eigh overwrites MM* with U and takes dsyevd's documented workspace as numpy arrays (LWORK = 1 + 6p + 2p^2
+    # doubles, LIWORK = 3 + 5p integers), so no step holds a second p x p copy or a U beside MM*
+    p, n = 500, 1000
+    trip, peak = peak_bytes(gram_triplets, _factor(p, n, 9))
+    gram, workspace, product = 8 * p * p, 8 * (1 + 6 * p + 2 * p * p) + 8 * (3 + 5 * p), trip.right.nbytes
+    assert peak <= max(gram + workspace, gram + product + 8 * _CHUNK) + 64 * 1024
+    assert not trip.left.flags.owndata  # U is the overwritten MM*, read as columns
+
+
 def test_sigma_lambda_bridge():
     # sigma_i(M) = sqrt(n * lambda_i) with lambda_i the covariance eigenvalues
     m = _factor(5, 9, 1)

@@ -130,6 +130,7 @@ def test_one_blas_thread_without_openblas_warns_once_and_runs(monkeypatch):
         raise OSError("no such library")
 
     monkeypatch.setattr(ctypes, "CDLL", no_library)
+    seeds._openblas.cache_clear()  # the library lookup the thread pin shares with the in-place eigensolver
     seeds._openblas_threads.cache_clear()
     try:
         with warnings.catch_warnings(record=True) as caught:
@@ -142,4 +143,5 @@ def test_one_blas_thread_without_openblas_warns_once_and_runs(monkeypatch):
         assert "OpenBLAS thread control was not found" in str(caught[0].message)
         assert tail.survival[0] == 1.0
     finally:
+        seeds._openblas.cache_clear()
         seeds._openblas_threads.cache_clear()

@@ -32,6 +32,22 @@ def test_check_hermitian_rejects():
         check_hermitian(np.ones((2, 3)))
 
 
+def _with_nan(n):
+    w = np.eye(n)
+    w[0, 1] = np.nan  # |w - w*| is NaN there, and NaN > tol is false
+    return w
+
+
+@pytest.mark.parametrize("check", [check_hermitian, eig_decompose], ids=["check_hermitian", "eig_decompose"])
+def test_nan_entry_fails_the_hermitian_check(check):
+    with pytest.raises(ContractError):
+        check(_with_nan(3))
+    stack = np.stack([np.eye(3), _with_nan(3), np.eye(3)])  # each matrix of a stack on its own
+    with pytest.raises(ContractError):
+        check(stack)
+    check(np.stack([np.eye(3), np.eye(3)]))
+
+
 def test_eig_decompose_reconstructs():
     w = sample_wigner(DistSpec("gaussian"), 30, 3)
     d = eig_decompose(w)
