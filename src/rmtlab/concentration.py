@@ -12,16 +12,25 @@ check those bounds numerically.  The estimator's trials are its blocks of
 ``TAIL_BLOCK`` draws: ``seeds.map_trials`` gives block b the seed
 derive_seed(base_seed, b), and each block is drawn and multiplied whole with
 one matrix product on one BLAS thread, so every value is the same for any
-draw count, worker count and number of cores.
+draw count, worker count and number of cores.  For a real draw X the
+quadratic form X^T A X depends only on the symmetric part S = (A + A^T)/2,
+and equals 2 X^T T X with T the upper triangle of S, its diagonal halved.
+``empirical_tail`` builds T once per call (one for Re A and one for Im A
+when A is complex), and each block takes X T with one triangular product,
+OpenBLAS ``dtrmm`` through ctypes, at half the multiply-adds of X A^T.
+Without that symbol it warns once and takes numpy's full product X @ T.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from . import seeds
 from .ensembles import DistSpec, ParameterError, _draw, _rng
 from .seeds import map_trials, one_blas_thread
 from .spectral import ContractError
@@ -230,17 +239,73 @@ class EmpiricalTail:
     trials: int
 
 
+class _HalfTriangles(NamedTuple):
+    """A square matrix A as the quadratic-form tail reads it: X^T A X - tr A = 2 X^T T X - tr A for a real X.
+
+    ``triangles`` holds T, the upper triangle of (B + B^T)/2 with its
+    diagonal halved, and ``traces`` holds tr B, for B = A, or for B = Re A
+    and then B = Im A when A is complex.
+    """
+
+    triangles: tuple
+    traces: tuple
+
+
+def _half_triangles(a: np.ndarray) -> _HalfTriangles:
+    """The ``_HalfTriangles`` of a square matrix, C-contiguous float64 triangles built once."""
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    triangles = []
+    for part in parts:
+        t = np.triu(np.asarray(part, dtype=np.float64) + part.T)
+        t *= 0.5  # S = (B + B^T)/2, exactly B for a matrix equal to its transpose bit for bit
+        t[np.diag_indices_from(t)] *= 0.5
+        triangles.append(t)
+    return _HalfTriangles(tuple(triangles), tuple(np.trace(part) for part in parts))
+
+
+@functools.cache
+def _trmm():
+    """numpy's OpenBLAS ``cblas_dtrmm`` (64-bit integers) with its ctypes signature, or None after one warning."""
+    import ctypes
+
+    # order, side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
+    argtypes = [ctypes.c_int] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_double] + [ctypes.c_void_p, ctypes.c_int64] * 2
+    found = seeds._openblas_functions(
+        {"scipy_cblas_dtrmm64_": (argtypes, None)},
+        "numpy's OpenBLAS dtrmm was not found; quadratic-form tail blocks take numpy's full product X @ T",
+    )
+    return None if found is None else found[0]
+
+
+_ROW_MAJOR, _NO_TRANS, _UPPER, _NON_UNIT, _RIGHT = 101, 111, 121, 131, 142  # CBLAS enum values
+
+
+def _doubled_forms(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """2 x_i^T T x_i for each row x_i of a C-contiguous float64 ``x``: 2 rowsum(X o XT), XT by one ``dtrmm``."""
+    trmm = _trmm()
+    if trmm is None:
+        xt = x @ t
+    else:
+        xt = x.copy()
+        m, n = xt.shape
+        ld = max(n, 1)
+        trmm(_ROW_MAJOR, _RIGHT, _UPPER, _NO_TRANS, _NON_UNIT, m, n, 1.0, t.ctypes.data, ld, xt.ctypes.data, ld)
+    xt *= x
+    return 2.0 * np.sum(xt, axis=1)
+
+
 def _statistic_values(target, dist, n, seed) -> np.ndarray:
     """|deviation| for the TAIL_BLOCK draws of one block, drawn as one TAIL_BLOCK x n draw from ``seed``.
 
-    A ``WeightedFrame`` target gives the projection deviation, any other
-    (a square matrix A) the quadratic-form deviation.  One product gives the
-    block's values: X conj(U) for the projection, X A^T for the quadratic
-    form.  ``.conj()`` of a real array is the array itself, so a real draw is
-    not copied for its conjugate.  A row's result depends on its place in
-    the block, the block's height and the BLAS thread count; every block is
-    drawn and multiplied whole (even the last, which the caller cuts short),
-    so the draw's index fixes the first two, and the caller holds
+    A ``WeightedFrame`` target gives the projection deviation, a
+    ``_HalfTriangles`` (a square matrix A, prepared by ``_half_triangles``)
+    the quadratic-form deviation.  One product per block gives the values:
+    X conj(U) for the projection, X T for the quadratic form, whose
+    deviation is 2 rowsum(X o XT) - tr A (the real and imaginary parts of A
+    each take their own T).  A row's result depends on its place in the
+    block, the block's height and the BLAS thread count; every block is
+    drawn and multiplied whole (even the last, which the caller cuts
+    short), so the draw's index fixes the first two, and the caller holds
     ``one_blas_thread`` for the third.
     """
     x = _draw(dist, (TAIL_BLOCK, n), _rng(seed))
@@ -248,7 +313,8 @@ def _statistic_values(target, dist, n, seed) -> np.ndarray:
         coeffs = np.abs(x @ target.basis.conj()) ** 2
         dev = np.sqrt(np.sum(coeffs * target.weights, axis=1)) - math.sqrt(float(np.sum(target.weights)))
     else:
-        dev = np.sum(x.conj() * (x @ target.T), axis=1) - np.trace(target)
+        parts = [_doubled_forms(x, t) - tr for t, tr in zip(target.triangles, target.traces)]
+        dev = parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
     return np.abs(dev)
 
 
@@ -282,6 +348,8 @@ def empirical_tail(
         if target.ndim != 2 or target.shape[0] != target.shape[1]:
             raise ContractError(f"the target must be a WeightedFrame or a square matrix, not of shape {target.shape}")
         n = target.shape[0]
+        target = _half_triangles(target)
+        _trmm()  # looked up in the calling thread, so a missing symbol warns once, not once per worker
 
     def block(_, seed):
         return _statistic_values(target, dist, n, seed)

@@ -31,8 +31,9 @@ reads the row-major matrix as column-major, which is its transpose, and
 reads the lower triangle of that, the matrix's upper triangle.  The two
 agree on a matrix equal to its own transpose bit for bit, as the trials'
 Wigner draws and SYRK Gram products are, so the values and vectors are
-numpy's bits.  ``check_hermitian`` passes a matrix only when every
-asymmetry is a number within its tolerance, so NaN fails it.
+numpy's bits.  ``check_hermitian`` passes a matrix only when every entry
+is finite and every asymmetry is within its tolerance; a NaN or infinite
+entry fails with a ``ContractError`` that names it.
 
 Only the principal-value quadrature uses scipy; it imports
 ``scipy.integrate`` when called and calls ``integrate.quad`` through the
@@ -62,15 +63,22 @@ class ContractError(ValueError):
 
 
 def check_hermitian(w: np.ndarray) -> None:
-    """Raise ContractError unless w is square with |w - w*| <= 1e-10 max(1, max |w_ij|).
+    """Raise ContractError unless w is square, finite and has |w - w*| <= 1e-10 max(1, max |w_ij|).
 
-    Leading axes before the last two index a stack of matrices, each checked on its own scale.
+    Leading axes before the last two index a stack of matrices, each checked
+    on its own scale.  A NaN or infinite entry fails with a message that
+    names it, before the asymmetry is taken, so no RuntimeWarning is raised.
     """
     if w.ndim < 2 or w.shape[-1] != w.shape[-2]:
         raise ContractError("matrix must be square")
+    largest = np.max(np.abs(w), axis=(-2, -1), initial=0.0)
+    if not np.all(np.isfinite(largest)):  # before w - w*, where inf - inf would warn and give NaN
+        bad = np.argwhere(~np.isfinite(w))
+        shown = ", ".join(f"{w[tuple(i)]} at {tuple(i.tolist())}" for i in bad[:3])
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise ContractError(f"matrix has non-finite entries: {shown}{more}")
     dev = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))), axis=(-2, -1), initial=0.0)
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=(-2, -1), initial=0.0))
-    if not np.all(dev <= 1e-10 * scale):  # NaN compares false, so a NaN entry fails here
+    if not np.all(dev <= 1e-10 * np.maximum(1.0, largest)):
         raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,15 +234,23 @@ _BLOCK_CASES = [
     ("quadratic", "gaussian"),
     ("projection", "rademacher"),
     ("projection", "gaussian"),
+    ("nonsymmetric", "gaussian"),
+    ("complex", "rademacher"),
 ]
 
 
 def _tail_target(statistic):
-    # at n = 199 a row of X A^T moved in the last bits with the height of its block
-    # (Haswell OpenBLAS kernel), so a block multiplied at another height would show
+    # at n = 199 a row of the quadratic form's X T moves in the last bits with the height of its block,
+    # so a short last block multiplied at its cut height (44 or 88 rows) shows under the SkylakeX, Haswell
+    # and Nehalem OpenBLAS kernels; Prescott's rows move only at heights that are not multiples of 4
     n = 199
+    rng = np.random.default_rng(4)
     if statistic == "quadratic":
         return n, _symmetric_matrix(n, 4)
+    if statistic == "nonsymmetric":  # only its symmetric part reaches X^T A X
+        return n, rng.standard_normal((n, n))
+    if statistic == "complex":  # Re A and Im A each take their own triangle
+        return n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return n, _complex_frame(n, 24, 4)
 
 
@@ -294,17 +303,18 @@ def test_one_blas_pin_wraps_the_whole_tail_fan_out(monkeypatch, workers):
 def test_block_values_match_per_draw_formulas(statistic, kind):
     n, target = _tail_target(statistic)
     dist = DistSpec(kind)
-    blocks = [concentration._statistic_values(target, dist, n, derive_seed(17, b)) for b in range(3)]
+    prepared = target if statistic == "projection" else concentration._half_triangles(target)
+    blocks = [concentration._statistic_values(prepared, dist, n, derive_seed(17, b)) for b in range(3)]
     assert all(block.shape == (TAIL_BLOCK,) for block in blocks)
     values = np.concatenate(blocks)[:600]
     # block b is one TAIL_BLOCK x n draw from stream derive_seed(17, b); 600 draws end inside block 2
     xs = np.concatenate([_draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(17, b))) for b in range(3)])[:600]
-    if statistic == "quadratic":
-        reference = [abs(quadratic_deviation(x, target)) for x in xs]
-        scale = np.linalg.norm(target)  # the statistic's standard deviation over sqrt(2)
-    else:
+    if statistic == "projection":
         reference = [abs(projection_deviation(x, target)) for x in xs]
         scale = 1.0
+    else:
+        reference = [abs(quadratic_deviation(x, target)) for x in xs]
+        scale = np.linalg.norm(target)  # the statistic's standard deviation over sqrt(2), or above it
     # relative to the value, or to the statistic's scale for the few draws near 0
     np.testing.assert_allclose(values, reference, rtol=1e-11, atol=1e-11 * scale)
 
@@ -315,6 +325,25 @@ def test_values_do_not_depend_on_draw_count(monkeypatch, statistic, kind):
     # 300 draws end 44 rows into block 1, 600 draws 88 rows into block 2: a draw's value is the same in both
     runs = [_tail_values(monkeypatch, statistic, kind, trials) for trials in (300, 600)]
     assert runs[0].tobytes() == runs[1][:300].tobytes()
+
+
+def test_tail_without_dtrmm_warns_once_and_stays_worker_invariant(monkeypatch):
+    seeds._openblas_threads()  # the thread pin keeps the library it found before the patch
+    expected = _tail_values(monkeypatch, "quadratic", "gaussian", 1000)
+    monkeypatch.setattr(seeds, "_openblas", lambda: None)
+    concentration._trmm.cache_clear()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs = [_tail_values(monkeypatch, "quadratic", "gaussian", 1000, workers) for workers in (1, 2, 3)]
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "dtrmm was not found" in str(caught[0].message)
+    finally:
+        concentration._trmm.cache_clear()
+    for values in runs[1:]:
+        assert values.tobytes() == runs[0].tobytes()
+    # numpy's full product X @ T: the same formula, rounded by another kernel
+    np.testing.assert_allclose(runs[0], expected, rtol=1e-11, atol=1e-11 * np.linalg.norm(_tail_target("quadratic")[1]))
 
 
 def test_empirical_tail_validation():

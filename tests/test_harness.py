@@ -545,6 +545,15 @@ def test_sub_gaussian_tail_envelopes_use_alpha_half():
         assert report.records[f"envelope_{kind}"].tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 400])
+def test_half_triangle_frobenius_equals_the_full_fsum_bit_for_bit(n):
+    # the tail's target, (G + G^T)/sqrt(2), equals its transpose bit for bit; doubling a square is exact
+    for seed in range(5):
+        g = np.random.Generator(np.random.PCG64(derive_seed(seed, 1 << 48))).standard_normal((n, n))
+        a = (g + g.T) / math.sqrt(2.0)
+        assert harness._symmetric_frobenius(a) == math.sqrt(math.fsum((a * a).ravel().tolist()))
+
+
 def test_tail_without_envelopes_takes_no_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("svd called")

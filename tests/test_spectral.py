@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,21 @@ def test_nan_entry_fails_the_hermitian_check(check):
     with pytest.raises(ContractError):
         check(stack)
     check(np.stack([np.eye(3), np.eye(3)]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entry_is_named_without_a_warning(bad):
+    w = np.eye(2)
+    w[0, 0] = bad  # a symmetric matrix: w - w* takes inf - inf on the diagonal
+    stack = np.stack([np.eye(2), w])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ContractError, match=rf"non-finite entries: {bad} at \(0, 0\)$"):
+            check_hermitian(w)
+        with pytest.raises(ContractError, match=rf"non-finite entries: {bad} at \(1, 0, 0\)$"):
+            check_hermitian(stack)
+        with pytest.raises(ContractError, match=r"inf at \(0, 0\), inf at \(0, 1\), inf at \(0, 2\) and 6 more"):
+            check_hermitian(np.full((3, 3), np.inf))
 
 
 def test_eig_decompose_reconstructs():
