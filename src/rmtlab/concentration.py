@@ -17,13 +17,13 @@ quadratic form X^T A X depends only on the symmetric part S = (A + A^T)/2,
 and equals 2 X^T T X with T the upper triangle of S, its diagonal halved.
 ``empirical_tail`` builds T once per call (one for Re A and one for Im A
 when A is complex), and each block takes X T with one triangular product,
-OpenBLAS ``dtrmm`` through ctypes, at half the multiply-adds of X A^T.
-Without that symbol it warns once and takes numpy's full product X @ T.
+OpenBLAS ``dtrmm`` bound by ``seeds._openblas_function``, at half the
+multiply-adds of X A^T.  Without that symbol it warns once and takes
+numpy's full product X @ T.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -263,18 +263,18 @@ def _half_triangles(a: np.ndarray) -> _HalfTriangles:
     return _HalfTriangles(tuple(triangles), tuple(np.trace(part) for part in parts))
 
 
-@functools.cache
 def _trmm():
     """numpy's OpenBLAS ``cblas_dtrmm`` (64-bit integers) with its ctypes signature, or None after one warning."""
     import ctypes
 
     # order, side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb
-    argtypes = [ctypes.c_int] * 5 + [ctypes.c_int64] * 2 + [ctypes.c_double] + [ctypes.c_void_p, ctypes.c_int64] * 2
-    found = seeds._openblas_functions(
-        {"scipy_cblas_dtrmm64_": (argtypes, None)},
+    argtypes = (ctypes.c_int,) * 5 + (ctypes.c_int64,) * 2 + (ctypes.c_double,) + (ctypes.c_void_p, ctypes.c_int64) * 2
+    return seeds._openblas_function(
+        "scipy_cblas_dtrmm64_",
+        argtypes,
+        None,
         "numpy's OpenBLAS dtrmm was not found; quadratic-form tail blocks take numpy's full product X @ T",
     )
-    return None if found is None else found[0]
 
 
 _ROW_MAJOR, _NO_TRANS, _UPPER, _NON_UNIT, _RIGHT = 101, 111, 121, 131, 142  # CBLAS enum values

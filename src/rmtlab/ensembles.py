@@ -12,11 +12,13 @@ All entry distributions have mean 0 and variance 1:
 Sampling is a pure function of (spec, size, seed): identical arguments give
 bit-identical output on every platform and under any parallel schedule.
 
-Chunk rule: ``sample_rect`` writes its draw straight into the p x n output
-in chunks of at most ``_CHUNK`` = 2**16 entries, one generator call each,
-with the bits of one call.  So a factor holds no temporary beyond one chunk
-(an int64 0/1 draw of 512 KiB for a sign), where a single call would stage a
-full-size one beside it.  The other samplers draw in one call.
+Chunk rule: ``_fill`` is the one place a kind becomes generator calls.
+Every sampler (``sample_vector``, ``sample_wigner``'s packed upper
+triangle, ``sample_rect`` and the tail's blocks of draws) writes its draw
+straight into its output in chunks of at most ``_CHUNK`` = 2**16 entries,
+one generator call each, with the bits of one call.  So a draw holds no
+temporary beyond one chunk (an int64 0/1 draw of 512 KiB for a sign), where
+a single call would stage a full-size one beside it.
 
 ``scipy.special`` is imported only inside the functions that use it: the
 subexp scale and fourth moment (``gamma``), the Gaussian truncation moments
@@ -133,15 +135,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _draw(dist: DistSpec, size, rng: np.random.Generator) -> np.ndarray:
-    if dist.kind == "gaussian":
-        return rng.standard_normal(size)
-    if dist.kind == "bounded_uniform":
-        return rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=size)
-    sign = _SIGNS.take(rng.integers(0, 2, size=size))
-    if dist.kind == "rademacher":
-        return sign
-    # subexp: sign * E^alpha, standardized
-    return sign * rng.standard_exponential(size) ** dist.alpha / dist.subexp_scale
+    """A new array of shape ``size`` holding i.i.d. draws from ``dist``, streamed into it by ``_fill``."""
+    out = np.empty(size)
+    _fill(dist, out.reshape(-1), rng)
+    return out
 
 
 def _fill(dist: DistSpec, out: np.ndarray, rng: np.random.Generator) -> None:
@@ -206,12 +203,10 @@ def sample_wigner(dist: DistSpec, n: int, seed: int, normalize: bool = True) -> 
 
 
 def sample_rect(dist: DistSpec, p: int, n: int, seed: int) -> np.ndarray:
-    """p x n matrix of i.i.d. entries from ``dist``, p <= n, streamed into place by ``_fill``."""
+    """p x n matrix of i.i.d. entries from ``dist``, p <= n, streamed into place by ``_draw``."""
     if not 1 <= p <= n:
         raise ParameterError("need 1 <= p <= n")
-    out = np.empty((p, n))
-    _fill(dist, out.reshape(-1), _rng(seed))
-    return out
+    return _draw(dist, (p, n), _rng(seed))
 
 
 def form_gram(m: np.ndarray) -> np.ndarray:

@@ -12,9 +12,11 @@ bundled OpenBLAS to one thread for a block of code and restores the setting
 after; the setting is one per process, and the ``tail`` statistic holds the
 pin around its whole fan-out, so its values do not depend on the worker or
 core count, while every other trial keeps the process's BLAS thread setting.
-``_openblas`` loads numpy's bundled OpenBLAS once for the process, and both
-the thread pin and the in-place eigensolver of ``rmtlab.spectral`` take
-their functions from it through ``_openblas_functions``.
+``_openblas_function`` is the one lookup of numpy's bundled OpenBLAS
+through ctypes: it binds a symbol to its signature once per process, or
+warns once and returns None.  The thread pin, the in-place eigensolver of
+``rmtlab.spectral`` and the tail's ``dtrmm`` in ``rmtlab.concentration``
+take their functions from it.
 """
 
 import contextlib
@@ -75,50 +77,25 @@ def concat_columns(parts: list[dict]) -> dict:
 
 
 @functools.cache
-def _openblas():
-    """numpy's bundled OpenBLAS as a ``ctypes.CDLL``, or None where it cannot be loaded.
+def _openblas_function(name: str, argtypes: tuple, restype, missing: str):
+    """numpy's bundled OpenBLAS function ``name``, given the ctypes signature ``argtypes`` -> ``restype``.
 
-    Its symbols are reached through numpy's core extension module, which
-    links the library; ctypes loads only here, on first use.
+    None, after a RuntimeWarning that reads ``missing``, where the library
+    or the symbol is not found; cached, so each lookup warns once per
+    process.  The symbol is reached through numpy's core extension module,
+    which links the library; ctypes loads only here, on first use.
     """
     import ctypes
 
     try:
         from numpy._core import _multiarray_umath
 
-        return ctypes.CDLL(_multiarray_umath.__file__)
-    except (ImportError, OSError):
-        return None
-
-
-def _openblas_functions(signatures: dict, missing: str) -> list | None:
-    """numpy's OpenBLAS functions by symbol name, each given its ``(argtypes, restype)`` from ``signatures``.
-
-    None, after a RuntimeWarning that reads ``missing``, where the library or a symbol is not found.
-    """
-    lib = _openblas()
-    if lib is None or not all(hasattr(lib, name) for name in signatures):
+        function = getattr(ctypes.CDLL(_multiarray_umath.__file__), name)
+    except (ImportError, OSError, AttributeError):
         warnings.warn(missing, RuntimeWarning)
         return None
-    functions = [getattr(lib, name) for name in signatures]
-    for fn, (argtypes, restype) in zip(functions, signatures.values()):
-        fn.argtypes, fn.restype = argtypes, restype
-    return functions
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None after one warning."""
-    import ctypes
-
-    return _openblas_functions(
-        {
-            "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
-            "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
-        },
-        "numpy's OpenBLAS thread control was not found; BLAS products run unpinned, "
-        "so their last bits may depend on the core count",
-    )
+    function.argtypes, function.restype = argtypes, restype
+    return function
 
 
 @contextlib.contextmanager
@@ -128,11 +105,18 @@ def one_blas_thread():
     Without the thread control (numpy built on another BLAS) it warns once
     per process and runs the block unpinned.
     """
-    calls = _openblas_threads()
-    if calls is None:
+    import ctypes
+
+    missing = (
+        "numpy's OpenBLAS thread control was not found; BLAS products run unpinned, "
+        "so their last bits may depend on the core count"
+    )
+    get = _openblas_function("scipy_openblas_get_num_threads64_", (), ctypes.c_int, missing)
+    # set is looked up only where get was found, so a missing library warns once
+    set_threads = get and _openblas_function("scipy_openblas_set_num_threads64_", (ctypes.c_int,), None, missing)
+    if set_threads is None:
         yield
         return
-    get, set_threads = calls
     before = get()
     set_threads(1)
     try:

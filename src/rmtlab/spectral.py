@@ -22,13 +22,14 @@ On a stack of matrices, ``eig_decompose``'s eigh runs LAPACK once per
 matrix on a copy, so the stack's place in memory does not reach the bits.
 A trial that builds its own real symmetric matrix and never reads it again
 solves it with ``_eigh_owned`` instead: one ``dsyevd`` of numpy's bundled
-OpenBLAS, reached through ctypes, in the matrix's own memory.  Its workspace
-is numpy arrays, and its eigenvectors are the overwritten matrix read as
-columns: no copy is made, and tracemalloc sees every buffer it asks for.  LAPACK
-gets the bytes numpy's eigh would hand it: numpy copies the matrix to
-column-major order and reads the lower triangle, while the in-place call
-reads the row-major matrix as column-major, which is its transpose, and
-reads the lower triangle of that, the matrix's upper triangle.  The two
+OpenBLAS, bound by ``seeds._openblas_function``, in the matrix's own
+memory.  Its workspace is numpy arrays, and its eigenvectors are the
+overwritten matrix read as columns: no copy is made, and tracemalloc sees
+every buffer it asks for.  LAPACK gets the bytes numpy's eigh would hand
+it: numpy copies the matrix to column-major order and reads the lower
+triangle, while the in-place call reads the row-major matrix as
+column-major, which is its transpose, and reads the lower triangle of
+that, the matrix's upper triangle.  The two
 agree on a matrix equal to its own transpose bit for bit, as the trials'
 Wigner draws and SYRK Gram products are, so the values and vectors are
 numpy's bits.  ``check_hermitian`` passes a matrix only when every entry
@@ -42,7 +43,6 @@ module, so a wrapper patched onto ``scipy.integrate.quad`` sees every call.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
@@ -98,20 +98,6 @@ class _Eigenpairs(NamedTuple):
     eigenvectors: np.ndarray
 
 
-@functools.cache
-def _syevd():
-    """numpy's OpenBLAS ``dsyevd`` (64-bit integers) with its ctypes signature, or None after one RuntimeWarning."""
-    import ctypes
-
-    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the lengths of jobz and uplo
-    argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
-    found = seeds._openblas_functions(
-        {"scipy_dsyevd_64_": (argtypes, None)},
-        "numpy's OpenBLAS dsyevd was not found; trial eigensolves take numpy's eigh on a copy of the matrix",
-    )
-    return None if found is None else found[0]
-
-
 def _eigh_owned(a: np.ndarray, vectors: bool = True):
     """Eigenvalues of a real symmetric matrix, with ``vectors`` also its eigenvectors, solved in ``a``'s own memory.
 
@@ -125,12 +111,19 @@ def _eigh_owned(a: np.ndarray, vectors: bool = True):
     columns, in ``_Eigenpairs``.  Other input, or a numpy without the
     symbol, takes numpy's call and is left as it was.
     """
-    syevd = _syevd()
+    from ctypes import byref, c_char_p, c_int64, c_size_t, c_void_p
+
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the lengths of jobz and uplo
+    argtypes = (c_char_p,) * 2 + (c_void_p,) * 9 + (c_size_t,) * 2
+    syevd = seeds._openblas_function(
+        "scipy_dsyevd_64_",
+        argtypes,
+        None,
+        "numpy's OpenBLAS dsyevd was not found; trial eigensolves take numpy's eigh on a copy of the matrix",
+    )
     square = a.ndim == 2 and a.shape[0] == a.shape[1]
     if syevd is None or a.dtype != np.float64 or not (square and a.flags.c_contiguous and a.flags.writeable):
         return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
-    from ctypes import byref, c_int64
-
     n, lda = c_int64(a.shape[0]), c_int64(max(a.shape[0], 1))
     lwork, liwork, info = c_int64(-1), c_int64(-1), c_int64(0)
     jobz = b"V" if vectors else b"N"

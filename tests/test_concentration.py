@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_ensembles import one_call_draw
 
 from rmtlab import concentration, seeds
 from rmtlab.concentration import (
@@ -224,6 +225,12 @@ def _complex_frame(n, d, seed):
     return WeightedFrame(basis=q, weights=rng.uniform(0.0, 1.0, d))
 
 
+def _real_frame(n, d, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, d)))
+    return WeightedFrame(basis=q, weights=rng.uniform(0.0, 1.0, d))
+
+
 def _symmetric_matrix(n, seed):
     g = np.random.default_rng(seed).standard_normal((n, n))
     return (g + g.T) / 2
@@ -251,6 +258,8 @@ def _tail_target(statistic):
         return n, rng.standard_normal((n, n))
     if statistic == "complex":  # Re A and Im A each take their own triangle
         return n, rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if statistic == "real_projection":  # X U by a real product, where the complex frame's takes a complex one
+        return n, _real_frame(n, 24, 4)
     return n, _complex_frame(n, 24, 4)
 
 
@@ -291,7 +300,9 @@ def test_one_blas_pin_wraps_the_whole_tail_fan_out(monkeypatch, workers):
         events.append(("block", count[0]))
         return _draw(*args)
 
-    monkeypatch.setattr(seeds, "_openblas_threads", lambda: (lambda: count[0], set_threads))
+    threads = {"scipy_openblas_get_num_threads64_": lambda: count[0], "scipy_openblas_set_num_threads64_": set_threads}
+    lookup = seeds._openblas_function
+    monkeypatch.setattr(seeds, "_openblas_function", lambda name, *signature: threads.get(name) or lookup(name, *signature))
     monkeypatch.setattr(concentration, "_draw", draw)
     a = np.diag(np.linspace(-1.0, 1.0, 8))
     empirical_tail(a, DistSpec("rademacher"), np.array([0.0]), 1000, 3, workers=workers)
@@ -308,7 +319,7 @@ def test_block_values_match_per_draw_formulas(statistic, kind):
     assert all(block.shape == (TAIL_BLOCK,) for block in blocks)
     values = np.concatenate(blocks)[:600]
     # block b is one TAIL_BLOCK x n draw from stream derive_seed(17, b); 600 draws end inside block 2
-    xs = np.concatenate([_draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(17, b))) for b in range(3)])[:600]
+    xs = np.concatenate([one_call_draw(dist, (TAIL_BLOCK, n), _rng(derive_seed(17, b))) for b in range(3)])[:600]
     if statistic == "projection":
         reference = [abs(projection_deviation(x, target)) for x in xs]
         scale = 1.0
@@ -319,27 +330,24 @@ def test_block_values_match_per_draw_formulas(statistic, kind):
     np.testing.assert_allclose(values, reference, rtol=1e-11, atol=1e-11 * scale)
 
 
-@pytest.mark.parametrize("statistic", ["quadratic", "projection"])
+@pytest.mark.parametrize("statistic", ["quadratic", "projection", "real_projection"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_values_do_not_depend_on_draw_count(monkeypatch, statistic, kind):
-    # 300 draws end 44 rows into block 1, 600 draws 88 rows into block 2: a draw's value is the same in both
-    runs = [_tail_values(monkeypatch, statistic, kind, trials) for trials in (300, 600)]
-    assert runs[0].tobytes() == runs[1][:300].tobytes()
+    # 300 draws end 44 rows into block 1, 600 draws 88 rows into block 2: a draw's value is the same in both;
+    # 301 and 601 draws end 45 and 89 rows in, heights that are not multiples of 4
+    for short, long in ((300, 600), (301, 601)):
+        runs = [_tail_values(monkeypatch, statistic, kind, trials) for trials in (short, long)]
+        assert runs[0].tobytes() == runs[1][:short].tobytes()
 
 
-def test_tail_without_dtrmm_warns_once_and_stays_worker_invariant(monkeypatch):
-    seeds._openblas_threads()  # the thread pin keeps the library it found before the patch
+def test_tail_without_dtrmm_warns_once_and_stays_worker_invariant(monkeypatch, openblas_lacking):
     expected = _tail_values(monkeypatch, "quadratic", "gaussian", 1000)
-    monkeypatch.setattr(seeds, "_openblas", lambda: None)
-    concentration._trmm.cache_clear()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            runs = [_tail_values(monkeypatch, "quadratic", "gaussian", 1000, workers) for workers in (1, 2, 3)]
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "dtrmm was not found" in str(caught[0].message)
-    finally:
-        concentration._trmm.cache_clear()
+    openblas_lacking("scipy_cblas_dtrmm64_")  # the thread pin still binds from the same library
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        runs = [_tail_values(monkeypatch, "quadratic", "gaussian", 1000, workers) for workers in (1, 2, 3)]
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "dtrmm was not found" in str(caught[0].message)
     for values in runs[1:]:
         assert values.tobytes() == runs[0].tobytes()
     # numpy's full product X @ T: the same formula, rounded by another kernel

@@ -11,9 +11,9 @@ import warnings
 import numpy as np
 import pytest
 
-from rmtlab import seeds, spectral
 from rmtlab.covariance import gram_triplets
 from rmtlab.ensembles import KINDS, DistSpec, sample_rect, sample_wigner
+from rmtlab.seeds import one_blas_thread
 from rmtlab.spectral import _eigh_owned
 
 SIZES = [1, 2, 3, 16, 500]
@@ -95,23 +95,44 @@ def test_owned_eigh_leaves_other_input_to_numpy_untouched(a):
     assert a.tobytes() == before.tobytes()
 
 
-def test_owned_eigh_without_dsyevd_warns_once_and_gives_numpys_bits(monkeypatch):
+def test_owned_eigh_without_dsyevd_warns_once_and_gives_numpys_bits(openblas_lacking):
     a = _wigner("gaussian", 40)
     expected, expected_vals = np.linalg.eigh(a), np.linalg.eigvalsh(a)
-    monkeypatch.setattr(seeds, "_openblas", lambda: None)
-    spectral._syevd.cache_clear()
+    openblas_lacking()  # the library cannot be loaded
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vals, vecs = _eigh_owned(a.copy())
+        values_only = _eigh_owned(a.copy(), vectors=False)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "dsyevd was not found" in str(caught[0].message)
+    assert vals.tobytes() == expected.eigenvalues.tobytes()
+    assert vecs.tobytes() == expected.eigenvectors.tobytes()
+    assert values_only.tobytes() == expected_vals.tobytes()
+
+
+def test_owned_eigh_without_dsyevd_in_a_loaded_library_warns_once_while_the_thread_pin_holds(
+    openblas_lacking, thread_control
+):
+    # one missing symbol costs its own binding only: the thread functions of the same library still bind
+    a = _wigner("gaussian", 40)
+    expected = np.linalg.eigh(a)
+    get, set_threads = thread_control
+    original = get()
+    openblas_lacking("scipy_dsyevd_64_")
+    set_threads(3)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            vals, vecs = _eigh_owned(a.copy())
-            values_only = _eigh_owned(a.copy(), vectors=False)
+            with one_blas_thread():
+                pinned = get()
+                vals, vecs = _eigh_owned(a.copy())
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "dsyevd was not found" in str(caught[0].message)
+        assert pinned == 1 and get() == 3
         assert vals.tobytes() == expected.eigenvalues.tobytes()
         assert vecs.tobytes() == expected.eigenvectors.tobytes()
-        assert values_only.tobytes() == expected_vals.tobytes()
     finally:
-        spectral._syevd.cache_clear()
+        set_threads(original)
 
 
 def test_owned_eigvalsh_allocates_under_n_squared_bytes(peak_bytes):

@@ -10,7 +10,7 @@ from rmtlab.ensembles import (
     ParameterError,
     UNIFORM_BOUND,
     _CHUNK,
-    _draw,
+    _SIGNS,
     _fill,
     _rng,
     form_gram,
@@ -97,9 +97,22 @@ def test_wigner_symmetry_is_exact():
     np.testing.assert_array_equal(m, m.T)
 
 
+def one_call_draw(dist: DistSpec, size, rng: np.random.Generator) -> np.ndarray:
+    """The former per-kind body of ``ensembles._draw``, kept as the oracle of ``_fill``: each kind in one call."""
+    if dist.kind == "gaussian":
+        return rng.standard_normal(size)
+    if dist.kind == "bounded_uniform":
+        return rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=size)
+    sign = _SIGNS.take(rng.integers(0, 2, size=size))
+    if dist.kind == "rademacher":
+        return sign
+    # subexp: sign * E^alpha, standardized
+    return sign * rng.standard_exponential(size) ** dist.alpha / dist.subexp_scale
+
+
 def _mask_fill_wigner(dist, n, seed, normalize):
     """The former build of ``sample_wigner``, kept as its oracle: a boolean mask scatters the upper draw twice."""
-    upper = _draw(dist, n * (n + 1) // 2, _rng(seed))
+    upper = one_call_draw(dist, n * (n + 1) // 2, _rng(seed))
     m = np.zeros((n, n))
     mask = np.triu(np.ones((n, n), dtype=bool))
     m[mask] = upper
@@ -113,7 +126,7 @@ def _mask_fill_wigner(dist, n, seed, normalize):
 @pytest.mark.parametrize("kind", KINDS)
 def test_wigner_matches_mask_fill_bit_for_bit(kind, normalize):
     dist = DistSpec(kind)
-    for n in (1, 2, 3, 17, 64):
+    for n in (1, 2, 3, 17, 64, 362):  # the packed triangle of n = 362 has 65,703 entries, past one _CHUNK
         m = sample_wigner(dist, n, 40 + n, normalize=normalize)
         assert m.tobytes() == _mask_fill_wigner(dist, n, 40 + n, normalize).tobytes()
 
@@ -121,12 +134,12 @@ def test_wigner_matches_mask_fill_bit_for_bit(kind, normalize):
 @pytest.mark.parametrize("size", [1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3])
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
 def test_chunked_draws_match_one_shot_bit_for_bit(dist, size):
-    # _fill makes one generator call per chunk, _draw one for the whole stream; odd chunk lengths included: the
-    # last chunk of 2 * _CHUNK + 3 entries has 3
+    # _fill makes one generator call per chunk, the oracle one for the whole stream; odd chunk lengths included:
+    # the last chunk of 2 * _CHUNK + 3 entries has 3
     rng, oracle_rng = _rng(9), _rng(9)
     x = np.empty(size)
     _fill(dist, x, rng)
-    assert x.tobytes() == _draw(dist, size, oracle_rng).tobytes()
+    assert x.tobytes() == one_call_draw(dist, size, oracle_rng).tobytes()
     # the generators end in one state, the spare 32-bit half of a 0/1 draw included, so their next draws agree
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert rng.integers(0, 2, size=5).tobytes() == oracle_rng.integers(0, 2, size=5).tobytes()
@@ -136,7 +149,7 @@ def test_chunked_draws_match_one_shot_bit_for_bit(dist, size):
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
 def test_sample_rect_matches_one_shot_bit_for_bit(dist, p, n):
     x = sample_rect(dist, p, n, 11)
-    assert x.shape == (p, n) and x.tobytes() == _draw(dist, (p, n), _rng(11)).tobytes()
+    assert x.shape == (p, n) and x.tobytes() == one_call_draw(dist, (p, n), _rng(11)).tobytes()
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
@@ -145,6 +158,15 @@ def test_sample_rect_holds_at_most_one_chunk_beside_its_output(dist, peak_bytes)
     # every Python object too (the generator, views and small arrays), so 64 KiB of slack
     x, peak = peak_bytes(sample_rect, dist, 400, 1000, 5)
     assert peak <= x.nbytes + 8 * _CHUNK + 64 * 1024
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: f"{d.kind}-{d.alpha}")
+def test_sample_wigner_holds_at_most_one_chunk_beside_its_matrix_and_triangle(dist, peak_bytes):
+    # at n = 400 the packed upper triangle is 80,200 entries (642 kB), past one chunk, so a full-size 0/1 draw
+    # or a full-size temporary of subexp's arithmetic would show beside the 1.28 MB matrix
+    n = 400
+    m, peak = peak_bytes(sample_wigner, dist, n, 5)
+    assert peak <= m.nbytes + 8 * (n * (n + 1) // 2) + 8 * _CHUNK + 64 * 1024
 
 
 @pytest.mark.parametrize("dist", [DistSpec("rademacher"), DistSpec("subexp", alpha=0.7)], ids=["rademacher", "subexp"])
@@ -156,7 +178,7 @@ def test_sign_draws_match_arithmetic_signs_bit_for_bit(dist):
         expected = sign * rng.standard_exponential((50, 40)) ** dist.alpha / dist.subexp_scale
     else:
         expected = sign
-    assert _draw(dist, (50, 40), _rng(9)).tobytes() == expected.tobytes()
+    assert one_call_draw(dist, (50, 40), _rng(9)).tobytes() == expected.tobytes()
 
 
 def test_wigner_edge_near_two():

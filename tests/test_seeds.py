@@ -1,4 +1,3 @@
-import ctypes
 import os
 import statistics
 import time
@@ -7,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from rmtlab import seeds
 from rmtlab.concentration import empirical_tail
 from rmtlab.ensembles import DistSpec
 from rmtlab.seeds import MASK64, derive_seed, map_trials, one_blas_thread, splitmix64
@@ -105,13 +103,8 @@ def test_map_trials_worker_exception_reaches_the_caller():
     assert info.value is raised
 
 
-def test_one_blas_thread_sets_and_restores():
-    with warnings.catch_warnings():  # the uncached lookup: its warning, if any, is not this test's
-        warnings.simplefilter("ignore")
-        calls = seeds._openblas_threads.__wrapped__()
-    if calls is None:
-        pytest.skip("numpy is not built on its bundled OpenBLAS")
-    get, set_threads = calls
+def test_one_blas_thread_sets_and_restores(thread_control):
+    get, set_threads = thread_control
     original = get()
     set_threads(3)  # a count other than 1 even on a one-core machine
     try:
@@ -125,23 +118,16 @@ def test_one_blas_thread_sets_and_restores():
         set_threads(original)
 
 
-def test_one_blas_thread_without_openblas_warns_once_and_runs(monkeypatch):
-    def no_library(*args, **kwargs):
-        raise OSError("no such library")
-
-    monkeypatch.setattr(ctypes, "CDLL", no_library)
-    seeds._openblas.cache_clear()  # the library lookup the thread pin shares with the in-place eigensolver
-    seeds._openblas_threads.cache_clear()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with one_blas_thread():
-                pass
-            a = np.diag(np.linspace(-1.0, 1.0, 8))
-            tail = empirical_tail(a, DistSpec("rademacher"), np.array([0.0, 1.0]), 600, 0)
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "OpenBLAS thread control was not found" in str(caught[0].message)
-        assert tail.survival[0] == 1.0
-    finally:
-        seeds._openblas.cache_clear()
-        seeds._openblas_threads.cache_clear()
+def test_one_blas_thread_without_openblas_warns_once_and_runs(openblas_lacking):
+    # a library without either thread function: set is looked up only where get was found, so one warning;
+    # the tail's dtrmm is still found
+    openblas_lacking("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with one_blas_thread():
+            pass
+        a = np.diag(np.linspace(-1.0, 1.0, 8))
+        tail = empirical_tail(a, DistSpec("rademacher"), np.array([0.0, 1.0]), 600, 0)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "OpenBLAS thread control was not found" in str(caught[0].message)
+    assert tail.survival[0] == 1.0
