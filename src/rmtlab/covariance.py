@@ -20,15 +20,16 @@ eigh, which adds its own copy of MM* and a separate U.
 ``singular_triplets`` is the SVD: the accuracy reference in the tests, and
 the route of ``singular_identities``, which takes the triplets of M and
 returns the entry and interlacing identities over every index i from one SVD
-of the minor, through the minor-identity kernel of ``rmtlab.delocalization``;
-its overlaps and ||X||^2 are sums by that module's rule for stacks.
-The covariance Schur residual is the Schur kernel of ``rmtlab.locallaw``
-applied to the Gram matrix MM*/n.
+of the minor (or the minor's triplets, from a caller that solved them in a
+stack with other matrices of their shape), through the minor-identity kernel
+of ``rmtlab.delocalization``; its overlaps and ||X||^2 are sums by that
+module's rule for stacks.  The covariance Schur residual is the Schur kernel
+of ``rmtlab.locallaw`` applied to the Gram matrix MM*/n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +39,7 @@ from .locallaw import _schur_residual
 from .spectral import ContractError, _check_z, _eigh_owned, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
 
-@dataclass(frozen=True)
-class SingularTriplets:
+class SingularTriplets(NamedTuple):
     """Ascending singular values with matching left/right singular vectors.
 
     ``left`` is p x p (columns in C^p), ``right`` is n x p (columns in C^n);
@@ -115,12 +115,15 @@ def _thin_svd(m: np.ndarray) -> SingularTriplets:
     return SingularTriplets(sigma=s[..., ::-1], left=u[..., ::-1], right=np.swapaxes(vh[..., ::-1, :], -1, -2).conj())
 
 
-def covariance_schur_residual(m: np.ndarray, z: complex, gram_eigs: np.ndarray):
+def covariance_schur_residual(m, z: complex, gram_eigs: np.ndarray):
     """Two-route gap: the k-sum versus the Stieltjes transform of gram_eigs, the sigma_i^2/n.
 
-    A stack of factors M (leading axes) with gram_eigs stacked alike gives an array of gaps.
+    A stack of factors M (leading axes), or a list of factors of one height
+    p and any widths, with gram_eigs stacked alike gives an array of gaps
+    from one stacked solve.
     """
-    return _schur_residual(form_gram(m), z, gram_eigs)
+    gram = form_gram(m) if isinstance(m, np.ndarray) else np.stack([form_gram(one) for one in m])
+    return _schur_residual(gram, z, gram_eigs)
 
 
 def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) -> float:
@@ -130,7 +133,7 @@ def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) ->
     return abs(s + 1.0 / (y + z - 1.0 + y * z * s))
 
 
-def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
+def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str, minor: SingularTriplets | None = None):
     """Deleted-coordinate and interlacing identities for every singular triplet at once.
 
     ``trip`` holds the singular triplets of the p x n factor M (p <= n).
@@ -146,22 +149,25 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str):
     the row minor.  Both are the minor identities of ``rmtlab.delocalization``
     for H = M*M (right) or MM* (left) and use its kernel.  Returns arrays
     (entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap)
-    indexed by i, from one SVD of the minor; the gap is
-    min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).  A stack of
-    factors (leading axes) with their stacked triplets gives a stack of each
-    array, with the bits of one call per factor.
+    indexed by i, from one SVD of the minor, or from ``minor``, the thin
+    SVD's triplets of that minor (M' or its row mirror) when the caller has
+    them; the gap is min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
+    A stack of factors (leading axes) with their stacked triplets gives a
+    stack of each array, with the bits of one call per factor.
     """
     p, n = m.shape[-2:]
     if p > n:
         raise ContractError("factor must have p <= n")
     if side == "right":
-        x, minor = m[..., :, -1], _thin_svd(m[..., :, :-1])  # X the last column
-        vecs, basis = trip.right, minor.left
+        x, vecs, cut = m[..., :, -1], trip.right, m[..., :, :-1]  # X the last column
     elif side == "left":
-        x, minor = np.conj(m[..., -1, :]), _thin_svd(m[..., :-1, :])  # Y* the last row
-        vecs, basis = trip.left, minor.right
+        x, vecs, cut = np.conj(m[..., -1, :]), trip.left, m[..., :-1, :]  # Y* the last row
     else:
         raise ParameterError("side must be 'left' or 'right'")
+    minor = _thin_svd(cut) if minor is None else minor
+    basis = minor.left if side == "right" else minor.right
+    if basis.shape[:-1] != x.shape:
+        raise ContractError(f"the minor's triplets do not fit the {side} minor of the factor")
     msig2 = minor.sigma**2
     weighted = msig2 * _overlaps(basis, x)
     norm2 = np.sum(_abs2(x), axis=-1)  # ||X||^2

@@ -17,8 +17,11 @@ Every sampler (``sample_vector``, ``sample_wigner``'s packed upper
 triangle, ``sample_rect`` and the tail's blocks of draws) writes its draw
 straight into its output in chunks of at most ``_CHUNK`` = 2**16 entries,
 one generator call each, with the bits of one call.  So a draw holds no
-temporary beyond one chunk (an int64 0/1 draw of 512 KiB for a sign), where
-a single call would stage a full-size one beside it.
+temporary beyond one chunk, where a single call would stage a full-size one
+beside it.  A chunk of at least ``_RAW_SIGNS`` = 2**12 ±1 signs reads the
+bits of ``integers(0, 2)`` straight off PCG64's raw words (``_signs``), at
+about half that call's cost; smaller ones, such as the ``identities``
+draws, take the call itself.
 
 ``scipy.special`` is imported only inside the functions that use it: the
 subexp scale and fourth moment (``gamma``), the Gaussian truncation moments
@@ -129,6 +132,9 @@ _SIGNS = np.array([-1.0, 1.0])
 #: the most entries one generator call of a streamed draw makes: the bound on its temporaries
 _CHUNK = 1 << 16
 
+#: the fewest signs a piece reads off raw words; below it, one ``integers`` call costs less than the bookkeeping
+_RAW_SIGNS = 1 << 12
+
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed & ((1 << 64) - 1)))
@@ -149,10 +155,11 @@ def _fill(dist: DistSpec, out: np.ndarray, rng: np.random.Generator) -> None:
     A stream split over several calls gives the bits of one call: a normal,
     uniform or exponential draw takes whole 64-bit words, and PCG64 keeps
     the spare 32-bit half of a 0/1 draw between calls.  The ±1 sign is the
-    0/1 draw looked up in ``_SIGNS``.  Subexp draws all its signs first,
-    then the exponential factors E**alpha, multiplied in and standardized
-    chunk by chunk: sign * E**alpha / scale, as products commute in IEEE
-    arithmetic.
+    0/1 draw looked up in ``_SIGNS`` (``_signs``: a piece of at least
+    ``_RAW_SIGNS`` entries reads the same bits off PCG64's raw words).
+    Subexp draws all its signs first, then the exponential factors
+    E**alpha, multiplied in and standardized chunk by chunk: sign *
+    E**alpha / scale, as products commute in IEEE arithmetic.
     """
     pieces = [out[start : start + _CHUNK] for start in range(0, out.size, _CHUNK)]
     for piece in pieces:
@@ -160,8 +167,8 @@ def _fill(dist: DistSpec, out: np.ndarray, rng: np.random.Generator) -> None:
             rng.standard_normal(out=piece)
         elif dist.kind == "bounded_uniform":
             piece[...] = rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=piece.size)
-        else:  # mode "clip" cannot raise, so take writes into the piece without a staging copy
-            _SIGNS.take(rng.integers(0, 2, size=piece.size), out=piece, mode="clip")
+        else:
+            _signs(piece, rng)
     if dist.kind != "subexp":
         return
     alpha, scale = dist.alpha, dist.subexp_scale
@@ -171,6 +178,33 @@ def _fill(dist: DistSpec, out: np.ndarray, rng: np.random.Generator) -> None:
         e **= alpha
         piece *= e
         piece /= scale
+
+
+def _signs(out: np.ndarray, rng: np.random.Generator) -> None:
+    """±1 signs in ``out``: the 0/1 draw of one ``integers(0, 2)`` call looked up in ``_SIGNS``, or its bits.
+
+    ``integers(0, 2)`` takes bit 31 of each 32-bit half of a PCG64 word,
+    low half first, and keeps a half it has not used for the next call.  So
+    ``out`` of at least ``_RAW_SIGNS`` entries takes a spare half the
+    generator holds first, through ``integers``, then two signs from each
+    ``random_raw`` word (viewed as little-endian halves, so the low one
+    comes first on any host): inverted, a half with bit 31 set is
+    nonnegative, and copysign makes it +1.  Its last one or two signs go
+    through ``integers`` again, which leaves the spare half, or the used
+    one PCG64 keeps in its state, as the one call does: the bits and the
+    final generator state are that call's.
+    """
+    if out.size < _RAW_SIGNS:  # mode "clip" cannot raise, so take writes into out without a staging copy
+        _SIGNS.take(rng.integers(0, 2, size=out.size), out=out, mode="clip")
+        return
+    spare = rng.bit_generator.state["has_uint32"]
+    words = (out.size - spare - 1) // 2  # leaves one sign, or two, for the end
+    if spare:
+        _signs(out[:1], rng)
+    halves = rng.bit_generator.random_raw(words).astype("<u8", copy=False).view("<u4")
+    np.invert(halves, out=halves)
+    np.copysign(1.0, halves.view("<i4"), out=out[spare : spare + 2 * words])
+    _signs(out[spare + 2 * words :], rng)
 
 
 def sample_vector(dist: DistSpec, n: int, seed: int) -> np.ndarray:

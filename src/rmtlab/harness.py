@@ -13,12 +13,18 @@ and joins the rows itself, in the bytes of ``csv.writer``'s excel dialect.
 ``localscan`` and ``covariance`` reduce their trials' spectra in this
 process with ``locallaw.threshold_scan``, handing it the law's mass
 function: this module maps each config name (the statistic, the
-experiment's law) to the object the library takes, once.  ``identities`` draws each instance's matrices
-through ``map_trials``, then, in this thread, calls each identity kernel
+experiment's law) to the object the library takes, once.
+``identities`` draws each instance's matrices through ``map_trials``, then,
+in this thread, makes one LAPACK call per matrix shape (``_per_shape``),
+whatever the role or instance of each matrix in it: one eigh per size for
+the Wigner matrices W, their minors and the quadratic forms' A, one SVD per
+shape for the factors and their column and row minors, and one Schur solve
+per Wigner size and per factor height p.  Each identity kernel then runs
 once per shape group (one Wigner size, or one factor shape) on a plain
-``np.stack``, each matrix keeping the bits of a lone call wherever it sits,
-as no sum there is a BLAS vector product; ``concat_columns`` joins the
-groups' rows, and one stable sort by instance orders them.  Output goes to
+``np.stack`` and that group's rows of the decompositions.  Each matrix keeps
+the bits of a lone call wherever it sits, as no sum there is a BLAS vector
+product; ``concat_columns`` joins the groups' rows, and one stable sort by
+instance orders them.  Output goes to
 out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
 renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
 the config fields it reads: only those are settable, written to
@@ -51,12 +57,12 @@ from .concentration import (
     empirical_tail,
 )
 from .covariance import (
+    _thin_svd,
     covariance_schur_residual,
     gram_triplets,
     mp_self_consistency_residual,
     pv_mp,
     singular_identities,
-    singular_triplets,
     singular_vec_inf_norms,
 )
 from .delocalization import _overlaps, eigvec_inf_norms, wigner_identities
@@ -66,7 +72,6 @@ from .seeds import MASK64, concat_columns, derive_seed, map_trials
 from .spectral import (
     _eigh_owned,
     check_hermitian,
-    eig_decompose,
     mp_edges,
     mp_interval_mass,
     pv_semicircle,
@@ -503,15 +508,38 @@ def _check_columns(batch: np.ndarray, n: int, p: int, blocks: list) -> dict:
     }
 
 
-def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
+def _per_shape(solve, matrices: dict) -> dict:
+    """key -> (result, row): ``solve`` of each key's matrix, from one call on a ``np.stack`` per distinct shape.
+
+    A stacked numpy ``eigh`` or ``svd`` gives each matrix the bits of a lone
+    call, so matrices of any role and instance share the call of their shape
+    (and dtype: a stack would turn a real matrix complex).
+    """
+    keys_by_shape = {}
+    for key, matrix in matrices.items():
+        keys_by_shape.setdefault((matrix.shape, matrix.dtype), []).append(key)
+    solved = {}
+    for keys in keys_by_shape.values():
+        result = solve(np.stack([matrices[key] for key in keys]))
+        solved.update((key, (result, row)) for row, key in enumerate(keys))
+    return solved
+
+
+def _gather(solved: dict, keys: list):
+    """The results of ``keys``, all solved in one call, as that call's named tuple of their rows in order."""
+    result = solved[keys[0]][0]
+    rows = np.array([solved[key][1] for key in keys])
+    return result._make(field[rows] for field in result)
+
+
+def _wigner_checks(batch: np.ndarray, draws: list, eighs: dict) -> dict:
     """The Wigner rows of a batch of instances of one size n: entry, interlacing, Schur sum, quadratic form."""
-    w, x, a = (np.stack([draw[j] for draw in draws]) for j in range(3))
+    w, x, a = (np.stack([draws[i][j] for i in batch]) for j in range(3))
     n = w.shape[-1]
-    decomp = eig_decompose(w)
-    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp)
+    decomp, minor, (vals, vecs) = (_gather(eighs, [(role, i) for i in batch]) for role in ("w", "minor", "a"))
+    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp, minor)
     schur = schur_identity_residual(math.sqrt(n) * w, IDENTITY_Z, decomp.eigenvalues)
     # spectral identity of the quadratic form against the eigenbasis frame
-    vals, vecs = np.linalg.eigh(a)
     ax = np.sum(a * x[..., None, :], axis=-1)
     lhs = np.sum(np.conj(x) * ax, axis=-1) - np.trace(a, axis1=-2, axis2=-1)  # X*AX - tr A
     spectral = np.abs(lhs - np.sum(vals * (_overlaps(vecs, x) - 1.0), axis=-1)) / np.maximum(np.abs(lhs), 1.0)
@@ -524,29 +552,52 @@ def _wigner_checks(batch: np.ndarray, draws: list) -> dict:
     return _check_columns(batch, n, 0, blocks)
 
 
-def _factor_checks(batch: np.ndarray, draws: list) -> dict:
+def _factor_checks(batch: np.ndarray, draws: list, svds: dict, cov_schur: np.ndarray) -> dict:
     """The factor rows of a batch of instances of one shape p x pn: singular entry and interlacing, Schur sum."""
-    m = np.stack([draw[3] for draw in draws])
+    m = np.stack([draws[i][3] for i in batch])
     p, pn = m.shape[-2:]
-    trip = singular_triplets(m)
+    trip = _gather(svds, [("factor", i) for i in batch])
     scale = np.maximum(trip.sigma[:, -1:] ** 2, 1.0)
     entries, interlacings = [], []  # the right and left families interleave per index i
     for side in ("right", "left"):
-        entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side)
+        minor = _gather(svds, [(side, i) for i in batch])
+        entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, trip, side, minor)
         entries.append((f"singular_entry_{side}", _rel_err(entry_lhs, entry_rhs, 1e-30), gap))
         interlacings.append((f"singular_interlacing_{side}", np.abs(inter_lhs - inter_rhs) / scale, gap))
-    cov_schur = np.reshape(covariance_schur_residual(m, IDENTITY_Z, trip.sigma**2 / pn), (-1, 1))
-    return _check_columns(batch, pn, p, [entries, interlacings, [("cov_schur_sum", cov_schur, None)]])
+    cov = [("cov_schur_sum", np.reshape(cov_schur[batch], (-1, 1)), None)]
+    return _check_columns(batch, pn, p, [entries, interlacings, cov])
 
 
 def _run_identities(cfg: ExperimentConfig):
     draws = map_trials(functools.partial(_identity_draws, cfg.dist), cfg.trials, cfg.base_seed, cfg.workers)
+    shapes = [_identity_shape(i) for i in range(cfg.trials)]
+    # one LAPACK call per matrix shape: W, its minor and A share an eigh per size, and a factor M shares its SVD
+    # with the column and row minors of that shape; the Schur solves go one per Wigner size and one per height p
+    hermitians, factors = {}, {}
+    for i, (w, _, a, m) in enumerate(draws):
+        hermitians.update({("w", i): w, ("minor", i): w[:-1, :-1], ("a", i): a})
+        factors.update({("factor", i): m, ("right", i): m[:, :-1], ("left", i): m[:-1]})
+    eighs, svds = _per_shape(np.linalg.eigh, hermitians), _per_shape(_thin_svd, factors)
+
+    def gram_eigs(i):  # sigma^2 / pn of instance i's factor: the eigenvalues of its Gram matrix
+        result, row = svds["factor", i]
+        return result.sigma[row] ** 2 / shapes[i][2]
+
+    cov_schur = np.empty(cfg.trials)
+    heights = {}
+    for i, (_, p, _) in enumerate(shapes):
+        heights.setdefault(p, []).append(i)
+    for batch in heights.values():
+        eigs = np.stack([gram_eigs(i) for i in batch])
+        cov_schur[batch] = covariance_schur_residual([factors["factor", i] for i in batch], IDENTITY_Z, eigs)
+    wigner = functools.partial(_wigner_checks, draws=draws, eighs=eighs)
+    factor = functools.partial(_factor_checks, draws=draws, svds=svds, cov_schur=cov_schur)
     groups = {}  # (checks, Wigner size or factor shape) -> its instances
-    for checks, shape in ((_wigner_checks, slice(0, 1)), (_factor_checks, slice(1, 3))):
+    for checks, shape in ((wigner, slice(0, 1)), (factor, slice(1, 3))):
         for i in range(cfg.trials):
-            groups.setdefault((checks, _identity_shape(i)[shape]), []).append(i)
+            groups.setdefault((checks, shapes[i][shape]), []).append(i)
     # the Wigner groups are inserted, so joined, first: the stable sort puts each instance's Wigner rows first
-    rows = concat_columns([checks(np.array(batch), [draws[i] for i in batch]) for (checks, _), batch in groups.items()])
+    rows = concat_columns([checks(np.array(batch)) for (checks, _), batch in groups.items()])
     order = np.argsort(rows["instance"], kind="stable")
     keep = rows["gap"][order] > COLLISION_GAP
     records = {name: rows[name][order[keep]] for name in ("instance", "check", "n", "p", "rel_err")}

@@ -10,6 +10,7 @@ from rmtlab.ensembles import (
     ParameterError,
     UNIFORM_BOUND,
     _CHUNK,
+    _RAW_SIGNS,
     _SIGNS,
     _fill,
     _rng,
@@ -141,6 +142,28 @@ def test_chunked_draws_match_one_shot_bit_for_bit(dist, size):
     _fill(dist, x, rng)
     assert x.tobytes() == one_call_draw(dist, size, oracle_rng).tobytes()
     # the generators end in one state, the spare 32-bit half of a 0/1 draw included, so their next draws agree
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert rng.integers(0, 2, size=5).tobytes() == oracle_rng.integers(0, 2, size=5).tobytes()
+
+
+SIGN_DISTS = [DistSpec("rademacher"), DistSpec("subexp", alpha=0.7)]
+# both sides of the raw-word cut-over, even and odd counts, and pieces cut by _CHUNK: 2 * _CHUNK + 3 ends on 3
+RAW_SIZES = [_RAW_SIGNS - 1, _RAW_SIGNS, _RAW_SIGNS + 1, _RAW_SIGNS + 2, 3 * _RAW_SIGNS + 7, _CHUNK + 1, 2 * _CHUNK + 3]
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
+@pytest.mark.parametrize("size", RAW_SIZES)
+@pytest.mark.parametrize("dist", SIGN_DISTS, ids=["rademacher", "subexp"])
+def test_raw_word_signs_match_one_call_bit_for_bit(dist, size, spare):
+    # a piece of _RAW_SIGNS signs or more reads them off raw PCG64 words; one that enters holding the spare 32-bit
+    # half of an earlier 0/1 draw must spend it first, and every piece must leave the one call's state behind
+    rng, oracle_rng = _rng(21), _rng(21)
+    if spare:
+        assert rng.integers(0, 2, size=1).tobytes() == oracle_rng.integers(0, 2, size=1).tobytes()
+        assert rng.bit_generator.state["has_uint32"] == 1
+    x = np.empty(size)
+    _fill(dist, x, rng)
+    assert x.tobytes() == one_call_draw(dist, size, oracle_rng).tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
     assert rng.integers(0, 2, size=5).tobytes() == oracle_rng.integers(0, 2, size=5).tobytes()
 

@@ -569,9 +569,16 @@ def test_tail_without_envelopes_takes_no_svd(monkeypatch):
 def test_identity_instance_decomposes_each_factor_once(monkeypatch):
     # per instance: one SVD of the factor and one of each of its two minors; one stacked solve per Schur
     # expansion; one eigh of the Wigner matrix, one of its minor and one of the quadratic form's matrix.
-    # Instances of one shape share each call: one call per shape group and family
+    # Matrices of one shape share each call, whatever their role or instance: one SVD per shape among the
+    # factors and their minors, one eigh per size among W, its minor and A, and one solve per Wigner size and
+    # per factor height p. Each Wigner stack is checked Hermitian once
+    from rmtlab import delocalization, spectral
     from rmtlab.harness import _identity_shape
 
+    checked = []
+    original_check = spectral.check_hermitian
+    for module in (spectral, delocalization, harness):
+        monkeypatch.setattr(module, "check_hermitian", lambda w: checked.append(np.shape(w)) or original_check(w))
     calls = {"svd": [], "solve": [], "eigh": [], "eigvalsh": []}
     inner = getattr(np.linalg, "_linalg", None)
     for name in calls:
@@ -588,7 +595,9 @@ def test_identity_instance_decomposes_each_factor_once(monkeypatch):
     trials = 40
     report = run_experiment(_cfg(experiment="identities", trials=trials), write=False)
     shapes = [_identity_shape(i) for i in range(trials)]
-    sizes, factors = len({n for n, _, _ in shapes}), len({(p, pn) for _, p, pn in shapes})
+    sizes, heights = len({n for n, _, _ in shapes}), len({p for _, p, _ in shapes})
+    svd_shapes = {shape for _, p, pn in shapes for shape in ((p, pn), (p, pn - 1), (p - 1, pn))}
+    eigh_sizes = {size for n, _, _ in shapes for size in (n, n - 1)}
     assert {name: sum(counts) for name, counts in calls.items()} == {
         "svd": 3 * trials,
         "solve": 2 * trials,
@@ -596,11 +605,13 @@ def test_identity_instance_decomposes_each_factor_once(monkeypatch):
         "eigvalsh": 0,
     }
     assert {name: len(counts) for name, counts in calls.items()} == {
-        "svd": 3 * factors,
-        "solve": sizes + factors,
-        "eigh": 3 * sizes,
+        "svd": len(svd_shapes),
+        "solve": sizes + heights,
+        "eigh": len(eigh_sizes),
         "eigvalsh": 0,
     }
+    assert (len(svd_shapes), sizes + heights, len(eigh_sizes)) == (85, 23, 15)
+    assert len(checked) == sizes and sum(shape[0] for shape in checked) == trials
     assert set(report.records["check"].tolist()) >= {"schur_sum", "cov_schur_sum", "singular_interlacing_left"}
 
 

@@ -4,9 +4,12 @@ The identities experiment calls each kernel once per shape group, on a
 plain ``np.stack`` of its draws; these tests build their stacks the same way,
 and again one float64 into a buffer, and compare ``tobytes()`` against single
 calls on fresh copies.  Wigner sizes n in {1, 2, 3, 16}, factor shapes p x pn
-with p = pn and p < pn, real and complex entries.  The last test runs the
-experiment itself: a group's stack height moves with the instance count, and
-an instance's rows must not.
+with p = pn and p < pn, real and complex entries.  The experiment also
+stacks matrices of different roles and instances that share a shape, one
+LAPACK call per shape: a factor beside other factors' column and row minors,
+a Wigner matrix beside a quadratic form's matrix and a larger one's minor.
+The last test runs the experiment itself: a group's stack height moves with
+the instance count, and an instance's rows must not.
 """
 
 import math
@@ -14,10 +17,10 @@ import math
 import numpy as np
 import pytest
 
-from rmtlab.covariance import covariance_schur_residual, singular_identities, singular_triplets
+from rmtlab.covariance import _thin_svd, covariance_schur_residual, singular_identities, singular_triplets
 from rmtlab.delocalization import _minor_identity, _pole_sums, wigner_identities
 from rmtlab.ensembles import form_gram
-from rmtlab.harness import _records_text, config_from_dict, run_experiment
+from rmtlab.harness import _gather, _per_shape, _records_text, config_from_dict, run_experiment
 from rmtlab.locallaw import _schur_residual, schur_identity_residual
 from rmtlab.spectral import eig_decompose
 
@@ -136,6 +139,32 @@ def test_wigner_kernels_offset_stack(n, complex_entries):
 @pytest.mark.parametrize("p, pn", FACTOR_SHAPES)
 def test_factor_kernels_offset_stack(p, pn, complex_entries):
     _check_factor_kernels(_offset(_factor_stack(p, pn, complex_entries, seed=100 * p + pn)))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("p, pn", [(1, 4), (3, 5), (2, 16)])
+def test_stacks_mixing_roles_keep_lone_bits(p, pn, complex_entries):
+    # a p x pn factor shares one SVD with the column minor of a p x (pn + 1) factor and the row minor of a
+    # (p + 1) x pn one; a Wigner matrix of size pn shares one eigh with a quadratic form's matrix and the minor of
+    # a size pn + 1 Wigner matrix. Each row is a lone call's, and the identities read the minors' rows as their own
+    rng = np.random.default_rng(100 * p + pn)
+    wide, tall = _draw(rng, (p, pn + 1), complex_entries), _draw(rng, (p + 1, pn), complex_entries)
+    factors = {"factor": _draw(rng, (p, pn), complex_entries), "right": wide[:, :-1], "left": tall[:-1]}
+    big_w = _hermitian_stack(pn + 1, complex_entries, seed=p, batch=(1,))[0]
+    hermitians = {"w": _hermitian_stack(pn, complex_entries, seed=p + 1, batch=(1,))[0], "minor": big_w[:-1, :-1]}
+    hermitians["a"] = _hermitian_stack(pn, complex_entries, seed=p + 2, batch=(1,))[0]
+    svds, eighs = _per_shape(_thin_svd, factors), _per_shape(np.linalg.eigh, hermitians)
+    for solve, matrices, solved in ((_thin_svd, factors, svds), (np.linalg.eigh, hermitians, eighs)):
+        assert len({id(result) for result, _ in solved.values()}) == 1  # one call for the whole stack
+        for key, matrix in matrices.items():
+            _assert_stacked(tuple(_gather(solved, [key])), [tuple(solve(matrix.copy()))])
+    for side, m in (("right", wide), ("left", tall)):
+        lone = m.copy()
+        stacked = singular_identities(m[None], singular_triplets(m[None]), side, _gather(svds, [side]))
+        _assert_stacked(stacked, [singular_identities(lone, singular_triplets(lone), side)])
+    lone = big_w.copy()
+    stacked = wigner_identities(big_w[None], eig_decompose(big_w[None]), _gather(eighs, ["minor"]))
+    _assert_stacked(stacked, [wigner_identities(lone, eig_decompose(lone))])
 
 
 def test_two_batch_axes_and_a_lone_matrix():
