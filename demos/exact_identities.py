@@ -12,7 +12,6 @@ as the identities experiment does.
 Usage: python3 demos/exact_identities.py [n] [seed]
 """
 
-import math
 import sys
 
 import numpy as np
@@ -42,7 +41,7 @@ print(f"eigenvector entry identity, all i:      max |lhs - rhs| = {worst(entry_l
 print(f"interlacing identity, all i:            max |lhs - rhs| = {worst(inter_lhs, inter_rhs, gap):.2e}")
 
 z = 0.3 + 0.7j
-residual = schur_identity_residual(math.sqrt(n) * w, z, decomp.eigenvalues)
+residual = schur_identity_residual(w, z, decomp.eigenvalues)
 print(f"Schur diagonal expansion at z = {z}: residual = {residual:.2e}")
 
 p, q = 6, 11

@@ -8,7 +8,8 @@ The central statistics are
 together with the closed-form tail bounds they satisfy for K-concentrated
 input vectors, one table that gives each bound's inputs and rate, and a
 seeded Monte Carlo estimator of the empirical survival function used to
-check those bounds numerically.  The estimator's trials are its blocks of
+check those bounds numerically; the per-draw formulas, which only tests
+read, are in ``tests/reference.py``.  The estimator's trials are its blocks of
 ``TAIL_BLOCK`` draws: ``seeds.map_trials`` gives block b the seed
 derive_seed(base_seed, b), and each block is drawn and multiplied whole with
 one matrix product on one BLAS thread, so every value is the same for any
@@ -33,7 +34,7 @@ import numpy as np
 from . import seeds
 from .ensembles import DistSpec, ParameterError, _draw, _rng
 from .seeds import map_trials, one_blas_thread
-from .spectral import ContractError
+from .spectral import ContractError, _check_finite
 
 
 def _vw_rate(e: TailEnvelope, t: float) -> float:
@@ -61,6 +62,7 @@ _ENVELOPES = {
     "esy2": (("frobenius", "alpha"), lambda e, t: (t / e.frobenius) ** (1.0 / (2.0 + 2.0 * e.alpha))),
 }
 ENVELOPE_INPUTS = {kind: inputs for kind, (inputs, _) in _ENVELOPES.items()}
+_FLOORS = {"n": 1, "frobenius": 0, "spectral": 0, "spectral_abs": 0, "alpha": 0}  # an input read is finite, above it
 ENVELOPE_KINDS = tuple(_ENVELOPES)
 TAIL_BLOCK = 256  # draws per matrix product in empirical_tail
 TAIL_MIN_TRIALS = 100  # fewest draws empirical_tail accepts
@@ -68,7 +70,7 @@ TAIL_MIN_TRIALS = 100  # fewest draws empirical_tail accepts
 
 @dataclass(frozen=True)
 class WeightedFrame:
-    """Orthonormal columns u_1..u_d with weights c_j in [0, 1]."""
+    """Orthonormal columns u_1..u_d with weights c_j in [0, 1], every entry finite."""
 
     basis: np.ndarray
     weights: np.ndarray
@@ -80,34 +82,13 @@ class WeightedFrame:
         object.__setattr__(self, "weights", weights)
         if basis.ndim != 2 or weights.ndim != 1 or basis.shape[1] != weights.size:
             raise ContractError("basis must be n x d with d weights")
+        _check_finite(basis, "basis")  # a NaN passes both the orthonormality and the weight test below
+        _check_finite(weights, "weights")
         gram = np.conj(basis).T @ basis
         if np.max(np.abs(gram - np.eye(weights.size))) > 1e-8:
             raise ContractError("frame columns are not orthonormal")
         if np.any(weights < 0) or np.any(weights > 1):
             raise ContractError("weights must lie in [0, 1]")
-
-
-def weighted_projection(x: np.ndarray, frame: WeightedFrame) -> float:
-    """f(X) = sqrt(sum_j c_j |u_j* X|^2)."""
-    x = np.asarray(x)
-    if x.shape[0] != frame.basis.shape[0]:
-        raise ContractError("vector and frame dimensions differ")
-    coeffs = np.abs(np.conj(frame.basis).T @ x) ** 2
-    return float(np.sqrt(np.sum(frame.weights * coeffs)))
-
-
-def projection_deviation(x: np.ndarray, frame: WeightedFrame) -> float:
-    """Signed deviation f(X) - sqrt(sum_j c_j)."""
-    return weighted_projection(x, frame) - math.sqrt(float(np.sum(frame.weights)))
-
-
-def quadratic_deviation(x: np.ndarray, a: np.ndarray) -> complex:
-    """X* A X - trace(A)."""
-    x = np.asarray(x)
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != x.shape[0]:
-        raise ContractError("matrix must be square and match the vector length")
-    return complex(np.conj(x) @ (a @ x) - np.trace(a))
 
 
 def hermitize_split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -175,7 +156,9 @@ class TailEnvelope:
     pre * C * exp(-Cprime * r(t)), its rate r(t) read from one table, with
     pre = log n for ``vw1`` and ``vw2`` and 1 otherwise.  ``ENVELOPE_INPUTS``
     names the fields each kind reads; construction raises ParameterError
-    when one of them is None.
+    when one of them is None, when a kind that reads n has n < 2 (log n
+    would be 0 or undefined), or when a norm or ``alpha`` it reads is not
+    finite and positive.
     """
 
     kind: str
@@ -192,11 +175,16 @@ class TailEnvelope:
     def __post_init__(self):
         if self.kind not in ENVELOPE_KINDS:
             raise ParameterError(f"unknown envelope kind {self.kind!r}")
-        if self.C <= 0 or self.Cprime <= 0 or self.K <= 0:
+        if not (self.C > 0 and self.Cprime > 0 and self.K > 0):
             raise ParameterError("envelope constants must be positive")
-        missing = [name for name in ENVELOPE_INPUTS[self.kind] if getattr(self, name) is None]
+        reads = ENVELOPE_INPUTS[self.kind]
+        missing = [name for name in reads if getattr(self, name) is None]
         if missing:
             raise ParameterError(f"envelope kind {self.kind!r} requires {', '.join(missing)}")
+        bounded = {name: getattr(self, name) for name in reads if name in _FLOORS}
+        bad = [f"{name} = {value!r}" for name, value in bounded.items() if not _FLOORS[name] < value < math.inf]
+        if bad:
+            raise ParameterError(f"envelope {self.kind!r} needs n >= 2 and finite positive norms: {', '.join(bad)}")
 
     def __call__(self, t: float) -> float:
         """Value of the closed-form bound at t >= 0 (not clipped at 1)."""
@@ -209,11 +197,6 @@ class TailEnvelope:
             rate = math.inf
         value = pre * self.C * math.exp(-self.Cprime * rate)
         return value + self.n * self.n_eps1 if self.kind == "vw2" else value
-
-
-def lemma_projection_envelope(K: float) -> TailEnvelope:
-    """The projection bound with its explicit constants, 10 exp(-t^2/(20 K^2))."""
-    return TailEnvelope(kind="projection", C=10.0, Cprime=1.0 / 20.0, K=K)
 
 
 def optimal_K_subexp(t: float, frob: float, spec: float, alpha: float, n: int) -> float:
@@ -334,7 +317,8 @@ def empirical_tail(
     TAIL_BLOCK draws: block b, always drawn whole, uses seed
     derive_seed(base_seed, b).  Workers get whole blocks on one BLAS thread,
     reduced in block order, so draw i depends on neither ``trials`` nor the
-    worker count.
+    worker count.  A NaN or infinite entry of a matrix target fails with a
+    ContractError that names it, before any block is drawn.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0 or np.any(np.isnan(t_grid)) or np.any(np.diff(t_grid) < 0):
@@ -347,6 +331,7 @@ def empirical_tail(
         target = np.asarray(target)
         if target.ndim != 2 or target.shape[0] != target.shape[1]:
             raise ContractError(f"the target must be a WeightedFrame or a square matrix, not of shape {target.shape}")
+        _check_finite(target, "matrix")
         n = target.shape[0]
         target = _half_triangles(target)
         _trmm()  # looked up in the calling thread, so a missing symbol warns once, not once per worker
@@ -372,10 +357,6 @@ __all__ = [
     "dyadic_weight_partition",
     "empirical_tail",
     "hermitize_split",
-    "lemma_projection_envelope",
     "optimal_K_subexp",
-    "projection_deviation",
     "psd_split",
-    "quadratic_deviation",
-    "weighted_projection",
 ]

@@ -23,8 +23,8 @@ returns the entry and interlacing identities over every index i from one SVD
 of the minor (or the minor's triplets, from a caller that solved them in a
 stack with other matrices of their shape), through the minor-identity kernel
 of ``rmtlab.delocalization``; its overlaps and ||X||^2 are sums by that
-module's rule for stacks.  The covariance Schur residual is the Schur kernel
-of ``rmtlab.locallaw`` applied to the Gram matrix MM*/n.
+module's rule for stacks.  The covariance Schur residual is
+``locallaw.schur_identity_residual`` of the Gram matrix MM*/n.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .delocalization import _abs2, _inf_norm_columns, _minor_identity, _overlaps, classify_region
 from .ensembles import _CHUNK, ParameterError, form_gram
-from .locallaw import _schur_residual
+from .locallaw import schur_identity_residual
 from .spectral import ContractError, _check_z, _eigh_owned, _pv_quad, mp_edges, rho_mp, stieltjes_empirical
 
 
@@ -123,7 +123,7 @@ def covariance_schur_residual(m, z: complex, gram_eigs: np.ndarray):
     from one stacked solve.
     """
     gram = form_gram(m) if isinstance(m, np.ndarray) else np.stack([form_gram(one) for one in m])
-    return _schur_residual(gram, z, gram_eigs)
+    return schur_identity_residual(gram, z, gram_eigs)
 
 
 def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) -> float:

@@ -296,19 +296,6 @@ def truncation_stats(dist: DistSpec, K: float) -> TruncationReport:
     return TruncationReport(K=K, eps1=math.exp(-T), mu=0.0, sigma2=sigma2)
 
 
-def standardize_truncated(x: np.ndarray, report: TruncationReport) -> np.ndarray:
-    """Truncate at K, recenter by mu and rescale by sigma.
-
-    Entries with |x_i| > K are replaced by 0 before standardizing, so each
-    output entry is (x_i 1_{|x_i|<=K} - mu)/sigma, bounded by 2K whenever
-    eps2, eps3 <= 1/2.
-    """
-    if report.sigma2 <= 0:
-        raise ParameterError("truncated distribution is degenerate (sigma2 <= 0)")
-    clipped = np.where(np.abs(x) <= report.K, x, 0.0)
-    return (clipped - report.mu) / math.sqrt(report.sigma2)
-
-
 __all__ = [
     "DistSpec",
     "KINDS",
@@ -320,6 +307,5 @@ __all__ = [
     "sample_rect",
     "sample_vector",
     "sample_wigner",
-    "standardize_truncated",
     "truncation_stats",
 ]

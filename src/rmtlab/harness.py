@@ -512,12 +512,11 @@ def _per_shape(solve, matrices: dict) -> dict:
     """key -> (result, row): ``solve`` of each key's matrix, from one call on a ``np.stack`` per distinct shape.
 
     A stacked numpy ``eigh`` or ``svd`` gives each matrix the bits of a lone
-    call, so matrices of any role and instance share the call of their shape
-    (and dtype: a stack would turn a real matrix complex).
+    call, so matrices of any role and instance share the call of their shape.
     """
     keys_by_shape = {}
     for key, matrix in matrices.items():
-        keys_by_shape.setdefault((matrix.shape, matrix.dtype), []).append(key)
+        keys_by_shape.setdefault(matrix.shape, []).append(key)
     solved = {}
     for keys in keys_by_shape.values():
         result = solve(np.stack([matrices[key] for key in keys]))
@@ -538,7 +537,7 @@ def _wigner_checks(batch: np.ndarray, draws: list, eighs: dict) -> dict:
     n = w.shape[-1]
     decomp, minor, (vals, vecs) = (_gather(eighs, [(role, i) for i in batch]) for role in ("w", "minor", "a"))
     entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp, minor)
-    schur = schur_identity_residual(math.sqrt(n) * w, IDENTITY_Z, decomp.eigenvalues)
+    schur = schur_identity_residual(w, IDENTITY_Z, decomp.eigenvalues)
     # spectral identity of the quadratic form against the eigenbasis frame
     ax = np.sum(a * x[..., None, :], axis=-1)
     lhs = np.sum(np.conj(x) * ax, axis=-1) - np.trace(a, axis1=-2, axis2=-1)  # X*AX - tr A

@@ -6,12 +6,12 @@ Schur-complement resolvent terms of the diagonal expansion of a Hermitian h,
     Y_k    = a_k* (h_minor - z)^-1 a_k,
 
 with a_k the k-th column of h without h_kk (the sign of the diagonal term
-is fixed by requiring the expansion to be an exact identity).  One private
-kernel, ``_schur_residual``, serves both ensembles: the Wigner residual here
-passes h = M/sqrt(n), so h_kk = zeta_kk/sqrt(n), and ``rmtlab.covariance``
-passes the Gram matrix h = MM*/n.  The two-route residuals take h's
-eigenvalues from the caller.  The Y_k and both means are sums along the last
-axis of C-order arrays, ``rmtlab.delocalization``'s rule for stacks.
+is fixed by requiring the expansion to be an exact identity).  One kernel,
+``schur_identity_residual``, serves both ensembles: it takes the h it
+expands, the normalized Wigner matrix W = M/sqrt(n) itself or, from
+``rmtlab.covariance``, the Gram matrix MM*/n, and h's eigenvalues from the
+caller.  The Y_k and both means are sums along the last axis of C-order
+arrays, ``rmtlab.delocalization``'s rule for stacks.
 
 Also: sliding-window count deviation at a given interval scale, and the
 threshold-scale scan, a reduction over spectra the caller has already
@@ -35,7 +35,7 @@ STRIDE_FRAC = 0.25  # window stride of the count scans, as a fraction of the win
 SCAN_WINDOWS_PER_N = 100  # the most windows per eigenvalue that one scale of a count scan may slide across its bulk
 
 
-def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray):
+def schur_identity_residual(h: np.ndarray, z: complex, eigs: np.ndarray):
     """|(1/n) sum_k 1/(h_kk - z - Y_k) - s_h(z)|, all n minors in one stacked solve; eigs are h's.
 
     Leading axes before h's last two index a stack of matrices, with eigs
@@ -54,14 +54,6 @@ def _schur_residual(h: np.ndarray, z: complex, eigs: np.ndarray):
     yk = np.sum(np.multiply(np.conj(cols), solves, order="C"), axis=-1)  # a_k* (h_minor - z)^-1 a_k
     terms = np.real(np.diagonal(h, axis1=-2, axis2=-1)) - z - yk
     return np.abs(np.mean(1.0 / terms, axis=-1) - np.mean(1.0 / (eigs - z), axis=-1))[()]
-
-
-def schur_identity_residual(m: np.ndarray, z: complex, eigs: np.ndarray):
-    """|two-route gap| of the diagonal expansion of W = M/sqrt(n): the k-sum versus s_n(z) of eigs(W).
-
-    A stack of matrices M (leading axes) with eigs stacked alike gives an array of gaps.
-    """
-    return _schur_residual(m / math.sqrt(m.shape[-1]), z, eigs)
 
 
 @dataclass(frozen=True)

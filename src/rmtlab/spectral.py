@@ -62,6 +62,15 @@ class ContractError(ValueError):
     """Structural precondition violated (unsorted input, non-Hermitian, ...)."""
 
 
+def _check_finite(a: np.ndarray, what: str) -> None:
+    """Raise ContractError naming up to three of the NaN or infinite entries of ``a``, if it has any."""
+    bad = np.argwhere(~np.isfinite(a))
+    if len(bad):
+        shown = ", ".join(f"{a[tuple(i)]} at {tuple(i.tolist())}" for i in bad[:3])
+        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+        raise ContractError(f"{what} has non-finite entries: {shown}{more}")
+
+
 def check_hermitian(w: np.ndarray) -> None:
     """Raise ContractError unless w is square, finite and has |w - w*| <= 1e-10 max(1, max |w_ij|).
 
@@ -73,10 +82,7 @@ def check_hermitian(w: np.ndarray) -> None:
         raise ContractError("matrix must be square")
     largest = np.max(np.abs(w), axis=(-2, -1), initial=0.0)
     if not np.all(np.isfinite(largest)):  # before w - w*, where inf - inf would warn and give NaN
-        bad = np.argwhere(~np.isfinite(w))
-        shown = ", ".join(f"{w[tuple(i)]} at {tuple(i.tolist())}" for i in bad[:3])
-        more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
-        raise ContractError(f"matrix has non-finite entries: {shown}{more}")
+        _check_finite(w, "matrix")
     dev = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))), axis=(-2, -1), initial=0.0)
     if not np.all(dev <= 1e-10 * np.maximum(1.0, largest)):
         raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")

@@ -10,13 +10,10 @@ import time
 
 import numpy as np
 import pytest
+from reference import lemma_projection_envelope, standardize_truncated
 from scipy import stats
 
-from rmtlab.concentration import (
-    WeightedFrame,
-    empirical_tail,
-    lemma_projection_envelope,
-)
+from rmtlab.concentration import WeightedFrame, empirical_tail
 from rmtlab.covariance import pv_mp, singular_vec_inf_norms
 from rmtlab.delocalization import deloc_scaling_fit, eigvec_inf_norms
 from rmtlab.ensembles import (
@@ -24,7 +21,6 @@ from rmtlab.ensembles import (
     form_gram,
     sample_rect,
     sample_wigner,
-    standardize_truncated,
     truncation_stats,
 )
 from rmtlab.harness import config_from_dict, run_experiment

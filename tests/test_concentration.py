@@ -3,10 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
-from test_ensembles import one_call_draw
+from reference import (
+    lemma_projection_envelope,
+    one_call_draw,
+    projection_deviation,
+    quadratic_deviation,
+    weighted_projection,
+)
 
 from rmtlab import concentration, seeds
 from rmtlab.concentration import (
+    ENVELOPE_INPUTS,
+    ENVELOPE_KINDS,
     TAIL_BLOCK,
     EmpiricalTail,
     TailEnvelope,
@@ -14,12 +22,8 @@ from rmtlab.concentration import (
     dyadic_weight_partition,
     empirical_tail,
     hermitize_split,
-    lemma_projection_envelope,
     optimal_K_subexp,
-    projection_deviation,
     psd_split,
-    quadratic_deviation,
-    weighted_projection,
 )
 from rmtlab.ensembles import KINDS, DistSpec, ParameterError, _draw, _rng, sample_vector
 from rmtlab.seeds import derive_seed, map_trials
@@ -182,6 +186,20 @@ def test_envelope_requires_fields():
         TailEnvelope(kind="nope")
     with pytest.raises(ParameterError):
         TailEnvelope(kind="hw", frobenius=1.0, spectral_abs=1.0)(-1.0)
+
+
+@pytest.mark.parametrize("kind", sorted(ENVELOPE_KINDS))
+def test_envelope_rejects_inputs_its_formula_cannot_take(kind):
+    # at construction, not as a ZeroDivisionError or math domain error when the bound is called
+    inputs = {name: 100 if name == "n" else 1.0 for name in ENVELOPE_INPUTS[kind]}
+    assert TailEnvelope(kind=kind, **inputs)(1.0) > 0.0
+    for name in inputs:
+        bad = {"n": [0, 1], "n_eps1": []}.get(name, [0.0, -1.0, math.nan, math.inf])
+        for value in bad:
+            with pytest.raises(ParameterError, match="n >= 2" if name == "n" else rf"{name} = {value}"):
+                TailEnvelope(kind=kind, **{**inputs, name: value})
+    with pytest.raises(ParameterError, match="constants"):
+        TailEnvelope(kind=kind, C=math.nan, **inputs)
 
 
 def test_lemma_projection_envelope_constants():
@@ -368,6 +386,23 @@ def test_empirical_tail_validation():
     for bad in (np.ones((3, 4)), np.ones(3), np.ones((2, 3, 3))):
         with pytest.raises(ContractError, match="square matrix"):
             empirical_tail(bad, DistSpec("gaussian"), np.array([0.0]), 200, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_tail_target_is_named_before_any_product(bad):
+    # unchecked, a NaN would pass the orthonormality and weight tests and read as survival 1.0 at every t
+    basis = np.eye(4)[:, :2]
+    broken = basis.copy()
+    broken[1, 0] = bad
+    with pytest.raises(ContractError, match=rf"^basis has non-finite entries: {bad} at \(1, 0\)$"):
+        WeightedFrame(basis=broken, weights=np.ones(2))
+    with pytest.raises(ContractError, match=rf"^weights has non-finite entries: {bad} at \(1,\)$"):
+        WeightedFrame(basis=basis, weights=np.array([1.0, bad]))
+    a = np.eye(5)
+    a[2, 3] = bad
+    for target in (a, a + 0j):
+        with pytest.raises(ContractError, match=r"^matrix has non-finite entries: .* at \(2, 3\)$"):
+            empirical_tail(target, DistSpec("gaussian"), np.array([0.0, 1.0]), 100, 0)
 
 
 def test_projection_tail_respects_lemma_envelope():

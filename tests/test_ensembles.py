@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import one_call_draw, standardize_truncated
 from scipy import special
 
 from rmtlab.ensembles import (
@@ -11,14 +12,12 @@ from rmtlab.ensembles import (
     UNIFORM_BOUND,
     _CHUNK,
     _RAW_SIGNS,
-    _SIGNS,
     _fill,
     _rng,
     form_gram,
     sample_rect,
     sample_vector,
     sample_wigner,
-    standardize_truncated,
     truncation_stats,
 )
 
@@ -96,19 +95,6 @@ def test_wigner_normalization_entry_magnitude():
 def test_wigner_symmetry_is_exact():
     m = sample_wigner(DistSpec("gaussian"), 50, 9)
     np.testing.assert_array_equal(m, m.T)
-
-
-def one_call_draw(dist: DistSpec, size, rng: np.random.Generator) -> np.ndarray:
-    """The former per-kind body of ``ensembles._draw``, kept as the oracle of ``_fill``: each kind in one call."""
-    if dist.kind == "gaussian":
-        return rng.standard_normal(size)
-    if dist.kind == "bounded_uniform":
-        return rng.uniform(-UNIFORM_BOUND, UNIFORM_BOUND, size=size)
-    sign = _SIGNS.take(rng.integers(0, 2, size=size))
-    if dist.kind == "rademacher":
-        return sign
-    # subexp: sign * E^alpha, standardized
-    return sign * rng.standard_exponential(size) ** dist.alpha / dist.subexp_scale
 
 
 def _mask_fill_wigner(dist, n, seed, normalize):

@@ -11,10 +11,6 @@ from rmtlab.seeds import map_trials
 from rmtlab.spectral import ContractError, DomainError, mp_interval_mass, sc_interval_mass
 
 
-def _wigner_unnorm(n, seed, dist=DistSpec("gaussian")):
-    return sample_wigner(dist, n, seed, normalize=False)
-
-
 def _spectra(dist, n, trials, base_seed, workers=1):
     """Normalized Wigner spectra of trials 0..trials-1, trial t drawn with seed derive_seed(base_seed, t)."""
 
@@ -48,25 +44,25 @@ def test_semicircle_quantiles_are_quantiles():
 def test_schur_identity_is_exact():
     # the diagonal expansion is an algebraic identity, not an approximation
     for n, seed in [(5, 1), (20, 2), (40, 3)]:
-        m = _wigner_unnorm(n, seed)
-        assert schur_identity_residual(m, 0.3 + 0.7j, np.linalg.eigvalsh(m / math.sqrt(n))) < 1e-11
+        w = sample_wigner(DistSpec("gaussian"), n, seed)
+        assert schur_identity_residual(w, 0.3 + 0.7j, np.linalg.eigvalsh(w)) < 1e-11
 
 
 def test_schur_identity_exact_rademacher():
-    m = _wigner_unnorm(15, 4, DistSpec("rademacher"))
-    eigs = np.linalg.eigvalsh(m / math.sqrt(15))
-    assert schur_identity_residual(m, -1.0 + 0.2j, eigs) < 1e-11
+    w = sample_wigner(DistSpec("rademacher"), 15, 4)
+    eigs = np.linalg.eigvalsh(w)
+    assert schur_identity_residual(w, -1.0 + 0.2j, eigs) < 1e-11
     with pytest.raises(ContractError):
-        schur_identity_residual(m, -1.0 + 0.2j, eigs[1:])
+        schur_identity_residual(w, -1.0 + 0.2j, eigs[1:])
 
 
 def test_schur_requires_upper_half_plane():
-    m = _wigner_unnorm(5, 0)
-    eigs = np.linalg.eigvalsh(m / math.sqrt(5))
+    w = sample_wigner(DistSpec("gaussian"), 5, 0)
+    eigs = np.linalg.eigvalsh(w)
     with pytest.raises(DomainError):
-        schur_identity_residual(m, 1.0 - 0.1j, eigs)
+        schur_identity_residual(w, 1.0 - 0.1j, eigs)
     with pytest.raises(ContractError):
-        schur_identity_residual(m, 1.0 + 0.1j, np.r_[eigs, 0.0, 0.0])
+        schur_identity_residual(w, 1.0 + 0.1j, np.r_[eigs, 0.0, 0.0])
 
 
 def test_law_deviation_on_perfect_atoms():

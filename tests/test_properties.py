@@ -137,8 +137,8 @@ def test_truncation_stats_ranges(K, kind, alpha):
 @settings(max_examples=15, deadline=None)
 @given(st.integers(3, 12), st.integers(0, 2**32))
 def test_schur_identity_exact_random_sizes(n, seed):
-    m = sample_wigner(DistSpec("gaussian"), n, seed, normalize=False)
-    assert schur_identity_residual(m, 0.5 + 0.5j, np.linalg.eigvalsh(m / math.sqrt(n))) < 1e-10
+    w = sample_wigner(DistSpec("gaussian"), n, seed)
+    assert schur_identity_residual(w, 0.5 + 0.5j, np.linalg.eigvalsh(w)) < 1e-10
 
 
 @settings(max_examples=15, deadline=None)
@@ -181,5 +181,5 @@ def test_all_index_identities_at_edge_sizes(n):
         for lhs, rhs, _ in results[::2]:  # the entry identities: 1 = 1
             assert lhs[0] == pytest.approx(1.0) and rhs[0] == 1.0
     # the diagonal expansions hold with empty minors (n = 1) and at the hard edge
-    assert schur_identity_residual(math.sqrt(n) * w, 0.5 + 0.5j, decomp.eigenvalues) < 1e-10
+    assert schur_identity_residual(w, 0.5 + 0.5j, decomp.eigenvalues) < 1e-10
     assert covariance_schur_residual(m, 0.5 + 0.5j, np.linalg.eigvalsh(form_gram(m))) < 1e-10

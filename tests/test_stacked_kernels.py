@@ -12,8 +12,6 @@ The last test runs the experiment itself: a group's stack height moves with
 the instance count, and an instance's rows must not.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from rmtlab.covariance import _thin_svd, covariance_schur_residual, singular_ide
 from rmtlab.delocalization import _minor_identity, _pole_sums, wigner_identities
 from rmtlab.ensembles import form_gram
 from rmtlab.harness import _gather, _per_shape, _records_text, config_from_dict, run_experiment
-from rmtlab.locallaw import _schur_residual, schur_identity_residual
+from rmtlab.locallaw import schur_identity_residual
 from rmtlab.spectral import eig_decompose
 
 SIZES = [1, 2, 3, 16]
@@ -85,11 +83,9 @@ def _check_wigner_kernels(w):
     singles = [eig_decompose(one) for one in lone]
     _assert_stacked(tuple(decomp), [tuple(one) for one in singles])
     _assert_stacked(wigner_identities(w, decomp), [wigner_identities(one, d) for one, d in zip(lone, singles)])
-    m = math.sqrt(n) * w
     eigs = decomp.eigenvalues
-    singles = [schur_identity_residual(math.sqrt(n) * a, Z, e) for a, e in zip(lone, eigs)]
-    _assert_stacked(schur_identity_residual(m, Z, eigs), singles)
-    _assert_stacked(_schur_residual(w, Z, eigs), [_schur_residual(a, Z, e) for a, e in zip(lone, eigs)])
+    singles = [schur_identity_residual(a, Z, e) for a, e in zip(lone, eigs)]
+    _assert_stacked(schur_identity_residual(w, Z, eigs), singles)
 
 
 def _check_factor_kernels(m):
@@ -172,10 +168,10 @@ def test_two_batch_axes_and_a_lone_matrix():
     decomp = eig_decompose(w)
     flat = w.reshape(-1, 6, 6)
     _assert_stacked(wigner_identities(w, decomp), [wigner_identities(one, eig_decompose(one)) for one in flat])
-    residual = schur_identity_residual(w, Z, np.linalg.eigvalsh(w / math.sqrt(6)))
+    residual = schur_identity_residual(w, Z, np.linalg.eigvalsh(w))
     assert residual.shape == (2, 3) and np.all(residual < 1e-12)
     # a lone matrix is the no-batch case: scalars and 1-D arrays as before
-    lone = schur_identity_residual(w[0, 0], Z, np.linalg.eigvalsh(w[0, 0] / math.sqrt(6)))
+    lone = schur_identity_residual(w[0, 0], Z, np.linalg.eigvalsh(w[0, 0]))
     assert np.ndim(lone) == 0 and isinstance(lone, float)
     assert all(np.shape(out) == (6,) for out in wigner_identities(w[0, 0], eig_decompose(w[0, 0])))
 
