@@ -18,12 +18,10 @@ seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 3
 n_grid = [256, 512, 1024]
 
 report = run_experiment(config_from_dict({"experiment": "deloc", "n_grid": n_grid, "trials": seeds}), write=False)
-for n in n_grid:
-    print(f"n = {n:5d}: {seeds} seeds decomposed")
-
 fit = deloc_scaling_fit(report.records)
 
-print(f"\n{'n':>6}  {'max bulk sqrt(n)|u|/sqrt(log n)':>32}  {'max edge sqrt(n)|u|/log n':>26}")
+print(f"{seeds} seeds per size\n")
+print(f"{'n':>6}  {'max bulk sqrt(n)|u|/sqrt(log n)':>32}  {'max edge sqrt(n)|u|/log n':>26}")
 for n in n_grid:
     edge = fit.edge_table.get(n)
     edge_s = f"{edge:26.3f}" if edge is not None else f"{'(no edge records)':>26}"

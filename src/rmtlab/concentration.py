@@ -151,14 +151,15 @@ class TailEnvelope:
     The unspecified absolute constants default to C = Cprime = 1.  ``K`` is
     the boundedness/concentration parameter; ``frobenius``, ``spectral`` and
     ``spectral_abs`` are ||A||_F, ||A||_2 and ||B||_2 with B = (|a_ij|);
-    ``n_eps1`` is eps1 = P(|xi| > K) of the truncated-variable bound, which
-    ``vw2`` adds as n * eps1.  Every kind bounds the tail at t by
-    pre * C * exp(-Cprime * r(t)), its rate r(t) read from one table, with
-    pre = log n for ``vw1`` and ``vw2`` and 1 otherwise.  ``ENVELOPE_INPUTS``
-    names the fields each kind reads; construction raises ParameterError
-    when one of them is None, when a kind that reads n has n < 2 (log n
-    would be 0 or undefined), or when a norm or ``alpha`` it reads is not
-    finite and positive.
+    ``n_eps1`` is eps1 = P(|xi| > K) of the truncated-variable bound, a
+    probability, which ``vw2`` adds as n * eps1.  Every kind bounds the tail
+    at t by pre * C * exp(-Cprime * r(t)), its rate r(t) read from one
+    table, with pre = log n for ``vw1`` and ``vw2`` and 1 otherwise.
+    ``ENVELOPE_INPUTS`` names the fields each kind reads; construction
+    raises ParameterError when one of them is None, when a kind that reads
+    n has n < 2 (log n would be 0 or undefined), when a norm or ``alpha`` it
+    reads is not finite and positive, or when ``n_eps1`` lies outside
+    [0, 1] (NaN too), whatever the kind.
     """
 
     kind: str
@@ -183,8 +184,11 @@ class TailEnvelope:
             raise ParameterError(f"envelope kind {self.kind!r} requires {', '.join(missing)}")
         bounded = {name: getattr(self, name) for name in reads if name in _FLOORS}
         bad = [f"{name} = {value!r}" for name, value in bounded.items() if not _FLOORS[name] < value < math.inf]
+        if not 0.0 <= self.n_eps1 <= 1.0:
+            bad.append(f"n_eps1 = {self.n_eps1!r}")
         if bad:
-            raise ParameterError(f"envelope {self.kind!r} needs n >= 2 and finite positive norms: {', '.join(bad)}")
+            needs = "n >= 2, finite positive norms and 0 <= n_eps1 <= 1"
+            raise ParameterError(f"envelope {self.kind!r} needs {needs}: {', '.join(bad)}")
 
     def __call__(self, t: float) -> float:
         """Value of the closed-form bound at t >= 0 (not clipped at 1)."""

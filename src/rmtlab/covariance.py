@@ -17,13 +17,13 @@ the larger of two steps: the eigh, M + 3G (the factor, MM* becoming U, and
 dsyevd's workspace of about 2G, all numpy arrays), and the normalization,
 2M + G and one block (the factor, U and M* U).  A complex MM* takes numpy's
 eigh, which adds its own copy of MM* and a separate U.
-``singular_triplets`` is the SVD: the accuracy reference in the tests, and
-the route of ``singular_identities``, which takes the triplets of M and
-returns the entry and interlacing identities over every index i from one SVD
-of the minor (or the minor's triplets, from a caller that solved them in a
-stack with other matrices of their shape), through the minor-identity kernel
-of ``rmtlab.delocalization``; its overlaps and ||X||^2 are sums by that
-module's rule for stacks.  The covariance Schur residual is
+The other route is the thin SVD (``_thin_svd``), which the identities
+runner takes for a factor and its two minors.  ``singular_identities``
+takes the triplets of M and returns the entry and interlacing identities
+over every index i from the minor's triplets when the caller solved them
+(in a stack with other matrices of their shape), else from one SVD of the
+minor, through the minor-identity kernel of ``rmtlab.delocalization``; its
+overlaps and ||X||^2 are sums by that module's rule for stacks.  The covariance Schur residual is
 ``locallaw.schur_identity_residual`` of the Gram matrix MM*/n.
 """
 
@@ -49,14 +49,6 @@ class SingularTriplets(NamedTuple):
     sigma: np.ndarray
     left: np.ndarray
     right: np.ndarray
-
-
-def singular_triplets(m: np.ndarray) -> SingularTriplets:
-    """The SVD's triplets of a p x n factor (p <= n), or of a stack of them (leading axes)."""
-    p, n = m.shape[-2:]
-    if p > n:
-        raise ContractError("factor must have p <= n")
-    return _thin_svd(m)
 
 
 def gram_triplets(m: np.ndarray) -> SingularTriplets:
@@ -216,6 +208,5 @@ __all__ = [
     "mp_self_consistency_residual",
     "pv_mp",
     "singular_identities",
-    "singular_triplets",
     "singular_vec_inf_norms",
 ]

@@ -51,9 +51,9 @@ def classify_region(lam, edges, eps: float):
 def eigvec_inf_norms(decomp, seed: int, eps: float = 0.1) -> dict:
     """Delocalization columns, one row per eigenvalue of an n x n normalized Wigner matrix.
 
-    ``decomp`` has the fields ``eigenvalues`` and ``eigenvectors``: the
-    ``EighResult`` of ``eig_decompose``, or what ``spectral._eigh_owned``
-    returns for a trial's own matrix.  Columns n, seed
+    ``decomp`` has the fields ``eigenvalues`` and ``eigenvectors``: what
+    ``spectral._eigh_owned`` returns for a trial's own matrix, or numpy's
+    ``EighResult``.  Columns n, seed
     (uint64), index, lambda, region (against the semicircle support [-2, 2])
     and those of ``_inf_norm_columns``.
     """
@@ -129,9 +129,9 @@ def _minor_identity(vals, coord, mvals, overlaps, diag):
 def wigner_identities(w: np.ndarray, decomp, minor=None):
     """The minor identities of a Hermitian W with its last coordinate deleted, every i at once.
 
-    ``decomp`` is ``eig_decompose(w)``, and ``minor`` the eigh of W's leading
-    (n-1) x (n-1) minor when the caller has it; else the minor takes one more
-    eigh here.  Returns arrays (entry_lhs, entry_rhs, interlacing_lhs,
+    ``decomp`` is W's eigh, and ``minor`` the eigh of W's leading (n-1) x
+    (n-1) minor when the caller has it; else the minor takes one more eigh
+    here.  Returns arrays (entry_lhs, entry_rhs, interlacing_lhs,
     interlacing_rhs, collision_gap) indexed by i, the identities above with
     H = W and k = n - 1.  A stack of matrices (leading axes before the last
     two) gives a stack of each array, with the bits of one call per matrix.

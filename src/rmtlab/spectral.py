@@ -18,10 +18,11 @@ the law's CDF: ``sc_interval_mass(-np.inf, x)``, ``mp_interval_mass(-np.inf,
 x, y)``.  The KS distance of a spectrum to a law is
 ``scipy.stats.kstest(eigs, cdf).statistic`` on that CDF.
 
-On a stack of matrices, ``eig_decompose``'s eigh runs LAPACK once per
-matrix on a copy, so the stack's place in memory does not reach the bits.
-A trial that builds its own real symmetric matrix and never reads it again
-solves it with ``_eigh_owned`` instead: one ``dsyevd`` of numpy's bundled
+On a stack of matrices, numpy's eigh runs LAPACK once per matrix on a
+copy, so the stack's place in memory does not reach the bits; the
+identities runner stacks its small matrices so.  A trial that builds its
+own real symmetric matrix and never reads it again solves it with
+``_eigh_owned`` instead: one ``dsyevd`` of numpy's bundled
 OpenBLAS, bound by ``seeds._openblas_function``, in the matrix's own
 memory.  Its workspace is numpy arrays, and its eigenvectors are the
 overwritten matrix read as columns: no copy is made, and tracemalloc sees
@@ -86,15 +87,6 @@ def check_hermitian(w: np.ndarray) -> None:
     dev = np.max(np.abs(w - np.conj(np.swapaxes(w, -1, -2))), axis=(-2, -1), initial=0.0)
     if not np.all(dev <= 1e-10 * np.maximum(1.0, largest)):
         raise ContractError(f"matrix is not Hermitian (max asymmetry {np.max(dev):.3g})")
-
-
-def eig_decompose(w: np.ndarray):
-    """numpy's ``EighResult`` of a Hermitian matrix: ascending ``eigenvalues`` and matching ``eigenvectors`` columns.
-
-    A stack of matrices gives stacked results, with the bits of one eigh per matrix.
-    """
-    check_hermitian(w)
-    return np.linalg.eigh(w)
 
 
 class _Eigenpairs(NamedTuple):
@@ -287,7 +279,6 @@ __all__ = [
     "DomainError",
     "SC_EDGES",
     "check_hermitian",
-    "eig_decompose",
     "mp_edges",
     "mp_interval_mass",
     "pv_semicircle",

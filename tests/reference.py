@@ -3,9 +3,11 @@
 Each is the plain per-draw or one-call form of something ``rmtlab``
 computes another way: the projection and quadratic-form deviations of one
 vector (the tail computes both in blocks of draws), the projection lemma's
-envelope with its explicit constants, the truncation standardizer, and one
+envelope with its explicit constants, the truncation standardizer, one
 generator call per kind (``ensembles._fill`` streams the same bits in
-chunks).
+chunks), and the checked eigh and SVD of one matrix or a stack (the trials
+solve in place with ``spectral._eigh_owned``, through ``gram_triplets``, or
+in one stacked LAPACK call per shape).
 """
 
 import math
@@ -13,8 +15,9 @@ import math
 import numpy as np
 
 from rmtlab.concentration import TailEnvelope, WeightedFrame
+from rmtlab.covariance import SingularTriplets, _thin_svd
 from rmtlab.ensembles import _SIGNS, UNIFORM_BOUND, DistSpec, ParameterError, TruncationReport
-from rmtlab.spectral import ContractError
+from rmtlab.spectral import ContractError, check_hermitian
 
 
 def weighted_projection(x: np.ndarray, frame: WeightedFrame) -> float:
@@ -69,3 +72,20 @@ def one_call_draw(dist: DistSpec, size, rng: np.random.Generator) -> np.ndarray:
         return sign
     # subexp: sign * E^alpha, standardized
     return sign * rng.standard_exponential(size) ** dist.alpha / dist.subexp_scale
+
+
+def eig_decompose(w: np.ndarray):
+    """numpy's ``EighResult`` of a Hermitian matrix: ascending ``eigenvalues`` and matching ``eigenvectors`` columns.
+
+    A stack of matrices gives stacked results, with the bits of one eigh per matrix.
+    """
+    check_hermitian(w)
+    return np.linalg.eigh(w)
+
+
+def singular_triplets(m: np.ndarray) -> SingularTriplets:
+    """The SVD's triplets of a p x n factor (p <= n), or of a stack of them (leading axes)."""
+    p, n = m.shape[-2:]
+    if p > n:
+        raise ContractError("factor must have p <= n")
+    return _thin_svd(m)

