@@ -22,18 +22,23 @@ On a stack of matrices, numpy's eigh runs LAPACK once per matrix on a
 copy, so the stack's place in memory does not reach the bits; the
 identities runner stacks its small matrices so.  A trial that builds its
 own real symmetric matrix and never reads it again solves it with
-``_eigh_owned`` instead: one ``dsyevd`` of numpy's bundled
-OpenBLAS, bound by ``seeds._openblas_function``, in the matrix's own
-memory.  Its workspace is numpy arrays, and its eigenvectors are the
-overwritten matrix read as columns: no copy is made, and tracemalloc sees
-every buffer it asks for.  LAPACK gets the bytes numpy's eigh would hand
-it: numpy copies the matrix to column-major order and reads the lower
-triangle, while the in-place call reads the row-major matrix as
-column-major, which is its transpose, and reads the lower triangle of
-that, the matrix's upper triangle.  The two
-agree on a matrix equal to its own transpose bit for bit, as the trials'
-Wigner draws and SYRK Gram products are, so the values and vectors are
-numpy's bits.  ``check_hermitian`` passes a matrix only when every entry
+``_eigh_owned`` instead: one LAPACK call of numpy's bundled OpenBLAS,
+bound by ``seeds._openblas_function``, in the matrix's own memory.  Its
+workspace is numpy arrays, and its eigenvectors are the overwritten matrix
+read as columns: no copy is made, and tracemalloc sees every buffer it
+asks for.  LAPACK gets the bytes numpy's eigh would hand it: numpy copies
+the matrix to column-major order and reads the lower triangle, while the
+in-place call reads the row-major matrix as column-major, which is its
+transpose, and reads the lower triangle of that, the matrix's upper
+triangle.  The two agree on a matrix equal to its own transpose bit for
+bit, as the trials' Wigner draws and SYRK Gram products are.  With
+vectors (``deloc``, the Gram matrix of ``covariance``) the call is
+numpy's own ``dsyevd``, so values and vectors are numpy's bits.  Values
+alone (``localscan``) take LAPACK's two-stage ``dsyevd_2stage``, whose
+band reduction is BLAS-3 work where ``dsytrd`` is half BLAS-2: its values
+are within n eps max(1, ||a||_2) of ``eigvalsh``'s but not its bits, and
+``localscan`` reads them only through window counts.
+``check_hermitian`` passes a matrix only when every entry
 is finite and every asymmetry is within its tolerance; a NaN or infinite
 entry fails with a ``ContractError`` that names it.
 
@@ -100,28 +105,32 @@ def _eigh_owned(a: np.ndarray, vectors: bool = True):
     """Eigenvalues of a real symmetric matrix, with ``vectors`` also its eigenvectors, solved in ``a``'s own memory.
 
     For a matrix the caller built and never reads again.  A C-contiguous
-    float64 ``a`` is overwritten by one LAPACK ``dsyevd``, which reads its
-    upper triangle, so ``a`` must equal its own transpose bit for bit; then
-    the results carry the bits of ``np.linalg.eigh(a)`` (``eigvalsh``
-    without ``vectors``), which reads the lower one.  The workspace is two
-    numpy arrays of the sizes LAPACK's query asks for, as numpy sizes it,
-    and the eigenvectors are ``a.T``, the overwritten matrix read as
-    columns, in ``_Eigenpairs``.  Other input, or a numpy without the
-    symbol, takes numpy's call and is left as it was.
+    float64 ``a`` is overwritten by one LAPACK call, which reads its upper
+    triangle, so ``a`` must equal its own transpose bit for bit.  With
+    ``vectors`` the call is ``dsyevd``, and the results carry the bits of
+    ``np.linalg.eigh(a)``, which reads the lower one; the eigenvectors are
+    ``a.T``, the overwritten matrix read as columns, in ``_Eigenpairs``.
+    Without, it is the two-stage ``dsyevd_2stage`` (jobz 'N'), whose values
+    are LAPACK's two-stage bits, not ``eigvalsh``'s: within n eps max(1,
+    ||a||_2) of them.  The workspace is two numpy arrays of the sizes
+    LAPACK's query asks for.  Other input, or a numpy without the symbol,
+    takes numpy's ``eigh`` or ``eigvalsh`` and is left as it was.
     """
     from ctypes import byref, c_char_p, c_int64, c_size_t, c_void_p
 
     # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the lengths of jobz and uplo
     argtypes = (c_char_p,) * 2 + (c_void_p,) * 9 + (c_size_t,) * 2
+    routine, numpy_call = ("dsyevd", np.linalg.eigh) if vectors else ("dsyevd_2stage", np.linalg.eigvalsh)
     syevd = seeds._openblas_function(
-        "scipy_dsyevd_64_",
+        f"scipy_{routine}_64_",
         argtypes,
         None,
-        "numpy's OpenBLAS dsyevd was not found; trial eigensolves take numpy's eigh on a copy of the matrix",
+        f"numpy's OpenBLAS {routine} was not found; trial eigensolves take numpy's {numpy_call.__name__}"
+        " on a copy of the matrix",
     )
     square = a.ndim == 2 and a.shape[0] == a.shape[1]
     if syevd is None or a.dtype != np.float64 or not (square and a.flags.c_contiguous and a.flags.writeable):
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        return numpy_call(a)
     n, lda = c_int64(a.shape[0]), c_int64(max(a.shape[0], 1))
     lwork, liwork, info = c_int64(-1), c_int64(-1), c_int64(0)
     jobz = b"V" if vectors else b"N"
@@ -133,7 +142,7 @@ def _eigh_owned(a: np.ndarray, vectors: bool = True):
             work.ctypes.data, byref(lwork), iwork.ctypes.data, byref(liwork), byref(info), 1, 1,
         )
         if info.value:
-            raise np.linalg.LinAlgError(f"Eigenvalues did not converge (dsyevd info {info.value})")
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({routine} info {info.value})")
 
     work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
     call(work, iwork)  # lwork = liwork = -1: LAPACK writes the sizes it wants

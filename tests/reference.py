@@ -5,11 +5,14 @@ computes another way: the projection and quadratic-form deviations of one
 vector (the tail computes both in blocks of draws), the projection lemma's
 envelope with its explicit constants, the truncation standardizer, one
 generator call per kind (``ensembles._fill`` streams the same bits in
-chunks), and the checked eigh and SVD of one matrix or a stack (the trials
+chunks), the checked eigh and SVD of one matrix or a stack (the trials
 solve in place with ``spectral._eigh_owned``, through ``gram_triplets``, or
-in one stacked LAPACK call per shape).
+in one stacked LAPACK call per shape), and LAPACK's two-stage values-only
+solve on a column-major copy (``_eigh_owned`` runs it in the matrix's own
+memory).
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -89,3 +92,37 @@ def singular_triplets(m: np.ndarray) -> SingularTriplets:
     if p > n:
         raise ContractError("factor must have p <= n")
     return _thin_svd(m)
+
+
+def two_stage_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a real symmetric matrix from numpy's OpenBLAS ``dsyevd_2stage`` (jobz 'N').
+
+    The call reads the lower triangle of a Fortran-ordered copy, as numpy's
+    eigvalsh hands LAPACK its input, and sizes its workspace by LAPACK's
+    query; ``a`` is left as it was.
+    """
+    from numpy._core import _multiarray_umath
+
+    syevd = ctypes.CDLL(_multiarray_umath.__file__).scipy_dsyevd_2stage_64_
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then the lengths of jobz and uplo
+    syevd.argtypes = (ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 9 + (ctypes.c_size_t,) * 2
+    syevd.restype = None
+    copy = np.array(a, dtype=np.float64, order="F")
+    n = copy.shape[0]
+    w = np.empty(n)
+    info = ctypes.c_int64(0)
+
+    def call(work, iwork, lwork, liwork):
+        sizes = [ctypes.c_int64(k) for k in (n, max(n, 1), lwork, liwork)]
+        syevd(
+            b"N", b"L", ctypes.byref(sizes[0]), copy.ctypes.data, ctypes.byref(sizes[1]), w.ctypes.data,
+            work.ctypes.data, ctypes.byref(sizes[2]), iwork.ctypes.data, ctypes.byref(sizes[3]),
+            ctypes.byref(info), 1, 1,
+        )
+        assert info.value == 0, f"dsyevd_2stage info {info.value}"
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, iwork, -1, -1)  # the query: LAPACK writes the sizes it wants
+    lwork, liwork = int(work[0]), int(iwork[0])
+    call(np.empty(lwork), np.empty(liwork, dtype=np.int64), lwork, liwork)
+    return w

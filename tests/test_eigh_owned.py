@@ -1,15 +1,19 @@
-"""The in-place eigensolver of trial matrices against numpy's eigh and eigvalsh.
+"""The in-place eigensolver of trial matrices against numpy's eigh and LAPACK's two-stage values-only solve.
 
-``spectral._eigh_owned`` runs OpenBLAS's dsyevd on the matrix's own memory,
-read as column-major, so it reads the upper triangle where numpy reads the
-lower.  Its bits equal numpy's when the matrix equals its own transpose bit
-for bit, which the trial matrices (Wigner draws and SYRK Gram products) do.
+``spectral._eigh_owned`` runs OpenBLAS on the matrix's own memory, read as
+column-major, so it reads the upper triangle where numpy reads the lower;
+the two agree when the matrix equals its own transpose bit for bit, which
+the trial matrices (Wigner draws and SYRK Gram products) do.  With vectors
+it runs numpy's dsyevd, and its bits are ``np.linalg.eigh``'s.  Values
+alone take dsyevd_2stage: its bits are those of ``reference.two_stage_eigvalsh``
+on a column-major copy, and within n eps max(1, |lambda|_max) of ``eigvalsh``.
 """
 
 import warnings
 
 import numpy as np
 import pytest
+from reference import two_stage_eigvalsh
 
 from rmtlab.covariance import gram_triplets
 from rmtlab.ensembles import KINDS, DistSpec, sample_rect, sample_wigner
@@ -55,10 +59,22 @@ def test_owned_eigh_matches_numpy_eigh_bit_for_bit(source, kind, n):
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("source", MATRICES)
-def test_owned_eigvalsh_matches_numpy_eigvalsh_bit_for_bit(source, kind, n):
+def test_owned_eigvalsh_is_dsyevd_2stage_bit_for_bit(source, kind, n):
+    a = MATRICES[source](kind, n)
+    expected = two_stage_eigvalsh(a)
+    assert _eigh_owned(a, vectors=False).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("source", MATRICES)
+def test_owned_eigvalsh_is_within_n_eps_of_numpy_eigvalsh(source, kind, n):
+    # both solves are backward stable, so they differ on the scale of the norm |lambda|_max, not of each lambda
     a = MATRICES[source](kind, n)
     expected = np.linalg.eigvalsh(a)
-    assert _eigh_owned(a, vectors=False).tobytes() == expected.tobytes()
+    vals = _eigh_owned(a, vectors=False)
+    scale = max(1.0, np.max(np.abs(expected)))
+    assert np.max(np.abs(vals - expected)) <= n * np.finfo(np.float64).eps * scale
 
 
 @pytest.mark.parametrize(("p", "n"), [(1, 3), (16, 40), (200, 400)])
@@ -102,12 +118,34 @@ def test_owned_eigh_without_dsyevd_warns_once_and_gives_numpys_bits(openblas_lac
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         vals, vecs = _eigh_owned(a.copy())
-        values_only = _eigh_owned(a.copy(), vectors=False)
     assert [w.category for w in caught] == [RuntimeWarning]
     assert "dsyevd was not found" in str(caught[0].message)
     assert vals.tobytes() == expected.eigenvalues.tobytes()
     assert vecs.tobytes() == expected.eigenvectors.tobytes()
-    assert values_only.tobytes() == expected_vals.tobytes()
+    # each solver symbol warns once: the values-only solve names its own, and neither warns again
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values_only = _eigh_owned(a.copy(), vectors=False)
+        values_again = _eigh_owned(a.copy(), vectors=False)
+        _, vecs_again = _eigh_owned(a.copy())
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "dsyevd_2stage was not found" in str(caught[0].message)
+    assert values_only.tobytes() == values_again.tobytes() == expected_vals.tobytes()
+    assert vecs_again.tobytes() == expected.eigenvectors.tobytes()
+
+
+def test_owned_eigvalsh_without_dsyevd_2stage_warns_once_and_gives_numpys_values(openblas_lacking):
+    a = _wigner("rademacher", 60)
+    expected = np.linalg.eigvalsh(a)
+    openblas_lacking("scipy_dsyevd_2stage_64_")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        values_only = [_eigh_owned(a.copy(), vectors=False) for _ in range(2)]
+        vals, _ = _eigh_owned(a.copy())  # dsyevd is still there
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "dsyevd_2stage was not found" in str(caught[0].message)
+    assert all(v.tobytes() == expected.tobytes() for v in values_only)
+    assert vals.tobytes() == np.linalg.eigh(a).eigenvalues.tobytes()
 
 
 def test_owned_eigh_without_dsyevd_in_a_loaded_library_warns_once_while_the_thread_pin_holds(
@@ -136,8 +174,9 @@ def test_owned_eigh_without_dsyevd_in_a_loaded_library_warns_once_while_the_thre
 
 
 def test_owned_eigvalsh_allocates_under_n_squared_bytes(peak_bytes):
-    # dsyevd without vectors wants about n (block size + 2) doubles of workspace; numpy's eigvalsh copies the
-    # whole 8 n^2-byte matrix first, outside tracemalloc's sight
+    # dsyevd_2stage without vectors wants a band of 32 columns and its own workspace, about 0.85 n^2 bytes at
+    # n = 1000 (0.42 n^2 at 2000); numpy's eigvalsh copies the whole 8 n^2-byte matrix first, outside
+    # tracemalloc's sight
     n = 1000
     a = _wigner("rademacher", n)
     vals, peak = peak_bytes(_eigh_owned, a, False)

@@ -10,7 +10,7 @@ import pytest
 from rmtlab import concentration, harness
 from rmtlab.cli import main as cli_main
 from rmtlab.covariance import gram_triplets, mp_self_consistency_residual
-from rmtlab.ensembles import UNIFORM_BOUND, DistSpec, sample_rect
+from rmtlab.ensembles import UNIFORM_BOUND, DistSpec, sample_rect, sample_wigner
 from rmtlab.concentration import ENVELOPE_KINDS, TailEnvelope
 from rmtlab.harness import (
     EXPERIMENTS,
@@ -23,7 +23,7 @@ from rmtlab.harness import (
 )
 from rmtlab.locallaw import law_deviation
 from rmtlab.seeds import derive_seed
-from rmtlab.spectral import mp_edges, mp_interval_mass
+from rmtlab.spectral import _eigh_owned, mp_edges, mp_interval_mass
 
 
 def _cfg(**kw):
@@ -415,6 +415,27 @@ def test_run_localscan_experiment():
     )
     assert report.summary["threshold_scale"] is not None
     assert len(report.summary["max_rel_dev"]) == 2
+
+
+@pytest.mark.parametrize("base_seed", [0, 1])
+@pytest.mark.parametrize("kind", ["rademacher", "gaussian", "subexp"])
+@pytest.mark.parametrize("n", [2, 3, 50, 500])
+def test_localscan_records_are_those_of_numpy_spectra(monkeypatch, n, kind, base_seed):
+    # the trials' spectra carry LAPACK's two-stage bits, not eigvalsh's; the records read them only through
+    # window counts, so the run on eigvalsh spectra of the same draws writes the same records
+    cfg = _cfg(experiment="localscan", dist={"kind": kind}, n=n, trials=2, base_seed=base_seed)
+    records = run_experiment(cfg, write=False).records
+    monkeypatch.setattr(harness, "_eigh_owned", lambda a, vectors: np.linalg.eigvalsh(a))
+    assert _same_records(records, run_experiment(cfg, write=False).records)
+    # and not by luck: every eigenvalue is farther from every window end than the two solves differ
+    for trial in range(cfg.trials):
+        w = sample_wigner(cfg.dist, n, derive_seed(base_seed, trial), normalize=True)
+        numpy_eigs = np.linalg.eigvalsh(w)
+        disagreement = np.max(np.abs(_eigh_owned(w, vectors=False) - numpy_eigs))
+        rows = records["trial"] == trial
+        ends = np.unique(np.concatenate([records["window_lo"][rows], records["window_hi"][rows]]))
+        gap = np.min(np.abs(numpy_eigs[:, None] - ends[None, :]))
+        assert gap > disagreement
 
 
 def test_covariance_curve_is_the_mp_scan_of_every_scale():
