@@ -6,7 +6,8 @@ the two agree when the matrix equals its own transpose bit for bit, which
 the trial matrices (Wigner draws and SYRK Gram products) do.  With vectors
 it runs numpy's dsyevd, and its bits are ``np.linalg.eigh``'s.  Values
 alone take dsyevd_2stage: its bits are those of ``reference.two_stage_eigvalsh``
-on a column-major copy, and within n eps max(1, |lambda|_max) of ``eigvalsh``.
+on a column-major copy, and within n eps max(1, |lambda|_max) of ``eigvalsh``;
+a numpy without that symbol falls back to ``eigvalsh``'s bits on a copy.
 """
 
 import warnings
@@ -63,6 +64,25 @@ def test_owned_eigvalsh_is_dsyevd_2stage_bit_for_bit(source, kind, n):
     a = MATRICES[source](kind, n)
     expected = two_stage_eigvalsh(a)
     assert _eigh_owned(a, vectors=False).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("source", MATRICES)
+def test_owned_eigvalsh_matches_numpy_eigvalsh_bit_for_bit(source, kind, n, openblas_lacking):
+    # a numpy without dsyevd_2stage: the values-only solve is numpy's eigvalsh on a copy, so its bits are
+    # eigvalsh's and the matrix is left as it was, not overwritten by an in-place call
+    a = MATRICES[source](kind, n)
+    before = a.copy()
+    expected = np.linalg.eigvalsh(a)
+    openblas_lacking("scipy_dsyevd_2stage_64_")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        vals = _eigh_owned(a, vectors=False)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "dsyevd_2stage was not found" in str(caught[0].message)
+    assert vals.tobytes() == expected.tobytes()
+    assert a.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("n", SIZES)
