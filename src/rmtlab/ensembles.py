@@ -24,7 +24,7 @@ about half that call's cost; smaller ones, such as the ``identities``
 draws, take the call itself.
 
 ``scipy.special`` is imported only inside the functions that use it: the
-subexp scale and fourth moment (``gamma``), the Gaussian truncation moments
+subexp scale (``gamma``), the Gaussian truncation moments
 (``erf``/``erfc``) and the subexp truncation moments (``gammainc``).
 ``math.gamma`` and ``math.erf`` are not used in their place: they differ from
 scipy in the last bit for most arguments.
@@ -92,19 +92,6 @@ class DistSpec:
         from scipy import special
 
         return math.sqrt(special.gamma(1.0 + 2.0 * self.alpha))
-
-    def fourth_moment(self) -> float:
-        """E|xi|^4 of the standardized distribution."""
-        if self.kind == "rademacher":
-            return 1.0
-        if self.kind == "gaussian":
-            return 3.0
-        if self.kind == "bounded_uniform":
-            return 9.0 / 5.0
-        from scipy import special
-
-        c2 = special.gamma(1.0 + 2.0 * self.alpha)
-        return special.gamma(1.0 + 4.0 * self.alpha) / c2**2
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind}

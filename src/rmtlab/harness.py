@@ -2,9 +2,10 @@
 
 Every experiment is a pure function of (config, base_seed).  Each runner but
 ``pv`` hands ``seeds.map_trials`` a closure of (trial index, seed) over its
-config; ``map_trials`` runs trial i with seed derive_seed(base_seed, i) on up
-to ``workers`` threads and returns the trials in index order, so the written
-CSV is byte-identical for any worker count.  A ``tail`` run's trials are its
+config; ``map_trials`` runs trial i with seed derive_seed(base_seed, i) and
+returns the trials in index order.  ``tail``, ``localscan``, ``deloc`` and
+``covariance`` run them on up to ``workers`` threads, so the written CSV is
+byte-identical for any worker count.  A ``tail`` run's trials are its
 blocks of TAIL_BLOCK draws (``concentration.empirical_tail``).  Each runner
 returns its records as columns, a dict of CSV column name -> 1-D array, and
 the writer formats each distinct value of a column once, as text (object
@@ -14,21 +15,22 @@ and joins the rows itself, in the bytes of ``csv.writer``'s excel dialect.
 process with ``locallaw.threshold_scan``, handing it the law's mass
 function: this module maps each config name (the statistic, the
 experiment's law) to the object the library takes, once.
-``identities`` draws each instance's matrices through ``map_trials``, then,
-in this thread, makes one LAPACK call per matrix shape (``_per_shape``),
-whatever the role or instance of each matrix in it: one eigh per size for
-the Wigner matrices W, their minors and the quadratic forms' A, one SVD per
-shape for the factors and their column and row minors, and one Schur solve
-per Wigner size and per factor height p.  Each identity kernel then runs
-once per shape group (one Wigner size, or one factor shape) on a plain
-``np.stack`` and that group's rows of the decompositions.  Each matrix keeps
-the bits of a lone call wherever it sits, as no sum there is a BLAS vector
-product; ``concat_columns`` joins the groups' rows, and one stable sort by
-instance orders them.  Output goes to
-out_dir/<experiment>/<label>/ as records.csv + summary.json + config.json,
-renamed into place as one directory.  ``EXPERIMENTS`` names each runner and
-the config fields it reads: only those are settable, written to
-config.json and, but for workers, hashed into the default label.
+``identities`` reads no ``workers``: its draws hold the GIL, so it draws each
+instance's matrices through ``map_trials`` in this thread, then makes one
+LAPACK call per matrix shape (``_per_shape``), whatever the role or instance
+of each matrix in it: one eigh per size for the Wigner matrices W, their
+minors and the quadratic forms' A, one SVD per shape for the factors and
+their column and row minors, and one Schur solve per Wigner size and per
+factor height p.  Each identity kernel then runs once per shape group (one
+Wigner size, or one factor shape) on a plain ``np.stack`` and that group's
+rows of the decompositions.  Each matrix keeps the bits of a lone call
+wherever it sits, as no sum there is a BLAS vector product;
+``concat_columns`` joins the groups' rows, and one stable sort by instance
+orders them.  Output goes to out_dir/<experiment>/<label>/ as records.csv +
+summary.json + config.json, renamed into place as one directory.
+``EXPERIMENTS`` names each runner and the config fields it reads: only those
+are settable, written to config.json and, but for workers, hashed into the
+default label.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .locallaw import SCAN_WINDOWS_PER_N, ThresholdEstimate, least_scale, schur_
 from .seeds import MASK64, concat_columns, derive_seed, map_trials
 from .spectral import (
     _eigh_owned,
-    check_hermitian,
     mp_edges,
     mp_interval_mass,
     pv_semicircle,
@@ -444,10 +445,8 @@ def _run_localscan(cfg: ExperimentConfig):
 def _run_deloc(cfg: ExperimentConfig):
     sizes = [n for n in cfg.n_grid or [cfg.n] for _ in range(cfg.trials)]  # trial i draws a size-sizes[i] matrix
 
-    def trial(i, seed):
-        w = sample_wigner(cfg.dist, sizes[i], seed, normalize=True)
-        check_hermitian(w)
-        return eigvec_inf_norms(_eigh_owned(w), seed, cfg.eps)
+    def trial(i, seed):  # no Hermitian check: sample_wigner mirrors bit for bit, and dsyevd reads one triangle
+        return eigvec_inf_norms(_eigh_owned(sample_wigner(cfg.dist, sizes[i], seed, normalize=True)), seed, cfg.eps)
 
     records = concat_columns(map_trials(trial, len(sizes), cfg.base_seed, cfg.workers))
     bulk = records["scaled_bulk"][records["region"] == "bulk"]
@@ -568,7 +567,7 @@ def _factor_checks(batch: np.ndarray, draws: list, svds: dict, cov_schur: np.nda
 
 
 def _run_identities(cfg: ExperimentConfig):
-    draws = map_trials(functools.partial(_identity_draws, cfg.dist), cfg.trials, cfg.base_seed, cfg.workers)
+    draws = map_trials(functools.partial(_identity_draws, cfg.dist), cfg.trials, cfg.base_seed)
     shapes = [_identity_shape(i) for i in range(cfg.trials)]
     # one LAPACK call per matrix shape: W, its minor and A share an eigh per size, and a factor M shares its SVD
     # with the column and row minors of that shape; the Schur solves go one per Wigner size and one per height p
@@ -682,7 +681,7 @@ EXPERIMENTS = {
     "tail": (_run_tail, ("dist", "n", "trials", "base_seed", "workers", "t_grid", "envelopes", "statistic", "d")),
     "localscan": (_run_localscan, ("dist", "n", "trials", "base_seed", "workers", "delta", "scales")),
     "deloc": (_run_deloc, ("dist", "n", "n_grid", "trials", "base_seed", "workers", "eps")),
-    "identities": (_run_identities, ("dist", "trials", "base_seed", "workers")),
+    "identities": (_run_identities, ("dist", "trials", "base_seed")),
     "covariance": (_run_covariance, ("dist", "n", "p", "trials", "base_seed", "workers", "eps", "eta_multiple", "scales")),
     "pv": (_run_pv, ()),
 }

@@ -4,10 +4,11 @@
 the one seed rule: trial i runs as ``trial(i, derive_seed(base_seed, i))``.
 The mixing function is a splitmix64-style avalanche, so trial seeds are
 reproducible across platforms and independent of thread scheduling.  Trials
-fan out to a pool of threads and come back in index order, so a reduction
-over them is the same for any worker count.  Trials return their records as
-columns: a dict of equal-length 1-D arrays keyed by column name, which
-``concat_columns`` joins in trial order.  ``one_blas_thread`` pins numpy's
+fan out to a pool of at most ``workers`` threads, never more than the trials
+or the CPUs the process may run on, and come back in index order, so a
+reduction over them is the same for any worker count.  Trials return their
+records as columns: a dict of equal-length 1-D arrays keyed by column name,
+which ``concat_columns`` joins in trial order.  ``one_blas_thread`` pins numpy's
 bundled OpenBLAS to one thread for a block of code and restores the setting
 after; the setting is one per process, and the ``tail`` statistic holds the
 pin around its whole fan-out, so its values do not depend on the worker or
@@ -21,6 +22,7 @@ take their functions from it.
 
 import contextlib
 import functools
+import os
 import warnings
 from concurrent import futures
 
@@ -56,18 +58,23 @@ def derive_seed(base: int, index: int) -> int:
 def map_trials(trial, count: int, base_seed: int, workers: int = 1) -> list:
     """``[trial(i, derive_seed(base_seed, i)) for i in range(count)]``, on up to ``workers`` threads.
 
-    Runs in the calling thread when ``workers <= 1`` or ``count <= 1``.
-    Results come back in index order whatever the worker count.  A trial's
-    LAPACK, BLAS and generator fills release the GIL, so threads run them
-    in parallel.  All threads share the process's one BLAS thread setting,
-    so ``eigh`` and ``svd`` give the same bits on any worker count.  A caller
-    that needs a fixed thread count holds ``one_blas_thread`` around the
-    whole call, never inside a trial: one trial's restore would un-pin another.
+    The pool has ``min(workers, count, CPUs)`` threads, CPUs being those the
+    process may run on, so a mistyped ``workers`` starts no more threads than
+    can run at once; the trials run in the calling thread when that is at
+    most 1.  Results come back in index order whatever the worker count.  A
+    trial's LAPACK, BLAS and generator fills release the GIL, so threads run
+    them in parallel.
+    All threads share the process's one BLAS thread setting, so ``eigh`` and
+    ``svd`` give the same bits on any worker count.  A caller that needs a
+    fixed thread count holds ``one_blas_thread`` around the whole call,
+    never inside a trial: one trial's restore would un-pin another.
     """
     seeds = [derive_seed(base_seed, i) for i in range(count)]
-    if workers <= 1 or count <= 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(workers, count, cpus)
+    if threads <= 1:
         return list(map(trial, range(count), seeds))
-    with futures.ThreadPoolExecutor(max_workers=min(workers, count)) as pool:
+    with futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(trial, range(count), seeds))
 
 

@@ -3,7 +3,8 @@
 Each is the plain per-draw or one-call form of something ``rmtlab``
 computes another way: the projection and quadratic-form deviations of one
 vector (the tail computes both in blocks of draws), the projection lemma's
-envelope with its explicit constants, the truncation standardizer, one
+envelope with its explicit constants, the fourth moment of each entry
+distribution, the truncation standardizer, one
 generator call per kind (``ensembles._fill`` streams the same bits in
 chunks), the checked eigh and SVD of one matrix or a stack (the trials
 solve in place with ``spectral._eigh_owned``, through ``gram_triplets``, or
@@ -49,6 +50,20 @@ def quadratic_deviation(x: np.ndarray, a: np.ndarray) -> complex:
 def lemma_projection_envelope(K: float) -> TailEnvelope:
     """The projection bound with its explicit constants, 10 exp(-t^2/(20 K^2))."""
     return TailEnvelope(kind="projection", C=10.0, Cprime=1.0 / 20.0, K=K)
+
+
+def fourth_moment(dist: DistSpec) -> float:
+    """E|xi|^4 of the standardized distribution."""
+    if dist.kind == "rademacher":
+        return 1.0
+    if dist.kind == "gaussian":
+        return 3.0
+    if dist.kind == "bounded_uniform":
+        return 9.0 / 5.0
+    from scipy import special
+
+    c2 = special.gamma(1.0 + 2.0 * dist.alpha)
+    return special.gamma(1.0 + 4.0 * dist.alpha) / c2**2
 
 
 def standardize_truncated(x: np.ndarray, report: TruncationReport) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import eig_decompose, lemma_projection_envelope, standardize_truncated
+from reference import eig_decompose, fourth_moment, lemma_projection_envelope, standardize_truncated
 from scipy import stats
 
 from rmtlab.concentration import WeightedFrame, empirical_tail
@@ -255,7 +255,7 @@ def test_criterion_08_quadratic_form_statistics(announce):
     # explicit-constant projection bound, gaussian entries, d = 100 weights
     d, n_proj = 100, 200
     frame = WeightedFrame(basis=np.eye(n_proj)[:, :d], weights=np.ones(d))
-    k_hyp = 10.0 * (DistSpec("gaussian").fourth_moment() + 1.0)
+    k_hyp = 10.0 * (fourth_moment(DistSpec("gaussian")) + 1.0)
     env = lemma_projection_envelope(K=k_hyp)
     t_grid = np.linspace(0.0, 40.0, 21)
     tail = empirical_tail(frame, DistSpec("gaussian"), t_grid, 2000, derive_seed(80, 2))

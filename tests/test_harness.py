@@ -409,6 +409,19 @@ def test_run_deloc_experiment():
     assert _rows(report.records) == 2 * (64 + 96)
 
 
+def test_deloc_trial_makes_no_hermitian_check(monkeypatch):
+    # sample_wigner mirrors its upper triangle bit for bit, and the in-place dsyevd reads one triangle
+    from rmtlab import delocalization, spectral
+
+    calls = []
+    original = spectral.check_hermitian
+    for module in (spectral, delocalization):
+        monkeypatch.setattr(module, "check_hermitian", lambda w: calls.append(np.shape(w)) or original(w))
+    report = run_experiment(_cfg(experiment="deloc", n_grid=[16, 64], trials=2), write=False)
+    assert not hasattr(harness, "check_hermitian")
+    assert calls == [] and report.summary["ok"]
+
+
 def test_run_localscan_experiment():
     report = run_experiment(
         _cfg(experiment="localscan", n=300, trials=2, scales=[10.0, 50.0]), write=False
@@ -535,16 +548,14 @@ def test_deloc_worker_invariance():
 # Sizes at which OPENBLAS_NUM_THREADS=1 changes the serial deloc and
 # covariance rows (bundled scipy-openblas 0.3.31, 2 cores), so workers that
 # ran with another BLAS thread count than the serial run would fail here.
-# The identity instances are too small for BLAS threads to change them.
 @pytest.mark.parametrize(
     "raw",
     [
         dict(experiment="deloc", n=500, trials=2),
         dict(experiment="covariance", n=600, p=300, trials=2),
-        dict(experiment="identities", trials=30),
         dict(experiment="localscan", n=500, trials=2),
     ],
-    ids=["deloc", "covariance", "identities", "localscan"],
+    ids=["deloc", "covariance", "localscan"],
 )
 def test_records_match_across_worker_counts(raw):
     serial = run_experiment(_cfg(**raw, workers=1), write=False)
@@ -598,7 +609,7 @@ def test_identity_instance_decomposes_each_factor_once(monkeypatch):
 
     checked = []
     original_check = spectral.check_hermitian
-    for module in (spectral, delocalization, harness):
+    for module in (spectral, delocalization):
         monkeypatch.setattr(module, "check_hermitian", lambda w: checked.append(np.shape(w)) or original_check(w))
     calls = {"svd": [], "solve": [], "eigh": [], "eigvalsh": []}
     inner = getattr(np.linalg, "_linalg", None)
@@ -884,8 +895,13 @@ def test_cli_unread_field_exit_two(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "identities", "trials": 4, "p": 3}))
     assert cli_main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    # identities draws in the calling thread, so it reads no worker count
+    assert cli_main(["identities", "--workers", "2", "--out", str(tmp_path)]) == 2
+    cfg.write_text(json.dumps({"experiment": "identities", "trials": 4, "workers": 2}))
+    assert cli_main(["identities", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3 and all(line.startswith("error:") for line in err)
+    assert len(err) == 5 and all(line.startswith("error:") for line in err)
+    assert "--workers" in err[3] and "'workers'" in err[4]
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cfg.json"]
 
 

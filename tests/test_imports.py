@@ -51,21 +51,21 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 def test_rademacher_runs_leave_scipy_unloaded(tmp_path):
     runs = [
-        dict(experiment="localscan", n=60, trials=2, scales=[10.0, 20.0]),
-        dict(experiment="deloc", n_grid=[16, 24], trials=2),
-        dict(experiment="identities", trials=8),
-        dict(experiment="covariance", n=60, p=30, trials=2, scales=[10.0, 20.0]),
-        dict(experiment="tail", n=20, trials=200, statistic="quadratic", envelopes=["hw", "esy1"]),
+        dict(experiment="localscan", n=60, trials=2, scales=[10.0, 20.0], workers=2),
+        dict(experiment="deloc", n_grid=[16, 24], trials=2, workers=2),
+        dict(experiment="identities", trials=8),  # reads no workers: it draws in the calling thread
+        dict(experiment="covariance", n=60, p=30, trials=2, scales=[10.0, 20.0], workers=2),
+        dict(experiment="tail", n=20, trials=200, statistic="quadratic", envelopes=["hw", "esy1"], workers=2),
         # three blocks of draws, so both pool workers compute blocks under the BLAS pin
-        dict(experiment="tail", n=20, trials=600, statistic="quadratic"),
-        dict(experiment="tail", n=20, d=8, trials=600, statistic="projection"),
+        dict(experiment="tail", n=20, trials=600, statistic="quadratic", workers=2),
+        dict(experiment="tail", n=20, d=8, trials=600, statistic="projection", workers=2),
     ]
     code = (
         _BLOCK_SCIPY
         + f"""
 from rmtlab.harness import config_from_dict, run_experiment
 for raw in {runs!r}:
-    run_experiment(config_from_dict(dict(raw, workers=2)), write=False)
+    run_experiment(config_from_dict(raw), write=False)
 print({_SCIPY_LOADED})
 print("numpy.ma" in sys.modules)
 """

@@ -2,7 +2,9 @@
 
 A name in a module's ``__all__`` passes when ``src/rmtlab/*.py`` references
 it outside its own definition and the ``__all__`` lists, or when a demo
-references it.  A reference is an identifier in the code (a name, an
+references it.  So does each public method or property of a class in
+``__all__`` (``module.Class.name``), referenced by its name outside its own
+definition.  A reference is an identifier in the code (a name, an
 attribute or an imported name), not a mention in a docstring or comment.
 The few names that wait for a caller sit in ``AWAITING`` with the item that
 will call them; an entry that gains a caller, or whose name is gone, fails
@@ -11,6 +13,7 @@ callers: a formula only tests read belongs in ``tests/reference.py``.
 """
 
 import ast
+import copy
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -51,34 +54,59 @@ def _referenced(stmt) -> set:
     return found
 
 
+def _methods(stmt) -> list:
+    """The methods (properties too) a class statement defines."""
+    return [node for node in stmt.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
 def _statements(path: Path) -> list:
-    """(bound names, referenced names) of each top-level statement of a file but its ``__all__``."""
-    body = ast.parse(path.read_text(), filename=str(path)).body
-    return [(_bound(stmt), _referenced(stmt)) for stmt in body if "__all__" not in _bound(stmt)]
+    """(bound names, referenced names) of each top-level statement of a file but its ``__all__``.
+
+    A class is split in two kinds of parts, each binding the class name: the class without its methods,
+    and each method, which binds ``Class.method`` too.  So a method's own body is not its caller.
+    """
+    parts = []
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        bound = _bound(stmt)
+        if "__all__" in bound:
+            continue
+        if isinstance(stmt, ast.ClassDef):
+            methods = _methods(stmt)
+            parts += [(bound | {f"{stmt.name}.{method.name}"}, _referenced(method)) for method in methods]
+            stmt = copy.copy(stmt)
+            stmt.body = [node for node in stmt.body if node not in methods]
+        parts.append((bound, _referenced(stmt)))
+    return parts
 
 
 def _public_names(path: Path) -> list:
-    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-        if isinstance(stmt, ast.Assign) and "__all__" in _bound(stmt):
-            return ast.literal_eval(stmt.value)
-    return []
+    """The module's ``__all__``, then ``Class.name`` for each public method or property of a class in it."""
+    body = ast.parse(path.read_text(), filename=str(path)).body
+    names = next((ast.literal_eval(s.value) for s in body if isinstance(s, ast.Assign) and "__all__" in _bound(s)), [])
+    classes = [stmt for stmt in body if isinstance(stmt, ast.ClassDef) and stmt.name in names]
+    members = [f"{c.name}.{m.name}" for c in classes for m in _methods(c) if not m.name.startswith("_")]
+    return names + members
 
 
 def _uncalled(src: Path, demos: Path) -> set:
-    """module.name of each public name in ``src`` that no code there (outside its definition) or demo references."""
+    """module.name of each public name in ``src`` that no code there (outside its definition) or demo references.
+
+    A member ``Class.name`` is referenced by its name alone, as an attribute mostly.
+    """
     modules = {path.stem: _statements(path) for path in sorted(src.glob("*.py"))}
     in_demos = set().union(*(refs for path in demos.glob("*.py") for _, refs in _statements(path)))
     uncalled = set()
     for path in sorted(src.glob("*.py")):
-        for name in _public_names(path):
+        for qualified in _public_names(path):
+            name = qualified.rpartition(".")[2]
             called = name in in_demos or any(
                 name in refs
                 for module, statements in modules.items()
                 for bound, refs in statements
-                if not (module == path.stem and name in bound)
+                if not (module == path.stem and qualified in bound)
             )
             if not called:
-                uncalled.add(f"{path.stem}.{name}")
+                uncalled.add(f"{path.stem}.{qualified}")
     return uncalled
 
 
@@ -120,3 +148,43 @@ def shown():
     (tmp_path / "src" / "module.py").write_text(module)
     (tmp_path / "demos" / "demo.py").write_text("from module import shown\n\nshown()\n")
     assert _uncalled(tmp_path / "src", tmp_path / "demos") == {"module.caller", "module.unused"}
+
+
+def test_the_rule_covers_methods_of_public_classes(tmp_path):
+    # a public method or property needs a caller outside its own body; a private one and a private class do not
+    module = '''
+class Public:
+    def used(self):
+        return self.recursive
+
+    def recursive(self):
+        return self.recursive()
+
+    @property
+    def shown(self):
+        return 1
+
+    def _private(self):
+        return 2
+
+
+class _Hidden:
+    def orphan(self):
+        return 3
+
+
+def caller():
+    return Public().used()
+
+
+__all__ = ["Public"]
+'''
+    (tmp_path / "src").mkdir()
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "src" / "module.py").write_text(module)
+    (tmp_path / "demos" / "demo.py").write_text("from module import Public\n\nprint(Public().shown)\n")
+    assert _uncalled(tmp_path / "src", tmp_path / "demos") == set()
+    (tmp_path / "demos" / "demo.py").write_text("")
+    assert _uncalled(tmp_path / "src", tmp_path / "demos") == {"module.Public.shown"}
+    (tmp_path / "src" / "module.py").write_text(module.replace("return self.recursive\n", "return 0\n"))
+    assert _uncalled(tmp_path / "src", tmp_path / "demos") == {"module.Public.shown", "module.Public.recursive"}

@@ -2,6 +2,7 @@ import os
 import statistics
 import time
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -101,6 +102,46 @@ def test_map_trials_worker_exception_reaches_the_caller():
     with pytest.raises(ValueError) as info:
         map_trials(trial, 7, 0, workers=3)
     assert info.value is raised
+
+
+# (workers, count, CPUs in the affinity set or None where the OS has none, os.cpu_count(), pool size or None
+# where the trials run in the calling thread)
+POOL_CAPS = [
+    (5000, 100, 4, 64, 4),
+    (3, 100, 4, 64, 3),
+    (8, 3, 16, 64, 3),
+    (5000, 100, 1, 64, None),
+    (5000, 100, None, 6, 6),
+    (5000, 100, None, None, None),
+]
+
+
+@pytest.mark.parametrize("workers, count, affinity, cpu_count, pool", POOL_CAPS)
+def test_map_trials_caps_its_pool_at_the_usable_cpus(monkeypatch, workers, count, affinity, cpu_count, pool):
+    # a stand-in pool records its size and runs the trials in the calling thread, so no thread starts
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", InlinePool)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert map_trials(lambda i, seed: (i, seed), count, 7, workers) == [(i, derive_seed(7, i)) for i in range(count)]
+    assert sizes == ([] if pool is None else [pool])
 
 
 def test_one_blas_thread_sets_and_restores(thread_control):

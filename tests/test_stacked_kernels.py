@@ -180,7 +180,7 @@ def test_two_batch_axes_and_a_lone_matrix():
 def test_identity_rows_do_not_depend_on_the_run(base_seed, kind):
     # a run of k instances stacks fewer matrices in each shape group than a run of 60, and gives the same rows
     def records(trials):
-        raw = dict(experiment="identities", trials=trials, base_seed=base_seed, dist={"kind": kind}, workers=2)
+        raw = dict(experiment="identities", trials=trials, base_seed=base_seed, dist={"kind": kind})
         return run_experiment(config_from_dict(raw), write=False).records
 
     big = records(60)
