@@ -15,16 +15,16 @@ squares taken in row blocks of at most ``ensembles._CHUNK`` entries.  With
 M the factor's size and G the Gram matrix's, a call's arrays then peak at
 the larger of two steps: the eigh, M + 3G (the factor, MM* becoming U, and
 dsyevd's workspace of about 2G, all numpy arrays), and the normalization,
-2M + G and one block (the factor, U and M* U).  A complex MM* takes numpy's
-eigh, which adds its own copy of MM* and a separate U.
+2M + G and one block (the factor, U and M* U).  ``gram_triplets`` hands a
+complex MM* to numpy's eigh, which adds its own copy of MM* and a separate U.
 The other route is the thin SVD (``_thin_svd``), which the identities
-runner takes for a factor and its two minors.  ``singular_identities``
-takes the triplets of M and returns the entry and interlacing identities
-over every index i from the minor's triplets when the caller solved them
-(in a stack with other matrices of their shape), else from one SVD of the
-minor, through the minor-identity kernel of ``rmtlab.delocalization``; its
-overlaps and ||X||^2 are sums by that module's rule for stacks.  The covariance Schur residual is
-``locallaw.schur_identity_residual`` of the Gram matrix MM*/n.
+runner takes for a factor and its two minors, stacked with other matrices
+of their shape.  ``singular_identities`` takes the triplets of M and of
+its minor and returns the entry and interlacing identities over every
+index i through the minor-identity kernel of ``rmtlab.delocalization``; its
+overlaps and ||X||^2 are sums by that module's rule for stacks.  The
+covariance Schur residual is ``locallaw.schur_identity_residual`` of the
+Gram matrices MM*/n of factors of one height.
 """
 
 from __future__ import annotations
@@ -55,11 +55,11 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
     """Triplets of a p x n factor (p <= n) from one eigh of the p x p Gram matrix MM*.
 
     sigma^2 and the left vectors are the eigenpairs of MM*; each right
-    vector is M* left_i scaled to unit norm.  For a real M, ``m.conj()`` is
-    M itself, so MM* is the product of M with its own transpose, which
-    numpy sends to SYRK (half the flops of a GEMM, no conjugate copy) and
-    mirrors into an exactly symmetric matrix, solved in place; a complex M
-    takes the conjugate.  When sigma_min is at rounding level
+    vector is M* left_i scaled to unit norm.  For a real M, MM* is the
+    product of M with its own transpose, which numpy sends to SYRK (half
+    the flops of a GEMM, no conjugate copy) and mirrors into an exactly
+    symmetric matrix, solved in place; a complex M takes the conjugate, and
+    numpy's eigh.  When sigma_min is at rounding level
     relative to sigma_max, M* left_i carries no direction, so such factors
     take the SVD instead.  The right vectors are M* U divided in place by
     its column norms, which ``_column_norms`` sums in bounded row blocks
@@ -68,7 +68,8 @@ def gram_triplets(m: np.ndarray) -> SingularTriplets:
     p, n = m.shape
     if p > n:
         raise ContractError("factor must have p <= n")
-    s2, left = _eigh_owned(m @ m.conj().T)  # the product is a temporary, so a real one is solved in place
+    # the product is a temporary, so a real one is solved in place
+    s2, left = _eigh_owned(m @ m.T) if np.isrealobj(m) else np.linalg.eigh(m @ m.conj().T)
     if s2[0] <= 1e3 * p * np.finfo(float).eps * s2[-1]:
         return _thin_svd(m)
     right = m.conj().T @ left
@@ -107,15 +108,13 @@ def _thin_svd(m: np.ndarray) -> SingularTriplets:
     return SingularTriplets(sigma=s[..., ::-1], left=u[..., ::-1], right=np.swapaxes(vh[..., ::-1, :], -1, -2).conj())
 
 
-def covariance_schur_residual(m, z: complex, gram_eigs: np.ndarray):
-    """Two-route gap: the k-sum versus the Stieltjes transform of gram_eigs, the sigma_i^2/n.
+def covariance_schur_residual(factors, z: complex, gram_eigs: np.ndarray) -> np.ndarray:
+    """Two-route gaps of a sequence of factors M of one height p and any widths, from one stacked solve.
 
-    A stack of factors M (leading axes), or a list of factors of one height
-    p and any widths, with gram_eigs stacked alike gives an array of gaps
-    from one stacked solve.
+    Each gap is the k-sum of M's Gram matrix MM*/n versus the Stieltjes
+    transform of its row of gram_eigs, its sigma_i^2/n.
     """
-    gram = form_gram(m) if isinstance(m, np.ndarray) else np.stack([form_gram(one) for one in m])
-    return schur_identity_residual(gram, z, gram_eigs)
+    return schur_identity_residual(np.stack([form_gram(m) for m in factors]), z, gram_eigs)
 
 
 def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) -> float:
@@ -125,7 +124,7 @@ def mp_self_consistency_residual(gram_eigs: np.ndarray, z: complex, y: float) ->
     return abs(s + 1.0 / (y + z - 1.0 + y * z * s))
 
 
-def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str, minor: SingularTriplets | None = None):
+def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str, minor: SingularTriplets):
     """Deleted-coordinate and interlacing identities for every singular triplet at once.
 
     ``trip`` holds the singular triplets of the p x n factor M (p <= n).
@@ -139,25 +138,22 @@ def singular_identities(m: np.ndarray, trip: SingularTriplets, side: str, minor:
 
     side='left' is the row-deleted mirror, using right singular vectors of
     the row minor.  Both are the minor identities of ``rmtlab.delocalization``
-    for H = M*M (right) or MM* (left) and use its kernel.  Returns arrays
-    (entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs, collision_gap)
-    indexed by i, from one SVD of the minor, or from ``minor``, the thin
-    SVD's triplets of that minor (M' or its row mirror) when the caller has
-    them; the gap is min_j |sigma_j(M')^2 - sigma_i^2| / max(1, sigma_i^2).
-    A stack of factors (leading axes) with their stacked triplets gives a
-    stack of each array, with the bits of one call per factor.
+    for H = M*M (right) or MM* (left) and use its kernel, fed ``minor``,
+    the thin SVD's triplets of that minor (M' or its row mirror).  Returns
+    arrays (entry_lhs, entry_rhs, interlacing_lhs, interlacing_rhs,
+    collision_gap) indexed by i; the gap is min_j |sigma_j(M')^2 - sigma_i^2|
+    / max(1, sigma_i^2).  A stack of factors (leading axes) with their
+    stacked triplets gives a stack of each array, with one call's bits each.
     """
     p, n = m.shape[-2:]
     if p > n:
         raise ContractError("factor must have p <= n")
     if side == "right":
-        x, vecs, cut = m[..., :, -1], trip.right, m[..., :, :-1]  # X the last column
+        x, vecs, basis = m[..., :, -1], trip.right, minor.left  # X the last column
     elif side == "left":
-        x, vecs, cut = np.conj(m[..., -1, :]), trip.left, m[..., :-1, :]  # Y* the last row
+        x, vecs, basis = np.conj(m[..., -1, :]), trip.left, minor.right  # Y* the last row
     else:
         raise ParameterError("side must be 'left' or 'right'")
-    minor = _thin_svd(cut) if minor is None else minor
-    basis = minor.left if side == "right" else minor.right
     if basis.shape[:-1] != x.shape:
         raise ContractError(f"the minor's triplets do not fit the {side} minor of the factor")
     msig2 = minor.sigma**2

@@ -126,12 +126,11 @@ def _minor_identity(vals, coord, mvals, overlaps, diag):
     return _abs2(coord), entry_rhs, _pole_sums(overlaps, mvals, vals, 1), interlacing_rhs, gap
 
 
-def wigner_identities(w: np.ndarray, decomp, minor=None):
+def wigner_identities(w: np.ndarray, decomp, minor):
     """The minor identities of a Hermitian W with its last coordinate deleted, every i at once.
 
     ``decomp`` is W's eigh, and ``minor`` the eigh of W's leading (n-1) x
-    (n-1) minor when the caller has it; else the minor takes one more eigh
-    here.  Returns arrays (entry_lhs, entry_rhs, interlacing_lhs,
+    (n-1) minor.  Returns arrays (entry_lhs, entry_rhs, interlacing_lhs,
     interlacing_rhs, collision_gap) indexed by i, the identities above with
     H = W and k = n - 1.  A stack of matrices (leading axes before the last
     two) gives a stack of each array, with the bits of one call per matrix.
@@ -141,7 +140,7 @@ def wigner_identities(w: np.ndarray, decomp, minor=None):
     if vals.shape != w.shape[:-1]:
         raise ContractError("decomposition does not match the matrix size")
     y = w[..., :-1, -1]
-    mvals, mvecs = np.linalg.eigh(w[..., :-1, :-1]) if minor is None else minor
+    mvals, mvecs = minor
     if mvals.shape != y.shape:
         raise ContractError("minor decomposition does not match the minor's size")
     return _minor_identity(vals, vecs[..., -1, :], mvals, _overlaps(mvecs, y), np.real(w[..., -1, -1]))

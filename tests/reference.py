@@ -6,11 +6,11 @@ vector (the tail computes both in blocks of draws), the projection lemma's
 envelope with its explicit constants, the fourth moment of each entry
 distribution, the truncation standardizer, one
 generator call per kind (``ensembles._fill`` streams the same bits in
-chunks), the checked eigh and SVD of one matrix or a stack (the trials
-solve in place with ``spectral._eigh_owned``, through ``gram_triplets``, or
-in one stacked LAPACK call per shape), and LAPACK's two-stage values-only
-solve on a column-major copy (``_eigh_owned`` runs it in the matrix's own
-memory).
+chunks), the checked eigh and SVD of one matrix or a stack, and of its
+minors (the trials solve in place with ``spectral._eigh_owned``, through
+``gram_triplets``, or in one stacked LAPACK call per shape, minors beside
+the matrices of their shape), and LAPACK's two-stage values-only solve on
+a column-major copy (``_eigh_owned`` runs it in the matrix's own memory).
 """
 
 import ctypes
@@ -107,6 +107,20 @@ def singular_triplets(m: np.ndarray) -> SingularTriplets:
     if p > n:
         raise ContractError("factor must have p <= n")
     return _thin_svd(m)
+
+
+def minor_eigh(w: np.ndarray):
+    """``eig_decompose`` of W's leading (n-1) x (n-1) minor, the one ``wigner_identities`` reads; stacks alike."""
+    return eig_decompose(w[..., :-1, :-1])
+
+
+def minor_triplets(m: np.ndarray, side: str) -> SingularTriplets:
+    """The thin SVD's triplets of a factor less its last column (side 'right') or last row ('left'); stacks alike.
+
+    The column minor of a square factor has more rows than columns, so it
+    takes ``_thin_svd`` itself, not the factor contract of ``singular_triplets``.
+    """
+    return _thin_svd(m[..., :, :-1] if side == "right" else m[..., :-1, :])
 
 
 def two_stage_eigvalsh(a: np.ndarray) -> np.ndarray:

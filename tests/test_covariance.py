@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import eig_decompose, singular_triplets
+from reference import eig_decompose, minor_eigh, minor_triplets, singular_triplets
 
 from rmtlab.covariance import (
     covariance_schur_residual,
@@ -95,9 +95,9 @@ def test_sigma_lambda_bridge():
 def test_covariance_schur_identity_exact():
     for p, n, seed in [(2, 3, 4), (6, 10, 5), (9, 9, 6)]:
         m = _factor(p, n, seed)
-        assert covariance_schur_residual(m, 0.8 + 0.6j, np.linalg.eigvalsh(form_gram(m))) < 1e-11
+        assert covariance_schur_residual([m], 0.8 + 0.6j, np.linalg.eigvalsh(form_gram(m))[None])[0] < 1e-11
     with pytest.raises(DomainError):
-        covariance_schur_residual(m, 0.8 - 0.6j, np.linalg.eigvalsh(form_gram(m)))
+        covariance_schur_residual([m], 0.8 - 0.6j, np.linalg.eigvalsh(form_gram(m))[None])
 
 
 def test_mp_self_consistency_on_wishart():
@@ -117,7 +117,7 @@ def test_singular_entry_identity_1x2_hand_case():
     # M = [[a, b]]: sigma = sqrt(a^2+b^2), right vector (a, b)/sigma
     a, b = 3.0, 4.0
     m = np.array([[a, b]])
-    lhs, rhs, _, _, _ = singular_identities(m, singular_triplets(m), "right")
+    lhs, rhs, _, _, _ = singular_identities(m, singular_triplets(m), "right", minor_triplets(m, "right"))
     assert lhs[0] == pytest.approx(b * b / (a * a + b * b), abs=1e-12)
     # minor [[a]]: overlap |u* X|^2 = b^2; rhs = 1/(1 + a^2 b^2/(a^2-s^2)^2)
     s2 = a * a + b * b
@@ -129,7 +129,7 @@ def test_singular_entry_identity_1x2_hand_case():
 def test_singular_entry_identity_random(side):
     for p, n, seed in [(3, 5, 8), (6, 8, 9), (7, 7, 10)]:
         m = _factor(p, n, seed)
-        lhs, rhs, _, _, gap = singular_identities(m, singular_triplets(m), side)
+        lhs, rhs, _, _, gap = singular_identities(m, singular_triplets(m), side, minor_triplets(m, side))
         for i in np.flatnonzero(gap > 1e-8):
             assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-12)
 
@@ -138,7 +138,7 @@ def test_singular_entry_identity_random(side):
 def test_singular_interlacing_identity_random(side):
     for p, n, seed in [(4, 6, 11), (8, 12, 12)]:
         m = _factor(p, n, seed, DistSpec("rademacher"))
-        _, _, lhs, rhs, gap = singular_identities(m, singular_triplets(m), side)
+        _, _, lhs, rhs, gap = singular_identities(m, singular_triplets(m), side, minor_triplets(m, side))
         for i in np.flatnonzero(gap > 1e-8):
             assert lhs[i] == pytest.approx(rhs[i], rel=1e-8, abs=1e-8)
 
@@ -150,8 +150,8 @@ def test_singular_identities_are_the_wigner_identities_of_the_gram_matrix():
         m = _factor(p, p + (seed // 6) % 6, seed)
         h = m @ m.T
         trip = singular_triplets(m)
-        wig = wigner_identities(h, eig_decompose(h))
-        sing = singular_identities(m, trip, "left")
+        wig = wigner_identities(h, eig_decompose(h), minor_eigh(h))
+        sing = singular_identities(m, trip, "left", minor_triplets(m, "left"))
         keep = sing[4] > 1e-8
         scale = max(1.0, float(trip.sigma[-1] ** 2))  # the identities experiment's interlacing scale
         for k in (0, 1):
@@ -164,12 +164,15 @@ def test_singular_identities_are_the_wigner_identities_of_the_gram_matrix():
 def test_singular_identity_validation():
     m = _factor(3, 5, 13)
     trip = singular_triplets(m)
+    minor = minor_triplets(m, "right")
     with pytest.raises(ParameterError):
-        singular_identities(m, trip, "middle")
+        singular_identities(m, trip, "middle", minor)
     with pytest.raises(ContractError):
-        singular_identities(m.T, trip, "right")
+        singular_identities(m.T, trip, "right", minor)
     with pytest.raises(ParameterError):
-        singular_identities(m, trip, "up")
+        singular_identities(m, trip, "up", minor)
+    with pytest.raises(ContractError):  # the column minor's triplets on the row-deleted side
+        singular_identities(m, trip, "left", minor)
 
 
 def test_pv_mp_matches_semicircle_map():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import eig_decompose
+from reference import eig_decompose, minor_eigh
 
 from rmtlab.delocalization import (
     _column_inf_norms,
@@ -83,7 +83,7 @@ def test_eigvec_records_at_n_one():
 
 
 def _identities(w):
-    return wigner_identities(w, eig_decompose(w))
+    return wigner_identities(w, eig_decompose(w), minor_eigh(w))
 
 
 def test_entry_identity_2x2_hand_case():
@@ -110,9 +110,11 @@ def test_entry_identity_collision_gap():
     np.testing.assert_array_equal(gap, [0.0, 0.0])
     assert lhs.shape == rhs.shape == (2,)
     with pytest.raises(ContractError):
-        wigner_identities(np.array([[0.0, 1.0], [0.0, 0.0]]), eig_decompose(np.eye(2)))
+        wigner_identities(np.array([[0.0, 1.0], [0.0, 0.0]]), eig_decompose(np.eye(2)), minor_eigh(np.eye(2)))
     with pytest.raises(ContractError):
-        wigner_identities(np.eye(3), eig_decompose(np.eye(2)))
+        wigner_identities(np.eye(3), eig_decompose(np.eye(2)), minor_eigh(np.eye(3)))
+    with pytest.raises(ContractError):  # the minor's decomposition in place of W's own
+        wigner_identities(np.eye(3), eig_decompose(np.eye(3)), eig_decompose(np.eye(3)))
 
 
 def test_interlacing_identity_random_matrices():

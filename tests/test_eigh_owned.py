@@ -7,7 +7,8 @@ the trial matrices (Wigner draws and SYRK Gram products) do.  With vectors
 it runs numpy's dsyevd, and its bits are ``np.linalg.eigh``'s.  Values
 alone take dsyevd_2stage: its bits are those of ``reference.two_stage_eigvalsh``
 on a column-major copy, and within n eps max(1, |lambda|_max) of ``eigvalsh``;
-a numpy without that symbol falls back to ``eigvalsh``'s bits on a copy.
+a numpy without that symbol falls back to ``eigvalsh``'s bits on a copy.  Any
+input but a C-contiguous, writable, real float64 square matrix is refused.
 """
 
 import warnings
@@ -19,7 +20,7 @@ from reference import two_stage_eigvalsh
 from rmtlab.covariance import gram_triplets
 from rmtlab.ensembles import KINDS, DistSpec, sample_rect, sample_wigner
 from rmtlab.seeds import one_blas_thread
-from rmtlab.spectral import _eigh_owned
+from rmtlab.spectral import ContractError, _eigh_owned
 
 SIZES = [1, 2, 3, 16, 500]
 
@@ -111,6 +112,11 @@ def test_gram_triplets_match_the_numpy_eigh_route_bit_for_bit(kind, p, n):
     assert trip.right.tobytes() == right.tobytes()
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
 @pytest.mark.parametrize(
     "a",
     [
@@ -119,16 +125,21 @@ def test_gram_triplets_match_the_numpy_eigh_route_bit_for_bit(kind, p, n):
         _wigner("gaussian", 6)[::2, ::2],  # a strided view
         np.stack([_wigner("gaussian", 4), _wigner("rademacher", 4)]),  # a stack
         np.array([[2, 1], [1, 3]]),  # integers
+        _read_only(_wigner("gaussian", 5)),  # read-only
     ],
-    ids=["complex", "fortran", "view", "stack", "int"],
+    ids=["complex", "fortran", "view", "stack", "int", "read-only"],
 )
-def test_owned_eigh_leaves_other_input_to_numpy_untouched(a):
+def test_owned_eigh_refuses_other_input_and_leaves_it_untouched(a, openblas_lacking):
+    def refused_untouched():
+        for vectors in (True, False):
+            with pytest.raises(ContractError, match="C-contiguous, writable, real float64 square"):
+                _eigh_owned(a, vectors)
+        return a.tobytes() == before.tobytes()
+
     before = a.copy()
-    expected, got = np.linalg.eigh(a), _eigh_owned(a)
-    assert got[0].tobytes() == expected.eigenvalues.tobytes()
-    assert got[1].tobytes() == expected.eigenvectors.tobytes()
-    assert _eigh_owned(a, vectors=False).tobytes() == np.linalg.eigvalsh(a).tobytes()
-    assert a.tobytes() == before.tobytes()
+    assert refused_untouched()
+    openblas_lacking()  # the input is checked before the routine is looked up, so a numpy without it refuses alike
+    assert refused_untouched()
 
 
 def test_owned_eigh_without_dsyevd_warns_once_and_gives_numpys_bits(openblas_lacking):

@@ -30,6 +30,11 @@ def _cfg(**kw):
     return config_from_dict(kw)
 
 
+def _no_constant(name):
+    """``parse_constant`` of a strict JSON read: NaN, Infinity and -Infinity are not JSON (RFC 8259)."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def _rows(records: dict) -> int:
     (length,) = {column.shape for column in records.values()}
     return length[0]
@@ -321,6 +326,15 @@ def test_run_identities_experiment_small():
     assert report.summary["checks"] + report.summary["skipped"] == total
 
 
+def test_projection_tail_frame_is_n_by_d(peak_bytes):
+    # the frame is the first d columns of the n x n identity; the run holds far less than that identity's 8 n^2 bytes
+    n = 2000
+    cfg = _cfg(experiment="tail", statistic="projection", n=n, d=8, trials=100)
+    report, peak = peak_bytes(functools.partial(run_experiment, write=False), cfg)
+    assert report.summary["statistic"] == "projection"
+    assert peak < 8 * n * n
+
+
 def test_run_tail_experiment_outputs(tmp_path):
     cfg = _cfg(
         experiment="tail",
@@ -407,6 +421,16 @@ def test_run_deloc_experiment():
     )
     assert report.summary["ok"]
     assert _rows(report.records) == 2 * (64 + 96)
+
+
+@pytest.mark.parametrize("base_seed", [0, 2])
+def test_deloc_without_bulk_eigenvalues_writes_null(tmp_path, base_seed):
+    # eps = 1.5 leaves the bulk [-0.5, 0.5], which both eigenvalues of these 2 x 2 draws miss: no maximum, not NaN
+    cfg = _cfg(experiment="deloc", n=2, trials=1, eps=1.5, base_seed=base_seed, out_dir=str(tmp_path))
+    report = run_experiment(cfg)
+    assert not np.any(report.records["region"] == "bulk")
+    summary = json.loads((report.out_path / "summary.json").read_text(), parse_constant=_no_constant)
+    assert summary["max_scaled_bulk"] is None and summary["ok"] is False
 
 
 def test_deloc_trial_makes_no_hermitian_check(monkeypatch):
@@ -658,6 +682,7 @@ def test_float_formatting_round_trips(tmp_path):
     ]
     for raw in inputs:
         report = run_experiment(_cfg(**raw, out_dir=str(tmp_path), label="fmt"))
+        json.loads((report.out_path / "summary.json").read_text(), parse_constant=_no_constant)
         with open(report.out_path / "records.csv") as fh:
             header, *rows = csv.reader(fh)
         assert header == list(report.records)

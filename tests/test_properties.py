@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import eig_decompose, singular_triplets
+from reference import eig_decompose, minor_eigh, minor_triplets, singular_triplets
 
 from rmtlab.concentration import TailEnvelope, dyadic_weight_partition
 from rmtlab.covariance import covariance_schur_residual, gram_triplets, singular_identities
@@ -140,7 +140,7 @@ def test_schur_identity_exact_random_sizes(n, seed):
 @given(st.integers(2, 8), st.integers(0, 6), st.integers(0, 2**32))
 def test_covariance_schur_exact_random_sizes(p, extra, seed):
     m = sample_rect(DistSpec("gaussian"), p, p + extra, seed)
-    assert covariance_schur_residual(m, 0.5 + 0.5j, np.linalg.eigvalsh(form_gram(m))) < 1e-10
+    assert covariance_schur_residual([m], 0.5 + 0.5j, np.linalg.eigvalsh(form_gram(m))[None])[0] < 1e-10
 
 
 @pytest.mark.parametrize("triplets", [singular_triplets, gram_triplets], ids=["svd", "gram"])
@@ -161,10 +161,11 @@ def test_all_index_identities_at_edge_sizes(n):
     w = sample_wigner(DistSpec("gaussian"), n, 40 + n)
     m = sample_rect(DistSpec("gaussian"), n, n, 50 + n)
     decomp = eig_decompose(w)
-    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp)
+    entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = wigner_identities(w, decomp, minor_eigh(w))
     results = [(entry_lhs, entry_rhs, gap), (inter_lhs, inter_rhs, gap)]
     for side in ("right", "left"):
-        entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, singular_triplets(m), side)
+        minor = minor_triplets(m, side)
+        entry_lhs, entry_rhs, inter_lhs, inter_rhs, gap = singular_identities(m, singular_triplets(m), side, minor)
         results += [(entry_lhs, entry_rhs, gap), (inter_lhs, inter_rhs, gap)]
     for lhs, rhs, gap in results:
         assert lhs.shape == rhs.shape == gap.shape == (n,)
@@ -177,4 +178,4 @@ def test_all_index_identities_at_edge_sizes(n):
             assert lhs[0] == pytest.approx(1.0) and rhs[0] == 1.0
     # the diagonal expansions hold with empty minors (n = 1) and at the hard edge
     assert schur_identity_residual(w, 0.5 + 0.5j, decomp.eigenvalues) < 1e-10
-    assert covariance_schur_residual(m, 0.5 + 0.5j, np.linalg.eigvalsh(form_gram(m))) < 1e-10
+    assert covariance_schur_residual([m], 0.5 + 0.5j, np.linalg.eigvalsh(form_gram(m))[None])[0] < 1e-10

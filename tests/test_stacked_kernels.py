@@ -14,7 +14,7 @@ the instance count, and an instance's rows must not.
 
 import numpy as np
 import pytest
-from reference import eig_decompose, singular_triplets
+from reference import eig_decompose, minor_eigh, minor_triplets, singular_triplets
 
 from rmtlab.covariance import _thin_svd, covariance_schur_residual, singular_identities
 from rmtlab.delocalization import _minor_identity, _pole_sums, wigner_identities
@@ -82,7 +82,8 @@ def _check_wigner_kernels(w):
     lone = [one.copy() for one in w]
     singles = [eig_decompose(one) for one in lone]
     _assert_stacked(tuple(decomp), [tuple(one) for one in singles])
-    _assert_stacked(wigner_identities(w, decomp), [wigner_identities(one, d) for one, d in zip(lone, singles)])
+    one_by_one = [wigner_identities(one, d, minor_eigh(one)) for one, d in zip(lone, singles)]
+    _assert_stacked(wigner_identities(w, decomp, minor_eigh(w)), one_by_one)
     eigs = decomp.eigenvalues
     singles = [schur_identity_residual(a, Z, e) for a, e in zip(lone, eigs)]
     _assert_stacked(schur_identity_residual(w, Z, eigs), singles)
@@ -94,11 +95,12 @@ def _check_factor_kernels(m):
     lone = [one.copy() for one in m]
     singles = [singular_triplets(one) for one in lone]
     for side in ("right", "left"):
-        stacked = singular_identities(m, trip, side)
-        _assert_stacked(stacked, [singular_identities(one, t, side) for one, t in zip(lone, singles)])
+        stacked = singular_identities(m, trip, side, minor_triplets(m, side))
+        one_by_one = [singular_identities(one, t, side, minor_triplets(one, side)) for one, t in zip(lone, singles)]
+        _assert_stacked(stacked, one_by_one)
     gram_eigs = trip.sigma**2 / pn
     stacked = covariance_schur_residual(m, Z, gram_eigs)
-    _assert_stacked(stacked, [covariance_schur_residual(one, Z, e) for one, e in zip(lone, gram_eigs)])
+    _assert_stacked(stacked, [covariance_schur_residual([one], Z, e[None]) for one, e in zip(lone, gram_eigs)])
     _assert_stacked(form_gram(m), [form_gram(one) for one in lone])
 
 
@@ -157,23 +159,24 @@ def test_stacks_mixing_roles_keep_lone_bits(p, pn, complex_entries):
     for side, m in (("right", wide), ("left", tall)):
         lone = m.copy()
         stacked = singular_identities(m[None], singular_triplets(m[None]), side, _gather(svds, [side]))
-        _assert_stacked(stacked, [singular_identities(lone, singular_triplets(lone), side)])
+        _assert_stacked(stacked, [singular_identities(lone, singular_triplets(lone), side, minor_triplets(lone, side))])
     lone = big_w.copy()
     stacked = wigner_identities(big_w[None], eig_decompose(big_w[None]), _gather(eighs, ["minor"]))
-    _assert_stacked(stacked, [wigner_identities(lone, eig_decompose(lone))])
+    _assert_stacked(stacked, [wigner_identities(lone, eig_decompose(lone), minor_eigh(lone))])
 
 
 def test_two_batch_axes_and_a_lone_matrix():
     w = _hermitian_stack(6, False, seed=3, batch=(2, 3))
     decomp = eig_decompose(w)
     flat = w.reshape(-1, 6, 6)
-    _assert_stacked(wigner_identities(w, decomp), [wigner_identities(one, eig_decompose(one)) for one in flat])
+    singles = [wigner_identities(one, eig_decompose(one), minor_eigh(one)) for one in flat]
+    _assert_stacked(wigner_identities(w, decomp, minor_eigh(w)), singles)
     residual = schur_identity_residual(w, Z, np.linalg.eigvalsh(w))
     assert residual.shape == (2, 3) and np.all(residual < 1e-12)
     # a lone matrix is the no-batch case: scalars and 1-D arrays as before
     lone = schur_identity_residual(w[0, 0], Z, np.linalg.eigvalsh(w[0, 0]))
     assert np.ndim(lone) == 0 and isinstance(lone, float)
-    assert all(np.shape(out) == (6,) for out in wigner_identities(w[0, 0], eig_decompose(w[0, 0])))
+    assert all(np.shape(out) == (6,) for out in wigner_identities(w[0, 0], eig_decompose(w[0, 0]), minor_eigh(w[0, 0])))
 
 
 @pytest.mark.parametrize("base_seed, kind", [(1, "rademacher"), (3, "gaussian")])
